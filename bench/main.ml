@@ -3653,13 +3653,17 @@ module Causal_bench = struct
   }
 
   (* Off-by-one every Int output of one block — the canonical silent
-     data corruption a bit flip or a wrong-constant patch produces. *)
+     data corruption a bit flip or a wrong-constant patch produces. The
+     corrupted function no longer matches the block's kernel claim, so
+     the block becomes opaque: fused runs (traced or not) must apply
+     the corrupted function, not the standard cell's kernel step. *)
   let corrupt g ~target =
     G.map_blocks g (fun bi b ->
         if bi <> target then b
         else
           { b with
-            B.fn =
+            B.kernel = B.Opaque;
+            fn =
               (fun ins ->
                 Array.map
                   (function

@@ -24,6 +24,7 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
     | _ -> None
   in
   let buffers = Fixpoint.make_buffers compiled in
+  let probe = Option.map Supervisor.probe supervisor in
   let nets_buffer = Array.make compiled.Graph.n_nets Domain.Bottom in
   let applications = ref 0 in
   let fn inputs =
@@ -45,7 +46,7 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
     in
     let result =
       Fixpoint.eval compiled ~inputs:env_inputs ~delay_values ~strategy
-        ~schedule ?fuse ~buffers ~nets:nets_buffer ?supervisor ()
+        ~schedule ?fuse ~buffers ~nets:nets_buffer ?probe ()
     in
     (match instants with
     | Some parent ->

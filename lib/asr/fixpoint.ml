@@ -21,104 +21,109 @@ let strategy_of_string = function
   | "fused" -> Some Fused
   | _ -> None
 
-(* Preallocated per-block scratch: input vectors filled in place before
-   each application and (worklist only) previous-output snapshots. One
-   allocation per graph instead of one per application — the PR-1-era
-   hot-path cost. Block functions must not retain their input array;
-   every cell and wrapper in this codebase copies what it keeps. *)
+(* Preallocated per-block scratch, one allocation per graph instead of
+   one per application. Block functions must not retain their input
+   array; every cell and wrapper in this codebase copies what it
+   keeps. Probed whole-block applications additionally need, per block,
+   a step closure that applies it and leaves its outputs in a result
+   buffer — built once, on the first probed application, so a guarding
+   probe can re-run a block without a per-application closure and
+   unprobed runs never pay for them. *)
+type probed = {
+  p_res : Domain.t array array;
+  p_step : Probe.step array;
+  p_iota : int array;  (* slot p of a result buffer is p *)
+}
+
 type buffers = {
   b_in : Domain.t array array;
   b_out : Domain.t array array;
+  b_probed : probed Lazy.t;
 }
 
+let outputs_scratch (c : Graph.compiled) =
+  Array.map
+    (fun (_, _, outs) -> Array.make (Array.length outs) Domain.Bottom)
+    c.Graph.c_blocks
+
 let make_buffers (c : Graph.compiled) =
-  { b_in =
-      Array.map
-        (fun (_, ins, _) -> Array.make (Array.length ins) Domain.Bottom)
-        c.Graph.c_blocks;
-    b_out =
-      Array.map
-        (fun (_, _, outs) -> Array.make (Array.length outs) Domain.Bottom)
-        c.Graph.c_blocks }
+  let b_in =
+    Array.map
+      (fun (_, ins, _) -> Array.make (Array.length ins) Domain.Bottom)
+      c.Graph.c_blocks
+  in
+  let probed () =
+    let p_res = outputs_scratch c in
+    let p_step =
+      Array.mapi
+        (fun bi (block, in_nets, _) ->
+          let buf = b_in.(bi) and res = p_res.(bi) in
+          fun nets ->
+            for p = 0 to Array.length in_nets - 1 do
+              buf.(p) <- nets.(in_nets.(p))
+            done;
+            let outs = Block.apply block buf in
+            for p = 0 to Array.length res - 1 do
+              res.(p) <- outs.(p)
+            done)
+        c.Graph.c_blocks
+    in
+    { p_res;
+      p_step;
+      p_iota =
+        Array.init
+          (Array.fold_left (fun m r -> max m (Array.length r)) 0 p_res)
+          Fun.id }
+  in
+  { b_in;
+    b_out = outputs_scratch c;
+    b_probed = lazy (probed ()) }
 
 (* Apply block [bi] once, lub-merging its outputs into [nets]. Returns
    true when some output net changed. A lub conflict means the block
-   retracted or rewrote a defined value: not monotone. With a
-   supervisor the application is guarded (trap containment, budgets,
-   quarantine) and a retraction is contained by freezing the block at
-   the nets' current values instead of raising. *)
-let apply_block ?supervisor ?causal (c : Graph.compiled) ~bufs nets bi =
+   retracted or rewrote a defined value: not monotone — unless the
+   probe contains it, freezing the block at the nets' current values. *)
+let apply_block ?probe (c : Graph.compiled) ~bufs nets bi =
   let block, in_nets, out_nets = c.Graph.c_blocks.(bi) in
-  let buf = bufs.b_in.(bi) in
-  (match causal with
-  | None -> ()
-  | Some cz -> Telemetry.Causal.eval_begin cz ~block:bi ~reads:in_nets);
-  let run () =
-    for p = 0 to Array.length in_nets - 1 do
-      buf.(p) <- nets.(in_nets.(p))
-    done;
-    Block.apply block buf
+  let outs =
+    match probe with
+    | None ->
+        let buf = bufs.b_in.(bi) in
+        for p = 0 to Array.length in_nets - 1 do
+          buf.(p) <- nets.(in_nets.(p))
+        done;
+        Block.apply block buf
+    | Some p ->
+        let pb = Lazy.force bufs.b_probed in
+        let res = pb.p_res.(bi) in
+        p.Probe.enter bi;
+        Probe.run p bi pb.p_step.(bi) nets res pb.p_iota;
+        res
   in
-  let outputs =
-    match supervisor with
-    | None -> run ()
-    | Some sup -> Supervisor.guard sup ~bi ~run
-  in
-  (match (causal, supervisor) with
-  | Some cz, Some sup -> (
-      match Supervisor.containment sup bi with
-      | Some tag -> Telemetry.Causal.set_tag cz tag
-      | None -> ())
-  | _ -> ());
-  let changed = ref false in
+  let changed = ref false and outcome = ref Probe.Merged in
   (try
-     Array.iteri
-       (fun port v ->
-         let net = out_nets.(port) in
-         let merged =
-           try Domain.lub nets.(net) v
-           with Domain.Inconsistent msg ->
-             let detail =
-               Printf.sprintf "block %s retracted output %d: %s"
-                 block.Block.name port msg
-             in
-             let contained =
-               match supervisor with
-               | Some sup ->
-                   Supervisor.retract sup ~bi
-                     ~current:(Array.map (fun n -> nets.(n)) out_nets)
-                     ~detail
-               | None -> false
-             in
-             if contained then raise_notrace Exit
-             else raise (Nonmonotonic detail)
-         in
-         if not (Domain.equal merged nets.(net)) then begin
-           nets.(net) <- merged;
-           (match causal with
-           | None -> ()
-           | Some cz -> Telemetry.Causal.eval_write cz ~net merged);
-           changed := true
-         end)
-       outputs
-   with Exit ->
-     (* retraction contained: nets keep their values *)
-     (match causal with
-     | None -> ()
-     | Some cz -> Telemetry.Causal.set_tag cz "contained:retraction"));
-  (match causal with
-  | None -> ()
-  | Some cz ->
-      (* a substitution that established nothing still links the
-         block's nets to the tagged event, so ⊥/held values resolve *)
-      if
-        Telemetry.Causal.pending_tag cz <> ""
-        && Telemetry.Causal.pending_writes cz = 0
-      then
-        Array.iter
-          (fun net -> Telemetry.Causal.eval_write cz ~net nets.(net))
-          out_nets;
-      Telemetry.Causal.eval_commit cz);
+     for port = 0 to Array.length out_nets - 1 do
+       let net = out_nets.(port) in
+       match Domain.lub nets.(net) outs.(port) with
+       | merged ->
+           if not (Domain.equal merged nets.(net)) then begin
+             nets.(net) <- merged;
+             changed := true;
+             match probe with Some p -> p.Probe.write net merged | None -> ()
+           end
+       | exception Domain.Inconsistent msg -> (
+           let detail =
+             Printf.sprintf "block %s retracted output %d: %s" block.Block.name
+               port msg
+           in
+           match probe with
+           | Some p when p.Probe.retract bi nets out_nets detail ->
+               outcome := Probe.Retracted;
+               raise_notrace Exit
+           | _ -> raise (Nonmonotonic detail))
+     done
+   with Exit -> (* retraction contained: nets keep their values *) ());
+  (match probe with Some p -> p.Probe.leave bi nets !outcome | None -> ());
   !changed
 
 (* ------------------------------------------------------------------ *)
@@ -126,12 +131,7 @@ let apply_block ?supervisor ?causal (c : Graph.compiled) ~bufs nets bi =
    every sweep until a sweep changes nothing.                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Optional per-block evaluation tally for telemetry; a zero-length
-   array (the default) disables counting. *)
-let bump counts bi =
-  if Array.length counts > 0 then counts.(bi) <- counts.(bi) + 1
-
-let eval_chaotic ?supervisor ?causal c nets ~bufs ~order ~counts =
+let eval_chaotic ?probe c nets ~bufs ~order =
   let order =
     match order with
     | Some order -> order
@@ -151,8 +151,7 @@ let eval_chaotic ?supervisor ?causal c nets ~bufs ~order ~counts =
     Array.iter
       (fun bi ->
         incr evaluations;
-        bump counts bi;
-        if apply_block ?supervisor ?causal c ~bufs nets bi then changed := true)
+        if apply_block ?probe c ~bufs nets bi then changed := true)
       order
   done;
   (!sweeps, !evaluations)
@@ -163,8 +162,7 @@ let eval_chaotic ?supervisor ?causal c nets ~bufs ~order ~counts =
 (* ------------------------------------------------------------------ *)
 
 (* Shared by Scheduled and the fused plan's SCC fallback. *)
-let iterate_scc ?supervisor ?causal c nets ~bufs ~members ~bound ~counts
-    ~evaluations =
+let iterate_scc ?probe c nets ~bufs ~members ~bound ~evaluations =
   let rounds = ref 0 in
   let changed = ref true in
   while !changed do
@@ -176,13 +174,12 @@ let iterate_scc ?supervisor ?causal c nets ~bufs ~members ~bound ~counts
     Array.iter
       (fun bi ->
         incr evaluations;
-        bump counts bi;
-        if apply_block ?supervisor ?causal c ~bufs nets bi then changed := true)
+        if apply_block ?probe c ~bufs nets bi then changed := true)
       members
   done;
   !rounds
 
-let eval_scheduled ?supervisor ?causal c nets ~bufs ~schedule ~counts =
+let eval_scheduled ?probe c nets ~bufs ~schedule =
   let evaluations = ref 0 in
   let max_rounds = ref 1 in
   List.iter
@@ -190,8 +187,7 @@ let eval_scheduled ?supervisor ?causal c nets ~bufs ~schedule ~counts =
       match group with
       | Schedule.Acyclic bi ->
           incr evaluations;
-          bump counts bi;
-          ignore (apply_block ?supervisor ?causal c ~bufs nets bi)
+          ignore (apply_block ?probe c ~bufs nets bi)
       | Schedule.Cyclic members ->
           (* Local domain height = nets written inside the SCC; one
              extra round detects stability. *)
@@ -203,8 +199,8 @@ let eval_scheduled ?supervisor ?causal c nets ~bufs ~schedule ~counts =
               0 members
           in
           let rounds =
-            iterate_scc ?supervisor ?causal c nets ~bufs ~members
-              ~bound:(scc_nets + 2) ~counts ~evaluations
+            iterate_scc ?probe c nets ~bufs ~members ~bound:(scc_nets + 2)
+              ~evaluations
           in
           if rounds > !max_rounds then max_rounds := rounds)
     (Schedule.groups schedule);
@@ -215,7 +211,7 @@ let eval_scheduled ?supervisor ?causal c nets ~bufs ~schedule ~counts =
    the queue only when one of its input nets actually changed.          *)
 (* ------------------------------------------------------------------ *)
 
-let eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts =
+let eval_worklist ?probe c nets ~bufs ~seed =
   let n_blocks = Array.length c.Graph.c_blocks in
   let queue = Queue.create () in
   let in_queue = Array.make n_blocks false in
@@ -233,7 +229,6 @@ let eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts =
     let bi = Queue.pop queue in
     in_queue.(bi) <- false;
     incr evaluations;
-    bump counts bi;
     eval_count.(bi) <- eval_count.(bi) + 1;
     if !evaluations > max_evaluations then
       raise (Nonmonotonic "worklist exceeded the monotone evaluation bound");
@@ -242,7 +237,7 @@ let eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts =
     for port = 0 to Array.length out_nets - 1 do
       before.(port) <- nets.(out_nets.(port))
     done;
-    if apply_block ?supervisor ?causal c ~bufs nets bi then
+    if apply_block ?probe c ~bufs nets bi then
       Array.iteri
         (fun port net ->
           if not (Domain.equal before.(port) nets.(net)) then
@@ -262,59 +257,17 @@ let eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts =
 (* Fused: execute a precompiled Fuse plan. Acyclic blocks store their
    outputs directly into net slots (single producer + topological order
    make the direct store exact); cyclic SCCs fall back to the bounded
-   lub iteration above. With a supervisor, every remaining application
-   runs under Supervisor.guard — same containment, same substitution.   *)
+   lub iteration above. Unprobed runs take the chain-collapsed fast
+   lane; a probe sees the block-at-a-time ops, whose kernel steps run
+   in place on the net slots under the probe's guard. Only opaque
+   blocks and SCC members apply whole blocks.                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Direct-store application of an acyclic opaque block: inputs from a
-   reused buffer, outputs straight into the slots. *)
-let apply_direct ?supervisor ?causal (c : Graph.compiled) ~bufs nets bi =
-  let block, in_nets, out_nets = c.Graph.c_blocks.(bi) in
-  let buf = bufs.b_in.(bi) in
-  (match causal with
-  | None -> ()
-  | Some cz -> Telemetry.Causal.eval_begin cz ~block:bi ~reads:in_nets);
-  let run () =
-    for p = 0 to Array.length in_nets - 1 do
-      buf.(p) <- nets.(in_nets.(p))
-    done;
-    Block.apply block buf
-  in
-  let outputs =
-    match supervisor with
-    | None -> run ()
-    | Some sup -> Supervisor.guard sup ~bi ~run
-  in
-  for port = 0 to Array.length out_nets - 1 do
-    nets.(out_nets.(port)) <- outputs.(port)
-  done;
-  match causal with
-  | None -> ()
-  | Some cz ->
-      (match supervisor with
-      | Some sup -> (
-          match Supervisor.containment sup bi with
-          | Some tag -> Telemetry.Causal.set_tag cz tag
-          | None -> ())
-      | None -> ());
-      (* single producer + topological order make the direct store the
-         establishing write; a tagged substitution records its ⊥ ports
-         too, so absent values keep their provenance *)
-      let tagged = Telemetry.Causal.pending_tag cz <> "" in
-      for port = 0 to Array.length out_nets - 1 do
-        let v = outputs.(port) in
-        if tagged || Domain.is_def v then
-          Telemetry.Causal.eval_write cz ~net:out_nets.(port) v
-      done;
-      Telemetry.Causal.eval_commit cz
-
-let eval_fused ?supervisor ?causal c nets ~bufs ~plan ~counts =
+let eval_fused ?probe c nets ~bufs ~plan =
   let evaluations = ref 0 in
   let max_rounds = ref 1 in
-  let ops = plan.Fuse.f_ops in
-  let n = Array.length ops in
-  (match (supervisor, causal) with
-  | None, None when Array.length counts = 0 ->
+  (match probe with
+  | None ->
       (* Hot path: the fast lane. Chains are already collapsed into
          closures, so the pass is a bare sweep over them; the block
          applications it stands for are accounted in one add. *)
@@ -324,9 +277,7 @@ let eval_fused ?supervisor ?causal c nets ~bufs ~plan ~counts =
         match fast.(k) with
         | Fuse.Frun run -> run nets
         | Fuse.Fiter (members, bound) ->
-            let rounds =
-              iterate_scc c nets ~bufs ~members ~bound ~counts ~evaluations
-            in
+            let rounds = iterate_scc c nets ~bufs ~members ~bound ~evaluations in
             if rounds > !max_rounds then max_rounds := rounds
       done;
       (* serve environment-read fork/identity ports from their alias *)
@@ -334,39 +285,21 @@ let eval_fused ?supervisor ?causal c nets ~bufs ~plan ~counts =
       for k = 0 to Array.length dst - 1 do
         nets.(dst.(k)) <- nets.(src.(k))
       done
-  | None, None ->
-      for k = 0 to n - 1 do
+  | Some p ->
+      (* Folded blocks stay folded — they are constant, cannot fault,
+         and the causal probe records them as template bindings. *)
+      let ops = plan.Fuse.f_ops in
+      for k = 0 to Array.length ops - 1 do
         match ops.(k) with
-        | Fuse.Step (bi, step) ->
+        | Fuse.Step (bi, step) | Fuse.Generic (bi, step) ->
             incr evaluations;
-            bump counts bi;
-            step nets
-        | Fuse.Generic bi ->
-            incr evaluations;
-            bump counts bi;
-            apply_direct c ~bufs nets bi
+            let _, _, out_nets = c.Graph.c_blocks.(bi) in
+            p.Probe.enter bi;
+            Probe.run p bi step nets nets out_nets;
+            p.Probe.leave bi nets Probe.Stored
         | Fuse.Iterate (members, bound) ->
             let rounds =
-              iterate_scc c nets ~bufs ~members ~bound ~counts ~evaluations
-            in
-            if rounds > !max_rounds then max_rounds := rounds
-      done
-  | _ ->
-      (* Supervised and/or traced: kernel specialization would bypass
-         the guard and hide writes from the causal sink, so every
-         acyclic block takes the (guarded, recorded) direct-store path.
-         Folded blocks stay folded — they are constant, cannot fault,
-         and are recorded as template bindings by the caller. *)
-      for k = 0 to n - 1 do
-        match ops.(k) with
-        | Fuse.Step (bi, _) | Fuse.Generic bi ->
-            incr evaluations;
-            bump counts bi;
-            apply_direct ?supervisor ?causal c ~bufs nets bi
-        | Fuse.Iterate (members, bound) ->
-            let rounds =
-              iterate_scc ?supervisor ?causal c nets ~bufs ~members ~bound
-                ~counts ~evaluations
+              iterate_scc ~probe:p c nets ~bufs ~members ~bound ~evaluations
             in
             if rounds > !max_rounds then max_rounds := rounds
       done);
@@ -375,8 +308,7 @@ let eval_fused ?supervisor ?causal c nets ~bufs ~plan ~counts =
 (* ------------------------------------------------------------------ *)
 
 let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
-    ?schedule ?fuse ?buffers ?nets ?(eval_counts = [||]) ?supervisor ?causal ()
-    =
+    ?schedule ?fuse ?buffers ?nets ?probe () =
   (match (order, strategy) with
   | Some _, (Scheduled | Worklist | Fused) ->
       invalid_arg
@@ -407,22 +339,19 @@ let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
         buf
   in
   (* The fused template preloads folded constant nets; other strategies
-     start from all-⊥. The fast lane (no supervisor, no counting)
-     restores only the slots a pass can leave stale — everything else
-     is rewritten unconditionally or aliased away. The counting and
-     supervised paths run conditional per-block steps over every net,
-     so they need the full blit. *)
-  (match plan with
-  | Some p
-    when Option.is_none supervisor && Option.is_none causal
-         && Array.length eval_counts = 0 ->
+     start from all-⊥. The fast lane (no probe) restores only the slots
+     a pass can leave stale — everything else is rewritten
+     unconditionally or aliased away. Probed runs step block by block
+     over every net, so they need the full blit. *)
+  (match (plan, probe) with
+  | Some p, None ->
       let template = p.Fuse.f_template and rlist = p.Fuse.f_reset in
       for k = 0 to Array.length rlist - 1 do
         let s = rlist.(k) in
         nets.(s) <- template.(s)
       done
-  | Some p -> Array.blit p.Fuse.f_template 0 nets 0 (Array.length nets)
-  | None -> Array.fill nets 0 (Array.length nets) Domain.Bottom);
+  | Some p, Some _ -> Array.blit p.Fuse.f_template 0 nets 0 (Array.length nets)
+  | None, _ -> Array.fill nets 0 (Array.length nets) Domain.Bottom);
   List.iter
     (fun (label, v) ->
       match Graph.input_net c label with
@@ -434,88 +363,30 @@ let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
   Array.iteri
     (fun i (_, out_net, _) -> nets.(out_net) <- delay_values.(i))
     c.Graph.c_delays;
-  (* Bracket this evaluation as one traced instant and record the
-     instant-start bindings: folded constants (fused template), driven
-     environment inputs, then delay crossings (whose reads resolve
-     against the previous instant's writers). *)
-  let causal_instant =
-    match causal with
-    | None -> false
-    | Some cz ->
-        let opened =
-          if Telemetry.Causal.in_instant cz then false
-          else begin
-            Telemetry.Causal.begin_instant cz;
-            true
-          end
-        in
-        (match plan with
-        | Some p ->
-            List.iter
-              (fun (net, v) ->
-                Telemetry.Causal.record_binding cz ~kind:Telemetry.Causal.Folded
-                  ~net v)
-              (Fuse.constant_nets p)
-        | None -> ());
-        List.iter
-          (fun (label, v) ->
-            match Graph.input_net c label with
-            | Some net ->
-                Telemetry.Causal.record_binding cz ~kind:Telemetry.Causal.Input
-                  ~net v
-            | None -> ())
-          inputs;
-        Array.iteri
-          (fun i (in_net, out_net, _) ->
-            Telemetry.Causal.record_binding cz ~kind:Telemetry.Causal.Delay
-              ~net:out_net ~src:in_net delay_values.(i))
-          c.Graph.c_delays;
-        opened
-  in
-  let counts = eval_counts in
+  (match probe with
+  | Some p -> p.Probe.instant_begin c ~plan ~inputs ~delay_values
+  | None -> ());
   let bufs = match buffers with Some b -> b | None -> make_buffers c in
-  (* Standalone use (no Simulate driving the lifecycle): bracket this
-     evaluation as one supervised instant. *)
-  let auto_instant =
-    match supervisor with
-    | Some sup ->
-        Supervisor.attach sup c;
-        if Supervisor.in_instant sup then false
-        else begin
-          Supervisor.begin_instant sup;
-          true
-        end
-    | None -> false
-  in
-  if Array.length counts > 0 && Array.length counts <> Array.length c.Graph.c_blocks
-  then invalid_arg "fixpoint: eval_counts length mismatch";
   let iterations, block_evaluations =
     match strategy with
-    | Chaotic -> eval_chaotic ?supervisor ?causal c nets ~bufs ~order ~counts
+    | Chaotic -> eval_chaotic ?probe c nets ~bufs ~order
     | Scheduled ->
         let schedule =
           match schedule with
           | Some s -> s
           | None -> Schedule.of_compiled c
         in
-        eval_scheduled ?supervisor ?causal c nets ~bufs ~schedule ~counts
+        eval_scheduled ?probe c nets ~bufs ~schedule
     | Worklist ->
         let seed =
           match schedule with
           | Some s -> Schedule.linear_order s
           | None -> Array.init (Array.length c.Graph.c_blocks) (fun i -> i)
         in
-        eval_worklist ?supervisor ?causal c nets ~bufs ~seed ~counts
-    | Fused ->
-        eval_fused ?supervisor ?causal c nets ~bufs ~plan:(Option.get plan)
-          ~counts
+        eval_worklist ?probe c nets ~bufs ~seed
+    | Fused -> eval_fused ?probe c nets ~bufs ~plan:(Option.get plan)
   in
-  (match supervisor with
-  | Some sup when auto_instant -> Supervisor.end_instant sup
-  | _ -> ());
-  (match causal with
-  | Some cz when causal_instant -> Telemetry.Causal.end_instant cz
-  | _ -> ());
+  (match probe with Some p -> p.Probe.instant_end () | None -> ());
   { nets; iterations; block_evaluations }
 
 let outputs (c : Graph.compiled) result =

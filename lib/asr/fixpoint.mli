@@ -54,13 +54,9 @@ exception Nonmonotonic of string
     iteration exceeded the theoretical bound — the block function is not
     monotone. *)
 
-type buffers = {
-  b_in : Domain.t array array;
-      (** per-block input vector, filled in place before each
-          application *)
-  b_out : Domain.t array array;
-      (** per-block output snapshot scratch (worklist) *)
-}
+type buffers
+(** Preallocated per-block scratch: input vectors, result vectors and
+    one application step per block. *)
 
 val make_buffers : Graph.compiled -> buffers
 (** Preallocate per-block scratch. {!eval} allocates a fresh set per
@@ -77,9 +73,7 @@ val eval :
   ?fuse:Fuse.t ->
   ?buffers:buffers ->
   ?nets:Domain.t array ->
-  ?eval_counts:int array ->
-  ?supervisor:Supervisor.t ->
-  ?causal:Domain.t Telemetry.Causal.t ->
+  ?probe:Probe.t ->
   unit ->
   result
 (** [delay_values.(i)] is the output of the i-th delay this instant.
@@ -106,33 +100,18 @@ val eval :
     callers reusing a buffer across instants must consume the result
     before the next call.
 
-    [eval_counts], when non-empty, must have length [n_blocks]; entry
-    [bi] is incremented on each application of block [bi] (telemetry).
-    The default empty array disables counting. Folded blocks are never
-    applied, so their entries stay 0 under [Fused].
-
-    [supervisor] guards every block application (trap containment,
-    budgets, quarantine — see {!Supervisor}) and additionally contains
-    retractions that would otherwise raise {!Nonmonotonic}, by freezing
-    the offending block at its nets' current values. Under [Fused],
-    kernel specialization is disabled so that every remaining
-    application passes through the guard (folded constants cannot fault
-    and stay folded). When no instant is already open (i.e. the caller
-    is not {!Simulate}), this call is bracketed as one supervised
-    instant. Under the [Fail_fast] policy a contained fault re-raises as
-    [Supervisor.Fatal].
-
-    [causal], when supplied, records this evaluation into a bounded
-    causal event log (see {!Telemetry.Causal}): instant-start bindings
-    (inputs, delay crossings, fused folded constants), then one event
-    per block evaluation that established a net value, with the reads
-    resolved to their producers' uids. If no instant is already open on
-    the sink, the call is bracketed as one traced instant. Under
-    [Fused] the fast lane is bypassed — chains collapse nets the log
-    must see — so tracing runs the block-at-a-time op list, exactly
-    like [eval_counts] and [supervisor] do; evaluation counts are
-    unchanged. With a supervisor, substituted outputs are tagged with
-    their containment provenance ({!Supervisor.containment}). *)
+    [probe] observes the evaluation (see {!Probe}): its instant hooks
+    bracket the call, and every block application passes through its
+    application hooks — supervision ({!Supervisor.probe}) guards each
+    application and contains retractions that would otherwise raise
+    {!Nonmonotonic}; {!Probe.counter} counts applications per block;
+    {!Probe.causal} records the evaluation into a causal log. Under
+    [Fused] a probe sees the plan's block-at-a-time ops: kernel steps
+    still run in place, straight on the net slots, and only opaque
+    blocks and cyclic components apply whole blocks. Folded blocks are
+    never applied (they are constant and cannot fault), and evaluation
+    counts are the same with or without a probe. Without a probe,
+    [Fused] runs the chain-collapsed fast lane. *)
 
 val outputs : Graph.compiled -> result -> (string * Domain.t) list
 

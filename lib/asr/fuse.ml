@@ -1,6 +1,6 @@
 type op =
   | Step of int * (Domain.t array -> unit)
-  | Generic of int
+  | Generic of int * (Domain.t array -> unit)
   | Iterate of int array * int
 
 type fast =
@@ -12,6 +12,7 @@ type t = {
   f_fast : fast array;
   f_fast_evals : int;
   f_template : Domain.t array;
+  f_constants : (int * Domain.t) list;
   f_reset : int array;
   f_copy_src : int array;
   f_copy_dst : int array;
@@ -136,6 +137,20 @@ let fold_kernel kernel ~n_out (ins : Domain.t array) =
       | Domain.Def _ -> None)
   | Block.Fork -> Some (Array.make n_out ins.(0))
   | Block.Identity -> Some [| ins.(0) |]
+
+(* Whole-block application of an opaque block: inputs from a private
+   scratch buffer, outputs stored straight into their slots (single
+   producer + topological order make the direct store exact). *)
+let apply_whole block in_nets out_nets =
+  let scratch = Array.make (Array.length in_nets) Domain.Bottom in
+  fun nets ->
+    for p = 0 to Array.length in_nets - 1 do
+      scratch.(p) <- nets.(in_nets.(p))
+    done;
+    let out = Block.apply block scratch in
+    for p = 0 to Array.length out_nets - 1 do
+      nets.(out_nets.(p)) <- out.(p)
+    done
 
 (* ---- chain collapsing ---------------------------------------------- *)
 
@@ -271,6 +286,17 @@ let ivalue_of_kernel ~ilook kernel in_nets =
   | Block.Identity -> Some (iclose (ilook in_nets.(0)))
   | _ -> None
 
+(* Folded slots are exactly the non-⊥ template entries plus folded ⊥
+   outputs; the defined ones are the usable facts. *)
+let constants template =
+  let acc = ref [] in
+  for net = Array.length template - 1 downto 0 do
+    match template.(net) with
+    | Domain.Bottom -> ()
+    | v -> acc := (net, v) :: !acc
+  done;
+  !acc
+
 let compile ?schedule (c : Graph.compiled) =
   let schedule =
     match schedule with Some s -> s | None -> Schedule.of_compiled c
@@ -388,15 +414,22 @@ let compile ?schedule (c : Graph.compiled) =
                 outs
           | None -> (
               incr fast_evals;
-              (* symbolic per-block op, for the counting and supervised
-                 interpreters *)
-              (match step_of_kernel block.Block.kernel in_nets out_nets with
-              | Some step ->
-                  incr n_fused;
-                  rev_ops := Step (bi, step) :: !rev_ops
-              | None -> rev_ops := Generic bi :: !rev_ops);
-              (* fast lane *)
               let kernel = block.Block.kernel in
+              (* block-at-a-time op, for probed runs; its step closure
+                 is shared with the fast lane where the lane keeps the
+                 block whole *)
+              let step =
+                match step_of_kernel kernel in_nets out_nets with
+                | Some step ->
+                    incr n_fused;
+                    rev_ops := Step (bi, step) :: !rev_ops;
+                    step
+                | None ->
+                    let step = apply_whole block in_nets out_nets in
+                    rev_ops := Generic (bi, step) :: !rev_ops;
+                    step
+              in
+              (* fast lane *)
               let passthrough =
                 match kernel with
                 | Block.Fork -> true
@@ -477,33 +510,13 @@ let compile ?schedule (c : Graph.compiled) =
                       in
                       rev_fast := Frun run :: !rev_fast
                     end
-                | None -> (
-                    match step_of_kernel kernel in_nets out_nets with
-                    | Some step ->
-                        (* Mux skips its store on a ⊥ select; Const
-                           stores unconditionally *)
-                        (match kernel with
-                        | Block.Mux -> reset out_nets.(0)
-                        | _ -> ());
-                        rev_fast := Frun step :: !rev_fast
-                    | None ->
-                        (* opaque: private scratch buffer, direct store
-                           (single producer + topological order make it
-                           exact) *)
-                        let scratch =
-                          Array.make (Array.length in_nets) Domain.Bottom
-                        in
-                        rev_fast :=
-                          Frun
-                            (fun nets ->
-                              for p = 0 to Array.length in_nets - 1 do
-                                scratch.(p) <- nets.(in_nets.(p))
-                              done;
-                              let out = Block.apply block scratch in
-                              for p = 0 to Array.length out_nets - 1 do
-                                nets.(out_nets.(p)) <- out.(p)
-                              done)
-                          :: !rev_fast)))
+                | None ->
+                    (* Mux skips its store on a ⊥ select; Const stores
+                       unconditionally; opaque blocks apply whole *)
+                    (match kernel with
+                    | Block.Mux -> reset out_nets.(0)
+                    | _ -> ());
+                    rev_fast := Frun step :: !rev_fast))
       | Schedule.Cyclic members ->
           (* Local domain height = nets written inside the SCC; one
              extra round detects stability (same bound as Scheduled). *)
@@ -531,6 +544,7 @@ let compile ?schedule (c : Graph.compiled) =
     f_fast = Array.of_list (List.rev !rev_fast);
     f_fast_evals = !fast_evals;
     f_template = template;
+    f_constants = constants template;
     f_reset = Array.of_list (List.rev !rev_reset);
     f_copy_src = Array.map snd copy;
     f_copy_dst = Array.map fst copy;
@@ -542,16 +556,7 @@ let compile ?schedule (c : Graph.compiled) =
     f_n_inlined = !n_inlined;
     f_n_cyclic = !n_cyclic }
 
-let constant_nets t =
-  let acc = ref [] in
-  for net = t.f_n_nets - 1 downto 0 do
-    (* folded slots are exactly the non-⊥ template entries plus folded
-       ⊥ outputs; report the defined ones, which are the usable facts *)
-    match t.f_template.(net) with
-    | Domain.Bottom -> ()
-    | v -> acc := (net, v) :: !acc
-  done;
-  !acc
+let constant_nets t = t.f_constants
 
 let describe t =
   Printf.sprintf

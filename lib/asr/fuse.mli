@@ -49,11 +49,12 @@
     always materialized, so the environment sees no difference; (2) a
     chain is ⊥-strict, so a kernel inside a chain whose consumer is
     already ⊥ from an earlier argument is not applied at all (a trap it
-    would have raised does not fire). Runs that observe per-block
-    behaviour — a {!Supervisor}, or per-block eval counters — use the
+    would have raised does not fire). Probed runs ({!Probe}: a
+    {!Supervisor}, per-block eval counters, a causal log) use the
     block-at-a-time [f_ops] interpretation, where every net is
     materialized, every application (and its faults) is visible, and
-    the instant starts from a full template blit.
+    the instant starts from a full template blit. Its kernel steps are
+    the same slot operations, run one block at a time.
 
     Constant folding: a pure-kernel block whose transitive inputs are
     all compile-time constants is evaluated once at fuse time; its
@@ -66,19 +67,20 @@
     these folded nets.
 
     Evaluation of a plan lives in {!Fixpoint.eval} (strategy
-    [Fused]), which also routes every remaining application through
-    {!Supervisor.guard} when a supervisor is present — containment on
-    the fused path uses the same constant-per-instant substitution.
-    Folded blocks cannot fault (their one evaluation already succeeded
-    and they are constant), so dropping them is containment-neutral. *)
+    [Fused]), which under a probe runs every remaining [f_ops] step
+    through the probe's guard — containment on the fused path uses the
+    same constant-per-instant substitution as everywhere else. Folded
+    blocks cannot fault (their one evaluation already succeeded and
+    they are constant), so dropping them is containment-neutral. *)
 
 type op =
   | Step of int * (Domain.t array -> unit)
       (** kernel-specialized application of block [bi]: the closure
           reads and writes net slots directly *)
-  | Generic of int
-      (** opaque acyclic block [bi]: apply its function via a reused
-          input buffer, store outputs directly into its slots *)
+  | Generic of int * (Domain.t array -> unit)
+      (** opaque acyclic block [bi]: the closure applies its function
+          from a private input buffer and stores the outputs directly
+          into its slots *)
   | Iterate of int array * int
       (** cyclic SCC fallback: members in schedule order, lub-iterated
           up to the bound (local net count + 2) *)
@@ -92,8 +94,8 @@ type fast =
 
 type t = {
   f_ops : op array;
-      (** block-at-a-time ops in schedule order: the counting and
-          supervised interpretations *)
+      (** block-at-a-time ops in schedule order: the probed
+          interpretation *)
   f_fast : fast array;
       (** the fast lane: chains collapsed, in schedule order *)
   f_fast_evals : int;
@@ -103,10 +105,13 @@ type t = {
   f_template : Domain.t array;
       (** per-instant initial net values: ⊥ everywhere except folded
           constant nets *)
+  f_constants : (int * Domain.t) list;
+      (** the defined folded nets with their values, ascending by net
+          (see {!constant_nets}) *)
   f_reset : int array;
       (** slots the fast lane restores from the template before binding
-          inputs, in place of a full blit; the counting and supervised
-          paths blit the whole template *)
+          inputs, in place of a full blit; probed runs blit the whole
+          template *)
   f_copy_src : int array;
   f_copy_dst : int array;
       (** parallel arrays: after the fast pass settles, copy
@@ -135,7 +140,8 @@ val compile : ?schedule:Schedule.t -> Graph.compiled -> t
 val constant_nets : t -> (int * Domain.t) list
 (** Nets whose per-instant value was folded to a compile-time constant,
     with that value — the cross-block facts available to downstream
-    analyses. *)
+    analyses, and the [Folded] bindings a causal log records each
+    instant. Computed once, at {!compile}. *)
 
 val describe : t -> string
 (** One-line plan summary (fused/inlined/generic/folded/cyclic counts). *)

@@ -22,6 +22,8 @@ type t = {
   causal : Domain.t Telemetry.Causal.t option;
   mon_churn_k : int;  (* Monitor.churn_every, hoisted; 0 w/o monitor *)
   eval_counts : int array;  (* per-block tally buffer, [||] w/o telemetry *)
+  probe : Probe.t option;  (* supervisor + causal, composed once *)
+  counted_probe : Probe.t option;  (* the same plus the eval counter *)
   prev_nets : Domain.t array;  (* last fixed point, for churn; [||] w/o sinks *)
   block_counters : Telemetry.Registry.counter array;
 }
@@ -72,6 +74,17 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
          strategy"
   | _ -> ());
   let n_blocks = Array.length compiled.Graph.c_blocks in
+  let eval_counts =
+    match telemetry with Some _ -> Array.make n_blocks 0 | None -> [||]
+  in
+  let observers =
+    Option.to_list (Option.map Supervisor.probe supervisor)
+    @ Option.to_list
+        (Option.map
+           (Probe.causal
+              ?containment:(Option.map Supervisor.containment supervisor))
+           causal)
+  in
   { compiled;
     schedule;
     strategy;
@@ -93,10 +106,12 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
       (match monitor with
       | Some mon -> Telemetry.Monitor.churn_every mon
       | None -> 0);
-    eval_counts =
+    eval_counts;
+    probe = Probe.compose observers;
+    counted_probe =
       (match telemetry with
-      | Some _ -> Array.make n_blocks 0
-      | None -> [||]);
+      | Some _ -> Probe.compose (Probe.counter eval_counts :: observers)
+      | None -> None);
     prev_nets =
       (match (telemetry, monitor) with
       | Some _, _ | _, Some _ -> Array.make compiled.Graph.n_nets Domain.Bottom
@@ -134,8 +149,8 @@ let react t inputs =
     Fixpoint.eval t.compiled ~inputs ~delay_values:t.delays ?order:t.order
       ~strategy:t.strategy ~schedule:t.schedule ?fuse:t.fuse
       ~buffers:t.buffers ~nets:t.nets_buffer
-      ~eval_counts:(match tele with Some _ -> t.eval_counts | None -> [||])
-      ?supervisor:t.supervisor ?causal:t.causal ()
+      ?probe:(match tele with Some _ -> t.counted_probe | None -> t.probe)
+      ()
   in
   (* churn — nets whose fixed point differs from the previous instant's —
      is shared by the telemetry span and the monitor record; the scan is

@@ -40,12 +40,16 @@ val create :
     ["asr.fixpoint_iterations"] histogram. Disabled registries cost one
     check per reaction.
 
+    [telemetry], [supervisor] and [causal] observe the fixpoint through
+    one {!Probe}, composed here once: the per-block eval counter (while
+    the registry is enabled), {!Supervisor.probe} and {!Probe.causal}.
+    With none attached the execution path — under [Fused], the
+    chain-collapsed fast lane — is exactly the unobserved one.
+
     [supervisor]: every block application of every instant runs under
-    {!Supervisor.guard} (trap containment, budgets, quarantine); the
+    the supervisor's guard (trap containment, budgets, quarantine); the
     simulator drives the supervisor's instant lifecycle and, with
-    telemetry on, adds a ["faults"] arg to each instant span. Without a
-    supervisor the execution path is exactly the pre-supervisor one —
-    no per-application overhead.
+    telemetry on, adds a ["faults"] arg to each instant span.
 
     [monitor]: each reaction is bracketed by
     {!Telemetry.Monitor.instant_begin} / [instant_end], recording one
@@ -68,12 +72,11 @@ val create :
     fed from the same per-instant values.
 
     [causal]: every reaction is recorded into the bounded causal event
-    log as one traced instant (see {!Fixpoint.eval} and
+    log as one traced instant (see {!Probe.causal} and
     {!Telemetry.Causal}); the sink's net count must match the compiled
     graph. With both [monitor] and [causal], the monitor's [data_loss]
     object additionally reports the causal ring's overwrite and
-    truncated-slice counters. Without a sink the execution path is
-    unchanged. *)
+    truncated-slice counters. *)
 
 val step : t -> (string * Domain.t) list -> (string * Domain.t) list
 (** React to one instant's inputs; returns the outputs and advances the

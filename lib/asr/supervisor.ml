@@ -211,9 +211,14 @@ let end_instant t =
   if not t.in_instant then invalid_arg "Supervisor.end_instant: no instant open";
   t.in_instant <- false;
   for bi = 0 to t.n_blocks - 1 do
-    if t.staged_valid.(bi) then
-      Array.blit t.staged.(bi) 0 t.committed.(bi) 0
-        (Array.length t.staged.(bi));
+    (* an element loop: a one-port [Array.blit] costs more in the
+       runtime call than the copy *)
+    if t.staged_valid.(bi) then begin
+      let src = t.staged.(bi) and dst = t.committed.(bi) in
+      for p = 0 to Array.length src - 1 do
+        dst.(p) <- src.(p)
+      done
+    end;
     if t.faulty_instant.(bi) then begin
       t.consec.(bi) <- t.consec.(bi) + 1;
       if t.consec.(bi) >= t.escalate_after && not t.quarantined.(bi) then begin
@@ -242,18 +247,34 @@ let end_instant t =
    outputs earlier in the instant, those values are already in the nets
    and are the only safe choice. Otherwise the nets hold ⊥ for this
    block, and anything is consistent: [Hold_last]/[Retry] substitute the
-   last committed outputs, [Absent] substitutes ⊥. *)
-let substitution t bi =
-  if t.staged_valid.(bi) then Array.copy t.staged.(bi)
-  else
-    match t.policy with
-    | Absent -> Array.make t.out_arity.(bi) Domain.Bottom
-    | Fail_fast | Hold_last | Retry _ -> Array.copy t.committed.(bi)
+   last committed outputs, [Absent] substitutes ⊥. An application's
+   outputs live at [dst.(slots.(p))]: the net slots of a fused store,
+   or a result buffer the fixpoint then merges. *)
+let substitute t bi dst slots =
+  let value p =
+    if t.staged_valid.(bi) then t.staged.(bi).(p)
+    else
+      match t.policy with
+      | Absent -> Domain.Bottom
+      | Fail_fast | Hold_last | Retry _ -> t.committed.(bi).(p)
+  in
+  for p = 0 to t.out_arity.(bi) - 1 do
+    dst.(slots.(p)) <- value p
+  done
+
+let stage t bi dst slots =
+  let staged = t.staged.(bi) in
+  for p = 0 to t.out_arity.(bi) - 1 do
+    staged.(p) <- dst.(slots.(p))
+  done;
+  t.staged_valid.(bi) <- true
 
 let fault_action t bi =
   if t.staged_valid.(bi) then Held
   else match t.policy with Absent -> Went_absent | _ -> Held
 
+(* Log and latch a fault; under [Fail_fast] raise instead of returning
+   to let the caller substitute. *)
 let contain t ~bi ~cls ~detail =
   t.latched.(bi) <- true;
   t.faulty_instant.(bi) <- true;
@@ -272,57 +293,59 @@ let contain t ~bi ~cls ~detail =
   count_telemetry t "asr.supervisor.faults" 1;
   count_telemetry t ("asr.supervisor.fault." ^ class_name cls) 1;
   notify t (Ev_fault f);
-  if t.policy = Fail_fast then raise (Fatal f);
-  substitution t bi
+  if t.policy = Fail_fast then raise (Fatal f)
 
-let guard t ~bi ~run =
+(* A top-level recursion over explicit arguments: the retry loop builds
+   no closure per application. *)
+let rec attempt t bi step nets dst slots ~retries failed =
+  match step nets with
+  | () ->
+      if failed > 0 then begin
+        t.total_recovered <- t.total_recovered + 1;
+        let f =
+          { f_instant = t.instant;
+            f_block = bi;
+            f_block_name = t.names.(bi);
+            f_class = Trap;
+            f_detail = "transient fault absorbed by retry";
+            f_action = Recovered failed }
+        in
+        log_fault t f;
+        count_telemetry t "asr.supervisor.recovered" 1;
+        notify t (Ev_recovered f)
+      end;
+      stage t bi dst slots
+  | exception e -> (
+      match t.classify e with
+      | None -> raise e
+      | Some (cls, detail) ->
+          if failed < retries then
+            attempt t bi step nets dst slots ~retries (failed + 1)
+          else begin
+            let detail =
+              if retries > 0 then
+                Printf.sprintf "%s (after %d retries)" detail retries
+              else detail
+            in
+            contain t ~bi ~cls ~detail;
+            substitute t bi dst slots
+          end)
+
+let guard t bi step nets dst slots =
   if t.n_blocks = -1 then invalid_arg "Supervisor.guard: not attached";
   if bi < 0 || bi >= t.n_blocks then
     invalid_arg (Printf.sprintf "Supervisor.guard: no block %d" bi);
-  if t.quarantined.(bi) || t.latched.(bi) then substitution t bi
+  if t.quarantined.(bi) || t.latched.(bi) then substitute t bi dst slots
   else begin
     t.apps.(bi) <- t.apps.(bi) + 1;
     match t.step_budget with
     | Some k when t.apps.(bi) > k ->
         contain t ~bi ~cls:Step_limit
-          ~detail:
-            (Printf.sprintf "more than %d applications in one instant" k)
+          ~detail:(Printf.sprintf "more than %d applications in one instant" k);
+        substitute t bi dst slots
     | _ ->
         let retries = match t.policy with Retry n -> max 0 n | _ -> 0 in
-        let rec attempt failed =
-          match run () with
-          | outs ->
-              if failed > 0 then begin
-                t.total_recovered <- t.total_recovered + 1;
-                let f =
-                  { f_instant = t.instant;
-                    f_block = bi;
-                    f_block_name = t.names.(bi);
-                    f_class = Trap;
-                    f_detail = "transient fault absorbed by retry";
-                    f_action = Recovered failed }
-                in
-                log_fault t f;
-                count_telemetry t "asr.supervisor.recovered" 1;
-                notify t (Ev_recovered f)
-              end;
-              Array.blit outs 0 t.staged.(bi) 0 (Array.length outs);
-              t.staged_valid.(bi) <- true;
-              outs
-          | exception e -> (
-              match t.classify e with
-              | None -> raise e
-              | Some (cls, detail) ->
-                  if failed < retries then attempt (failed + 1)
-                  else
-                    let detail =
-                      if retries > 0 then
-                        Printf.sprintf "%s (after %d retries)" detail retries
-                      else detail
-                    in
-                    contain t ~bi ~cls ~detail)
-        in
-        attempt 0
+        attempt t bi step nets dst slots ~retries 0
   end
 
 (* Called by the fixpoint when lub-merging a block's outputs hit
@@ -331,17 +354,30 @@ let guard t ~bi ~run =
    containment here means "freeze the block at what it already wrote".
    Returns [true] when contained; [false] when the block was already
    contained this instant and still produced a retraction — that is a
-   supervisor-level invariant violation and the caller should raise
+   supervisor-level invariant violation and the fixpoint raises
    [Fixpoint.Nonmonotonic] as it would unsupervised. *)
-let retract t ~bi ~current ~detail =
+let retract t bi nets out_nets detail =
   if t.n_blocks = -1 || bi < 0 || bi >= t.n_blocks then false
   else if t.latched.(bi) then false
   else begin
-    Array.blit current 0 t.staged.(bi) 0 (Array.length current);
-    t.staged_valid.(bi) <- true;
-    ignore (contain t ~bi ~cls:Retraction ~detail);
+    stage t bi nets out_nets;
+    contain t ~bi ~cls:Retraction ~detail;
     true
   end
+
+(* Standalone use (no Simulate driving the lifecycle): an evaluation
+   with no instant open is bracketed as one supervised instant. *)
+let probe t =
+  let auto = ref false in
+  { Probe.none with
+    Probe.instant_begin =
+      (fun c ~plan:_ ~inputs:_ ~delay_values:_ ->
+        attach t c;
+        auto := not t.in_instant;
+        if !auto then begin_instant t);
+    instant_end = (fun () -> if !auto then end_instant t);
+    guard = Some (guard t);
+    retract = retract t }
 
 (* -------------------------- inspection --------------------------- *)
 
@@ -366,17 +402,16 @@ let is_quarantined t bi = t.n_blocks > 0 && bi >= 0 && bi < t.n_blocks && t.quar
    value source so held/absent values carry their policy in the trace. *)
 let containment t bi =
   if t.n_blocks <= 0 || bi < 0 || bi >= t.n_blocks then None
+  else if not (t.quarantined.(bi) || t.latched.(bi)) then None
   else
-    let source () =
+    let source =
       if t.staged_valid.(bi) then "held"
       else
         match t.policy with
         | Absent -> "absent"
         | Fail_fast | Hold_last | Retry _ -> "hold-last"
     in
-    if t.quarantined.(bi) then Some ("quarantined:" ^ source ())
-    else if t.latched.(bi) then Some ("contained:" ^ source ())
-    else None
+    Some ((if t.quarantined.(bi) then "quarantined:" else "contained:") ^ source)
 
 let quarantined_blocks t =
   if t.n_blocks <= 0 then []

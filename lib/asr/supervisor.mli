@@ -25,9 +25,9 @@
     net traces are identical run to run.
 
     Lifecycle: {!attach} once per compiled graph (done implicitly by
-    {!Fixpoint.eval}), {!begin_instant} / {!end_instant} around each
-    instant (done by {!Simulate.react}; [Fixpoint.eval] brackets itself
-    when used standalone). *)
+    the {!probe}), {!begin_instant} / {!end_instant} around each
+    instant (done by {!Simulate.react}; the probe brackets a
+    standalone {!Fixpoint.eval}). *)
 
 type policy =
   | Fail_fast  (** re-raise as {!Fatal}: stop the simulation *)
@@ -120,19 +120,21 @@ val end_instant : t -> unit
 
 val in_instant : t -> bool
 
-val guard : t -> bi:int -> run:(unit -> Domain.t array) -> Domain.t array
-(** One supervised block application: runs [run ()] unless the block is
-    quarantined or already contained this instant (in which case the
-    substitution is returned directly), classifies and contains any
-    recognized fault per the policy. Called by [Fixpoint.apply_block]. *)
-
-val retract : t -> bi:int -> current:Domain.t array -> detail:string -> bool
-(** Containment for a lub conflict detected *outside* the block
-    function (the block returned, but its outputs contradict the nets).
-    [current] must be the block's output nets' current values; the
-    block is frozen at those values for the rest of the instant. [false]
-    when the block was already contained this instant — the caller
-    should then fall back to [Fixpoint.Nonmonotonic]. *)
+val probe : t -> Probe.t
+(** The supervisor as a {!Fixpoint.eval} probe. Its guard runs each
+    block application unless the block is quarantined or already
+    contained this instant (then the substitution is written to the
+    application's output slots directly), classifies and contains any
+    recognized fault per the policy, and stages the block's good
+    outputs by reading its output slots back. Its [retract] contains a
+    lub conflict detected outside the block function (the block
+    returned, but its outputs contradict the nets) by freezing the
+    block at its nets' current values for the rest of the instant — or
+    declines when the block was already contained this instant, and
+    {!Fixpoint.Nonmonotonic} propagates. Its instant hooks {!attach}
+    the evaluated graph and, when no instant is open (a standalone
+    evaluation, not {!Simulate}), bracket the evaluation as one
+    supervised instant. *)
 
 (** {2 Inspection} *)
 

@@ -143,6 +143,14 @@ let last_reaction_cycles t = t.last_reaction
 
 let total_cycles t = Mj_runtime.Cost.cycles t.ops.o_machine.Machine.cost
 
+(* The watchdog's trip point [before + budget], saturated to the int
+   range: a budget near [max_int] means "no practical limit", not a
+   sum that wraps negative and trips on the first charge. *)
+let deadline ~before ~budget =
+  if budget > 0 && before > max_int - budget then max_int
+  else if budget < 0 && before < min_int - budget then min_int
+  else before + budget
+
 let react t inputs =
   if Array.length inputs <> t.n_in then
     invalid_arg
@@ -166,7 +174,8 @@ let react t inputs =
   (* the watchdog meters the reaction only, not the environment's
      marshalling work above *)
   (match t.reaction_budget with
-  | Some budget -> Mj_runtime.Cost.set_budget m.Machine.cost (Some (before + budget))
+  | Some budget ->
+      Mj_runtime.Cost.set_budget m.Machine.cost (Some (deadline ~before ~budget))
   | None -> ());
   Fun.protect
     ~finally:(fun () -> Mj_runtime.Cost.set_budget m.Machine.cost None)

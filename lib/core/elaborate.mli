@@ -59,6 +59,11 @@ val react : t -> Asr.Domain.t array -> Asr.Domain.t array
 (** One instant: marshal inputs onto ports, invoke [run], collect
     outputs. ⊥ inputs are absent ([portPresent] is false). *)
 
+val deadline : before:int -> budget:int -> int
+(** The meter reading at which a reaction started at [before] with
+    [budget] cycles trips the watchdog: [before + budget], saturated to
+    [[min_int, max_int]] so a budget near [max_int] never wraps. *)
+
 val react_bounded :
   t -> budget_cycles:int -> Asr.Domain.t array -> Asr.Domain.t array
 (** Like {!react} but with a watchdog: the reaction may spend at most

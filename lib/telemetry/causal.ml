@@ -12,16 +12,40 @@ type 'v event = {
   ev_write_values : 'v array;
 }
 
-(* The ring holds whole events (an event owns variable-length read and
-   write arrays, so a flat interleaved encoding in the Recorder style
-   would need its own allocator); the per-evaluation scratch below keeps
-   the open event's reads and writes in reused growable buffers so an
-   evaluation that commits nothing — the common chaotic re-sweep —
-   allocates nothing. *)
+(* The one untagged value: stores of it into [s_tag] are skipped when
+   the slot already holds it, sparing the write barrier. *)
+let no_tag = ""
+
+let kind_code = function Eval -> 0 | Input -> 1 | Delay -> 2 | Folded -> 3
+
+let kinds = [| Eval; Input; Delay; Folded |]
+
+(* The ring is a struct of arrays: slot [uid mod capacity] of each
+   per-slot array describes event [uid], and its reads and writes sit
+   at a fixed per-slot stride in three arenas. Recording allocates
+   nothing once the arenas are sized: a stride grows (re-laying every
+   slot) only when an event exceeds it, and the value arena is created
+   with the first recorded value, which also fills its unused entries.
+   Event records are built only when a query or the serializer asks.
+   The open evaluation collects reads and writes in reused scratch and
+   is copied into the ring on commit: a quiet evaluation pushes nothing
+   and must not clobber the oldest retained event. *)
 type 'v t = {
   c_capacity : int;
   c_n_nets : int;
-  c_ring : 'v event option array;
+  s_uid : int array;  (* -1: empty slot *)
+  s_instant : int array;
+  s_kind : int array;
+  s_block : int array;
+  s_tag : string array;
+  s_src : int array;
+  s_n_reads : int array;  (* ints used in the read arena: 2 × pairs *)
+  s_n_writes : int array;
+  mutable r_stride : int;
+  mutable r_arena : int array;  (* flattened (net, producer uid) pairs *)
+  mutable w_stride : int;
+  mutable w_nets : int array;
+  mutable w_vals : 'v array;  (* [||] until the first value *)
   mutable c_pushed : int;
   mutable c_instant : int;  (* last opened instant; -1 before the first *)
   mutable c_open : bool;
@@ -36,7 +60,7 @@ type 'v t = {
   mutable c_reads : int array;  (* flattened (net, uid) pairs *)
   mutable c_n_reads : int;  (* pairs, not slots *)
   mutable c_w_nets : int array;
-  mutable c_w_vals : 'v option array;
+  mutable c_w_vals : 'v array;  (* [||] until the first write *)
   mutable c_n_writes : int;
   mutable c_truncated : int;
 }
@@ -44,9 +68,22 @@ type 'v t = {
 let create ?(capacity = 65536) ~n_nets () =
   if capacity < 1 then invalid_arg "Causal.create: capacity must be >= 1";
   if n_nets < 0 then invalid_arg "Causal.create: negative net count";
+  let slots v = Array.make capacity v in
   { c_capacity = capacity;
     c_n_nets = n_nets;
-    c_ring = Array.make capacity None;
+    s_uid = slots (-1);
+    s_instant = slots 0;
+    s_kind = slots 0;
+    s_block = slots (-1);
+    s_tag = slots no_tag;
+    s_src = slots (-1);
+    s_n_reads = slots 0;
+    s_n_writes = slots 0;
+    r_stride = 4;
+    r_arena = Array.make (4 * capacity) 0;
+    w_stride = 1;
+    w_nets = slots 0;
+    w_vals = [||];
     c_pushed = 0;
     c_instant = -1;
     c_open = false;
@@ -54,11 +91,11 @@ let create ?(capacity = 65536) ~n_nets () =
     c_prev = Array.make n_nets (-1);
     c_ev_open = false;
     c_ev_block = -1;
-    c_ev_tag = "";
+    c_ev_tag = no_tag;
     c_reads = Array.make 16 0;
     c_n_reads = 0;
-    c_w_nets = Array.make 8 0;
-    c_w_vals = Array.make 8 None;
+    c_w_nets = [||];
+    c_w_vals = [||];
     c_n_writes = 0;
     c_truncated = 0 }
 
@@ -86,32 +123,102 @@ let end_instant t =
 
 let instant t = if t.c_open then t.c_instant else t.c_instant + 1
 
-(* ----------------------------- recording -------------------------- *)
+(* ------------------------------ the ring -------------------------- *)
 
-let push t ev =
-  t.c_ring.(t.c_pushed mod t.c_capacity) <- Some ev;
-  t.c_pushed <- t.c_pushed + 1
+(* Re-lay an arena at a wider stride, moving each slot's used prefix. *)
+let restride arena ~old_stride ~stride ~used fill =
+  let a = Array.make (Array.length used * stride) fill in
+  Array.iteri
+    (fun s n -> Array.blit arena (s * old_stride) a (s * stride) n)
+    used;
+  a
+
+let wider stride need = max need (2 * stride)
+
+(* Room for [n] read ints in every slot. *)
+let reserve_reads t n =
+  if n > t.r_stride then begin
+    let stride = wider t.r_stride n in
+    t.r_arena <-
+      restride t.r_arena ~old_stride:t.r_stride ~stride ~used:t.s_n_reads 0;
+    t.r_stride <- stride
+  end
+
+(* Room for [n] >= 1 writes in every slot; [v] fills a fresh value
+   arena. *)
+let reserve_writes t n v =
+  if n > t.w_stride then begin
+    let stride = wider t.w_stride n in
+    t.w_nets <-
+      restride t.w_nets ~old_stride:t.w_stride ~stride ~used:t.s_n_writes 0;
+    if Array.length t.w_vals > 0 then
+      t.w_vals <-
+        restride t.w_vals ~old_stride:t.w_stride ~stride ~used:t.s_n_writes
+          t.w_vals.(0);
+    t.w_stride <- stride
+  end;
+  if Array.length t.w_vals = 0 then
+    t.w_vals <- Array.make (t.c_capacity * t.w_stride) v
+
+let set_slot t s ~uid ~instant ~kind ~block ~tag ~src ~n_reads ~n_writes =
+  t.s_uid.(s) <- uid;
+  t.s_instant.(s) <- instant;
+  t.s_kind.(s) <- kind_code kind;
+  t.s_block.(s) <- block;
+  if t.s_tag.(s) != tag then t.s_tag.(s) <- tag;
+  t.s_src.(s) <- src;
+  t.s_n_reads.(s) <- n_reads;
+  t.s_n_writes.(s) <- n_writes
+
+(* Store a whole event record in its slot (restoration). *)
+let store t ev =
+  let nr = Array.length ev.ev_reads and nw = Array.length ev.ev_write_nets in
+  reserve_reads t nr;
+  if nw > 0 then reserve_writes t nw ev.ev_write_values.(0);
+  let s = ev.ev_uid mod t.c_capacity in
+  set_slot t s ~uid:ev.ev_uid ~instant:ev.ev_instant ~kind:ev.ev_kind
+    ~block:ev.ev_block ~tag:ev.ev_tag ~src:ev.ev_src ~n_reads:nr ~n_writes:nw;
+  Array.blit ev.ev_reads 0 t.r_arena (s * t.r_stride) nr;
+  if nw > 0 then begin
+    Array.blit ev.ev_write_nets 0 t.w_nets (s * t.w_stride) nw;
+    Array.blit ev.ev_write_values 0 t.w_vals (s * t.w_stride) nw
+  end
+
+let event_at t s =
+  let nw = t.s_n_writes.(s) in
+  { ev_uid = t.s_uid.(s);
+    ev_instant = t.s_instant.(s);
+    ev_kind = kinds.(t.s_kind.(s));
+    ev_block = t.s_block.(s);
+    ev_tag = t.s_tag.(s);
+    ev_src = t.s_src.(s);
+    ev_reads = Array.sub t.r_arena (s * t.r_stride) t.s_n_reads.(s);
+    ev_write_nets = Array.sub t.w_nets (s * t.w_stride) nw;
+    ev_write_values =
+      (if nw = 0 then [||] else Array.sub t.w_vals (s * t.w_stride) nw) }
+
+(* ----------------------------- recording -------------------------- *)
 
 let record_binding t ~kind ~net ?(src = -1) v =
   if not t.c_open then invalid_arg "Causal.record_binding: no instant open";
   if net < 0 || net >= t.c_n_nets then
     invalid_arg "Causal.record_binding: net out of range";
+  let delay = kind = Delay && src >= 0 in
+  let src_uid = if delay then t.c_prev.(src) else -1 in
+  let n_reads = if delay then 2 else 0 in
+  reserve_reads t n_reads;
+  reserve_writes t 1 v;
   let uid = t.c_pushed in
-  let reads =
-    match kind with
-    | Delay when src >= 0 -> [| src; t.c_prev.(src) |]
-    | _ -> [||]
-  in
-  push t
-    { ev_uid = uid;
-      ev_instant = t.c_instant;
-      ev_kind = kind;
-      ev_block = -1;
-      ev_tag = "";
-      ev_src = src;
-      ev_reads = reads;
-      ev_write_nets = [| net |];
-      ev_write_values = [| v |] };
+  let s = uid mod t.c_capacity in
+  set_slot t s ~uid ~instant:t.c_instant ~kind ~block:(-1) ~tag:no_tag ~src
+    ~n_reads ~n_writes:1;
+  if delay then begin
+    t.r_arena.(s * t.r_stride) <- src;
+    t.r_arena.((s * t.r_stride) + 1) <- src_uid
+  end;
+  t.w_nets.(s * t.w_stride) <- net;
+  t.w_vals.(s * t.w_stride) <- v;
+  t.c_pushed <- uid + 1;
   t.c_cur.(net) <- uid
 
 let grow_reads t need =
@@ -126,7 +233,7 @@ let eval_begin t ~block ~reads =
   if t.c_ev_open then invalid_arg "Causal.eval_begin: evaluation already open";
   t.c_ev_open <- true;
   t.c_ev_block <- block;
-  t.c_ev_tag <- "";
+  t.c_ev_tag <- no_tag;
   t.c_n_writes <- 0;
   let n = Array.length reads in
   grow_reads t n;
@@ -141,16 +248,16 @@ let eval_begin t ~block ~reads =
 let eval_write t ~net v =
   if not t.c_ev_open then invalid_arg "Causal.eval_write: no evaluation open";
   let n = t.c_n_writes in
-  if n >= Array.length t.c_w_nets then begin
-    let cap = 2 * Array.length t.c_w_nets in
-    let nets = Array.make cap 0 and vals = Array.make cap None in
+  if n >= Array.length t.c_w_vals then begin
+    let cap = max 8 (2 * n) in
+    let nets = Array.make cap 0 and vals = Array.make cap v in
     Array.blit t.c_w_nets 0 nets 0 n;
     Array.blit t.c_w_vals 0 vals 0 n;
     t.c_w_nets <- nets;
     t.c_w_vals <- vals
   end;
   t.c_w_nets.(n) <- net;
-  t.c_w_vals.(n) <- Some v;
+  t.c_w_vals.(n) <- v;
   t.c_n_writes <- n + 1
 
 let set_tag t tag =
@@ -161,37 +268,31 @@ let pending_writes t = t.c_n_writes
 
 let pending_tag t = t.c_ev_tag
 
+(* Copies are element loops, not [Array.blit]: an event moves a handful
+   of entries, below the cost of the runtime call. *)
 let eval_commit t =
   if not t.c_ev_open then invalid_arg "Causal.eval_commit: no evaluation open";
   t.c_ev_open <- false;
-  let nw = t.c_n_writes in
-  if nw > 0 || t.c_ev_tag <> "" then begin
+  let nw = t.c_n_writes and nr = 2 * t.c_n_reads in
+  if nw > 0 || String.length t.c_ev_tag > 0 then begin
+    reserve_reads t nr;
+    if nw > 0 then reserve_writes t nw t.c_w_vals.(0);
     let uid = t.c_pushed in
-    let wnets = Array.sub t.c_w_nets 0 nw in
-    let wvals =
-      Array.init nw (fun i ->
-          match t.c_w_vals.(i) with
-          | Some v -> v
-          | None -> assert false)
-    in
-    push t
-      { ev_uid = uid;
-        ev_instant = t.c_instant;
-        ev_kind = Eval;
-        ev_block = t.c_ev_block;
-        ev_tag = t.c_ev_tag;
-        ev_src = -1;
-        ev_reads = Array.sub t.c_reads 0 (2 * t.c_n_reads);
-        ev_write_nets = wnets;
-        ev_write_values = wvals };
+    let s = uid mod t.c_capacity in
+    set_slot t s ~uid ~instant:t.c_instant ~kind:Eval ~block:t.c_ev_block
+      ~tag:t.c_ev_tag ~src:(-1) ~n_reads:nr ~n_writes:nw;
+    let rb = s * t.r_stride and wb = s * t.w_stride in
+    for i = 0 to nr - 1 do
+      t.r_arena.(rb + i) <- t.c_reads.(i)
+    done;
     for i = 0 to nw - 1 do
-      t.c_cur.(wnets.(i)) <- uid
-    done
+      let net = t.c_w_nets.(i) in
+      t.w_nets.(wb + i) <- net;
+      t.w_vals.(wb + i) <- t.c_w_vals.(i);
+      t.c_cur.(net) <- uid
+    done;
+    t.c_pushed <- uid + 1
   end;
-  (* release the value pointers so the scratch does not pin them *)
-  for i = 0 to nw - 1 do
-    t.c_w_vals.(i) <- None
-  done;
   t.c_n_writes <- 0;
   t.c_n_reads <- 0
 
@@ -211,28 +312,28 @@ let data_loss t = (overwrites t, t.c_truncated)
 
 let first_retained t = max 0 (t.c_pushed - t.c_capacity)
 
+let present t uid =
+  uid >= first_retained t && uid < t.c_pushed
+  && t.s_uid.(uid mod t.c_capacity) = uid
+
 let find t uid =
-  if uid < first_retained t || uid >= t.c_pushed then None
-  else
-    match t.c_ring.(uid mod t.c_capacity) with
-    | Some ev when ev.ev_uid = uid -> Some ev
-    | _ -> None
+  if present t uid then Some (event_at t (uid mod t.c_capacity)) else None
 
 let events ?instant t =
   let acc = ref [] in
   for uid = t.c_pushed - 1 downto first_retained t do
-    match find t uid with
-    | Some ev when (match instant with None -> true | Some i -> ev.ev_instant = i)
-      ->
-        acc := ev :: !acc
-    | _ -> ()
+    let s = uid mod t.c_capacity in
+    if
+      t.s_uid.(s) = uid
+      && match instant with None -> true | Some i -> t.s_instant.(s) = i
+    then acc := event_at t s :: !acc
   done;
   !acc
 
-let writes_net ev net =
+let writes_net t s net =
+  let base = s * t.w_stride in
   let rec loop i =
-    i < Array.length ev.ev_write_nets
-    && (ev.ev_write_nets.(i) = net || loop (i + 1))
+    i < t.s_n_writes.(s) && (t.w_nets.(base + i) = net || loop (i + 1))
   in
   loop 0
 
@@ -242,10 +343,12 @@ let writer t ~net ~instant =
   let rec loop uid =
     if uid < first_retained t then None
     else
-      match find t uid with
-      | Some ev when ev.ev_instant < instant -> None
-      | Some ev when ev.ev_instant = instant && writes_net ev net -> Some ev
-      | _ -> loop (uid - 1)
+      let s = uid mod t.c_capacity in
+      if t.s_uid.(s) <> uid then loop (uid - 1)
+      else if t.s_instant.(s) < instant then None
+      else if t.s_instant.(s) = instant && writes_net t s net then
+        Some (event_at t s)
+      else loop (uid - 1)
   in
   loop (t.c_pushed - 1)
 
@@ -272,9 +375,9 @@ let value_written ev net =
 let horizon_hides t inst =
   overwrites t > 0
   &&
-  match find t (first_retained t) with
-  | Some oldest -> inst <= oldest.ev_instant
-  | None -> true
+  let oldest = first_retained t in
+  (not (present t oldest))
+  || inst <= t.s_instant.(oldest mod t.c_capacity)
 
 let slice t ~net ~instant =
   let included = Hashtbl.create 32 in
@@ -311,7 +414,7 @@ let slice t ~net ~instant =
               if dep_instant >= 0 && horizon_hides t dep_instant then
                 add_once missing (rnet, dep_instant)
               else add_once bottom (rnet, dep_instant)
-            else if find t ruid <> None then enqueue ruid
+            else if present t ruid then enqueue ruid
             else add_once missing (rnet, dep_instant)
           done
     end
@@ -339,7 +442,7 @@ let restore ?capacity ~n_nets evs =
     match capacity with Some c -> c | None -> max 1 (max_uid + 1)
   in
   let t = create ~capacity:cap ~n_nets () in
-  List.iter (fun ev -> t.c_ring.(ev.ev_uid mod cap) <- Some ev) evs;
+  List.iter (store t) evs;
   t.c_pushed <- max_uid + 1;
   t.c_instant <- List.fold_left (fun m ev -> max m ev.ev_instant) (-1) evs;
   t
@@ -371,14 +474,64 @@ let export_state t =
     st_writers = Array.copy t.c_cur;
     st_events = events t }
 
+(* A state comes from disk: every register and event is checked against
+   the log's own invariants before anything is stored, so a corrupt
+   checkpoint fails with a named error instead of an out-of-bounds
+   access (or, worse, a ring that answers queries wrongly). *)
+let validate st =
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Causal.of_state: " ^ m)) fmt
+  in
+  if st.st_capacity < 1 then bad "capacity must be >= 1";
+  if st.st_pushed < 0 then bad "negative push count %d" st.st_pushed;
+  if st.st_instant < -1 then bad "instant %d out of range" st.st_instant;
+  if st.st_truncated < 0 then bad "negative truncated-slice count";
+  let n_nets = Array.length st.st_writers in
+  let lo = max 0 (st.st_pushed - st.st_capacity) in
+  Array.iteri
+    (fun net uid ->
+      if uid < -1 || uid >= st.st_pushed then
+        bad "writer of net %d is uid %d, never pushed" net uid)
+    st.st_writers;
+  let net_ok n = n >= 0 && n < n_nets in
+  ignore
+    (List.fold_left
+       (fun prev ev ->
+         let u = ev.ev_uid in
+         if u < lo || u >= st.st_pushed then
+           bad "event uid %d outside the retention window [%d, %d)" u lo
+             st.st_pushed;
+         if u <= prev then bad "event uid %d out of push order" u;
+         if ev.ev_instant < 0 || ev.ev_instant > st.st_instant then
+           bad "event %d: instant %d out of range" u ev.ev_instant;
+         if ev.ev_block < -1 then bad "event %d: block %d" u ev.ev_block;
+         if ev.ev_src <> -1 && not (net_ok ev.ev_src) then
+           bad "event %d: source net %d out of range" u ev.ev_src;
+         let reads = ev.ev_reads in
+         if Array.length reads mod 2 <> 0 then
+           bad "event %d: odd-length reads" u;
+         for p = 0 to (Array.length reads / 2) - 1 do
+           if not (net_ok reads.(2 * p)) then
+             bad "event %d: read net %d out of range" u reads.(2 * p);
+           let ru = reads.((2 * p) + 1) in
+           if ru < -1 || ru >= u then
+             bad "event %d: read producer uid %d is not an earlier event" u ru
+         done;
+         if Array.length ev.ev_write_values <> Array.length ev.ev_write_nets
+         then bad "event %d: write nets and values differ in length" u;
+         Array.iter
+           (fun n ->
+             if not (net_ok n) then
+               bad "event %d: write net %d out of range" u n)
+           ev.ev_write_nets;
+         u)
+       (lo - 1) st.st_events)
+
 let of_state st =
-  if st.st_capacity < 1 then
-    invalid_arg "Causal.of_state: capacity must be >= 1";
+  validate st;
   let n_nets = Array.length st.st_writers in
   let t = create ~capacity:st.st_capacity ~n_nets () in
-  List.iter
-    (fun ev -> t.c_ring.(ev.ev_uid mod st.st_capacity) <- Some ev)
-    st.st_events;
+  List.iter (store t) st.st_events;
   t.c_pushed <- st.st_pushed;
   t.c_instant <- st.st_instant;
   t.c_truncated <- st.st_truncated;
@@ -426,7 +579,11 @@ let event_of_json ~unrender j =
     | Some v -> v
     | None -> invalid_arg ("Causal.event_of_json: missing " ^ k)
   in
-  let int k = match get k with Json.Int n -> n | _ -> invalid_arg k in
+  let int k =
+    match get k with
+    | Json.Int n -> n
+    | _ -> invalid_arg ("Causal.event_of_json: " ^ k)
+  in
   let opt_int k d = match Json.member k j with Some (Json.Int n) -> n | _ -> d in
   let reads =
     match get "reads" with

@@ -18,7 +18,13 @@
     recent [capacity] events; older events are overwritten and the loss
     is surfaced as an {!overwrites} counter (and, through the caller,
     as a [data_loss] field). A slice that chases a dependency past the
-    retention horizon reports itself truncated rather than guessing. *)
+    retention horizon reports itself truncated rather than guessing.
+
+    The ring is preallocated as a struct of arrays — per-slot uid,
+    instant, kind, block, tag and source, plus fixed-stride read and
+    write arenas whose stride grows only when an event exceeds it — so
+    recording allocates nothing per event. {!event} records are built
+    on demand, by queries and serialization. *)
 
 type kind =
   | Eval  (** a block evaluation *)
@@ -184,6 +190,13 @@ val export_state : 'v t -> 'v state
 (** Raises [Invalid_argument] when an instant is open. *)
 
 val of_state : 'v state -> 'v t
+(** Rebuild a continuable log. The state is validated first — capacity
+    and counters, writer registers inside the pushed range, and every
+    event: uid inside the retention window and in push order, instant
+    within [st_instant], source, read and write nets within the net
+    count ([Array.length st_writers]), even-length reads whose producer
+    uids precede the event, one value per written net. A violation
+    raises [Invalid_argument "Causal.of_state: ..."]. *)
 
 val event_json : render:('v -> Json.t) -> 'v event -> Json.t
 

@@ -126,6 +126,75 @@ let run_capturing ?policy ?escalate_after ?(inject = []) ?(causal = false)
   in
   (Option.get !ck, List.rev !outs, final, !fatal)
 
+(* ---- corrupt causal sections ------------------------------------ *)
+
+let map_member k f = function
+  | J.Obj kvs ->
+      J.Obj (List.map (fun (k', v) -> (k', if k' = k then f v else v)) kvs)
+  | j -> j
+
+let map_list f = function J.List l -> J.List (f l) | j -> j
+
+(* Rewrite the [i]-th (mod count) event satisfying [pred]. *)
+let map_event ~pred i f causal =
+  map_member "events"
+    (map_list (fun evs ->
+         let hits = List.filter pred evs in
+         if hits = [] then evs
+         else
+           let target = List.nth hits (i mod List.length hits) in
+           List.map (fun ev -> if ev == target then f ev else ev) evs))
+    causal
+
+let has_list k ev =
+  match J.member k ev with Some (J.List (_ :: _)) -> true | _ -> false
+
+let map_first_pair k f =
+  map_member k (map_list (function
+    | J.List [ a; b ] :: rest -> J.List (f a b) :: rest
+    | l -> l))
+
+(* One corruption of the causal section per case, each a violation of
+   a log invariant: uids outside the retention window or out of push
+   order, nets outside the graph, reads of later events, instants past
+   the log's, writer registers that were never pushed. *)
+let corruptions ~pushed ~n_nets =
+  let any _ = true in
+  [ ("uid past the push count", fun i d ->
+        map_event ~pred:any i (map_member "uid" (fun _ -> J.Int (pushed + d))));
+    ("negative uid", fun i d ->
+        map_event ~pred:any i (map_member "uid" (fun _ -> J.Int (-1 - d))));
+    ("read net out of range", fun i d ->
+        map_event ~pred:(has_list "reads") i
+          (map_first_pair "reads" (fun _ u -> [ J.Int (n_nets + d); u ])));
+    ("read of a later event", fun i d ->
+        map_event ~pred:(has_list "reads") i (fun ev ->
+            let uid =
+              match J.member "uid" ev with Some (J.Int u) -> u | _ -> 0
+            in
+            map_first_pair "reads" (fun n _ -> [ n; J.Int (uid + d) ]) ev));
+    ("write net out of range", fun i d ->
+        map_event ~pred:(has_list "writes") i
+          (map_first_pair "writes" (fun _ v -> [ J.Int (n_nets + d); v ])));
+    ("negative write net", fun i d ->
+        map_event ~pred:(has_list "writes") i
+          (map_first_pair "writes" (fun _ v -> [ J.Int (-1 - d); v ])));
+    ("delay source out of range", fun i d ->
+        map_event ~pred:(fun ev -> J.member "src" ev <> None) i
+          (map_member "src" (fun _ -> J.Int (n_nets + d))));
+    ("instant past the log's", fun i d ->
+        map_event ~pred:any i
+          (map_member "instant" (fun _ -> J.Int (1_000 + d))));
+    ("events out of push order", fun _ _ ->
+        map_member "events" (map_list List.rev));
+    ("writer never pushed", fun i d ->
+        map_member "writers"
+          (map_list
+             (List.mapi (fun k w ->
+                  if k = i mod n_nets then J.Int (pushed + d) else w))));
+    ("non-positive capacity", fun _ d ->
+        map_member "capacity" (fun _ -> J.Int (-d))) ]
+
 (* Resume [ck] (through a JSON round-trip) against clean [g] and drive
    the remaining instants. *)
 let resume_and_run ck g stream =
@@ -377,6 +446,42 @@ let suite =
         match K.of_json tampered with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    qcase ~count:200 "a corrupt causal section fails resume with a named error"
+      QCheck.(triple small_nat small_nat small_nat)
+      (fun (which, i, d) ->
+        let g = chain_graph () in
+        let n_nets = (G.compile g).G.n_nets in
+        let cz = C.create ~capacity:16 ~n_nets () in
+        let sim = Sim.create ~strategy:Fx.Scheduled ~causal:cz g in
+        List.iter (fun inp -> ignore (Sim.step sim inp)) (chain_stream 6);
+        let j = K.to_json (K.capture ~system:"test" sim) in
+        let cases = corruptions ~pushed:(C.pushed cz) ~n_nets in
+        let name, corrupt = List.nth cases (which mod List.length cases) in
+        let bad = map_member "causal" (corrupt i d) j in
+        let named m =
+          List.exists
+            (fun p -> String.length m > String.length p
+                      && String.sub m 0 (String.length p) = p)
+            [ "Causal.of_state: "; "Causal.event_of_json: " ]
+        in
+        match K.resume (K.of_json bad) g with
+        | _ -> QCheck.Test.fail_reportf "%s: resumed" name
+        | exception Invalid_argument m ->
+            named m || QCheck.Test.fail_reportf "%s: unnamed error %S" name m);
+    case "of_state rejects odd-length reads" (fun () ->
+        let ev =
+          { C.ev_uid = 0; ev_instant = 0; ev_kind = C.Eval; ev_block = 0;
+            ev_tag = ""; ev_src = -1; ev_reads = [| 1 |];
+            ev_write_nets = [| 0 |]; ev_write_values = [| 7 |] }
+        in
+        Alcotest.check_raises "odd reads"
+          (Invalid_argument "Causal.of_state: event 0: odd-length reads")
+          (fun () ->
+            ignore
+              (C.of_state
+                 { C.st_capacity = 4; st_pushed = 1; st_instant = 0;
+                   st_truncated = 0; st_writers = [| 0; -1 |];
+                   st_events = [ ev ] })));
     qcase ~count:40
       "random systems: resumed campaigns converge under every policy"
       Test_random_graphs.arbitrary_spec

@@ -23,6 +23,23 @@ let pure_src =
       public void run() { writePort(0, readPort(0) * 2); }
     }|}
 
+(* Int64 holds the exact sum of two 63-bit ints; clamp it to the int
+   range for the saturating watchdog deadline. *)
+let exact_deadline before budget =
+  let s = Int64.add (Int64.of_int before) (Int64.of_int budget) in
+  if Int64.compare s (Int64.of_int max_int) > 0 then max_int
+  else if Int64.compare s (Int64.of_int min_int) < 0 then min_int
+  else Int64.to_int s
+
+(* The whole int range, with its edges drawn often. *)
+let any_int =
+  QCheck.(
+    oneof
+      [ int;
+        oneofl [ max_int; min_int; 0; 1; -1; max_int - 1; min_int + 1 ];
+        map (fun k -> max_int - k) small_nat;
+        map (fun k -> min_int + k) small_nat ])
+
 let suite =
   [ case "ports reported from constructor" (fun () ->
         let elab = E.elaborate (check_src echo_src) ~cls:"Echo" in
@@ -178,4 +195,25 @@ let suite =
         in
         let elab = E.elaborate (check_src src) ~cls:"Chatty" in
         ignore (react_int elab 7);
-        Alcotest.(check string) "printed" "tick 7\n" (E.console elab)) ]
+        Alcotest.(check string) "printed" "tick 7\n" (E.console elab));
+    qcase ~count:1000 "watchdog deadline saturates over the full int range"
+      QCheck.(pair any_int any_int)
+      (fun (before, budget) ->
+        E.deadline ~before ~budget = exact_deadline before budget);
+    qcase ~count:500 "a budget of max_int or max_int - before never wraps"
+      QCheck.(map (fun n -> n land max_int) any_int)
+      (fun before ->
+        E.deadline ~before ~budget:max_int = max_int
+        && E.deadline ~before ~budget:(max_int - before) = max_int
+        && E.deadline ~before ~budget:0 = before);
+    case "react_bounded with a max_int budget does not trip" (fun () ->
+        let elab = E.elaborate (check_src counter_src) ~cls:"Counter" in
+        Alcotest.(check bool) "meter already running" true
+          (Mj_runtime.Cost.cycles (E.machine elab).Mj_runtime.Machine.cost > 0);
+        List.iter
+          (fun x ->
+            ignore
+              (E.react_bounded elab ~budget_cycles:max_int
+                 [| Asr.Domain.int x |]))
+          [ 1; 2; 3 ];
+        Alcotest.(check int) "state advanced" 10 (react_int elab 4)) ]

@@ -129,6 +129,108 @@ let run_injected ~strategy ~policy specs g stream =
   | trace -> Finished (trace, List.length (S.faults sup))
   | exception S.Fatal f -> Fatal_at (f.S.f_instant, f.S.f_block)
 
+(* ---- kernel containment ------------------------------------------ *)
+
+(* Kernel blocks that trap for real, no injector: an int division (an
+   [IMap2] whose int and data functions both raise [Division_by_zero])
+   feeding a mux whose select is an input that is sometimes not a
+   boolean, plus Netgen's {mux, add} component so a step budget trips
+   inside a cyclic fallback. Under a probe, Fused runs these as kernel
+   steps in place while Scheduled applies whole blocks. *)
+let trap_graph () =
+  let g = G.create "kernel-traps" in
+  let x = G.add_input g "x" and y = G.add_input g "y" in
+  let s = G.add_input g "s" in
+  let div =
+    G.add_block g
+      (B.imap2 ~name:"div" (fun a b -> a / b) (fun a b ->
+           match (a, b) with
+           | Dt.Int a, Dt.Int b -> Dt.Int (a / b)
+           | _ -> invalid_arg "div: non-int operand"))
+  in
+  G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port div 0);
+  G.connect g ~src:(G.out_port y 0) ~dst:(G.in_port div 1);
+  let sel = G.add_block g B.mux in
+  G.connect g ~src:(G.out_port s 0) ~dst:(G.in_port sel 0);
+  G.connect g ~src:(G.out_port div 0) ~dst:(G.in_port sel 1);
+  G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port sel 2);
+  let neg = G.add_block g B.neg in
+  G.connect g ~src:(G.out_port sel 0) ~dst:(G.in_port neg 0);
+  let parity =
+    G.add_block g
+      (B.map1 ~name:"parity" (function
+        | Dt.Int v -> Dt.Bool (v mod 2 = 0)
+        | _ -> Dt.Bool false))
+  in
+  G.connect g ~src:(G.out_port neg 0) ~dst:(G.in_port parity 0);
+  let m = G.add_block g B.mux and a = G.add_block g B.add in
+  G.connect g ~src:(G.out_port parity 0) ~dst:(G.in_port m 0);
+  G.connect g ~src:(G.out_port div 0) ~dst:(G.in_port m 1);
+  G.connect g ~src:(G.out_port a 0) ~dst:(G.in_port m 2);
+  G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port a 0);
+  G.connect g ~src:(G.out_port m 0) ~dst:(G.in_port a 1);
+  List.iter
+    (fun (label, src) ->
+      let o = G.add_output g label in
+      G.connect g ~src ~dst:(G.in_port o 0))
+    [ ("q", G.out_port div 0); ("n", G.out_port neg 0); ("m", G.out_port m 0) ];
+  g
+
+let trap_stream =
+  QCheck.(
+    list_of_size Gen.(int_range 1 12)
+      (triple (int_range (-9) 9) (int_range (-1) 2) (int_bound 3)))
+
+let trap_inputs (x, y, s) =
+  [ ("x", D.int x); ("y", D.int y);
+    ( "s",
+      match s with
+      | 0 -> D.def (Dt.Bool true)
+      | 1 -> D.def (Dt.Bool false)
+      | 2 -> D.int s
+      | _ -> D.Bottom ) ]
+
+(* Everything a supervised, traced run exposes: outputs per instant,
+   the fatal fault if any, the fault log, the quarantine set, every
+   causal event and the slice of every output at every instant. *)
+let run_traps ~strategy ~policy ~step_budget stream =
+  let g = trap_graph () in
+  let compiled = G.compile g in
+  let sup = S.create ~policy ~escalate_after:2 ?step_budget () in
+  let cz =
+    Telemetry.Causal.create ~capacity:1024 ~n_nets:compiled.G.n_nets ()
+  in
+  let sim = Asr.Simulate.create ~strategy ~supervisor:sup ~causal:cz g in
+  let outs = ref [] in
+  let fatal =
+    let step i = outs := Asr.Simulate.step sim (trap_inputs i) :: !outs in
+    match List.iter step stream with
+    | () -> None
+    | exception S.Fatal f -> Some f
+  in
+  let slices =
+    List.concat_map
+      (fun (_, net) ->
+        List.init (List.length !outs) (fun instant ->
+            Telemetry.Causal.slice cz ~net ~instant))
+      (Array.to_list compiled.G.c_outputs)
+  in
+  ( List.rev !outs, fatal, S.faults sup, S.quarantined_blocks sup,
+    Telemetry.Causal.events cz, slices )
+
+(* ---- allocation gate --------------------------------------------- *)
+
+(* Minor-heap words per instant of [sim] over [stream], after a warm-up
+   that sizes every lazily grown buffer (causal arenas and scratch).
+   Allocation counts are deterministic, so this gates the
+   allocation-free probe without timing noise. *)
+let minor_words_per_instant sim stream =
+  let step () = List.iter (fun i -> ignore (Asr.Simulate.step sim i)) stream in
+  step ();
+  let before = Gc.minor_words () in
+  step ();
+  (Gc.minor_words () -. before) /. float_of_int (List.length stream)
+
 (* ---- suite ------------------------------------------------------- *)
 
 let suite =
@@ -204,7 +306,7 @@ let suite =
           let counts = Array.make (Array.length c.G.c_blocks) 0 in
           let r =
             Fx.eval c ~inputs ~delay_values:delays ~strategy
-              ~eval_counts:counts ()
+              ~probe:(Asr.Probe.counter counts) ()
           in
           (counts, r.Fx.block_evaluations)
         in
@@ -413,4 +515,56 @@ let suite =
           (fun policy ->
             run_injected ~strategy:Fx.Scheduled ~policy specs (g ()) stream
             = run_injected ~strategy:Fx.Fused ~policy specs (g ()) stream)
-          [ S.Hold_last; S.Retry 2 ]) ]
+          [ S.Hold_last; S.Retry 2 ]);
+    qcase ~count:60 "kernel traps: probed fused = scheduled under every policy"
+      trap_stream (fun stream ->
+        List.for_all
+          (fun (policy, step_budget) ->
+            run_traps ~strategy:Fx.Fused ~policy ~step_budget stream
+            = run_traps ~strategy:Fx.Scheduled ~policy ~step_budget stream)
+          [ (S.Fail_fast, None); (S.Hold_last, None); (S.Absent, None);
+            (S.Retry 1, None); (S.Retry 3, None); (S.Hold_last, Some 1);
+            (S.Absent, Some 2); (S.Retry 2, Some 1) ]);
+    case "allocation gate: supervised + traced fused stays near the fast lane"
+      (fun () ->
+        let g =
+          Workloads.Netgen.generate ~inputs:4 ~delays:4 ~cyclic_ratio:0.04
+            ~seed:1003 ~depth:40 ~width:25 ()
+        in
+        let stream = Workloads.Netgen.stimulus g ~instants:40 in
+        let n_nets = (G.compile g).G.n_nets in
+        let bare =
+          minor_words_per_instant
+            (Asr.Simulate.create ~strategy:Fx.Fused g)
+            stream
+        in
+        let probed =
+          minor_words_per_instant
+            (Asr.Simulate.create ~strategy:Fx.Fused
+               ~supervisor:(S.create ~policy:S.Hold_last ())
+               ~causal:(Telemetry.Causal.create ~n_nets ())
+               g)
+            stream
+        in
+        if probed > 1.5 *. bare then
+          Alcotest.failf
+            "probed run allocates %.0f minor words per instant, more than \
+             1.5x the fast lane's %.0f"
+            probed bare);
+    case "kernel traps are contained as kernel steps, not whole blocks"
+      (fun () ->
+        let plan = F.compile (G.compile (trap_graph ())) in
+        Alcotest.(check bool) "div and select are kernel steps" true
+          (Array.exists
+             (function F.Step (bi, _) -> bi = 0 | _ -> false)
+             plan.F.f_ops);
+        let stream = [ (4, 0, 0); (3, 1, 2); (5, 2, 1); (6, 1, 0) ] in
+        let outs, fatal, faults, _, _, _ =
+          run_traps ~strategy:Fx.Fused ~policy:S.Hold_last ~step_budget:None
+            stream
+        in
+        Alcotest.(check bool) "no abort" true (fatal = None);
+        Alcotest.(check (list string)) "classified traps"
+          [ "division by zero"; "invalid argument: mux: non-boolean select 2" ]
+          (List.map (fun f -> f.S.f_detail) faults);
+        Alcotest.(check int) "instants" 4 (List.length outs)) ]

@@ -28,4 +28,5 @@ let () =
       ("supervisor", Test_supervisor.suite);
       ("refinement", Test_refinement.suite);
       ("causal", Test_causal.suite);
+      ("causal-ring", Test_causal_ring.suite);
       ("checkpoint", Test_checkpoint.suite) ]
