@@ -3247,6 +3247,8 @@ module Refinement_bench = struct
     f_discharged : int;
     f_failed : int;
     f_schedules : int;
+    f_executed : int;
+    f_coverage : string;
     f_instants : int;
     f_strategies : string list;
     f_checked : int;
@@ -3274,6 +3276,8 @@ module Refinement_bench = struct
       f_discharged = report.V.v_discharged;
       f_failed = report.V.v_failed;
       f_schedules = corr.V.c_schedules;
+      f_executed = corr.V.c_executed;
+      f_coverage = V.coverage corr;
       f_instants = corr.V.c_instants;
       f_strategies = corr.V.c_strategies;
       f_checked = corr.V.c_checked;
@@ -3351,6 +3355,8 @@ module Refinement_bench = struct
           (String.concat " " w.f_strategies)
           w.f_checked
           (List.length w.f_corr_failures);
+        Printf.printf "         coverage: %s, %d of %d schedule(s) executed\n"
+          w.f_coverage w.f_executed w.f_schedules;
         List.iter
           (fun f -> Printf.printf "         FAIL %s\n" f)
           w.f_corr_failures)
@@ -3371,6 +3377,8 @@ module Refinement_bench = struct
           ("vcs_failed", J.Int w.f_failed);
           ("vc_ok", J.Bool (w.f_failed = 0));
           ("schedules_explored", J.Int w.f_schedules);
+          ("schedules_executed", J.Int w.f_executed);
+          ("coverage", J.Str w.f_coverage);
           ("instants", J.Int w.f_instants);
           ("strategies", J.List (List.map (fun s -> J.Str s) w.f_strategies));
           ("correspondences_checked", J.Int w.f_checked);
@@ -3385,9 +3393,10 @@ module Refinement_bench = struct
               ("mutation_rejected_ok", J.Bool (r.mutation_vcs_failed > 0)) ]))
 
   (* Smoke contract (refinement-smoke alias in `dune runtest`): every
-     transform the engine applied discharges its VCs, every explored
-     schedule's abstracted trace refines the deterministic stream, and
-     the broken transform is rejected. *)
+     transform the engine applied discharges its VCs, every covered
+     schedule's abstracted trace refines the deterministic stream, the
+     thread-free FIR and JPEG reactions are covered exhaustively by a
+     single executed schedule, and the broken transform is rejected. *)
   let check ~smoke r =
     let failed = ref false in
     let fail fmt =
@@ -3410,7 +3419,11 @@ module Refinement_bench = struct
             (List.length w.f_corr_failures);
         if (not smoke) && w.f_schedules < 100 then
           fail "%s: only %d schedules explored (>= 100 required)" w.f_workload
-            w.f_schedules)
+            w.f_schedules;
+        if (not (String.equal w.f_coverage "exhaustive")) || w.f_executed <> 1 then
+          fail "%s: coverage %s with %d schedule(s) executed (exhaustive with \
+                exactly 1 required)"
+            w.f_workload w.f_coverage w.f_executed)
       r.rows;
     if r.mutation_vcs_failed = 0 then
       fail "mutation gate: the broken transform was not rejected";

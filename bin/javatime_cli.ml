@@ -1153,6 +1153,10 @@ let verify_refinement_cmd =
                           corr.Javatime.Verify.c_strategies));
                     ("schedules_explored",
                      Telemetry.Json.Int corr.Javatime.Verify.c_schedules);
+                    ("schedules_executed",
+                     Telemetry.Json.Int corr.Javatime.Verify.c_executed);
+                    ("coverage",
+                     Telemetry.Json.Str (Javatime.Verify.coverage corr));
                     ("instants", Telemetry.Json.Int corr.Javatime.Verify.c_instants);
                     ("correspondences_checked",
                      Telemetry.Json.Int corr.Javatime.Verify.c_checked);
@@ -1189,6 +1193,9 @@ let verify_refinement_cmd =
             corr.Javatime.Verify.c_schedules corr.Javatime.Verify.c_instants
             (String.concat " " corr.Javatime.Verify.c_strategies)
             corr.Javatime.Verify.c_checked n_corr_failures;
+          Printf.printf "coverage: %s, %d of %d schedule(s) executed\n"
+            (Javatime.Verify.coverage corr) corr.Javatime.Verify.c_executed
+            corr.Javatime.Verify.c_schedules;
           List.iter
             (fun f -> Printf.printf "  FAIL %s\n" f)
             corr.Javatime.Verify.c_failures
@@ -1197,7 +1204,7 @@ let verify_refinement_cmd =
   in
   let schedules_arg =
     Arg.(value & opt int 100 & info [ "schedules" ] ~docv:"N"
-           ~doc:"Seeded thread schedules to explore per program")
+           ~doc:"Seeded thread schedules to cover per program")
   in
   let instants_arg =
     Arg.(value & opt int 8 & info [ "instants" ] ~docv:"N"

@@ -14,8 +14,9 @@
 
     Soundness caveat: a failed VC or correspondence is a genuine
     counterexample to refinement (modulo the interval abstraction);
-    passing checks cover the explored schedules and the catalogued
-    rewrite shapes only. *)
+    passing checks cover the catalogued rewrite shapes only, and every
+    interleaving only when the correspondence is [c_exhaustive] —
+    otherwise just the seeded schedules. *)
 
 (** {1 Layer 1: verification conditions} *)
 
@@ -113,12 +114,19 @@ val low_stream :
 (** α-image of one seeded schedule of the (unrestricted) program. *)
 
 type correspondence = {
-  c_schedules : int;          (** seeded schedules explored *)
+  c_schedules : int;          (** seeded schedules covered *)
+  c_executed : int;           (** seeded schedules actually run *)
+  c_exhaustive : bool;
+      (** no executed run had a scheduling choice, so the single run
+          covers every interleaving of the bounded program *)
   c_instants : int;
   c_strategies : string list;
   c_checked : int;            (** correspondences checked *)
   c_failures : string list;   (** empty iff every trace refines the stream *)
 }
+
+val coverage : correspondence -> string
+(** ["exhaustive"] when [c_exhaustive], else ["sampled"]. *)
 
 val trace_correspondence :
   ?engine:Elaborate.engine ->
@@ -137,4 +145,11 @@ val trace_correspondence :
     uses the re-applicable embedding), and that the α-image of each of
     [schedules] (default 100) seeded low-level schedules of the
     {e unrestricted} program coincides with it, over [instants]
-    (default 8) ramp instants. *)
+    (default 8) ramp instants.
+
+    Seed 1 is run first. If no pick of any of its instants had two
+    runnable threads ({!Mj_runtime.Threads.last_run_branched}), the
+    execution is seed-independent and its α-stream (or exception)
+    stands for seeds 2..N, which are not run again; otherwise every
+    seed is run. Either way each seed is counted in [c_checked] and
+    reported in [c_failures] on its own, exactly as if it had run. *)

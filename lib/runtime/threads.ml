@@ -22,6 +22,12 @@ type scheduler = {
 
 let state : scheduler option ref = ref None
 
+(* Set by [pick] when two or more threads were runnable; cleared when a
+   run starts, so it survives a run that raised. *)
+let branched = ref false
+
+let last_run_branched () = !branched
+
 let active () = Option.is_some !state
 
 let current () = match !state with Some s -> s.current | None -> -1
@@ -42,10 +48,10 @@ let pick s =
   match s.runnable with
   | [] -> None
   | entries ->
+      let n = List.length entries in
+      if n > 1 then branched := true;
       let index =
-        match s.rng with
-        | Some rng -> Random.State.int rng (List.length entries)
-        | None -> 0
+        match s.rng with Some rng -> Random.State.int rng n | None -> 0
       in
       let chosen = List.nth entries index in
       s.runnable <- List.filteri (fun i _ -> i <> index) entries;
@@ -120,9 +126,7 @@ let run ~policy ?(trace = true) main =
       rng; current = -1; live = 1; trace = []; tracing = trace }
   in
   state := Some s;
-  let result =
-    Fun.protect ~finally:(fun () -> state := None) (fun () ->
-        run_fiber s (-1) main;
-        List.rev s.trace)
-  in
-  result
+  branched := false;
+  Fun.protect ~finally:(fun () -> state := None) (fun () ->
+      run_fiber s (-1) main;
+      List.rev s.trace)

@@ -46,3 +46,13 @@ val maybe_yield : unit -> unit
 val run : policy:policy -> ?trace:bool -> (unit -> unit) -> event list
 (** Run [main] as the initial thread under the given policy until all
     spawned threads finish; returns the recorded trace. Not reentrant. *)
+
+val last_run_branched : unit -> bool
+(** Whether a pick of the last (or current) {!run} found two or more
+    runnable threads — the only point where the policy chooses. Valid
+    after {!run} returns or raises; the next {!run} clears it.
+
+    When it is false the run is seed-independent: every pick had one
+    candidate, so by induction over the picks every [Seeded] policy
+    (and [Round_robin]) replays the same execution — the same trace,
+    the same machine state and the same exception, if any. *)

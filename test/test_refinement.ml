@@ -232,6 +232,203 @@ let correspondence_tests =
            spec low)) ]
 
 (* ------------------------------------------------------------------ *)
+(* Trace correspondence against a per-seed reference                   *)
+(* ------------------------------------------------------------------ *)
+
+(* What [trace_correspondence] must report, built from the public
+   pieces with one [low_stream] run per seed: the strategy agreements
+   against chaotic, then every seed compared with the refined stream.
+   The shortcut that runs a non-branching program once must not be
+   visible in any field of this reference. *)
+let reference ~schedules ~instants program ~cls =
+  let refined = (Javatime.Engine.refine program).Javatime.Engine.checked in
+  let unrestricted = Mj.Typecheck.check program in
+  let n_in =
+    fst
+      (Javatime.Elaborate.ports
+         (Javatime.Elaborate.elaborate ~enforce_policy:false
+            ~bounded_memory:false unrestricted ~cls))
+  in
+  let kinds = V.input_kinds unrestricted ~cls ~n_in in
+  let array_size =
+    if Array.exists Fun.id kinds then
+      V.calibrate_array_size ~kinds unrestricted ~cls
+    else 1
+  in
+  let inputs = V.make_inputs ~kinds ~array_size in
+  let specs =
+    List.map
+      (fun strategy ->
+        ( Asr.Fixpoint.strategy_name strategy,
+          V.spec_stream ~inputs ~strategy ~instants refined ~cls ))
+      Asr.Fixpoint.[ Chaotic; Scheduled; Worklist; Fused ]
+  in
+  let name0, spec0 = List.hd specs in
+  let first_divergence a b =
+    let rec go t = function
+      | [], [] -> None
+      | x :: a, y :: b when Array.for_all2 Asr.Domain.equal x y -> go (t + 1) (a, b)
+      | _ -> Some t
+    in
+    go 0 (a, b)
+  in
+  let strategy_failures =
+    List.filter_map
+      (fun (name, spec) ->
+        match first_divergence spec0 spec with
+        | None -> None
+        | Some _ -> Some (Printf.sprintf "strategy %s diverges from %s" name name0))
+      (List.tl specs)
+  in
+  let seed_failures =
+    List.filter_map
+      (fun seed ->
+        match V.low_stream ~inputs ~seed ~instants unrestricted ~cls with
+        | low ->
+            Option.map
+              (Printf.sprintf
+                 "seed %d: abstracted trace diverges from the refined \
+                  stream at instant %d"
+                 seed)
+              (first_divergence spec0 low)
+        | exception e ->
+            Some
+              (Printf.sprintf "seed %d: schedule raised %s" seed
+                 (Printexc.to_string e)))
+      (List.init schedules (fun i -> i + 1))
+  in
+  ( List.map fst specs,
+    List.length specs - 1 + schedules,
+    strategy_failures @ seed_failures )
+
+let differential ~schedules ~instants ~executed ~exhaustive program ~cls =
+  let corr = V.trace_correspondence ~schedules ~instants program ~cls in
+  let strategies, checked, failures =
+    reference ~schedules ~instants program ~cls
+  in
+  Alcotest.(check int) "schedules covered" schedules corr.V.c_schedules;
+  Alcotest.(check int) "checked" checked corr.V.c_checked;
+  Alcotest.(check (list string)) "strategies" strategies corr.V.c_strategies;
+  Alcotest.(check (list string)) "failures, in order" failures
+    corr.V.c_failures;
+  Alcotest.(check int) "schedules executed" executed corr.V.c_executed;
+  Alcotest.(check bool) "exhaustive" exhaustive corr.V.c_exhaustive;
+  corr
+
+(* Two workers race on a shared field that the reaction then emits:
+   the refined (sequentialized) stream sees the second writer last, a
+   schedule that runs it first emits the other value. *)
+let racy_source =
+  {|class Slot {
+  public static int last = 0;
+}
+
+class Put extends Thread {
+  public int v;
+  Put(int v) { this.v = v; }
+  public void run() {
+    Thread.yield();
+    Slot.last = v;
+  }
+}
+
+class Race extends ASR {
+  Race() {
+    declarePorts(1, 1);
+  }
+  public void run() {
+    int x = readPort(0);
+    Put a = new Put(x);
+    Put b = new Put(x + 100);
+    a.start();
+    b.start();
+    a.join();
+    b.join();
+    writePort(0, Slot.last);
+  }
+}
+|}
+
+(* Joining a thread that was never started is a no-op in the refined,
+   sequential program, but under the scheduler it waits forever: the
+   low-level run raises [Deadlock] at instant 1 without ever having a
+   second runnable thread, so one run stands for every seed. *)
+let stall_source =
+  {|class Idle extends Thread {
+  Idle() {}
+  public void run() {}
+}
+
+class Stall extends ASR {
+  private int t;
+  Stall() {
+    declarePorts(1, 1);
+    t = 0;
+  }
+  public void run() {
+    int x = readPort(0);
+    if (t == 1) {
+      Idle w = new Idle();
+      w.join();
+    }
+    t = t + 1;
+    writePort(0, x + t);
+  }
+}
+|}
+
+let differential_tests =
+  [ case "fir: one run covers every seed, as the per-seed reference"
+      (fun () ->
+        let corr =
+          differential ~schedules:12 ~instants:4 ~executed:1 ~exhaustive:true
+            (fir_program ()) ~cls:"FirFilter"
+        in
+        Alcotest.(check (list string)) "no failures" [] corr.V.c_failures);
+    case "jpeg 8x8: one run covers every seed, as the per-seed reference"
+      (fun () ->
+        let program =
+          Mj.Parser.parse_program ~file:"jpeg.mj"
+            (Workloads.Jpeg_mj.unrestricted_source ~width:8 ~height:8 ())
+        in
+        let corr =
+          differential ~schedules:4 ~instants:2 ~executed:1 ~exhaustive:true
+            program ~cls:"JpegCodec"
+        in
+        Alcotest.(check (list string)) "no failures" [] corr.V.c_failures);
+    case "threaded worker: every seed runs, as the per-seed reference"
+      (fun () ->
+        let program = Mj.Parser.parse_program ~file:"pipe.mj" pipe_source in
+        ignore
+          (differential ~schedules:12 ~instants:3 ~executed:12
+             ~exhaustive:false program ~cls:"Pipe"));
+    case "racy writers: diverging seeds are reported as the reference"
+      (fun () ->
+        let program = Mj.Parser.parse_program ~file:"race.mj" racy_source in
+        let corr =
+          differential ~schedules:16 ~instants:3 ~executed:16
+            ~exhaustive:false program ~cls:"Race"
+        in
+        Alcotest.(check bool) "some seeds diverge" true (corr.V.c_failures <> []);
+        Alcotest.(check bool) "some seeds agree" true
+          (List.length corr.V.c_failures < 16));
+    case "a raising first schedule is reported once per seed" (fun () ->
+        let program = Mj.Parser.parse_program ~file:"stall.mj" stall_source in
+        let corr =
+          differential ~schedules:5 ~instants:3 ~executed:1 ~exhaustive:true
+            program ~cls:"Stall"
+        in
+        Alcotest.(check int) "one failure per seed" 5
+          (List.length corr.V.c_failures);
+        List.iteri
+          (fun i f ->
+            Alcotest.(check bool) f true
+              (contains
+                 ~substring:(Printf.sprintf "seed %d: schedule raised" (i + 1))
+                 f))
+          corr.V.c_failures) ]
+
+(* ------------------------------------------------------------------ *)
 (* Satellite: canonical violation ordering of policy reports           *)
 (* ------------------------------------------------------------------ *)
 
@@ -352,4 +549,5 @@ let fused_audit_tests =
               (Array.for_all2 Asr.Domain.equal s f))
           scheduled fused) ]
 
-let suite = vc_tests @ correspondence_tests @ ordering_tests @ fused_audit_tests
+let suite =
+  vc_tests @ correspondence_tests @ differential_tests @ ordering_tests @ fused_audit_tests

@@ -1,4 +1,5 @@
 open Util
+module T = Mj_runtime.Threads
 
 let racer_src = Workloads.Fig8_mj.threaded_source
 
@@ -154,4 +155,64 @@ let suite =
                (fun () -> Mj_bytecode.Vm.run_main session "Fig8"));
           Hashtbl.replace outcomes (Mj_bytecode.Vm.output session) ()
         done;
-        Alcotest.(check bool) "several outcomes" true (Hashtbl.length outcomes > 1)) ]
+        Alcotest.(check bool) "several outcomes" true (Hashtbl.length outcomes > 1));
+    case "choice flag: one thread yielding many times has no choice"
+      (fun () ->
+        ignore
+          (T.run ~policy:(T.Seeded 3) (fun () ->
+               for _ = 1 to 50 do
+                 T.maybe_yield ()
+               done));
+        Alcotest.(check bool) "no choice" false (T.last_run_branched ()));
+    case "choice flag: start then join with no yield point between"
+      (fun () ->
+        ignore
+          (T.run ~policy:(T.Seeded 3) (fun () ->
+               Effect.perform
+                 (T.Spawn (1, fun () -> for _ = 1 to 5 do T.maybe_yield () done));
+               Effect.perform (T.Join 1)));
+        Alcotest.(check bool) "no choice" false (T.last_run_branched ()));
+    case "choice flag: two workers started together make a choice"
+      (fun () ->
+        ignore
+          (T.run ~policy:(T.Seeded 3) (fun () ->
+               Effect.perform (T.Spawn (1, T.maybe_yield));
+               Effect.perform (T.Spawn (2, T.maybe_yield));
+               Effect.perform (T.Join 1);
+               Effect.perform (T.Join 2)));
+        Alcotest.(check bool) "choice" true (T.last_run_branched ()));
+    case "choice flag: a raising run reports it, the next run starts clean"
+      (fun () ->
+        (* two workers joining each other always deadlock, after a
+           choice at main's first join *)
+        let mutual () =
+          Effect.perform
+            (T.Spawn (1, fun () -> T.maybe_yield (); Effect.perform (T.Join 2)));
+          Effect.perform
+            (T.Spawn (2, fun () -> T.maybe_yield (); Effect.perform (T.Join 1)));
+          Effect.perform (T.Join 1)
+        in
+        (match T.run ~policy:(T.Seeded 5) mutual with
+        | _ -> Alcotest.fail "expected a deadlock"
+        | exception T.Deadlock _ -> ());
+        Alcotest.(check bool) "choice survives the raise" true
+          (T.last_run_branched ());
+        (* joining a thread that never starts deadlocks without a choice *)
+        (match T.run ~policy:(T.Seeded 5) (fun () -> Effect.perform (T.Join 9)) with
+        | _ -> Alcotest.fail "expected a deadlock"
+        | exception T.Deadlock _ -> ());
+        Alcotest.(check bool) "cleared by the next run" false
+          (T.last_run_branched ()));
+    case "choice flag: the racy Fig. 8 program chooses, a sequential one not"
+      (fun () ->
+        ignore (run_seeded racer_src "Fig8" 0);
+        Alcotest.(check bool) "racy" true (T.last_run_branched ());
+        ignore
+          (run_seeded
+             {|class Main { public static void main() {
+                 int s = 0;
+                 for (int i = 0; i < 10; i++) s = s + i;
+                 System.out.println(s);
+               } }|}
+             "Main" 0);
+        Alcotest.(check bool) "sequential" false (T.last_run_branched ())) ]
