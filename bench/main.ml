@@ -1561,6 +1561,87 @@ let bechamel () =
 (* instrumentation overhead (enabled vs disabled sink).                *)
 (* ------------------------------------------------------------------ *)
 
+(* ------------------------------------------------------------------ *)
+(* Recorded baselines: committed JSON a fresh run is checked against   *)
+(* (loaded here for every bench), row by row for telemetry/lineprof.   *)
+(* ------------------------------------------------------------------ *)
+
+module Recorded = struct
+  module J = Telemetry.Json
+
+  (* One list of rows in the artifact: rows pair up by [ids]; [gated]
+     fields must be equal, [walls] are reported only. *)
+  type section = {
+    list : string;
+    ids : string list;
+    gated : string list;
+    walls : string list;
+  }
+
+  let load path =
+    let ic = open_in_bin path in
+    let text =
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    in
+    match J.parse text with
+    | j -> j
+    | exception J.Parse_error msg ->
+        Printf.eprintf "cannot parse %s: %s\n" path msg;
+        exit 1
+
+  let rows name j = match J.member name j with Some (J.List l) -> l | _ -> []
+
+  let show = function Some v -> J.to_string v | None -> "(absent)"
+
+  (* Prints the comparison on stderr (stdout may be JSON); false when a
+     gated field differs or a recorded row is missing from the fresh
+     run. *)
+  let check ~path fresh sections =
+    let recorded = load path in
+    let say fmt = Printf.eprintf fmt in
+    say "\nfresh run vs recorded %s\n" path;
+    List.for_all
+      (fun sec ->
+        let id row =
+          List.map
+            (fun f ->
+              match J.member f row with Some (J.Str v) -> v | v -> show v)
+            sec.ids
+        in
+        let now = rows sec.list fresh in
+        List.fold_left
+          (fun ok old ->
+            let name = String.concat "/" (id old) in
+            match List.find_opt (fun r -> id r = id old) now with
+            | None ->
+                say "  %-28s MISSING from the fresh run\n" name;
+                false
+            | Some row ->
+                let bad =
+                  List.filter
+                    (fun f -> J.member f row <> J.member f old)
+                    sec.gated
+                in
+                List.iter
+                  (fun f ->
+                    say "  %-28s %s: recorded %s, fresh %s\n" name f
+                      (show (J.member f old)) (show (J.member f row)))
+                  bad;
+                if bad = [] && sec.gated <> [] then
+                  say "  %-28s %s equal\n" name
+                    (String.concat ", " sec.gated);
+                List.iter
+                  (fun f ->
+                    say "  %-28s %s %s -> %s (not gated)\n" name f
+                      (show (J.member f old)) (show (J.member f row)))
+                  sec.walls;
+                ok && bad = [])
+          true (rows sec.list recorded))
+      sections
+end
+
 module Telemetry_bench = struct
   module J = Telemetry.Json
 
@@ -1798,7 +1879,7 @@ module Telemetry_bench = struct
       (if r.trace_valid then "parses and is well-formed" else "INVALID");
     Printf.printf "  vcd: %s\n" (if r.vcd_ok then "ok" else "INVALID")
 
-  let print_json r =
+  let to_json r =
     let recon_json row =
       J.Obj
         [ ("workload", J.Str row.t_workload);
@@ -1834,18 +1915,16 @@ module Telemetry_bench = struct
           ("disabled_wall_s", J.Float n.n_disabled_s);
           ("enabled_wall_s", J.Float n.n_enabled_s) ]
     in
-    print_endline
-      (J.to_string
-         (J.Obj
-            [ ("bench", J.Str "telemetry");
-              ("reconcile", J.List (List.map recon_json r.recon));
-              ("overhead", J.List (List.map overhead_json r.overhead));
-              ("asr_netgen", J.List (List.map netgen_json r.netgen));
-              ( "chrome_trace",
-                J.Obj
-                  [ ("events", J.Int r.trace_events);
-                    ("valid", J.Bool r.trace_valid) ] );
-              ("vcd_ok", J.Bool r.vcd_ok) ]))
+    J.Obj
+      [ ("bench", J.Str "telemetry");
+        ("reconcile", J.List (List.map recon_json r.recon));
+        ("overhead", J.List (List.map overhead_json r.overhead));
+        ("asr_netgen", J.List (List.map netgen_json r.netgen));
+        ( "chrome_trace",
+          J.Obj
+            [ ("events", J.Int r.trace_events);
+              ("valid", J.Bool r.trace_valid) ] );
+        ("vcd_ok", J.Bool r.vcd_ok) ]
 
   (* Smoke contract: every engine/workload pair reconciles to the cycle,
      the Chrome trace parses back well-formed, the VCD smoke passes. *)
@@ -1878,10 +1957,23 @@ module Telemetry_bench = struct
     end;
     if !failed then exit 1
 
-  let run ~json ~smoke () =
+  (* Against a recorded run of the same size: the modeled cycles and
+     profiles of every engine must not move. *)
+  let sections =
+    [ { Recorded.list = "reconcile"; ids = [ "workload"; "engine" ];
+        gated = [ "cycles"; "profile_total"; "top_self" ]; walls = [] };
+      { Recorded.list = "overhead"; ids = [ "workload"; "engine" ]; gated = [];
+        walls = [ "disabled_wall_s"; "enabled_wall_s" ] } ]
+
+  let run ~json ~smoke ~baseline () =
     let r = report ~smoke () in
-    if json then print_json r else print_text r;
-    check r
+    if json then print_endline (J.to_string (to_json r)) else print_text r;
+    check r;
+    match baseline with
+    | Some path when not (Recorded.check ~path (to_json r) sections) ->
+        Printf.eprintf "FAIL telemetry: fresh run differs from %s\n" path;
+        exit 1
+    | Some _ | None -> ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -1964,7 +2056,7 @@ module Lineprof_bench = struct
           r.l_on_wall (overhead_pct r))
       rows
 
-  let print_json rows =
+  let to_json rows =
     let row_json r =
       J.Obj
         [ ("workload", J.Str r.l_workload);
@@ -1987,11 +2079,8 @@ module Lineprof_bench = struct
           ("enabled_wall_s", J.Float r.l_on_wall);
           ("overhead_pct", J.Float (overhead_pct r)) ]
     in
-    print_endline
-      (J.to_string
-         (J.Obj
-            [ ("bench", J.Str "lineprof");
-              ("rows", J.List (List.map row_json rows)) ]))
+    J.Obj
+      [ ("bench", J.Str "lineprof"); ("rows", J.List (List.map row_json rows)) ]
 
   (* Smoke contract: attribution reconciles to the cycle on every
      engine/workload pair, and enabling it never changes the modeled
@@ -2020,10 +2109,21 @@ module Lineprof_bench = struct
       rows;
     if !failed then exit 1
 
-  let run ~json ~smoke () =
+  let sections =
+    [ { Recorded.list = "rows"; ids = [ "workload"; "engine" ];
+        gated = [ "lines_total"; "top_lines" ];
+        walls = [ "disabled_wall_s"; "enabled_wall_s" ] } ]
+
+  let run ~json ~smoke ~baseline () =
     let rows = measure ~smoke () in
-    if json then print_json rows else print_text rows;
-    check rows
+    if json then print_endline (J.to_string (to_json rows))
+    else print_text rows;
+    check rows;
+    match baseline with
+    | Some path when not (Recorded.check ~path (to_json rows) sections) ->
+        Printf.eprintf "FAIL lineprof: fresh run differs from %s\n" path;
+        exit 1
+    | Some _ | None -> ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -2327,19 +2427,7 @@ module Faults_bench = struct
     E.total_cycles elab
 
   let baseline_lookup path =
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let parsed =
-      match J.parse text with
-      | parsed -> parsed
-      | exception J.Parse_error msg ->
-          Printf.eprintf "cannot parse baseline %s: %s\n" path msg;
-          exit 1
-    in
+    let parsed = Recorded.load path in
     fun ~workload ~engine ->
       match J.member "rows" parsed with
       | Some (J.List rows) ->
@@ -2689,19 +2777,7 @@ module Monitor_bench = struct
   (* --baseline BENCH_fusion.json: the committed fused evaluation counts
      the monitor-off path must reproduce exactly (full size only). *)
   let fusion_baseline path =
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let parsed =
-      match J.parse text with
-      | parsed -> parsed
-      | exception J.Parse_error msg ->
-          Printf.eprintf "cannot parse baseline %s: %s\n" path msg;
-          exit 1
-    in
+    let parsed = Recorded.load path in
     fun ~name ->
       match J.member "workloads" parsed with
       | Some (J.List rows) ->
@@ -4508,18 +4584,7 @@ module Compare = struct
           (0, acc) items
         |> snd
 
-  let load path =
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match J.parse text with
-    | parsed -> List.rev (flatten "" [] parsed)
-    | exception J.Parse_error msg ->
-        Printf.eprintf "cannot parse %s: %s\n" path msg;
-        exit 1
+  let load path = List.rev (flatten "" [] (Recorded.load path))
 
   let contains ~sub s =
     let n = String.length sub and m = String.length s in
@@ -4608,8 +4673,10 @@ let smoke_flag = ref false
    against — BENCH_lineprof.json for the faults bench (supervisor-
    disabled cycle counts), BENCH_fusion.json for the monitor bench
    (monitor-off evaluation counts must be cycle-identical to the fused
-   rows). Full-size runs only; meaningless under --smoke, which scales
-   the workloads down. *)
+   rows); both are full-size runs, meaningless under --smoke, which
+   scales the workloads down. The telemetry and lineprof benches take a
+   recorded run of their own at the same size, bench/baselines/*.json
+   for --smoke. *)
 let baseline_flag = ref None
 
 let experiments =
@@ -4622,9 +4689,15 @@ let experiments =
     ("analysis",
      `Plain (fun () -> Analysis_bench.run ~json:!json_flag ~smoke:!smoke_flag ()));
     ("telemetry",
-     `Plain (fun () -> Telemetry_bench.run ~json:!json_flag ~smoke:!smoke_flag ()));
+     `Plain
+       (fun () ->
+         Telemetry_bench.run ~json:!json_flag ~smoke:!smoke_flag
+           ~baseline:!baseline_flag ()));
     ("lineprof",
-     `Plain (fun () -> Lineprof_bench.run ~json:!json_flag ~smoke:!smoke_flag ()));
+     `Plain
+       (fun () ->
+         Lineprof_bench.run ~json:!json_flag ~smoke:!smoke_flag
+           ~baseline:!baseline_flag ()));
     ("faults",
      `Plain
        (fun () ->

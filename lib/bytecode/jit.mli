@@ -1,10 +1,12 @@
 (** Closure backend — the analogue of a late-90s JIT compiler.
 
-    Each bytecode method is translated once into an array of OCaml
-    closures (one per instruction, operands pre-decoded, static call
-    targets pre-resolved); execution then drives the closures directly
-    without interpreter dispatch. Results are identical to {!Vm};
-    only the speed and the cost tariff differ. *)
+    Each bytecode method is translated once, on its first call, into
+    trees of OCaml closures: the operand stack is resolved at translation
+    time, int and boolean subexpressions compute unboxed values, and
+    call, field and static sites are linked to their targets (DESIGN.md
+    §2a). Charges happen in bytecode order, so results, cycles and
+    profiles match a stack machine with the same tariff; only the speed
+    and the cost tariff differ from {!Vm}. *)
 
 type t
 
@@ -17,8 +19,8 @@ val create :
   t
 (** Default tariff is {!Mj_runtime.Cost.jit_tariff}. [sink] observes
     every cycle from creation on; [lines] receives per-source-line
-    attribution via per-pc positions precomputed at translate time
-    (the disabled path runs the original dispatch loop untouched). *)
+    attribution from positions fixed at translate time (one branch per
+    charging node when no table is attached). *)
 
 val of_image :
   ?tariff:Mj_runtime.Cost.tariff ->

@@ -3,9 +3,19 @@ module Heap = Mj_runtime.Heap
 module Cost = Mj_runtime.Cost
 module Machine = Mj_runtime.Machine
 module Threads = Mj_runtime.Threads
-open Mj.Ast
 
-type t = { image : Compile.image; m : Machine.t }
+(* A method as the VM runs it: its bytecode plus, per pc, the field
+   site or static cell the instruction there names, linked on first
+   load. Dispatch and charges stay per instruction. *)
+type code = { mc : Instr.method_code; sites : site array }
+
+and site = Plain | Field of Heap.field_site | Cell of Value.t ref
+
+type t = {
+  image : Compile.image;
+  m : Machine.t;
+  link : code Link.t;
+}
 
 let fail = Machine.fail
 
@@ -26,42 +36,6 @@ let as_int = Machine.as_int
 let as_bool = Machine.as_bool
 
 let as_double = Machine.as_double
-
-let int_op op x y =
-  let w = Value.wrap32 in
-  match op with
-  | Add -> Value.Int (w (x + y))
-  | Sub -> Value.Int (w (x - y))
-  | Mul -> Value.Int (w (x * y))
-  | Div -> if y = 0 then fail "division by zero" else Value.Int (w (x / y))
-  | Mod -> if y = 0 then fail "division by zero" else Value.Int (w (x mod y))
-  | Band -> Value.Int (x land y)
-  | Bor -> Value.Int (x lor y)
-  | Bxor -> Value.Int (x lxor y)
-  | Shl -> Value.Int (w (x lsl (y land 31)))
-  | Shr -> Value.Int (x asr (y land 31))
-  | Lt -> Value.Bool (x < y)
-  | Gt -> Value.Bool (x > y)
-  | Le -> Value.Bool (x <= y)
-  | Ge -> Value.Bool (x >= y)
-  | Eq -> Value.Bool (x = y)
-  | Neq -> Value.Bool (x <> y)
-  | And | Or -> fail "vm: boolean operator compiled as int op"
-
-let double_op op x y =
-  match op with
-  | Add -> Value.Double (x +. y)
-  | Sub -> Value.Double (x -. y)
-  | Mul -> Value.Double (x *. y)
-  | Div -> Value.Double (x /. y)
-  | Lt -> Value.Bool (x < y)
-  | Gt -> Value.Bool (x > y)
-  | Le -> Value.Bool (x <= y)
-  | Ge -> Value.Bool (x >= y)
-  | Eq -> Value.Bool (Float.equal x y)
-  | Neq -> Value.Bool (not (Float.equal x y))
-  | Mod | Band | Bor | Bxor | Shl | Shr | And | Or ->
-      fail "vm: operator not defined on doubles"
 
 (* A frame: locals array plus a growable operand stack. *)
 type frame = {
@@ -89,16 +63,31 @@ let pop_n fr n =
   for i = n - 1 downto 0 do
     values.(i) <- pop fr
   done;
-  Array.to_list values
+  values
 
-let rec exec t (mc : Instr.method_code) ~this args =
+let load m (mc : Instr.method_code) =
+  let site = function
+    | Instr.Get_field f | Instr.Put_field f -> Field (Heap.field_site f)
+    | Instr.Get_static (c, f) | Instr.Put_static (c, f) -> (
+        match Machine.static_cell m c f with Some r -> Cell r | None -> Plain)
+    | _ -> Plain
+  in
+  { mc; sites = Array.map site mc.Instr.mc_code }
+
+let rec exec t ({ mc; _ } as c) ~this args =
   Machine.enter_frame t.m;
   Cost.enter_method_in t.m.Machine.cost mc.Instr.mc_class mc.Instr.mc_name;
-  Fun.protect
-    ~finally:(fun () ->
+  match run t c ~this args with
+  | v ->
       Cost.leave_method t.m.Machine.cost;
-      Machine.leave_frame t.m)
-  @@ fun () ->
+      Machine.leave_frame t.m;
+      v
+  | exception e ->
+      Cost.leave_method t.m.Machine.cost;
+      Machine.leave_frame t.m;
+      raise e
+
+and run t { mc; sites } ~this args =
   let fr =
     { locals = Array.make (max 1 mc.Instr.mc_nlocals) Value.Null;
       stack = Array.make 32 Value.Null; sp = 0 }
@@ -110,12 +99,11 @@ let rec exec t (mc : Instr.method_code) ~this args =
         1
     | None -> 0
   in
-  (try
-     List.iteri
-       (fun i (arg, ty) -> fr.locals.(base + i) <- Machine.coerce ty arg)
-       (List.combine args mc.Instr.mc_params)
-   with Invalid_argument _ ->
-     fail "vm: arity mismatch calling %s.%s" mc.Instr.mc_class mc.Instr.mc_name);
+  if Array.length args <> List.length mc.Instr.mc_params then
+    fail "vm: arity mismatch calling %s.%s" mc.Instr.mc_class mc.Instr.mc_name;
+  List.iteri
+    (fun i ty -> fr.locals.(base + i) <- Machine.coerce ty args.(i))
+    mc.Instr.mc_params;
   let code = mc.Instr.mc_code in
   let cost = t.m.Machine.cost in
   let heap = t.m.Machine.heap in
@@ -139,20 +127,28 @@ let rec exec t (mc : Instr.method_code) ~this args =
     | Instr.Get_field fname ->
         Cost.field cost;
         let r = Heap.deref heap (pop fr) in
-        push fr (Heap.get_field heap r fname);
+        push fr
+          (match sites.(pc) with
+          | Field site -> Heap.get_field_at heap r site
+          | Plain | Cell _ -> Heap.get_field heap r fname);
         step (pc + 1)
     | Instr.Put_field fname ->
         Cost.field cost;
         let v = pop fr in
         let r = Heap.deref heap (pop fr) in
-        Heap.set_field heap r fname v;
+        (match sites.(pc) with
+        | Field site -> Heap.set_field_at heap r site v
+        | Plain | Cell _ -> Heap.set_field heap r fname v);
         push fr v;
         step (pc + 1)
     | Instr.Get_static (cls, fname) ->
         Cost.field cost;
         if Threads.active () then
           Threads.note (Printf.sprintf "read %s.%s" cls fname);
-        push fr (Machine.static_get t.m cls fname);
+        push fr
+          (match sites.(pc) with
+          | Cell c -> !c
+          | Plain | Field _ -> Machine.static_get t.m cls fname);
         step (pc + 1)
     | Instr.Put_static (cls, fname) ->
         Cost.field cost;
@@ -160,7 +156,9 @@ let rec exec t (mc : Instr.method_code) ~this args =
         if Threads.active () then
           Threads.note
             (Printf.sprintf "write %s.%s = %s" cls fname (Value.to_display v));
-        Machine.static_set t.m cls fname v;
+        (match sites.(pc) with
+        | Cell c -> c := v
+        | Plain | Field _ -> Machine.static_set t.m cls fname v);
         push fr v;
         step (pc + 1)
     | Instr.Array_load ->
@@ -169,37 +167,19 @@ let rec exec t (mc : Instr.method_code) ~this args =
         let r = Heap.deref heap (pop fr) in
         push fr (Heap.array_get heap r i);
         step (pc + 1)
-    | Instr.Array_store ->
-        Cost.array cost;
-        let v = pop fr in
-        let i = as_int (pop fr) in
-        let r = Heap.deref heap (pop fr) in
-        let v =
-          match Heap.get heap r with
-          | Heap.Arr { elem; _ } -> Machine.coerce elem v
-          | Heap.Object _ -> v
-        in
-        Heap.array_set heap r i v;
-        push fr v;
-        step (pc + 1)
     | Instr.Aload_u ->
         Cost.array_unchecked cost;
         let i = as_int (pop fr) in
         let r = Heap.deref heap (pop fr) in
         push fr (Heap.array_get_unchecked heap r i);
         step (pc + 1)
-    | Instr.Astore_u ->
-        Cost.array_unchecked cost;
+    | (Instr.Array_store | Instr.Astore_u) as instr ->
+        let checked = instr = Instr.Array_store in
+        if checked then Cost.array cost else Cost.array_unchecked cost;
         let v = pop fr in
         let i = as_int (pop fr) in
         let r = Heap.deref heap (pop fr) in
-        let v =
-          match Heap.get heap r with
-          | Heap.Arr { elem; _ } -> Machine.coerce elem v
-          | Heap.Object _ -> v
-        in
-        Heap.array_set_unchecked heap r i v;
-        push fr v;
+        push fr (Machine.array_store t.m r i v ~checked);
         step (pc + 1)
     | Instr.Array_len ->
         Cost.field cost;
@@ -208,7 +188,9 @@ let rec exec t (mc : Instr.method_code) ~this args =
         step (pc + 1)
     | Instr.New_object (cls, argc) ->
         let args = pop_n fr argc in
-        push fr (construct t cls args);
+        let obj = Machine.alloc_instance t.m cls in
+        run_ctor t cls obj args;
+        push fr obj;
         step (pc + 1)
     | Instr.New_array elem ->
         let n = as_int (pop fr) in
@@ -216,20 +198,20 @@ let rec exec t (mc : Instr.method_code) ~this args =
         push fr (Heap.alloc_array heap ~elem n);
         step (pc + 1)
     | Instr.New_multi (elem, ndims) ->
-        let dims = List.map as_int (pop_n fr ndims) in
-        push fr (alloc_multi t elem dims);
+        let dims = Array.to_list (Array.map as_int (pop_n fr ndims)) in
+        push fr (Machine.alloc_multi t.m elem dims);
         step (pc + 1)
     | Instr.Iop op ->
         Cost.arith cost;
         let y = as_int (pop fr) in
         let x = as_int (pop fr) in
-        push fr (int_op op x y);
+        push fr (Machine.int_op op x y);
         step (pc + 1)
     | Instr.Dop op ->
         Cost.arith cost;
         let y = as_double (pop fr) in
         let x = as_double (pop fr) in
-        push fr (double_op op x y);
+        push fr (Machine.double_op op x y);
         step (pc + 1)
     | Instr.Veq positive ->
         Cost.arith cost;
@@ -262,17 +244,10 @@ let rec exec t (mc : Instr.method_code) ~this args =
         step (pc + 1)
     | Instr.D2i ->
         Cost.arith cost;
-        push fr (Value.Int (Value.wrap32 (int_of_float (as_double (pop fr)))));
+        push fr (Value.Int (Value.d2i (as_double (pop fr))));
         step (pc + 1)
     | Instr.Checkcast ty ->
-        (let v = pop fr in
-         match (ty, v) with
-         | TClass target, Value.Ref r ->
-             let dyn = Heap.object_class heap r in
-             if Mj.Symtab.is_subclass t.image.Compile.im_tab ~sub:dyn ~super:target
-             then push fr v
-             else fail "class cast exception: %s is not a %s" dyn target
-         | _, v -> push fr v);
+        push fr (Machine.check_cast t.m ty (pop fr));
         step (pc + 1)
     | Instr.Jump target -> step target
     | Instr.Jump_if_false target ->
@@ -286,13 +261,13 @@ let rec exec t (mc : Instr.method_code) ~this args =
     | Instr.Invoke_static (cls, mname, argc) ->
         Cost.call cost;
         let args = pop_n fr argc in
-        push fr (invoke_static t cls mname args);
+        push fr (invoke t None cls mname args);
         step (pc + 1)
     | Instr.Invoke_special (cls, mname, argc) ->
         Cost.call cost;
         let args = pop_n fr argc in
         let recv = pop fr in
-        push fr (invoke_from_class t recv cls mname args);
+        push fr (invoke t (Some recv) cls mname args);
         step (pc + 1)
     | Instr.Invoke_ctor (cls, argc) ->
         Cost.call cost;
@@ -343,66 +318,29 @@ let rec exec t (mc : Instr.method_code) ~this args =
   in
   step 0
 
-and alloc_multi t elem dims =
-  let heap = t.m.Machine.heap in
-  Cost.alloc t.m.Machine.cost ~words:(match dims with d :: _ -> d | [] -> 0);
-  match dims with
-  | [] -> fail "vm: array without dimensions"
-  | [ n ] -> Heap.alloc_array heap ~elem n
-  | n :: rest ->
-      let sub_ty = List.fold_left (fun ty _ -> TArray ty) elem rest in
-      let arr = Heap.alloc_array heap ~elem:sub_ty n in
-      let r = Heap.deref heap arr in
-      for i = 0 to n - 1 do
-        Heap.array_set heap r i (alloc_multi t elem rest)
-      done;
-      arr
-
 and invoke_virtual t recv mname args =
   let r = Heap.deref t.m.Machine.heap recv in
-  let dyn = Heap.object_class t.m.Machine.heap r in
-  invoke_from_class t recv dyn mname args
+  invoke t (Some recv) (Heap.object_class t.m.Machine.heap r) mname args
 
-and invoke_from_class t recv cls mname args =
-  match Compile.find_method t.image cls mname with
-  | Some (_, mc) -> exec t mc ~this:(Some recv) args
-  | None -> (
-      match Mj.Symtab.lookup_method t.image.Compile.im_tab cls mname with
-      | Some (defining, m) when m.m_mods.is_native ->
-          Machine.native_call t.m ~defining ~mname recv args
-      | Some (defining, _) -> fail "vm: method %s.%s has no code" defining mname
-      | None -> fail "vm: no method %s on %s" mname cls)
-
-and invoke_static t cls mname args =
-  match Compile.find_method t.image cls mname with
-  | Some (_, mc) -> exec t mc ~this:None args
-  | None -> (
-      match Mj.Symtab.lookup_method t.image.Compile.im_tab cls mname with
-      | Some (defining, m) when m.m_mods.is_native ->
-          Machine.native_call t.m ~defining ~mname Value.Null args
-      | Some _ | None -> fail "vm: no static method %s.%s" cls mname)
+(* [this] is [None] for a static call. *)
+and invoke t this cls mname args =
+  match Link.target t.link cls mname with
+  | Link.Code c -> exec t c ~this args
+  | Link.Native f ->
+      f (Option.value this ~default:Value.Null) (Array.to_list args)
 
 and run_ctor t cls recv args =
-  match Hashtbl.find_opt t.image.Compile.im_ctors (cls, List.length args) with
-  | Some mc -> ignore (exec t mc ~this:(Some recv) args)
-  | None -> fail "vm: no constructor %s/%d" cls (List.length args)
+  ignore
+    (exec t (Link.ctor t.link cls (Array.length args)) ~this:(Some recv) args)
 
-and construct t cls args =
-  let tab = t.image.Compile.im_tab in
-  let fields = Mj.Symtab.instance_fields tab cls in
-  let defaults =
-    List.map (fun (_, f) -> (f.f_name, Value.default f.f_ty)) fields
-  in
-  Cost.alloc t.m.Machine.cost ~words:(Heap.words_of_object (List.length defaults));
-  let obj = Heap.alloc_object t.m.Machine.heap ~cls ~fields:defaults in
-  run_ctor t cls obj args;
+let call t recv mname args = invoke_virtual t recv mname (Array.of_list args)
+
+let call_static t cls mname args = invoke t None cls mname (Array.of_list args)
+
+let new_instance t cls args =
+  let obj = Machine.alloc_instance t.m cls in
+  run_ctor t cls obj (Array.of_list args);
   obj
-
-let call t recv mname args = invoke_virtual t recv mname args
-
-let call_static t cls mname args = invoke_static t cls mname args
-
-let new_instance t cls args = construct t cls args
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
@@ -412,9 +350,9 @@ let of_image ?tariff ?sink ?lines image =
     | Some tariff -> Machine.create ~tariff ?sink ?lines image.Compile.im_tab
     | None -> Machine.create ?sink ?lines image.Compile.im_tab
   in
-  let t = { image; m } in
-  m.Machine.invoke_run <- (fun recv -> ignore (invoke_virtual t recv "run" []));
-  ignore (exec t image.Compile.im_static_init ~this:None []);
+  let t = { image; m; link = Link.create image m ~load:(load m) } in
+  m.Machine.invoke_run <- (fun recv -> ignore (call t recv "run" []));
+  ignore (exec t (load m image.Compile.im_static_init) ~this:None [||]);
   t
 
 let create ?tariff ?sink ?lines ?elide checked =

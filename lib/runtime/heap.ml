@@ -2,8 +2,14 @@ type phase = Init | Reactive
 
 exception Runtime_error of string
 
+type layout = {
+  l_cls : string;
+  l_names : string array;
+  l_index : (string, int) Hashtbl.t;
+}
+
 type obj_data =
-  | Object of { cls : string; fields : (string, Value.t) Hashtbl.t }
+  | Object of { layout : layout; slots : Value.t array }
   | Arr of { elem : Mj.Ast.ty; cells : Value.t array }
 
 type stats = {
@@ -29,6 +35,9 @@ type t = {
   mutable gc_count : int;
   mutable on_gc : live_words:int -> unit;
   mutable on_trap : unit -> unit;
+  (* One layout per class, shared by all its instances: field access
+     sites cache the layout they last saw and the slot it maps to. *)
+  layouts : (string, layout) Hashtbl.t;
 }
 
 let create () =
@@ -36,7 +45,7 @@ let create () =
     forbid_reactive = false; init_allocations = 0; reactive_allocations = 0;
     init_words = 0; reactive_words = 0; limit_words = None; gc_threshold = None;
     words_since_gc = 0; gc_count = 0; on_gc = (fun ~live_words:_ -> ());
-    on_trap = (fun () -> ()) }
+    on_trap = (fun () -> ()); layouts = Hashtbl.create 16 }
 
 let phase t = t.phase
 
@@ -125,11 +134,22 @@ let store t data =
   t.next <- index + 1;
   Value.Ref index
 
-let alloc_object t ~cls ~fields =
-  record_alloc t (words_of_object (List.length fields));
-  let table = Hashtbl.create (max 4 (List.length fields)) in
-  List.iter (fun (name, value) -> Hashtbl.replace table name value) fields;
-  store t (Object { cls; fields = table })
+let make_layout ~cls names =
+  let index = Hashtbl.create (max 4 (Array.length names)) in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) names;
+  { l_cls = cls; l_names = names; l_index = index }
+
+let layout t ~cls ~names =
+  match Hashtbl.find_opt t.layouts cls with
+  | Some l -> l
+  | None ->
+      let l = make_layout ~cls names in
+      Hashtbl.replace t.layouts cls l;
+      l
+
+let alloc_object t layout slots =
+  record_alloc t (words_of_object (Array.length slots));
+  store t (Object { layout; slots })
 
 let alloc_array t ~elem n =
   if n < 0 then raise (Runtime_error "negative array size");
@@ -149,26 +169,62 @@ let deref _t = function
   | Value.Int _ | Value.Double _ | Value.Bool _ | Value.Str _ ->
       raise (Runtime_error "dereference of a non-reference value")
 
+let not_an_object () =
+  raise (Runtime_error "expected an object, found an array")
+
 let object_class t index =
   match get t index with
-  | Object { cls; _ } -> cls
-  | Arr _ -> raise (Runtime_error "expected an object, found an array")
+  | Object { layout; _ } -> layout.l_cls
+  | Arr _ -> not_an_object ()
 
-let object_fields t index =
+let object_layout t index =
   match get t index with
-  | Object { fields; _ } -> fields
-  | Arr _ -> raise (Runtime_error "expected an object, found an array")
+  | Object { layout; _ } -> Some layout
+  | Arr _ -> None
 
-let get_field t index name =
-  match Hashtbl.find_opt (object_fields t index) name with
-  | Some v -> v
+let slot_of layout name =
+  match Hashtbl.find_opt layout.l_index name with
+  | Some i -> i
   | None -> raise (Runtime_error (Printf.sprintf "object has no field '%s'" name))
 
+let get_field t index name =
+  match get t index with
+  | Object { layout; slots } -> slots.(slot_of layout name)
+  | Arr _ -> not_an_object ()
+
 let set_field t index name value =
-  let fields = object_fields t index in
-  if not (Hashtbl.mem fields name) then
-    raise (Runtime_error (Printf.sprintf "object has no field '%s'" name));
-  Hashtbl.replace fields name value
+  match get t index with
+  | Object { layout; slots } -> slots.(slot_of layout name) <- value
+  | Arr _ -> not_an_object ()
+
+(* Inline caches for the closure backend: a site remembers the last
+   layout it met and that layout's slot for its field name. *)
+type field_site = {
+  fs_name : string;
+  mutable fs_layout : layout;
+  mutable fs_slot : int;
+}
+
+let no_layout = make_layout ~cls:"" [||]
+
+let field_site name = { fs_name = name; fs_layout = no_layout; fs_slot = 0 }
+
+let site_slot site layout =
+  if layout != site.fs_layout then begin
+    site.fs_slot <- slot_of layout site.fs_name;
+    site.fs_layout <- layout
+  end;
+  site.fs_slot
+
+let get_field_at t index site =
+  match get t index with
+  | Object { layout; slots } -> slots.(site_slot site layout)
+  | Arr _ -> not_an_object ()
+
+let set_field_at t index site value =
+  match get t index with
+  | Object { layout; slots } -> slots.(site_slot site layout) <- value
+  | Arr _ -> not_an_object ()
 
 let array_cells t index =
   match get t index with
@@ -222,14 +278,41 @@ type snapshot = {
   s_gc_count : int;
 }
 
-(* Field Hashtbls and array cells are mutable, so both directions copy
+(* Object slots and array cells are mutable, so both directions copy
    them: a snapshot stays valid however the live heap mutates, and a
-   snapshot restored more than once hands out fresh state each time. *)
+   snapshot restored more than once hands out fresh state each time.
+   Layouts are immutable and shared. *)
 let copy_cell = function
   | None -> None
-  | Some (Object { cls; fields }) ->
-      Some (Object { cls; fields = Hashtbl.copy fields })
+  | Some (Object { layout; slots }) ->
+      Some (Object { layout; slots = Array.copy slots })
   | Some (Arr { elem; cells }) -> Some (Arr { elem; cells = Array.copy cells })
+
+(* A restored object keeps its class's registered layout, so the field
+   caches of running code stay valid. An object whose layout came from
+   elsewhere (a decoded checkpoint, another machine) is re-slotted by
+   field name into the registered layout, or registers its own when the
+   class has none yet; one whose field set disagrees keeps its layout
+   and is reached by name. *)
+let adopt t = function
+  | Some (Object { layout; slots }) as cell -> (
+      match Hashtbl.find_opt t.layouts layout.l_cls with
+      | Some l when l == layout -> copy_cell cell
+      | Some l
+        when Array.length l.l_names = Array.length layout.l_names
+             && Array.for_all (Hashtbl.mem layout.l_index) l.l_names ->
+          Some
+            (Object
+               { layout = l;
+                 slots =
+                   Array.map
+                     (fun name -> slots.(Hashtbl.find layout.l_index name))
+                     l.l_names })
+      | Some _ -> copy_cell cell
+      | None ->
+          Hashtbl.replace t.layouts layout.l_cls layout;
+          copy_cell cell)
+  | cell -> copy_cell cell
 
 let snapshot t =
   { s_cells = Array.init t.next (fun i -> copy_cell t.cells.(i));
@@ -250,7 +333,7 @@ let restore t s =
   if Array.length t.cells < cap then t.cells <- Array.make cap None
   else Array.fill t.cells 0 (Array.length t.cells) None;
   for i = 0 to s.s_next - 1 do
-    t.cells.(i) <- copy_cell s.s_cells.(i)
+    t.cells.(i) <- adopt t s.s_cells.(i)
   done;
   t.next <- s.s_next;
   t.phase <- s.s_phase;

@@ -12,8 +12,16 @@ exception Runtime_error of string
 (** Raised for null dereference, bad index, division by zero, bad casts,
     and forbidden allocation. *)
 
+type layout = private {
+  l_cls : string;
+  l_names : string array;  (** field name of each slot *)
+  l_index : (string, int) Hashtbl.t;  (** slot of each field name *)
+}
+(** Where an object keeps its fields. A heap registers one layout per
+    class ({!layout}); all instances of the class share it. *)
+
 type obj_data =
-  | Object of { cls : string; fields : (string, Value.t) Hashtbl.t }
+  | Object of { layout : layout; slots : Value.t array }
   | Arr of { elem : Mj.Ast.ty; cells : Value.t array }
 
 type stats = {
@@ -48,7 +56,16 @@ val set_limit_words : t -> int option -> unit
 
 val limit_words : t -> int option
 
-val alloc_object : t -> cls:string -> fields:(string * Value.t) list -> Value.t
+val make_layout : cls:string -> string array -> layout
+(** A layout registered with no heap, for decoding a snapshot; {!restore}
+    re-slots its objects into the heap's own layout. *)
+
+val layout : t -> cls:string -> names:string array -> layout
+(** The heap's layout for [cls], registered with slots in [names] order
+    on first request. *)
+
+val alloc_object : t -> layout -> Value.t array -> Value.t
+(** A new object whose slots are the given array (taken, not copied). *)
 
 val alloc_array : t -> elem:Mj.Ast.ty -> int -> Value.t
 
@@ -59,9 +76,26 @@ val deref : t -> Value.t -> int
 
 val object_class : t -> int -> string
 
+val object_layout : t -> int -> layout option
+(** [None] for an array. *)
+
 val get_field : t -> int -> string -> Value.t
+(** By name; raises on an array or a missing field. *)
 
 val set_field : t -> int -> string -> Value.t -> unit
+
+type field_site
+(** A field access site's inline cache: the layout it last met and the
+    slot of its field in that layout. *)
+
+val field_site : string -> field_site
+
+val get_field_at : t -> int -> field_site -> Value.t
+(** Same result and errors as {!get_field} with the site's name; a
+    lookup by name only when the object's layout differs from the last
+    one seen at the site. *)
+
+val set_field_at : t -> int -> field_site -> Value.t -> unit
 
 val array_length : t -> int -> int
 
@@ -131,4 +165,7 @@ val snapshot : t -> snapshot
 
 val restore : t -> snapshot -> unit
 (** Deep copy back: the same snapshot can be restored any number of
-    times, and mutating the restored heap never corrupts the snapshot. *)
+    times, and mutating the restored heap never corrupts the snapshot.
+    Objects take the heap's registered layout of their class (re-slotted
+    by field name when the snapshot carries another one), so inline
+    caches filled before the restore stay valid. *)

@@ -43,49 +43,13 @@ let as_bool = Machine.as_bool
 (* Arithmetic                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let int_binop op x y =
-  let w = Value.wrap32 in
-  match op with
-  | Add -> Value.Int (w (x + y))
-  | Sub -> Value.Int (w (x - y))
-  | Mul -> Value.Int (w (x * y))
-  | Div -> if y = 0 then fail "division by zero" else Value.Int (w (x / y))
-  | Mod -> if y = 0 then fail "division by zero" else Value.Int (w (x mod y))
-  | Band -> Value.Int (x land y)
-  | Bor -> Value.Int (x lor y)
-  | Bxor -> Value.Int (x lxor y)
-  | Shl -> Value.Int (w (x lsl (y land 31)))
-  | Shr -> Value.Int (x asr (y land 31))
-  | Lt -> Value.Bool (x < y)
-  | Gt -> Value.Bool (x > y)
-  | Le -> Value.Bool (x <= y)
-  | Ge -> Value.Bool (x >= y)
-  | Eq -> Value.Bool (x = y)
-  | Neq -> Value.Bool (x <> y)
-  | And | Or -> fail "boolean operator on ints"
-
-let double_binop op x y =
-  match op with
-  | Add -> Value.Double (x +. y)
-  | Sub -> Value.Double (x -. y)
-  | Mul -> Value.Double (x *. y)
-  | Div -> Value.Double (x /. y)
-  | Lt -> Value.Bool (x < y)
-  | Gt -> Value.Bool (x > y)
-  | Le -> Value.Bool (x <= y)
-  | Ge -> Value.Bool (x >= y)
-  | Eq -> Value.Bool (Float.equal x y)
-  | Neq -> Value.Bool (not (Float.equal x y))
-  | Mod | Band | Bor | Bxor | Shl | Shr | And | Or ->
-      fail "operator not defined on doubles"
-
 let eval_binop op x y =
   match (op, x, y) with
   | Add, Value.Str s, v -> Value.Str (s ^ Value.to_display v)
   | Add, v, Value.Str s -> Value.Str (Value.to_display v ^ s)
-  | _, Value.Int a, Value.Int b -> int_binop op a b
+  | _, Value.Int a, Value.Int b -> Machine.int_op op a b
   | _, (Value.Double _ | Value.Int _), (Value.Double _ | Value.Int _) ->
-      double_binop op (as_double x) (as_double y)
+      Machine.double_op op (as_double x) (as_double y)
   | (Eq | Neq), _, _ ->
       let same = Value.equal x y in
       Value.Bool (if op = Eq then same else not same)
@@ -136,7 +100,7 @@ let rec eval_expr (t : t) frame e =
       construct t cls args
   | New_array (elem, dims) ->
       let dims = List.map (fun d -> as_int (eval_expr t frame d)) dims in
-      alloc_multi t elem dims
+      Machine.alloc_multi t elem dims
   | Unary (Neg, x) -> (
       Cost.arith t.Machine.cost;
       match eval_expr t frame x with
@@ -170,7 +134,7 @@ let rec eval_expr (t : t) frame e =
       (* Compound assignment narrows back to the target's type. *)
       let v =
         match (old_v, v) with
-        | Value.Int _, Value.Double f -> Value.Int (Value.wrap32 (int_of_float f))
+        | Value.Int _, Value.Double f -> Value.Int (Value.d2i f)
         | _, v -> v
       in
       write_slot t frame slot v
@@ -188,33 +152,16 @@ let rec eval_expr (t : t) frame e =
       Cost.arith t.Machine.cost;
       let v = eval_expr t frame x in
       match (ty, v) with
-      | TInt, Value.Double f -> Value.Int (Value.wrap32 (int_of_float f))
+      | TInt, Value.Double f -> Value.Int (Value.d2i f)
       | TInt, Value.Int n -> Value.Int n
       | TDouble, v -> Value.Double (as_double v)
-      | TClass target, (Value.Ref r as v) ->
-          let dyn = Heap.object_class t.Machine.heap r in
-          if Mj.Symtab.is_subclass t.Machine.tab ~sub:dyn ~super:target then v
-          else fail "class cast exception: %s is not a %s" dyn target
+      | TClass _, (Value.Ref _ as v) -> Machine.check_cast t ty v
       | (TClass _ | TArray _ | TString), Value.Null -> Value.Null
       | _, v -> v)
   | Cond (c, a, b) ->
       Cost.arith t.Machine.cost;
       if as_bool (eval_expr t frame c) then eval_expr t frame a
       else eval_expr t frame b
-
-and alloc_multi (t : t) elem dims =
-  Cost.alloc t.Machine.cost ~words:(match dims with d :: _ -> d | [] -> 0);
-  match dims with
-  | [] -> fail "array without dimensions"
-  | [ n ] -> Heap.alloc_array t.Machine.heap ~elem n
-  | n :: rest ->
-      let sub_ty = List.fold_left (fun ty _ -> TArray ty) elem rest in
-      let arr = Heap.alloc_array t.Machine.heap ~elem:sub_ty n in
-      let r = Heap.deref t.Machine.heap arr in
-      for i = 0 to n - 1 do
-        Heap.array_set t.Machine.heap r i (alloc_multi t elem rest)
-      done;
-      arr
 
 (* ------------------------------------------------------------------ *)
 (* Lvalue slots                                                        *)
@@ -279,12 +226,7 @@ and write_slot (t : t) frame slot v =
       Machine.static_set t cls fname v
   | `Array (r, i) ->
       Cost.array t.Machine.cost;
-      let v =
-        match Heap.get t.Machine.heap r with
-        | Heap.Arr { elem; _ } -> coerce elem v
-        | Heap.Object _ -> v
-      in
-      Heap.array_set t.Machine.heap r i v);
+      ignore (Machine.array_store t r i v ~checked:true));
   v
 
 (* ------------------------------------------------------------------ *)
@@ -364,12 +306,7 @@ and run_method t ~defining ~m ~this args =
 (* ------------------------------------------------------------------ *)
 
 and construct t cls args =
-  let fields = Mj.Symtab.instance_fields t.Machine.tab cls in
-  let defaults =
-    List.map (fun (_, f) -> (f.f_name, Value.default f.f_ty)) fields
-  in
-  Cost.alloc t.Machine.cost ~words:(Heap.words_of_object (List.length defaults));
-  let obj = Heap.alloc_object t.Machine.heap ~cls ~fields:defaults in
+  let obj = Machine.alloc_instance t cls in
   init_chain t obj cls args;
   obj
 

@@ -3,7 +3,8 @@ type instant = { label : string; mutable subs : instant list }
 type t = {
   tab : Mj.Symtab.t;
   heap : Heap.t;
-  statics : (string * string, Value.t) Hashtbl.t;
+  statics : (string * string, Value.t ref) Hashtbl.t;
+  instances : (string, Heap.layout * Value.t array) Hashtbl.t;
   cost : Cost.t;
   console : Buffer.t;
   asr_ports : (int, ports) Hashtbl.t;
@@ -27,14 +28,16 @@ let create ?(tariff = Cost.interpreter_tariff) ?sink ?lines tab =
   let root = { label = "<root>"; subs = [] } in
   let t =
     { tab; heap = Heap.create (); statics = Hashtbl.create 64;
-      cost = Cost.create ?sink ?lines tariff; console = Buffer.create 256;
-      asr_ports = Hashtbl.create 8; instant_stack = [ root ]; root;
+      instances = Hashtbl.create 16; cost = Cost.create ?sink ?lines tariff;
+      console = Buffer.create 256; asr_ports = Hashtbl.create 8;
+      instant_stack = [ root ]; root;
       invoke_run = (fun _ -> fail "no engine installed for Thread.start");
       call_depth = 0; max_call_depth = 4096 }
   in
   List.iter
     (fun (cls, f) ->
-      Hashtbl.replace t.statics (cls, f.Mj.Ast.f_name) (Value.default f.Mj.Ast.f_ty))
+      Hashtbl.replace t.statics (cls, f.Mj.Ast.f_name)
+        (ref (Value.default f.Mj.Ast.f_ty)))
     (Mj.Symtab.static_fields tab);
   Heap.set_gc_hook t.heap (fun ~live_words -> Cost.gc t.cost ~live_words);
   Heap.set_trap_hook t.heap (fun () -> Cost.bounds_trap t.cost);
@@ -67,12 +70,138 @@ let coerce ty v =
   | Mj.Ast.TDouble, Value.Int n -> Value.Double (float_of_int n)
   | _, v -> v
 
+let static_cell t cls fname = Hashtbl.find_opt t.statics (cls, fname)
+
 let static_get t cls fname =
   match Hashtbl.find_opt t.statics (cls, fname) with
-  | Some v -> v
+  | Some c -> !c
   | None -> fail "no static field %s.%s" cls fname
 
-let static_set t cls fname v = Hashtbl.replace t.statics (cls, fname) v
+let static_set t cls fname v =
+  match Hashtbl.find_opt t.statics (cls, fname) with
+  | Some c -> c := v
+  | None -> Hashtbl.replace t.statics (cls, fname) (ref v)
+
+(* ----------------------- shared operations ----------------------- *)
+
+let is_compare : Mj.Ast.binop -> bool = function
+  | Lt | Gt | Le | Ge | Eq | Neq -> true
+  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Shl | Shr | And | Or ->
+      false
+
+let int_arith (op : Mj.Ast.binop) x y =
+  let w = Value.wrap32 in
+  match op with
+  | Add -> w (x + y)
+  | Sub -> w (x - y)
+  | Mul -> w (x * y)
+  | Div -> if y = 0 then fail "division by zero" else w (x / y)
+  | Mod -> if y = 0 then fail "division by zero" else w (x mod y)
+  | Band -> x land y
+  | Bor -> x lor y
+  | Bxor -> x lxor y
+  | Shl -> w (x lsl (y land 31))
+  | Shr -> x asr (y land 31)
+  | Lt | Gt | Le | Ge | Eq | Neq | And | Or ->
+      fail "boolean operator on ints"
+
+let int_compare (op : Mj.Ast.binop) (x : int) y =
+  match op with
+  | Lt -> x < y
+  | Gt -> x > y
+  | Le -> x <= y
+  | Ge -> x >= y
+  | Eq -> x = y
+  | Neq -> x <> y
+  | _ -> fail "boolean operator on ints"
+
+let int_op op x y =
+  if is_compare op then Value.Bool (int_compare op x y)
+  else Value.Int (int_arith op x y)
+
+let double_arith (op : Mj.Ast.binop) x y =
+  match op with
+  | Add -> x +. y
+  | Sub -> x -. y
+  | Mul -> x *. y
+  | Div -> x /. y
+  | _ -> fail "operator not defined on doubles"
+
+let double_compare (op : Mj.Ast.binop) (x : float) y =
+  match op with
+  | Lt -> x < y
+  | Gt -> x > y
+  | Le -> x <= y
+  | Ge -> x >= y
+  | Eq -> Float.equal x y
+  | Neq -> not (Float.equal x y)
+  | _ -> fail "operator not defined on doubles"
+
+let double_op op x y =
+  if is_compare op then Value.Bool (double_compare op x y)
+  else Value.Double (double_arith op x y)
+
+(* A class's slot layout and default field values, computed once. *)
+let instance_shape t cls =
+  match Hashtbl.find_opt t.instances cls with
+  | Some shape -> shape
+  | None ->
+      let fields = Mj.Symtab.instance_fields t.tab cls in
+      let names =
+        Array.of_list (List.map (fun (_, f) -> f.Mj.Ast.f_name) fields)
+      in
+      let layout = Heap.layout t.heap ~cls ~names in
+      let ty name =
+        match
+          List.find_opt (fun (_, f) -> String.equal f.Mj.Ast.f_name name) fields
+        with
+        | Some (_, f) -> f.Mj.Ast.f_ty
+        | None -> Mj.Ast.TNull
+      in
+      let shape =
+        (layout, Array.map (fun n -> Value.default (ty n)) layout.Heap.l_names)
+      in
+      Hashtbl.replace t.instances cls shape;
+      shape
+
+let alloc_instance t cls =
+  let layout, defaults = instance_shape t cls in
+  Cost.alloc t.cost ~words:(Heap.words_of_object (Array.length defaults));
+  Heap.alloc_object t.heap layout (Array.copy defaults)
+
+let rec alloc_multi t elem dims =
+  Cost.alloc t.cost ~words:(match dims with d :: _ -> d | [] -> 0);
+  match dims with
+  | [] -> fail "array without dimensions"
+  | [ n ] -> Heap.alloc_array t.heap ~elem n
+  | n :: rest ->
+      let sub_ty = List.fold_left (fun ty _ -> Mj.Ast.TArray ty) elem rest in
+      let arr = Heap.alloc_array t.heap ~elem:sub_ty n in
+      let r = Heap.deref t.heap arr in
+      for i = 0 to n - 1 do
+        Heap.array_set t.heap r i (alloc_multi t elem rest)
+      done;
+      arr
+
+let check_cast t ty v =
+  match (ty, v) with
+  | Mj.Ast.TClass target, Value.Ref r ->
+      let dyn = Heap.object_class t.heap r in
+      if Mj.Symtab.is_subclass t.tab ~sub:dyn ~super:target then v
+      else fail "class cast exception: %s is not a %s" dyn target
+  | _, v -> v
+
+(* An array store widens into the element type and yields the stored
+   value. *)
+let array_store t r i v ~checked =
+  let v =
+    match Heap.get t.heap r with
+    | Heap.Arr { elem; _ } -> coerce elem v
+    | Heap.Object _ -> v
+  in
+  if checked then Heap.array_set t.heap r i v
+  else Heap.array_set_unchecked t.heap r i v;
+  v
 
 let ports_state t recv =
   let r = Heap.deref t.heap recv in
@@ -111,115 +240,159 @@ let note_port t fmt_name port v =
     Threads.note
       (Printf.sprintf "%s(%d, %s)" fmt_name port (render_port_value t v))
 
+type native = Value.t -> Value.t list -> Value.t
+
+(* The body of a native, matched once on its name. Arguments that do
+   not fit the native's shape are reported like an unknown native. *)
+let native_body t ~defining ~mname : native =
+  let unknown () = fail "unimplemented native method %s.%s" defining mname in
+  let math1 f _ = function
+    | [ x ] -> Value.Double (f (as_double x))
+    | _ -> unknown ()
+  in
+  let ints2 f _ = function
+    | [ x; y ] -> Value.Int (f (as_int x) (as_int y))
+    | _ -> unknown ()
+  in
+  let none f recv = function [] -> f recv; Value.Null | _ -> unknown () in
+  let ports f recv args = f (ports_state t recv) args in
+  let port_index (p : ports) side port =
+    let i = as_int port in
+    let slots = if side = `In then p.inputs else p.outputs in
+    if i < 0 || i >= Array.length slots then
+      fail "no %s port %d" (if side = `In then "input" else "output") i;
+    i
+  in
+  let print newline _ = function
+    | [ v ] ->
+        Buffer.add_string t.console (Value.to_display v);
+        if newline then Buffer.add_char t.console '\n';
+        Value.Null
+    | _ -> unknown ()
+  in
+  match (defining, mname) with
+  | "Math", "sqrt" -> math1 sqrt
+  | "Math", "sin" -> math1 sin
+  | "Math", "cos" -> math1 cos
+  | "Math", "floor" -> math1 floor
+  | "Math", "ceil" -> math1 ceil
+  | "Math", "abs" -> math1 Float.abs
+  | "Math", "pow" -> (
+      fun _ -> function
+        | [ x; y ] -> Value.Double (Float.pow (as_double x) (as_double y))
+        | _ -> unknown ())
+  | "Math", "iabs" -> (
+      fun _ -> function [ x ] -> Value.Int (abs (as_int x)) | _ -> unknown ())
+  | "Math", "round" -> (
+      fun _ -> function
+        | [ x ] -> Value.Int (Value.d2i (Float.round (as_double x)))
+        | _ -> unknown ())
+  | "Math", "min" -> ints2 min
+  | "Math", "max" -> ints2 max
+  | "PrintStream", "println" -> print true
+  | "PrintStream", "print" -> print false
+  | "System", "currentTimeMillis" -> (
+      fun _ -> function
+        | [] ->
+            (* Deterministic pseudo-time derived from the cost model. *)
+            Value.Int (Value.wrap32 (Cost.cycles t.cost / 100_000))
+        | _ -> unknown ())
+  | "Thread", "start" ->
+      none (fun recv ->
+          let r = Heap.deref t.heap recv in
+          if Threads.active () then
+            Effect.perform (Threads.Spawn (r, fun () -> t.invoke_run recv))
+          else
+            (* Without a scheduler, start() degrades to a synchronous call. *)
+            t.invoke_run recv)
+  | "Thread", "join" ->
+      none (fun recv ->
+          let r = Heap.deref t.heap recv in
+          if Threads.active () then Effect.perform (Threads.Join r))
+  | "Thread", "yield" -> none (fun _ -> Threads.maybe_yield ())
+  | "ASR", "declarePorts" ->
+      ports (fun p -> function
+        | [ n_in; n_out ] ->
+            p.n_in <- as_int n_in;
+            p.n_out <- as_int n_out;
+            p.inputs <- Array.make (as_int n_in) None;
+            p.outputs <- Array.make (as_int n_out) None;
+            Value.Null
+        | _ -> unknown ())
+  | "ASR", "portCount" ->
+      ports (fun p -> function
+        | [ dir ] -> Value.Int (if as_int dir = 0 then p.n_in else p.n_out)
+        | _ -> unknown ())
+  | "ASR", (("readPort" | "readPortArray") as name) ->
+      ports (fun p -> function
+        | [ port ] -> (
+            let i = port_index p `In port in
+            let want_array = name = "readPortArray" in
+            let v =
+              match p.inputs.(i) with
+              | Some (Value.Int _ as v) when not want_array -> v
+              | Some (Value.Ref _ as v) when want_array -> v
+              | Some v ->
+                  fail "input port %d holds %s, not %s" i (Value.to_display v)
+                    (if want_array then "an array" else "an int")
+              | None -> if want_array then Value.Null else Value.Int 0
+            in
+            note_port t name i v;
+            v)
+        | _ -> unknown ())
+  | "ASR", "portPresent" ->
+      ports (fun p -> function
+        | [ port ] ->
+            let i = as_int port in
+            Value.Bool
+              (i >= 0 && i < Array.length p.inputs && p.inputs.(i) <> None)
+        | _ -> unknown ())
+  | "ASR", (("writePort" | "writePortArray") as name) ->
+      ports (fun p -> function
+        | [ port; v ] ->
+            let i = port_index p `Out port in
+            p.outputs.(i) <- Some v;
+            note_port t name i v;
+            Value.Null
+        | _ -> unknown ())
+  | "JTime", "enterInstant" -> (
+      fun _ -> function
+        | [ label ] -> (
+            let node = { label = Value.to_display label; subs = [] } in
+            match t.instant_stack with
+            | top :: _ ->
+                top.subs <- top.subs @ [ node ];
+                t.instant_stack <- node :: t.instant_stack;
+                Value.Null
+            | [] -> fail "instant stack underflow")
+        | _ -> unknown ())
+  | "JTime", "exitInstant" ->
+      none (fun _ ->
+          match t.instant_stack with
+          | _ :: (_ :: _ as rest) -> t.instant_stack <- rest
+          | _ -> fail "exitInstant without matching enterInstant")
+  | _ -> fun _ _ -> unknown ()
+
+(* The method bracket and native charge wrap every native, so a profile
+   sees it as a call of its own. *)
+let resolve_native t ~defining ~mname : native =
+  let body = native_body t ~defining ~mname in
+  let cost = t.cost in
+  fun recv args ->
+    Cost.enter_method_in cost defining mname;
+    match
+      Cost.native cost;
+      body recv args
+    with
+    | v ->
+        Cost.leave_method cost;
+        v
+    | exception e ->
+        Cost.leave_method cost;
+        raise e
+
 let native_call t ~defining ~mname recv args =
-  Cost.enter_method_in t.cost defining mname;
-  Fun.protect ~finally:(fun () -> Cost.leave_method t.cost) @@ fun () ->
-  Cost.native t.cost;
-  match (defining, mname, args) with
-  | "Math", "sqrt", [ x ] -> Value.Double (sqrt (as_double x))
-  | "Math", "sin", [ x ] -> Value.Double (sin (as_double x))
-  | "Math", "cos", [ x ] -> Value.Double (cos (as_double x))
-  | "Math", "floor", [ x ] -> Value.Double (floor (as_double x))
-  | "Math", "ceil", [ x ] -> Value.Double (ceil (as_double x))
-  | "Math", "pow", [ x; y ] -> Value.Double (Float.pow (as_double x) (as_double y))
-  | "Math", "abs", [ x ] -> Value.Double (Float.abs (as_double x))
-  | "Math", "iabs", [ x ] -> Value.Int (abs (as_int x))
-  | "Math", "round", [ x ] ->
-      Value.Int (Value.wrap32 (int_of_float (Float.round (as_double x))))
-  | "Math", "min", [ x; y ] -> Value.Int (min (as_int x) (as_int y))
-  | "Math", "max", [ x; y ] -> Value.Int (max (as_int x) (as_int y))
-  | "PrintStream", "println", [ v ] ->
-      Buffer.add_string t.console (Value.to_display v);
-      Buffer.add_char t.console '\n';
-      Value.Null
-  | "PrintStream", "print", [ v ] ->
-      Buffer.add_string t.console (Value.to_display v);
-      Value.Null
-  | "System", "currentTimeMillis", [] ->
-      (* Deterministic pseudo-time derived from the cost model. *)
-      Value.Int (Value.wrap32 (Cost.cycles t.cost / 100_000))
-  | "Thread", "start", [] ->
-      let r = Heap.deref t.heap recv in
-      if Threads.active () then
-        Effect.perform (Threads.Spawn (r, fun () -> t.invoke_run recv))
-      else
-        (* Without a scheduler, start() degrades to a synchronous call. *)
-        t.invoke_run recv;
-      Value.Null
-  | "Thread", "join", [] ->
-      let r = Heap.deref t.heap recv in
-      if Threads.active () then Effect.perform (Threads.Join r);
-      Value.Null
-  | "Thread", "yield", [] ->
-      Threads.maybe_yield ();
-      Value.Null
-  | "ASR", "declarePorts", [ n_in; n_out ] ->
-      let p = ports_state t recv in
-      p.n_in <- as_int n_in;
-      p.n_out <- as_int n_out;
-      p.inputs <- Array.make (as_int n_in) None;
-      p.outputs <- Array.make (as_int n_out) None;
-      Value.Null
-  | "ASR", "portCount", [ dir ] ->
-      let p = ports_state t recv in
-      Value.Int (if as_int dir = 0 then p.n_in else p.n_out)
-  | "ASR", "readPort", [ port ] -> (
-      let p = ports_state t recv in
-      let i = as_int port in
-      if i < 0 || i >= Array.length p.inputs then fail "no input port %d" i;
-      match p.inputs.(i) with
-      | Some (Value.Int n) ->
-          note_port t "readPort" i (Value.Int n);
-          Value.Int n
-      | Some v -> fail "input port %d holds %s, not an int" i (Value.to_display v)
-      | None ->
-          note_port t "readPort" i (Value.Int 0);
-          Value.Int 0)
-  | "ASR", "readPortArray", [ port ] -> (
-      let p = ports_state t recv in
-      let i = as_int port in
-      if i < 0 || i >= Array.length p.inputs then fail "no input port %d" i;
-      match p.inputs.(i) with
-      | Some (Value.Ref _ as v) ->
-          note_port t "readPortArray" i v;
-          v
-      | Some v -> fail "input port %d holds %s, not an array" i (Value.to_display v)
-      | None ->
-          note_port t "readPortArray" i Value.Null;
-          Value.Null)
-  | "ASR", "portPresent", [ port ] ->
-      let p = ports_state t recv in
-      let i = as_int port in
-      Value.Bool (i >= 0 && i < Array.length p.inputs && p.inputs.(i) <> None)
-  | "ASR", "writePort", [ port; v ] ->
-      let p = ports_state t recv in
-      let i = as_int port in
-      if i < 0 || i >= Array.length p.outputs then fail "no output port %d" i;
-      p.outputs.(i) <- Some v;
-      note_port t "writePort" i v;
-      Value.Null
-  | "ASR", "writePortArray", [ port; v ] ->
-      let p = ports_state t recv in
-      let i = as_int port in
-      if i < 0 || i >= Array.length p.outputs then fail "no output port %d" i;
-      p.outputs.(i) <- Some v;
-      note_port t "writePortArray" i v;
-      Value.Null
-  | "JTime", "enterInstant", [ label ] -> (
-      let node = { label = Value.to_display label; subs = [] } in
-      match t.instant_stack with
-      | top :: _ ->
-          top.subs <- top.subs @ [ node ];
-          t.instant_stack <- node :: t.instant_stack;
-          Value.Null
-      | [] -> fail "instant stack underflow")
-  | "JTime", "exitInstant", [] -> (
-      match t.instant_stack with
-      | _ :: (_ :: _ as rest) ->
-          t.instant_stack <- rest;
-          Value.Null
-      | _ -> fail "exitInstant without matching enterInstant")
-  | cls, name, _ -> fail "unimplemented native method %s.%s" cls name
+  resolve_native t ~defining ~mname recv args
 
 let ports_of t recv =
   let p = ports_state t recv in

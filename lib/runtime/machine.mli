@@ -11,7 +11,11 @@ type instant = { label : string; mutable subs : instant list }
 type t = {
   tab : Mj.Symtab.t;
   heap : Heap.t;
-  statics : (string * string, Value.t) Hashtbl.t;
+  statics : (string * string, Value.t ref) Hashtbl.t;
+      (** one cell per static field; compiled code holds the cell, so a
+          restore writes into the existing cells *)
+  instances : (string, Heap.layout * Value.t array) Hashtbl.t;
+      (** per class: slot layout and default field values *)
   cost : Cost.t;
   console : Buffer.t;
   asr_ports : (int, ports) Hashtbl.t;
@@ -51,12 +55,54 @@ val as_bool : Value.t -> bool
 val coerce : Mj.Ast.ty -> Value.t -> Value.t
 (** Implicit int-to-double widening into a typed slot. *)
 
+val static_cell : t -> string -> string -> Value.t ref option
 val static_get : t -> string -> string -> Value.t
 val static_set : t -> string -> string -> Value.t -> unit
 
+(** {1 Operations shared by the engines} *)
+
+val is_compare : Mj.Ast.binop -> bool
+
+val int_arith : Mj.Ast.binop -> int -> int -> int
+(** Java [int] arithmetic, wrapping; raises on division by zero and on
+    comparison or logical operators. *)
+
+val int_compare : Mj.Ast.binop -> int -> int -> bool
+val double_arith : Mj.Ast.binop -> float -> float -> float
+val double_compare : Mj.Ast.binop -> float -> float -> bool
+
+val int_op : Mj.Ast.binop -> int -> int -> Value.t
+(** {!int_arith} or {!int_compare}, boxed. *)
+
+val double_op : Mj.Ast.binop -> float -> float -> Value.t
+
+val alloc_instance : t -> string -> Value.t
+(** Charge and allocate an instance of the class with default field
+    values (constructors are the engine's job). *)
+
+val alloc_multi : t -> Mj.Ast.ty -> int list -> Value.t
+(** [new elem[d1][d2]...], charging each level's allocation. *)
+
+val check_cast : t -> Mj.Ast.ty -> Value.t -> Value.t
+(** Identity, or a "class cast exception" error for an object of a
+    class outside the target's subtree. *)
+
+val array_store : t -> int -> int -> Value.t -> checked:bool -> Value.t
+(** Store into an array cell, widening into the element type; returns
+    the stored value. [checked:false] skips the modelled bounds check. *)
+
+type native = Value.t -> Value.t list -> Value.t
+(** A native method applied to its receiver ([Null] for statics) and
+    arguments. *)
+
+val resolve_native : t -> defining:string -> mname:string -> native
+(** Match a native once; the result brackets each application as a
+    method (profile and line table), charges the native tariff, and
+    raises for unknown natives or arguments that do not fit. *)
+
 val native_call :
   t -> defining:string -> mname:string -> Value.t -> Value.t list -> Value.t
-(** Dispatch a native method; raises for unknown natives. *)
+(** [resolve_native] then apply. *)
 
 val enter_frame : t -> unit
 (** Engines bracket every MJ method/constructor body with

@@ -23,7 +23,7 @@ type t = {
    sharing. *)
 let capture (m : Machine.t) =
   let statics =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) m.Machine.statics []
+    Hashtbl.fold (fun k c acc -> (k, !c) :: acc) m.Machine.statics []
     |> List.sort compare
   in
   let ports =
@@ -46,8 +46,10 @@ let capture (m : Machine.t) =
 
 let restore t (m : Machine.t) =
   Heap.restore m.Machine.heap t.s_heap;
-  Hashtbl.reset m.Machine.statics;
-  List.iter (fun (k, v) -> Hashtbl.replace m.Machine.statics k v) t.s_statics;
+  (* Into the existing cells: compiled code keeps pointers to them. *)
+  List.iter
+    (fun ((cls, name), v) -> Machine.static_set m cls name v)
+    t.s_statics;
   Hashtbl.reset m.Machine.asr_ports;
   List.iter
     (fun p ->
@@ -124,13 +126,13 @@ let rec ty_of_name s : Mj.Ast.ty =
 let cell_json (c : Heap.obj_data option) =
   match c with
   | None -> Json.Null
-  | Some (Heap.Object { cls; fields }) ->
+  | Some (Heap.Object { layout; slots }) ->
       let fs =
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) fields []
-        |> List.sort compare
+        Array.to_list (Array.mapi (fun i v -> (layout.Heap.l_names.(i), v)) slots)
+        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
       in
       Json.Obj
-        [ ("cls", Json.Str cls);
+        [ ("cls", Json.Str layout.Heap.l_cls);
           ( "fields",
             Json.List
               (List.map
@@ -141,23 +143,29 @@ let cell_json (c : Heap.obj_data option) =
         [ ("elem", Json.Str (ty_name elem));
           ("cells", Json.List (Array.to_list (Array.map value_json cells))) ]
 
-let cell_of_json j : Heap.obj_data option =
+let cell_of_json layouts j : Heap.obj_data option =
   match j with
   | Json.Null -> None
   | Json.Obj _ -> (
       match (Json.member "cls" j, Json.member "elem" j) with
       | Some (Json.Str cls), _ ->
-          let fields = Hashtbl.create 8 in
-          (match Json.member "fields" j with
-          | Some (Json.List fs) ->
-              List.iter
-                (function
-                  | Json.List [ Json.Str k; v ] ->
-                      Hashtbl.replace fields k (value_of_json v)
-                  | _ -> malformed "field")
-                fs
-          | _ -> malformed "fields");
-          Some (Heap.Object { cls; fields })
+          let fields =
+            match Json.member "fields" j with
+            | Some (Json.List fs) ->
+                List.map
+                  (function
+                    | Json.List [ Json.Str k; v ] -> (k, value_of_json v)
+                    | _ -> malformed "field")
+                  fs
+            | _ -> malformed "fields"
+          in
+          let names = Array.of_list (List.map fst fields) in
+          let layout = layouts cls names in
+          if Hashtbl.length layout.Heap.l_index <> Array.length names then
+            malformed "fields";
+          Some
+            (Heap.Object
+               { layout; slots = Array.of_list (List.map snd fields) })
       | _, Some (Json.Str elem) ->
           let cells =
             match Json.member "cells" j with
@@ -203,10 +211,23 @@ let heap_json (h : Heap.snapshot) =
       ("words_since_gc", Json.Int h.Heap.s_words_since_gc);
       ("gc_count", Json.Int h.Heap.s_gc_count) ]
 
+(* Decoded objects of one class with one field list share a layout;
+   restore re-slots them into the target heap's own. *)
+let decoded_layouts () =
+  let memo = Hashtbl.create 16 in
+  fun cls names ->
+    match Hashtbl.find_opt memo (cls, names) with
+    | Some l -> l
+    | None ->
+        let l = Heap.make_layout ~cls names in
+        Hashtbl.replace memo (cls, names) l;
+        l
+
 let heap_of_json j : Heap.snapshot =
   let cells =
     match Json.member "cells" j with
-    | Some (Json.List l) -> Array.of_list (List.map cell_of_json l)
+    | Some (Json.List l) ->
+        Array.of_list (List.map (cell_of_json (decoded_layouts ())) l)
     | _ -> malformed "cells"
   in
   { Heap.s_cells = cells;

@@ -8,6 +8,14 @@ type t =
 
 let wrap32 n = Int32.to_int (Int32.of_int n)
 
+(* JLS 5.1.3: NaN narrows to 0, values beyond the int range clamp to its
+   ends, the rest truncate toward zero. *)
+let d2i f =
+  if Float.is_nan f then 0
+  else if f >= 2147483647.0 then 2147483647
+  else if f <= -2147483648.0 then -2147483648
+  else int_of_float f
+
 let default : Mj.Ast.ty -> t = function
   | Mj.Ast.TInt -> Int 0
   | Mj.Ast.TBool -> Bool false

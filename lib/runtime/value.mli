@@ -11,6 +11,10 @@ type t =
 val wrap32 : int -> int
 (** Normalize to Java [int] two's-complement range. *)
 
+val d2i : float -> int
+(** Java's double-to-int narrowing: saturating at the ends of the int
+    range, [0] for NaN, truncation toward zero otherwise. *)
+
 val default : Mj.Ast.ty -> t
 (** Zero/false/null default for a declared type. *)
 

@@ -102,6 +102,61 @@ let corpus =
           System.out.println(c.tag());
         } }|} ) ]
 
+(* Double-to-int narrowing saturates (JLS 5.1.3): NaN becomes 0 and
+   out-of-range values clamp to the int range, for casts, compound
+   assignment and Math.round alike. *)
+let saturation_src =
+  {|class Main { public static void main() {
+      System.out.println((int)(2147483648.0 * 5.0));
+      System.out.println((int)(-2147483649.0 * 3.0));
+      System.out.println((int)(0.0 / 0.0));
+      System.out.println((int)(1.0 / 0.0));
+      System.out.println((int)(-1.0 / 0.0));
+      System.out.println((int)(2147483647.5) + "," + (int)(-2147483648.5));
+      System.out.println((int)(-7.9) + "," + (int)(7.9));
+      int x = 7; x += 1.0e10; System.out.println(x);
+      int y = -7; y *= 1.0e12; System.out.println(y);
+      int[] a = new int[1]; a[0] -= 1.0e300; System.out.println(a[0]);
+      System.out.println(Math.round(3.0e10) + "," + Math.round(-3.0e10));
+      System.out.println(Math.round(2.5) + "," + Math.round(-0.4));
+    } }|}
+
+let saturation_expected =
+  "2147483647\n-2147483648\n0\n2147483647\n-2147483648\n\
+   2147483647,-2147483648\n-7,7\n2147483647\n-2147483648\n-2147483648\n\
+   2147483647,-2147483648\n3,0\n"
+
+(* Operand-stack shapes the closure backend must carry across basic
+   blocks or spill: values pending under a conditional, duplicated
+   field and element updates in value position, assignments used as
+   values, and calls whose arguments branch. *)
+let shapes_src =
+  {|class P { public int f; public int[] a; static int s = 5;
+      P() { a = new int[4]; }
+      public int get(int k) { return a[k & 3]; }
+      public int sum(int x, int y, int z) { return x * 100 + y * 10 + z; } }
+    class Main {
+      static int calls = 0;
+      static int tick() { calls++; return calls; }
+      public static void main() {
+        P p = new P();
+        int i = 1;
+        p.a[i > 0 ? i : 0] = i > 0 && p.f == 0 ? 7 : 8;
+        System.out.println(p.a[1] + "," + p.sum(tick(), i < 2 || tick() > 9 ? 3 : 4, tick()));
+        System.out.println(p.f++ + p.f++ + "," + (p.a[i]++ + ++p.a[i]) + "," + P.s++ + P.s);
+        int x = 3; x = x++; int y = x = x + 1;
+        System.out.println(x + "," + y + "," + (x = y = 9) + "," + x);
+        p.a[p.get(1) & 3] += i > 0 ? 10 : 20;
+        p.f += p.a[3] > 0 ? p.get(3) : -1;
+        double d = i > 0 ? 1 : 2.5;
+        System.out.println(p.a[3] + "," + p.f + "," + d + "," + calls);
+        boolean b = p.f > 100 ? false : p.get(2) == 0 && !(i == 2);
+        System.out.println(b + "," + p.sum(p.a[0]++, p.f--, b ? i++ : --i) + "," + i);
+        int k = 0; int acc = 0;
+        while (k < 5) { acc += k % 2 == 0 ? k++ : ++k; }
+        System.out.println(acc + "," + k + "," + (k > 4 ? (acc > 3 ? "big" : "mid") : "small"));
+      } }|}
+
 let differential (name, src) =
   case ("differential: " ^ name) (fun () ->
       let a = interp_output src "Main" in
@@ -166,6 +221,72 @@ let gen_arith_program =
 
 let arbitrary_arith = QCheck.make ~print:(fun s -> s) gen_arith_program
 
+(* Generated programs whose values pass through branches: conditional
+   and short-circuit operands inside array indices, call arguments,
+   field, static and element updates, and increments used as values. *)
+let gen_branchy_program =
+  let open QCheck.Gen in
+  let var = oneofl [ "a"; "b"; "c" ] in
+  let rec expr n =
+    if n = 0 then
+      oneof
+        [ map string_of_int (int_range (-20) 20); var;
+          map (Printf.sprintf "arr[%s & 3]") var; return "p.f"; return "Main.s" ]
+    else
+      let sub = expr (n - 1) and c = cond (n - 1) in
+      oneof
+        [ sub;
+          map2 (Printf.sprintf "(%s + %s)") sub sub;
+          map2 (Printf.sprintf "(%s * %s)") sub sub;
+          map3 (Printf.sprintf "(%s ? %s : %s)") c sub sub;
+          map3 (Printf.sprintf "Main.mix(%s, %s ? 1 : %s)") sub c sub;
+          map2 (Printf.sprintf "arr[(%s ? %s : 1) & 3]") c sub;
+          map (Printf.sprintf "(%s++ + p.f--)") var;
+          map (Printf.sprintf "(arr[%s & 3]++)") var;
+          map2 (Printf.sprintf "(%s = %s)") var sub ]
+  and cond n =
+    let e = expr n in
+    if n = 0 then map2 (Printf.sprintf "(%s < %s)") e e
+    else
+      let c = cond (n - 1) in
+      oneof
+        [ map2 (Printf.sprintf "(%s < %s)") e e;
+          map2 (Printf.sprintf "(%s == %s)") e e;
+          map2 (Printf.sprintf "(%s && %s)") c c;
+          map2 (Printf.sprintf "(%s || %s)") c c;
+          map (Printf.sprintf "!%s") c ]
+  in
+  let stmt =
+    oneof
+      [ map2 (Printf.sprintf "%s = %s;") var (expr 3);
+        map3 (Printf.sprintf "%s += %s ? %s : 5;") var (cond 1) (expr 1);
+        map2 (Printf.sprintf "arr[%s & 3] = %s;") (expr 1) (expr 2);
+        map2 (Printf.sprintf "arr[%s & 3] += %s;") (expr 1) (expr 2);
+        map3 (Printf.sprintf "p.f = %s ? %s : %s;") (cond 1) (expr 1) (expr 1);
+        map (Printf.sprintf "Main.s += %s;") (expr 2);
+        map3 (Printf.sprintf "if (%s) { a = %s; } else { b = %s; }") (cond 2)
+          (expr 1) (expr 1);
+        map2
+          (fun c e -> Printf.sprintf "{ int k = 0; while (k < 3 && %s) { c += %s; k++; } }" c e)
+          (cond 1) (expr 1) ]
+  in
+  map
+    (fun stmts ->
+      Printf.sprintf
+        {|class P { public int f; }
+          class Main {
+            static int s = 7;
+            static int mix(int x, int y) { return x * 3 - y; }
+            public static void main() {
+            int a = 1; int b = 2; int c = 3;
+            int[] arr = new int[4]; P p = new P();
+            %s
+            System.out.println(a + "," + b + "," + c + "," + p.f + "," + Main.s
+              + "," + arr[0] + "," + arr[1] + "," + arr[2] + "," + arr[3]);
+          } }|}
+        (String.concat "\n" stmts))
+    (list_size (int_range 1 10) stmt)
+
 let classfile_roundtrip src =
   let image = Mj_bytecode.Compile.compile (check_src src) in
   Hashtbl.iter
@@ -181,7 +302,36 @@ let classfile_roundtrip src =
 
 let suite =
   List.map differential corpus
-  @ [ qcase ~count:150 "differential: generated arithmetic" arbitrary_arith
+  @ [ case "differential: saturating double-to-int narrowing" (fun () ->
+        Alcotest.(check string) "interp" saturation_expected
+          (interp_output saturation_src "Main");
+        Alcotest.(check string) "vm" saturation_expected
+          (vm_output saturation_src "Main");
+        Alcotest.(check string) "jit" saturation_expected
+          (jit_output saturation_src "Main"));
+      differential ("stack shapes", shapes_src);
+      case "optimized images run alike on both bytecode engines" (fun () ->
+          List.iter
+            (fun (name, src) ->
+              let checked = check_src src in
+              let image =
+                Mj_bytecode.Optimize.image (Mj_bytecode.Compile.compile checked)
+              in
+              let vm = Mj_bytecode.Vm.of_image image in
+              Mj_bytecode.Vm.run_main vm "Main";
+              let jit = Mj_bytecode.Jit.of_image image in
+              Mj_bytecode.Jit.run_main jit "Main";
+              Alcotest.(check string) name (interp_output src "Main")
+                (Mj_bytecode.Jit.output jit);
+              Alcotest.(check string) name (Mj_bytecode.Vm.output vm)
+                (Mj_bytecode.Jit.output jit))
+            (("stack shapes", shapes_src) :: corpus));
+      qcase ~count:150 "differential: generated branchy expressions"
+        (QCheck.make ~print:Fun.id gen_branchy_program)
+        (fun src ->
+          let a = interp_output src "Main" in
+          a = vm_output src "Main" && a = jit_output src "Main");
+      qcase ~count:150 "differential: generated arithmetic" arbitrary_arith
         (fun src ->
           let a = interp_output src "Main" in
           a = vm_output src "Main" && a = jit_output src "Main");

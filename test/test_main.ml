@@ -7,6 +7,7 @@ let () =
       ("interp", Test_interp.suite);
       ("threads", Test_threads.suite);
       ("bytecode", Test_bytecode.suite);
+      ("jit-model", Test_jit_model.suite);
       ("asr", Test_asr.suite);
       ("policy", Test_policy.suite);
       ("transforms", Test_transforms.suite);
