@@ -3442,7 +3442,7 @@ module Refinement_bench = struct
        violation(s)\n"
       r.mutation_vcs_failed
 
-  let print_json r =
+  let to_json r =
     let row_json w =
       J.Obj
         [ ("workload", J.Str w.f_workload);
@@ -3460,13 +3460,11 @@ module Refinement_bench = struct
           ("correspondences_checked", J.Int w.f_checked);
           ("correspondence_ok", J.Bool (w.f_corr_failures = [])) ]
     in
-    print_endline
-      (J.to_string
-         (J.Obj
-            [ ("bench", J.Str "refinement");
-              ("workloads", J.List (List.map row_json r.rows));
-              ("mutation_vcs_failed", J.Int r.mutation_vcs_failed);
-              ("mutation_rejected_ok", J.Bool (r.mutation_vcs_failed > 0)) ]))
+    J.Obj
+      [ ("bench", J.Str "refinement");
+        ("workloads", J.List (List.map row_json r.rows));
+        ("mutation_vcs_failed", J.Int r.mutation_vcs_failed);
+        ("mutation_rejected_ok", J.Bool (r.mutation_vcs_failed > 0)) ]
 
   (* Smoke contract (refinement-smoke alias in `dune runtest`): every
      transform the engine applied discharges its VCs, every covered
@@ -3505,10 +3503,24 @@ module Refinement_bench = struct
       fail "mutation gate: the broken transform was not rejected";
     if !failed then exit 1
 
-  let run ~json ~smoke () =
+  (* Against a recorded run of the same size: what was refined, what
+     was discharged and what the correspondence covered must not move. *)
+  let sections =
+    [ { Recorded.list = "workloads"; ids = [ "workload" ];
+        gated =
+          [ "transforms"; "vcs_discharged"; "vcs_failed"; "schedules_explored";
+            "schedules_executed"; "coverage"; "correspondences_checked" ];
+        walls = [] } ]
+
+  let run ~json ~smoke ~baseline () =
     let r = reports ~smoke () in
-    if json then print_json r else print_text r;
-    check ~smoke r
+    if json then print_endline (J.to_string (to_json r)) else print_text r;
+    check ~smoke r;
+    match baseline with
+    | Some path when not (Recorded.check ~path (to_json r) sections) ->
+        Printf.eprintf "FAIL refinement: fresh run differs from %s\n" path;
+        exit 1
+    | Some _ | None -> ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -4674,9 +4686,9 @@ let smoke_flag = ref false
    disabled cycle counts), BENCH_fusion.json for the monitor bench
    (monitor-off evaluation counts must be cycle-identical to the fused
    rows); both are full-size runs, meaningless under --smoke, which
-   scales the workloads down. The telemetry and lineprof benches take a
-   recorded run of their own at the same size, bench/baselines/*.json
-   for --smoke. *)
+   scales the workloads down. The telemetry, lineprof and refinement
+   benches take a recorded run of their own at the same size,
+   bench/baselines/*.json for --smoke. *)
 let baseline_flag = ref None
 
 let experiments =
@@ -4710,7 +4722,9 @@ let experiments =
            ~baseline:!baseline_flag ()));
     ("refinement",
      `Plain
-       (fun () -> Refinement_bench.run ~json:!json_flag ~smoke:!smoke_flag ()));
+       (fun () ->
+         Refinement_bench.run ~json:!json_flag ~smoke:!smoke_flag
+           ~baseline:!baseline_flag ()));
     ("causal",
      `Plain
        (fun () ->

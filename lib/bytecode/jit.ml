@@ -864,8 +864,7 @@ and value_node ctx pc n : frame -> Value.t =
       fun fr ->
         let len = k fr in
         Cost.at_line cost loc;
-        Cost.alloc cost ~words:len;
-        Heap.alloc_array heap ~elem len
+        Machine.alloc_array m elem len
   | New_multi (elem, dims) ->
       let dims = Array.of_list (List.map (ci ctx) dims) in
       fun fr ->

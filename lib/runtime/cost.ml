@@ -97,7 +97,7 @@ let charge_slow t n =
   | Some limit when t.cycles > limit -> raise (Budget_exceeded t.cycles)
   | Some _ | None -> ()
 
-let charge t n =
+let[@inline] charge t n =
   t.cycles <- t.cycles + n;
   if t.slow then charge_slow t n
 
@@ -107,11 +107,11 @@ let enter_method t label =
 
 (* Variant taking the qualified name in two halves so the disabled path
    does not even pay the string concatenation. *)
-let enter_method_in t cls name =
+let[@inline] enter_method_in t cls name =
   (match t.sink with None -> () | Some s -> s.sink_enter (cls ^ "." ^ name));
   match t.lines with None -> () | Some l -> Telemetry.Lines.enter l
 
-let leave_method t =
+let[@inline] leave_method t =
   (match t.sink with None -> () | Some s -> s.sink_leave ());
   match t.lines with None -> () | Some l -> Telemetry.Lines.leave l
 
@@ -125,13 +125,13 @@ let profile_sink p =
     sink_alloc = (fun ~words -> Telemetry.Profile.alloc p ~words);
     sink_gc = (fun ~cycles -> Telemetry.Profile.gc p ~cycles) }
 
-let dispatch t = charge t t.tariff.dispatch
-let arith t = charge t t.tariff.arith
-let load_store t = charge t t.tariff.load_store
-let field t = charge t t.tariff.field
-let array t = charge t t.tariff.array
-let array_unchecked t = charge t t.tariff.array_unchecked
-let call t = charge t t.tariff.call
+let[@inline] dispatch t = charge t t.tariff.dispatch
+let[@inline] arith t = charge t t.tariff.arith
+let[@inline] load_store t = charge t t.tariff.load_store
+let[@inline] field t = charge t t.tariff.field
+let[@inline] array t = charge t t.tariff.array
+let[@inline] array_unchecked t = charge t t.tariff.array_unchecked
+let[@inline] call t = charge t t.tariff.call
 let alloc t ~words =
   charge t (t.tariff.alloc_base + (t.tariff.alloc_word * words));
   (match t.lines with None -> () | Some l -> Telemetry.Lines.alloc l ~words);

@@ -156,14 +156,16 @@ let alloc_array t ~elem n =
   record_alloc t (words_of_array n);
   store t (Arr { elem; cells = Array.make n (Value.default elem) })
 
-let get t index =
-  if index < 0 || index >= t.next then raise (Runtime_error "dangling reference")
-  else
-    match t.cells.(index) with
-    | Some data -> data
-    | None -> raise (Runtime_error "dangling reference")
+let dangling () = raise (Runtime_error "dangling reference")
 
-let deref _t = function
+let[@inline] get t index =
+  if index < 0 || index >= t.next then dangling ()
+  else
+    match Array.unsafe_get t.cells index with
+    | Some data -> data
+    | None -> dangling ()
+
+let[@inline] deref _t = function
   | Value.Ref index -> index
   | Value.Null -> raise (Runtime_error "null pointer dereference")
   | Value.Int _ | Value.Double _ | Value.Bool _ | Value.Str _ ->
@@ -226,34 +228,30 @@ let set_field_at t index site value =
   | Object { layout; slots } -> slots.(site_slot site layout) <- value
   | Arr _ -> not_an_object ()
 
-let array_cells t index =
-  match get t index with
-  | Arr { cells; _ } -> cells
-  | Object _ -> raise (Runtime_error "expected an array, found an object")
+let not_an_array () =
+  raise (Runtime_error "expected an array, found an object")
+
+let[@inline] array_cells t index =
+  match get t index with Arr { cells; _ } -> cells | Object _ -> not_an_array ()
 
 let array_length t index = Array.length (array_cells t index)
 
-let array_get t index i =
-  let cells = array_cells t index in
-  if i < 0 || i >= Array.length cells then begin
-    t.on_trap ();
-    raise
-      (Runtime_error
-         (Printf.sprintf "array index %d out of bounds for length %d" i
-            (Array.length cells)))
-  end
-  else cells.(i)
+let out_of_bounds t i cells =
+  t.on_trap ();
+  raise
+    (Runtime_error
+       (Printf.sprintf "array index %d out of bounds for length %d" i
+          (Array.length cells)))
 
-let array_set t index i value =
+let[@inline] array_get t index i =
   let cells = array_cells t index in
-  if i < 0 || i >= Array.length cells then begin
-    t.on_trap ();
-    raise
-      (Runtime_error
-         (Printf.sprintf "array index %d out of bounds for length %d" i
-            (Array.length cells)))
-  end
-  else cells.(i) <- value
+  if i < 0 || i >= Array.length cells then out_of_bounds t i cells
+  else Array.unsafe_get cells i
+
+let[@inline] array_set t index i value =
+  let cells = array_cells t index in
+  if i < 0 || i >= Array.length cells then out_of_bounds t i cells
+  else Array.unsafe_set cells i value
 
 (* Unchecked accessors for statically verified sites. OCaml's own array
    check remains as a backstop: an unsound elision plan surfaces as

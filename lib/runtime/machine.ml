@@ -65,7 +65,7 @@ let as_bool = function
   | Value.Bool b -> b
   | v -> fail "expected a boolean, found %s" (Value.to_display v)
 
-let coerce ty v =
+let[@inline] coerce ty v =
   match (ty, v) with
   | Mj.Ast.TDouble, Value.Int n -> Value.Double (float_of_int n)
   | _, v -> v
@@ -169,7 +169,17 @@ let alloc_instance t cls =
   Cost.alloc t.cost ~words:(Heap.words_of_object (Array.length defaults));
   Heap.alloc_object t.heap layout (Array.copy defaults)
 
-let rec alloc_multi t elem dims =
+(* Every size is checked before anything is charged or allocated: a
+   negative size must not run the meter backwards, and [new int[3][-1]]
+   fails before its outer array exists. *)
+let check_size n = if n < 0 then fail "negative array size"
+
+let alloc_array t elem n =
+  check_size n;
+  Cost.alloc t.cost ~words:n;
+  Heap.alloc_array t.heap ~elem n
+
+let rec alloc_levels t elem dims =
   Cost.alloc t.cost ~words:(match dims with d :: _ -> d | [] -> 0);
   match dims with
   | [] -> fail "array without dimensions"
@@ -179,9 +189,13 @@ let rec alloc_multi t elem dims =
       let arr = Heap.alloc_array t.heap ~elem:sub_ty n in
       let r = Heap.deref t.heap arr in
       for i = 0 to n - 1 do
-        Heap.array_set t.heap r i (alloc_multi t elem rest)
+        Heap.array_set t.heap r i (alloc_levels t elem rest)
       done;
       arr
+
+let alloc_multi t elem dims =
+  List.iter check_size dims;
+  alloc_levels t elem dims
 
 let check_cast t ty v =
   match (ty, v) with

@@ -80,8 +80,14 @@ val alloc_instance : t -> string -> Value.t
 (** Charge and allocate an instance of the class with default field
     values (constructors are the engine's job). *)
 
+val alloc_array : t -> Mj.Ast.ty -> int -> Value.t
+(** [new elem[n]]: charge and allocate, after rejecting a negative [n]
+    with a "negative array size" error (nothing charged). *)
+
 val alloc_multi : t -> Mj.Ast.ty -> int list -> Value.t
-(** [new elem[d1][d2]...], charging each level's allocation. *)
+(** [new elem[d1][d2]...], charging each level's allocation. Every
+    dimension is checked before the first charge, as in
+    {!alloc_array}. *)
 
 val check_cast : t -> Mj.Ast.ty -> Value.t -> Value.t
 (** Identity, or a "class cast exception" error for an object of a

@@ -300,6 +300,225 @@ let classfile_roundtrip src =
       if decoded <> mc then Alcotest.fail "ctor round-trip mismatch")
     image.Mj_bytecode.Compile.im_ctors
 
+(* ---- negative array sizes ------------------------------------------ *)
+
+module Profile = Telemetry.Profile
+module Lines = Telemetry.Lines
+
+let engines = [ `Interp; `Vm; `Jit ]
+
+let engine_name = function `Interp -> "interp" | `Vm -> "vm" | `Jit -> "jit"
+
+(* [Main.main] on an engine with a profile and a line table attached
+   from creation; the meter before and after, the error it raised, and
+   the heap's allocation count before and after. *)
+let run_failing engine src =
+  let p = Profile.create () in
+  let lt = Lines.create () in
+  let sink = Mj_runtime.Cost.profile_sink p in
+  let checked = check_src ~file:"neg.mj" src in
+  let machine, cycles, run =
+    match engine with
+    | `Interp ->
+        let s = Mj_runtime.Interp.create ~sink ~lines:lt checked in
+        ( Mj_runtime.Interp.machine s,
+          (fun () -> Mj_runtime.Interp.cycles s),
+          fun () -> Mj_runtime.Interp.run_main s "Main" )
+    | `Vm ->
+        let s = Mj_bytecode.Vm.create ~sink ~lines:lt checked in
+        ( Mj_bytecode.Vm.machine s,
+          (fun () -> Mj_bytecode.Vm.cycles s),
+          fun () -> Mj_bytecode.Vm.run_main s "Main" )
+    | `Jit ->
+        let s = Mj_bytecode.Jit.create ~sink ~lines:lt checked in
+        ( Mj_bytecode.Jit.machine s,
+          (fun () -> Mj_bytecode.Jit.cycles s),
+          fun () -> Mj_bytecode.Jit.run_main s "Main" )
+  in
+  let allocations () =
+    let st = Mj_runtime.Heap.stats machine.Mj_runtime.Machine.heap in
+    st.Mj_runtime.Heap.init_allocations + st.Mj_runtime.Heap.reactive_allocations
+  in
+  let before = cycles () and allocs_before = allocations () in
+  let error =
+    match run () with
+    | () -> "no error"
+    | exception Mj_runtime.Heap.Runtime_error msg -> msg
+  in
+  (before, cycles (), error, allocs_before, allocations (), p, lt)
+
+let negative_size_srcs =
+  [ ( "new int[n]",
+      {|class Main { public static void main() {
+          int n = -1000;
+          int[] a = new int[n];
+          System.out.println(a.length);
+        } }|} );
+    ( "new int[3][n]",
+      {|class Main { public static void main() {
+          int n = -1;
+          int[][] a = new int[3][n];
+          System.out.println(a.length);
+        } }|} ) ]
+
+let negative_array_size () =
+  List.iter
+    (fun (name, src) ->
+      List.iter
+        (fun engine ->
+          let label = Printf.sprintf "%s on %s" name (engine_name engine) in
+          let before, after, error, allocs_before, allocs_after, p, lt =
+            run_failing engine src
+          in
+          Alcotest.(check string) (label ^ ": error") "negative array size" error;
+          Alcotest.(check bool) (label ^ ": meter not decreased") true
+            (after >= before);
+          Alcotest.(check int) (label ^ ": nothing allocated") allocs_before
+            allocs_after;
+          Alcotest.(check int) (label ^ ": profile reconciles") after
+            (Profile.total p);
+          Alcotest.(check int) (label ^ ": lines reconcile") after
+            (Lines.total lt);
+          List.iter
+            (fun (r : Profile.row) ->
+              Alcotest.(check bool) (label ^ ": profile words") true
+                (r.Profile.r_alloc_words >= 0))
+            (Profile.rows p);
+          List.iter
+            (fun (e : Lines.entry) ->
+              Alcotest.(check bool) (label ^ ": line words") true
+                (e.Lines.e_alloc_words >= 0))
+            (Lines.rows lt))
+        engines)
+    negative_size_srcs
+
+(* ---- the VM's load-time stack pass ----------------------------------- *)
+
+module I = Mj_bytecode.Instr
+
+let host_src =
+  {|class Main {
+      static int f(int x) { return x; }
+      public static void main() { System.out.println(f(1)); }
+    }|}
+
+(* The host program's image with [cls.mname]'s code replaced. *)
+let patched ?(cls = "Main") mname code =
+  let image = Mj_bytecode.Compile.compile (check_src host_src) in
+  let tbl = image.Mj_bytecode.Compile.im_methods in
+  let mc = Hashtbl.find tbl (cls, mname) in
+  Hashtbl.replace tbl (cls, mname)
+    { mc with I.mc_code = code; I.mc_lines = [||] };
+  image
+
+let int k = I.Const (Mj_runtime.Value.Int k)
+
+let rejected_codes =
+  [ ( "underflow",
+      [| int 1; I.Iop Mj.Ast.Add; I.Ret_val |],
+      [ "vm: operand stack underflow at pc 1 in Main.f" ] );
+    ( "depths disagree at a join",
+      (* the fall-through reaches pc 6 with one entry, the branch with two;
+         run, it would only ever take the fall-through *)
+      [| I.Const (Mj_runtime.Value.Bool true); I.Jump_if_false 4; int 1;
+         I.Jump 6; int 2; int 3; I.Ret_val |],
+      [ "vm: operand stack underflow"; "meet at pc 6 in Main.f" ] );
+    ("falls off its code", [| int 1; I.Pop |], [ "Main.f falls off its code" ]);
+    ("jump out of range", [| I.Jump 9 |], [ "jump target 9 out of range" ]);
+    ("local out of range", [| I.Load 5; I.Ret_val |], [ "local slot 5 out of range" ]) ]
+
+(* Rejected when the call first resolves, with the VM's own error; an
+   [Invalid_argument] from an unchecked index would fail the test. *)
+let load_time_rejection () =
+  List.iter
+    (fun (name, code, substrings) ->
+      let vm = Mj_bytecode.Vm.of_image (patched "f" code) in
+      match Mj_bytecode.Vm.run_main vm "Main" with
+      | () -> Alcotest.failf "%s: accepted" name
+      | exception Mj_runtime.Heap.Runtime_error msg ->
+          List.iter
+            (fun substring ->
+              if not (contains ~substring msg) then
+                Alcotest.failf "%s: %S does not mention %S" name msg substring)
+            substrings)
+    rejected_codes
+
+(* A call with one argument too few fails inside the callee's bracket:
+   the profile shows the callee entered, on the VM and the JIT alike. *)
+let arity_in_callee_bracket () =
+  let code = [| I.Invoke_static ("Main", "f", 0); I.Pop; I.Ret |] in
+  List.iter
+    (fun engine ->
+      let p = Profile.create () in
+      let sink = Mj_runtime.Cost.profile_sink p in
+      let image = patched "main" code in
+      let run () =
+        match engine with
+        | `Vm ->
+            Mj_bytecode.Vm.run_main (Mj_bytecode.Vm.of_image ~sink image) "Main"
+        | `Jit ->
+            Mj_bytecode.Jit.run_main
+              (Mj_bytecode.Jit.of_image ~sink image)
+              "Main"
+      in
+      expect_runtime_error ~substring:"arity mismatch calling Main.f" run;
+      let calls label =
+        List.fold_left
+          (fun n (r : Profile.row) ->
+            if String.equal r.Profile.r_label label then r.Profile.r_calls
+            else n)
+          0 (Profile.rows p)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "callee entered (%s)"
+           (match engine with `Vm -> "vm" | `Jit -> "jit"))
+        1 (calls "Main.f"))
+    [ `Vm; `Jit ]
+
+(* Threads whose yields sit inside nested calls, with a partial sum
+   waiting on each caller's operand stack across them: every seed must
+   compute what the unscheduled run computes, so no frame is shared
+   between fibers. *)
+let nested_yield_src =
+  {|class Worker extends Thread {
+      private int scale;
+      private int result;
+      Worker(int s) { scale = s; }
+      int leaf(int k) { Thread.yield(); return k * scale; }
+      int mid(int k) { int a = leaf(k); Thread.yield(); return a + leaf(k + 1); }
+      public void run() {
+        int acc = 0;
+        for (int k = 0; k < 4; k++) { acc = acc * 3 + mid(k); }
+        result = acc;
+      }
+      int get() { return result; }
+    }
+    class Main {
+      public static void main() {
+        Worker a = new Worker(1);
+        Worker b = new Worker(7);
+        Worker c = new Worker(100);
+        a.start(); b.start(); c.start();
+        a.join(); b.join(); c.join();
+        System.out.println(a.get() + "," + b.get() + "," + c.get());
+      }
+    }|}
+
+let nested_yields_fiber_safe () =
+  let expected = interp_output nested_yield_src "Main" in
+  let branched = ref false in
+  for seed = 0 to 5 do
+    let vm = Mj_bytecode.Vm.create (check_src nested_yield_src) in
+    ignore
+      (Mj_runtime.Threads.run ~policy:(Mj_runtime.Threads.Seeded seed)
+         (fun () -> Mj_bytecode.Vm.run_main vm "Main"));
+    if Mj_runtime.Threads.last_run_branched () then branched := true;
+    Alcotest.(check string)
+      (Printf.sprintf "seed %d" seed)
+      expected (Mj_bytecode.Vm.output vm)
+  done;
+  Alcotest.(check bool) "the scheduler interleaved the workers" true !branched
+
 let suite =
   List.map differential corpus
   @ [ case "differential: saturating double-to-int narrowing" (fun () ->
@@ -375,6 +594,14 @@ let suite =
           Mj_bytecode.Vm.run_main s2 "Main";
           Alcotest.(check string) "same" (Mj_bytecode.Vm.output s1)
             (Mj_bytecode.Vm.output s2));
+      case "differential: a negative array size fails before any charge"
+        negative_array_size;
+      case "vm load rejects bad stack shapes with its diagnostic"
+        load_time_rejection;
+      case "arity mismatch fails inside the callee's bracket (vm, jit)"
+        arity_in_callee_bracket;
+      case "vm frames stay per call under threads (nested yields)"
+        nested_yields_fiber_safe;
       case "runtime errors agree across engines" (fun () ->
           let src =
             "class Main { public static void main() { int[] a = new int[1]; \

@@ -3,7 +3,8 @@
    snapshot bytes were recorded from the engines before the closure
    backend stopped keeping an operand stack, and must not move. The
    host-side allocation of a JIT reaction is gated against the same
-   recording. *)
+   recording, that of a VM reaction against the VM before it kept one
+   frame array per call. *)
 
 open Util
 module E = Javatime.Elaborate
@@ -262,29 +263,36 @@ let modeled_unchanged () =
     Alcotest.failf "modeled behaviour moved:\n%s"
       (String.concat "\n" mismatches)
 
-let jit_minor_words src =
-  let elab = elab_jpeg E.Engine_jit src in
+let minor_words engine src =
+  let elab = elab_jpeg engine src in
   let input = Lazy.force jpeg_input in
   ignore (E.react elab input);
   let before = Gc.minor_words () in
   ignore (E.react elab input);
   Gc.minor_words () -. before
 
-(* Minor words of the stack-based JIT per 16x8 reaction after a warm-up
-   reaction (the same under the dev and release profiles), and the share
-   of that a reaction may allocate now. *)
-let allocation_bounds =
-  [ ("unrestricted", 3_222_089., 0.4); ("restricted", 555_280., 0.6) ]
-
-let allocation_gate () =
+(* Minor words per 16x8 reaction after a warm-up reaction, for each
+   variant: the recording, and the share of it a reaction may allocate
+   now. *)
+let allocation_gate engine name bounds () =
   List.iter
     (fun (variant, recorded, share) ->
-      let words = jit_minor_words (List.assoc variant jpeg_variants) in
+      let words = minor_words engine (List.assoc variant jpeg_variants) in
       if words > share *. recorded then
         Alcotest.failf
-          "%s JIT reaction allocates %.0f minor words, more than %.1f x %.0f"
-          variant words share recorded)
-    allocation_bounds
+          "%s %s reaction allocates %.0f minor words, more than %.2f x %.0f"
+          variant name words share recorded)
+    bounds
+
+(* Recorded from the stack-based JIT (the same under the dev and
+   release profiles). *)
+let jit_allocation_bounds =
+  [ ("unrestricted", 3_222_089., 0.4); ("restricted", 555_280., 0.6) ]
+
+(* Recorded under the dev profile from the VM that kept a growable
+   operand stack, a locals array and an argument array per call. *)
+let vm_allocation_bounds =
+  [ ("unrestricted", 2_042_301., 0.75); ("restricted", 420_277., 0.85) ]
 
 (* ---- snapshot round trip on a JIT-elaborated design --------------- *)
 
@@ -385,7 +393,9 @@ let fields_sorted () =
 let suite =
   [ case "modeled behaviour matches the recording" modeled_unchanged;
     case "allocation gate: JIT minor words per 16x8 JPEG reaction"
-      allocation_gate;
+      (allocation_gate E.Engine_jit "JIT" jit_allocation_bounds);
+    case "allocation gate: VM minor words per 16x8 JPEG reaction"
+      (allocation_gate E.Engine_vm "VM" vm_allocation_bounds);
     case "snapshot round trip restores statics and fields (JIT)"
       snapshot_round_trip;
     case "snapshot round trip mid-stream on JPEG (JIT)" jpeg_round_trip;
