@@ -314,21 +314,15 @@ let of_json j =
 
 (* ------------------------------ disk ------------------------------ *)
 
-(* [save] feeds the monitor's checkpoint-write accounting: byte volume
-   and [Sys.time] cost on success, the data-loss failure flag on
-   [Sys_error] (the error still propagates — the caller decides whether
-   a failed write is fatal). *)
+(* [save] writes through {!Durable.write_file}, so a crash mid-save
+   leaves the previous checkpoint intact. It feeds the monitor's
+   checkpoint-write accounting: byte volume and [Sys.time] cost on
+   success, the data-loss failure flag on [Sys_error] (the error still
+   propagates — the caller decides whether a failed write is fatal). *)
 let save ?monitor t path =
   let payload = Json.to_string (to_json t) in
   let t0 = Sys.time () in
-  match
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () ->
-        output_string oc payload;
-        output_char oc '\n')
-  with
+  match Durable.write_file path [ payload; "\n" ] with
   | () ->
       Option.iter
         (fun m ->

@@ -103,7 +103,9 @@ val equal : t -> t -> bool
 (** Bit-exact artifact equality (serialized-form comparison). *)
 
 val save : ?monitor:Telemetry.Monitor.t -> t -> string -> unit
-(** Write the artifact. When a monitor is passed, feeds its
+(** Write the artifact durably ({!Durable.write_file}): a crash or a
+    failed write leaves the file at [path] as it was. When a monitor is
+    passed, feeds its
     checkpoint-write accounting: bytes and [Sys.time] seconds on
     success, the [checkpoint_write_failures] data-loss flag on
     [Sys_error] (which still propagates). *)

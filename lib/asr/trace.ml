@@ -566,13 +566,7 @@ let of_json j =
     t_log = None;
   }
 
-let save t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string (to_json t));
-      output_char oc '\n')
+let save t path = Durable.write_file path [ Json.to_string (to_json t); "\n" ]
 
 let load path =
   let ic = open_in_bin path in

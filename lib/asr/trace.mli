@@ -190,7 +190,9 @@ val of_json : Telemetry.Json.t -> t
     version-incompatible input. *)
 
 val save : t -> string -> unit
-(** Write the serialized trace (one JSON object, trailing newline). *)
+(** Write the serialized trace (one JSON object, trailing newline)
+    durably ({!Durable.write_file}); raises [Sys_error] on failure,
+    leaving the file at the path as it was. *)
 
 val load : string -> t
 (** {!of_json} of a file's contents. Raises [Sys_error] on I/O errors,

@@ -19,9 +19,18 @@ let w_str buf s =
   w_u32 buf (String.length s);
   Buffer.add_string buf s
 
-type reader = { src : string; mutable pos : int }
+(* [base]: where [src] starts in the outermost input, for diagnostics. *)
+type reader = { src : string; mutable pos : int; base : int }
+
+let malformed r fmt =
+  Printf.ksprintf
+    (fun what -> failwith (Printf.sprintf "classfile: %s at offset %d" what (r.base + r.pos)))
+    fmt
+
+let remaining r = String.length r.src - r.pos
 
 let r_u8 r =
+  if remaining r < 1 then malformed r "input ends";
   let c = Char.code r.src.[r.pos] in
   r.pos <- r.pos + 1;
   c
@@ -40,8 +49,16 @@ let r_i64 r =
   done;
   !v
 
+(* A count of items each at least one byte long: never more than the
+   bytes left, so a damaged count cannot ask for a huge list. *)
+let r_count r what =
+  let n = r_u32 r in
+  if n > remaining r then malformed r "%s count %d exceeds the %d bytes left" what n (remaining r);
+  n
+
 let r_str r =
   let n = r_u32 r in
+  if n > remaining r then malformed r "string of %d bytes exceeds the %d left" n (remaining r);
   let s = String.sub r.src r.pos n in
   r.pos <- r.pos + n;
   s
@@ -70,7 +87,7 @@ let rec r_ty r =
   | 5 -> TNull
   | 6 -> TArray (r_ty r)
   | 7 -> TClass (r_str r)
-  | n -> failwith (Printf.sprintf "classfile: bad type tag %d" n)
+  | n -> malformed r "bad type tag %d" n
 
 let w_value buf = function
   | Value.Int n ->
@@ -95,7 +112,7 @@ let r_value r =
   | 2 -> Value.Bool (r_u8 r = 1)
   | 3 -> Value.Str (r_str r)
   | 4 -> Value.Null
-  | n -> failwith (Printf.sprintf "classfile: bad value tag %d" n)
+  | n -> malformed r "bad value tag %d" n
 
 let w_binop buf op =
   let code =
@@ -113,7 +130,7 @@ let r_binop r =
   | 5 -> Eq | 6 -> Neq | 7 -> Lt | 8 -> Gt | 9 -> Le | 10 -> Ge
   | 11 -> And | 12 -> Or | 13 -> Band | 14 -> Bor | 15 -> Bxor
   | 16 -> Shl | 17 -> Shr
-  | n -> failwith (Printf.sprintf "classfile: bad binop tag %d" n)
+  | n -> malformed r "bad binop tag %d" n
 
 let w_instr buf (instr : Instr.t) =
   match instr with
@@ -206,7 +223,7 @@ let r_instr r : Instr.t =
   | 37 -> Instr.Yield_point
   | 38 -> Instr.Aload_u
   | 39 -> Instr.Astore_u
-  | n -> failwith (Printf.sprintf "classfile: bad instruction tag %d" n)
+  | n -> malformed r "bad instruction tag %d" n
 
 (* "MJC2" = "MJC1" + per-method line tables. *)
 let magic = "MJC2"
@@ -252,20 +269,22 @@ let encode_method (mc : Instr.method_code) =
     mc.Instr.mc_lines;
   Buffer.contents buf
 
-let decode_method s =
-  let r = { src = s; pos = 0 } in
-  let m = String.sub s 0 4 in
-  if not (String.equal m magic) then failwith "classfile: bad magic";
-  r.pos <- 4;
+let r_magic r what =
+  if remaining r < 4 || not (String.equal (String.sub r.src r.pos 4) magic) then
+    malformed r "bad %smagic" what;
+  r.pos <- r.pos + 4
+
+let method_at r =
+  r_magic r "";
   let mc_class = r_str r in
   let mc_name = r_str r in
-  let n_params = r_u32 r in
+  let n_params = r_count r "parameter" in
   let mc_params = List.init n_params (fun _ -> r_ty r) in
   let mc_ret = r_ty r in
   let mc_nlocals = r_u32 r in
-  let n_code = r_u32 r in
+  let n_code = r_count r "instruction" in
   let mc_code = Array.init n_code (fun _ -> r_instr r) in
-  let n_lines = r_u32 r in
+  let n_lines = r_count r "line" in
   let mc_lines =
     Array.init n_lines (fun _ ->
         let pc = r_u32 r in
@@ -273,6 +292,8 @@ let decode_method s =
         (pc, loc))
   in
   { Instr.mc_class; mc_name; mc_params; mc_ret; mc_nlocals; mc_code; mc_lines }
+
+let decode_method s = method_at { src = s; pos = 0; base = 0 }
 
 let methods_of_class image cls =
   let methods =
@@ -303,12 +324,15 @@ let program_size image ~classes =
 let arity_key mc = (mc.Instr.mc_class, List.length mc.Instr.mc_params)
 
 let decode_image tab blob =
-  let r = { src = blob; pos = 0 } in
-  let m = String.sub blob 0 4 in
-  if not (String.equal m magic) then failwith "classfile: bad image magic";
-  r.pos <- 4;
-  let n = r_u32 r in
-  let decoded = List.init n (fun _ -> decode_method (r_str r)) in
+  let r = { src = blob; pos = 0; base = 0 } in
+  r_magic r "image ";
+  let n = r_count r "method" in
+  let decoded =
+    List.init n (fun _ ->
+        let body = r_str r in
+        method_at
+          { src = body; pos = 0; base = r.pos - String.length body })
+  in
   let im_methods = Hashtbl.create 64 in
   let im_ctors = Hashtbl.create 16 in
   let static_init = ref None in
@@ -321,7 +345,7 @@ let decode_image tab blob =
         Hashtbl.replace im_methods (mc.Instr.mc_class, mc.Instr.mc_name) mc)
     decoded;
   match !static_init with
-  | None -> failwith "classfile: image lacks a static initializer"
+  | None -> malformed r "image lacks a static initializer"
   | Some im_static_init ->
       { Compile.im_tab = tab; im_methods; im_ctors; im_static_init }
 

@@ -5,7 +5,10 @@
 val encode_method : Instr.method_code -> string
 
 val decode_method : string -> Instr.method_code
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure "classfile: <what> at offset <n>"] on malformed
+    input: truncated, a bad tag or magic, or a count larger than the
+    bytes left. Decoding checks the format only; the verifier
+    ({!Verify}) judges the code when an engine loads it. *)
 
 val encode_image : Compile.image -> string
 (** The full image: every compiled method and constructor plus the
@@ -13,7 +16,8 @@ val encode_image : Compile.image -> string
 
 val decode_image : Mj.Symtab.t -> string -> Compile.image
 (** Rebuild a runnable image from {!encode_image} output and the symbol
-    table of the same program. Raises [Failure] on malformed input. *)
+    table of the same program. Raises [Failure] as {!decode_method}
+    does, with offsets into [blob]. *)
 
 val class_size : Compile.image -> string -> int
 (** Serialized size in bytes of one class's methods and constructors. *)

@@ -1,12 +1,13 @@
 (** Closure backend — the analogue of a late-90s JIT compiler.
 
-    Each bytecode method is translated once, on its first call, into
-    trees of OCaml closures: the operand stack is resolved at translation
-    time, int and boolean subexpressions compute unboxed values, and
-    call, field and static sites are linked to their targets (DESIGN.md
-    §2a). Charges happen in bytecode order, so results, cycles and
-    profiles match a stack machine with the same tariff; only the speed
-    and the cost tariff differ from {!Vm}. *)
+    Each bytecode method is checked by {!Verify} when a call first
+    resolves to it, and translated once, on its first call, into trees
+    of OCaml closures: the operand stack is resolved at translation
+    time, slots live unboxed in the lanes the verifier typed them in,
+    and call, field and static sites are linked to their targets
+    (DESIGN.md §2a). Charges happen in bytecode order, so results,
+    cycles and profiles match a stack machine with the same tariff; only
+    the speed and the cost tariff differ from {!Vm}. *)
 
 type t
 

@@ -5,7 +5,7 @@ type 'code target = Code of 'code | Native of Machine.native
 type 'code t = {
   image : Compile.image;
   m : Machine.t;
-  load : Instr.method_code -> 'code;
+  load : this:bool -> Instr.method_code -> 'code;
   codes : (string * string, 'code) Hashtbl.t;  (* by defining class *)
   targets : (string * string, 'code target) Hashtbl.t;  (* by searched class *)
   ctors : (string * int, 'code) Hashtbl.t;
@@ -17,11 +17,17 @@ let create image m ~load =
 
 let fail = Machine.fail
 
+(* Whether [defining.mname] takes a receiver in slot 0. *)
+let has_this l (defining, mname) =
+  match Mj.Symtab.lookup_method l.image.Compile.im_tab defining mname with
+  | Some (_, m) -> not m.Mj.Ast.m_mods.Mj.Ast.is_static
+  | None -> false
+
 let code l key mc =
   match Hashtbl.find_opt l.codes key with
   | Some c -> c
   | None ->
-      let c = l.load mc in
+      let c = l.load ~this:(has_this l key) mc in
       Hashtbl.replace l.codes key c;
       c
 
@@ -49,7 +55,7 @@ let ctor l cls arity =
   | None -> (
       match Hashtbl.find_opt l.image.Compile.im_ctors (cls, arity) with
       | Some mc ->
-          let c = l.load mc in
+          let c = l.load ~this:true mc in
           Hashtbl.replace l.ctors (cls, arity) c;
           c
       | None -> fail "no constructor %s/%d" cls arity)

@@ -14,10 +14,14 @@ type 'code t
 val create :
   Compile.image ->
   Mj_runtime.Machine.t ->
-  load:(Instr.method_code -> 'code) ->
+  load:(this:bool -> Instr.method_code -> 'code) ->
   'code t
 (** [load] turns a method body into the engine's form; it is called at
-    most once per body, when a call first resolves to it. *)
+    most once per body, when a call first resolves to it. [this] says
+    whether the body takes a receiver in slot 0: constructors and
+    instance methods do, static methods do not. A [load] that raises
+    (a body the verifier rejects) fails the call, and is tried again
+    by the next one. *)
 
 val target : 'code t -> string -> string -> 'code target
 (** [target l cls mname]: dynamic dispatch from [cls] upward. Raises

@@ -2,7 +2,10 @@
 
     Executes {!Compile.image} code against a shared {!Mj_runtime.Machine}
     state with per-instruction cost accounting, and participates in the
-    {!Mj_runtime.Threads} scheduler at statement boundaries. *)
+    {!Mj_runtime.Threads} scheduler at statement boundaries. A method is
+    checked by {!Verify} when a call first resolves to it; its frames
+    keep every slot unboxed in the lane the verifier typed it in
+    (DESIGN.md §2b). *)
 
 type t
 

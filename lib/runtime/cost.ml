@@ -66,6 +66,12 @@ let set_lines t lines =
 
 let lines_on t = t.lines <> None
 
+let tariff t = t.tariff
+
+let[@inline] observed t = t.slow
+
+let[@inline] advance t n = t.cycles <- t.cycles + n
+
 let lines t = t.lines
 
 (* Move the line profiler's current-position pointer. Positions without
@@ -100,6 +106,33 @@ let charge_slow t n =
 let[@inline] charge t n =
   t.cycles <- t.cycles + n;
   if t.slow then charge_slow t n
+
+let[@inline] charge_at t loc n =
+  if t.slow then begin
+    at_line t loc;
+    charge t n
+  end
+  else t.cycles <- t.cycles + n
+
+(* [a.(k)] is the meter when the edge was last taken, [a.(k + 1)] how
+   many takings in a row found it unmoved. An iteration that charged
+   nothing ran only loads, stores, constants and jumps over the frame,
+   so a run of them longer than the cycles left would have exhausted the
+   budget under any tariff that charges each iteration one cycle. *)
+let back_edge t (a : int array) k =
+  match t.budget with
+  | None -> ()
+  | Some limit ->
+      let now = t.cycles in
+      if Array.unsafe_get a k <> now then begin
+        Array.unsafe_set a k now;
+        Array.unsafe_set a (k + 1) 0
+      end
+      else begin
+        let n = Array.unsafe_get a (k + 1) + 1 in
+        if now >= limit || n > limit - now then raise (Budget_exceeded now);
+        Array.unsafe_set a (k + 1) n
+      end
 
 let enter_method t label =
   (match t.sink with None -> () | Some s -> s.sink_enter label);

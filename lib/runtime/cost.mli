@@ -70,6 +70,21 @@ val lines_on : t -> bool
 
 val lines : t -> Telemetry.Lines.t option
 
+val tariff : t -> tariff
+
+val observed : t -> bool
+(** Whether a sink, a line table or a budget watches the meter: then
+    every charge must be made on its own, at its own line. *)
+
+val advance : t -> int -> unit
+(** Add cycles to the meter with no sink, line table or budget seeing
+    them — several charges of one instruction at once. Only sound while
+    {!observed} is false. *)
+
+val charge_at : t -> Mj.Loc.t -> int -> unit
+(** [charge_at t loc n] = [at_line t loc; charge t n], paying only the
+    addition while nothing observes the meter. *)
+
 val at_line : t -> Mj.Loc.t -> unit
 (** Move the line profiler's position pointer to [loc]'s starting line.
     Dummy locations are ignored (charges stay on the last known line).
@@ -85,6 +100,22 @@ val restore_cycles : t -> int -> unit
     line table observes it. *)
 
 val charge : t -> int -> unit
+
+val back_edge : t -> int array -> int -> unit
+(** [back_edge t a k] is called by an engine each time a loop's back
+    edge is taken, with the edge's two slots [a.(k)] and [a.(k + 1)] in
+    the activation's frame ([a.(k)] holds [min_int] when the activation
+    starts). With a budget set, it counts the takings in a row that find
+    the meter where the previous one left it, and raises
+    {!Budget_exceeded} when that count passes the cycles left before the
+    budget. Such an iteration ran only instructions that charge nothing
+    (loads, stores, constants, jumps, yield points): it changed no heap
+    cell, static, port or console byte, only frame slots. A loop whose
+    free iterations end, like [while (!b) { b = a; a = true; }], runs
+    on; one that never ends trips after at most as many free iterations
+    as a one-cycle-per-iteration tariff would take to reach the budget.
+    The reading it carries is the meter at the trip, at or below the
+    budget. Without a budget it does nothing. *)
 
 val dispatch : t -> unit
 val arith : t -> unit

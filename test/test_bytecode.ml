@@ -392,7 +392,7 @@ let negative_array_size () =
         engines)
     negative_size_srcs
 
-(* ---- the VM's load-time stack pass ----------------------------------- *)
+(* ---- the load-time verifier ------------------------------------------ *)
 
 module I = Mj_bytecode.Instr
 
@@ -403,37 +403,70 @@ let host_src =
     }|}
 
 (* The host program's image with [cls.mname]'s code replaced. *)
-let patched ?(cls = "Main") mname code =
+let patched ?(cls = "Main") ?nlocals mname code =
   let image = Mj_bytecode.Compile.compile (check_src host_src) in
   let tbl = image.Mj_bytecode.Compile.im_methods in
   let mc = Hashtbl.find tbl (cls, mname) in
   Hashtbl.replace tbl (cls, mname)
-    { mc with I.mc_code = code; I.mc_lines = [||] };
+    { mc with
+      I.mc_code = code;
+      I.mc_lines = [||];
+      I.mc_nlocals = Option.value nlocals ~default:mc.I.mc_nlocals };
   image
 
 let int k = I.Const (Mj_runtime.Value.Int k)
 
+let double x = I.Const (Mj_runtime.Value.Double x)
+
+(* Code [Main.f] may not have, the locals it is given, and what the
+   diagnostic must say. *)
 let rejected_codes =
   [ ( "underflow",
       [| int 1; I.Iop Mj.Ast.Add; I.Ret_val |],
-      [ "vm: operand stack underflow at pc 1 in Main.f" ] );
+      1,
+      [ "verify: operand stack underflow at pc 1 in Main.f" ] );
     ( "depths disagree at a join",
       (* the fall-through reaches pc 6 with one entry, the branch with two;
          run, it would only ever take the fall-through *)
       [| I.Const (Mj_runtime.Value.Bool true); I.Jump_if_false 4; int 1;
          I.Jump 6; int 2; int 3; I.Ret_val |],
-      [ "vm: operand stack underflow"; "meet at pc 6 in Main.f" ] );
-    ("falls off its code", [| int 1; I.Pop |], [ "Main.f falls off its code" ]);
-    ("jump out of range", [| I.Jump 9 |], [ "jump target 9 out of range" ]);
-    ("local out of range", [| I.Load 5; I.Ret_val |], [ "local slot 5 out of range" ]) ]
+      1,
+      [ "verify: stack depths"; "meet at pc 6 in Main.f" ] );
+    ("falls off its code", [| int 1; I.Pop |], 1, [ "verify: Main.f falls off its code" ]);
+    ("jump out of range", [| I.Jump 9 |], 1, [ "verify: jump target 9 out of range at pc 0" ]);
+    ("local out of range", [| I.Load 5; I.Ret_val |], 1, [ "verify: local slot 5 out of range" ]);
+    ( "double operand of an int operator",
+      [| double 1.5; int 2; I.Iop Mj.Ast.Add; I.Ret_val |],
+      1,
+      [ "verify: int operand expected at pc 2 in Main.f, found double" ] );
+    ( "int operand of a branch",
+      [| int 1; I.Jump_if_false 2; int 3; I.Ret_val |],
+      1,
+      [ "verify: boolean operand expected at pc 1 in Main.f, found int" ] );
+    ( "local read before it is written",
+      (* slot 1 is written on the fall-through path only *)
+      [| I.Const (Mj_runtime.Value.Bool true); I.Jump_if_false 4; int 7;
+         I.Store 1; I.Load 1; I.Ret_val |],
+      2,
+      [ "verify: local slot 1 may be read before it is written in Main.f" ] );
+    ( "more locals than a class file can declare",
+      (* as a flipped byte of the count would read *)
+      [| int 1; I.Ret_val |],
+      1 lsl 24,
+      [ "verify: Main.f declares 16777216 locals, more than 65535" ] ) ]
 
-(* Rejected when the call first resolves, with the VM's own error; an
+(* Rejected when the call first resolves, with the verifier's error; an
    [Invalid_argument] from an unchecked index would fail the test. *)
-let load_time_rejection () =
+let load_time_rejection engine () =
   List.iter
-    (fun (name, code, substrings) ->
-      let vm = Mj_bytecode.Vm.of_image (patched "f" code) in
-      match Mj_bytecode.Vm.run_main vm "Main" with
+    (fun (name, code, nlocals, substrings) ->
+      let image = patched ~nlocals "f" code in
+      let run () =
+        match engine with
+        | `Vm -> Mj_bytecode.Vm.run_main (Mj_bytecode.Vm.of_image image) "Main"
+        | `Jit -> Mj_bytecode.Jit.run_main (Mj_bytecode.Jit.of_image image) "Main"
+      in
+      match run () with
       | () -> Alcotest.failf "%s: accepted" name
       | exception Mj_runtime.Heap.Runtime_error msg ->
           List.iter
@@ -519,6 +552,244 @@ let nested_yields_fiber_safe () =
   done;
   Alcotest.(check bool) "the scheduler interleaved the workers" true !branched
 
+(* ---- the verifier against mutated code -------------------------------- *)
+
+(* Methods of the differential corpus, mutated one edit at a time: an
+   instruction inserted, deleted or swapped with its successor, a jump
+   retargeted, a constant's type changed, a local slot renumbered. Each
+   mutant runs on the VM and the JIT under a cycle budget and a heap
+   limit; both must reject it with the same verifier message, or run it
+   to the same output and the same error, and an engine that trips its
+   budget must have printed a prefix of what the other printed. Any
+   other exception fails the property. *)
+
+let mutation_corpus =
+  lazy
+    (List.map
+       (fun (name, src) ->
+         (name, src, Mj_bytecode.Compile.compile (check_src src)))
+       (corpus @ [ ("stack shapes", shapes_src) ]))
+
+(* The methods and constructors of the classes [src] declares, in a fixed
+   order. Library classes stay intact: the static initializer runs
+   their code before a budget can be armed. *)
+let bodies src image =
+  let sorted tbl =
+    Hashtbl.fold
+      (fun ((cls, _) as k) mc acc ->
+        if contains ~substring:("class " ^ cls ^ " ") src then (k, mc) :: acc
+        else acc)
+      tbl []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  List.map (fun ((c, m), mc) -> (`Method (c, m), mc)) (sorted image.Mj_bytecode.Compile.im_methods)
+  @ List.map (fun ((c, k), mc) -> (`Ctor (c, k), mc)) (sorted image.Mj_bytecode.Compile.im_ctors)
+
+let insertable a b : I.t array =
+  [| int (a - 4); I.Const (Mj_runtime.Value.Double 0.5);
+     I.Const (Mj_runtime.Value.Bool (a mod 2 = 0)); I.Const Mj_runtime.Value.Null;
+     I.Load (a mod 6); I.Store (a mod 6); I.Pop; I.Dup; I.Dup_x1;
+     I.Iop Mj.Ast.Add; I.Iop Mj.Ast.Lt; I.Dop Mj.Ast.Mul; I.I2d; I.D2i;
+     I.Bnot; I.Jump b; I.Jump_if_false b; I.Ret; I.Ret_val; I.Yield_point;
+     I.Array_len; I.Sconcat; I.Veq true |]
+
+let retype : Mj_runtime.Value.t -> Mj_runtime.Value.t = function
+  | Mj_runtime.Value.Int k -> Mj_runtime.Value.Double (float_of_int k)
+  | Mj_runtime.Value.Double x -> Mj_runtime.Value.Bool (x > 0.)
+  | Mj_runtime.Value.Bool b -> Mj_runtime.Value.Int (Bool.to_int b)
+  | Mj_runtime.Value.Str _ -> Mj_runtime.Value.Int 1
+  | Mj_runtime.Value.Null | Mj_runtime.Value.Ref _ -> Mj_runtime.Value.Str "s"
+
+(* Targets after an edit at [p] that adds [delta] instructions there. *)
+let shift p delta (i : I.t) =
+  let move t = if t > p then t + delta else t in
+  match i with
+  | I.Jump t -> I.Jump (move t)
+  | I.Jump_if_false t -> I.Jump_if_false (move t)
+  | i -> i
+
+(* The pcs of [code] holding instructions [pick] selects. *)
+let where pick code =
+  List.filter (fun pc -> pick code.(pc)) (List.init (Array.length code) Fun.id)
+
+let mutate (kind, a, b) (mc : I.method_code) =
+  let code = mc.I.mc_code in
+  let n = Array.length code in
+  let nth l = List.nth l (a mod List.length l) in
+  let jumps = where (function I.Jump _ | I.Jump_if_false _ -> true | _ -> false) code in
+  let consts = where (function I.Const _ -> true | _ -> false) code in
+  let slots = where (function I.Load _ | I.Store _ -> true | _ -> false) code in
+  let swap () =
+    let c = Array.copy code in
+    let p = a mod max 1 (n - 1) in
+    if p + 1 < n then begin
+      c.(p) <- code.(p + 1);
+      c.(p + 1) <- code.(p)
+    end;
+    (Printf.sprintf "swap %d" p, c)
+  in
+  let what, code =
+    match kind mod 6 with
+    | 0 ->
+        let p = a mod (n + 1) and ins = insertable a (b mod (n + 2)) in
+        let i = ins.(b mod Array.length ins) in
+        let c = Array.map (shift p 1) code in
+        ( Format.asprintf "insert %a at %d" I.pp i p,
+          Array.concat [ Array.sub c 0 p; [| i |]; Array.sub c p (n - p) ] )
+    | 1 when n > 1 ->
+        let p = a mod n in
+        let c = Array.map (shift p (-1)) code in
+        ( Printf.sprintf "delete %d" p,
+          Array.append (Array.sub c 0 p) (Array.sub c (p + 1) (n - p - 1)) )
+    | 3 when jumps <> [] ->
+        let pc = nth jumps and t = b mod (n + 2) in
+        let c = Array.copy code in
+        c.(pc) <-
+          (match code.(pc) with
+          | I.Jump _ -> I.Jump t
+          | _ -> I.Jump_if_false t);
+        (Printf.sprintf "retarget %d to %d" pc t, c)
+    | 4 when consts <> [] ->
+        let pc = nth consts in
+        let c = Array.copy code in
+        c.(pc) <- (match code.(pc) with I.Const v -> I.Const (retype v) | i -> i);
+        (Printf.sprintf "retype constant at %d" pc, c)
+    | 5 when slots <> [] ->
+        let pc = nth slots and k = b mod (mc.I.mc_nlocals + 1) in
+        let c = Array.copy code in
+        c.(pc) <- (match code.(pc) with I.Load _ -> I.Load k | _ -> I.Store k);
+        (Printf.sprintf "slot %d at %d" k pc, c)
+    | _ -> swap ()
+  in
+  (what, { mc with I.mc_code = code })
+
+type outcome = Done of string | Failed of string * string | Tripped of string
+
+let show = function
+  | Done out -> Printf.sprintf "done %S" out
+  | Failed (out, msg) -> Printf.sprintf "failed %S after %S" msg out
+  | Tripped out -> Printf.sprintf "tripped after %S" out
+
+(* [Main.main] on one engine, metered: the outcome and nothing else — an
+   exception other than a runtime error or a budget trip escapes. *)
+let run_metered engine image =
+  let machine, output, run, budget =
+    match engine with
+    | `Vm ->
+        let s = Mj_bytecode.Vm.of_image image in
+        ( Mj_bytecode.Vm.machine s,
+          (fun () -> Mj_bytecode.Vm.output s),
+          (fun () -> Mj_bytecode.Vm.run_main s "Main"),
+          1_000_000 )
+    | `Jit ->
+        let s = Mj_bytecode.Jit.of_image image in
+        ( Mj_bytecode.Jit.machine s,
+          (fun () -> Mj_bytecode.Jit.output s),
+          (fun () -> Mj_bytecode.Jit.run_main s "Main"),
+          100_000 )
+  in
+  let cost = machine.Mj_runtime.Machine.cost
+  and heap = machine.Mj_runtime.Machine.heap in
+  Mj_runtime.Cost.set_budget cost (Some (Mj_runtime.Cost.cycles cost + budget));
+  let st = Mj_runtime.Heap.stats heap in
+  Mj_runtime.Heap.set_limit_words heap
+    (Some (st.Mj_runtime.Heap.init_words + st.Mj_runtime.Heap.reactive_words + 100_000));
+  match run () with
+  | () -> Done (output ())
+  | exception Mj_runtime.Heap.Runtime_error msg -> Failed (output (), msg)
+  | exception Mj_runtime.Cost.Budget_exceeded _ -> Tripped (output ())
+
+let is_prefix a b = String.length a <= String.length b && String.sub b 0 (String.length a) = a
+
+let agree vm jit =
+  match (vm, jit) with
+  | Done a, Done b -> a = b
+  | Failed (a, m), Failed (b, n) -> a = b && m = n
+  | Tripped a, Tripped b -> is_prefix a b || is_prefix b a
+  | Tripped a, (Done b | Failed (b, _)) | (Done b | Failed (b, _)), Tripped a ->
+      is_prefix a b
+  | _ -> false
+
+let mutation_gen =
+  QCheck.Gen.(
+    map
+      (fun (prog, body, kind, a, b) -> (prog, body, (kind, a, b)))
+      (tup5 (int_bound 1000) (int_bound 1000) (int_bound 5) (int_bound 1000)
+         (int_bound 1000)))
+
+let mutant (prog, body, edit) =
+  let progs = Lazy.force mutation_corpus in
+  let name, src, image = List.nth progs (prog mod List.length progs) in
+  let all = bodies src image in
+  let key, mc = List.nth all (body mod List.length all) in
+  let what, mc' = mutate edit mc in
+  let methods = Hashtbl.copy image.Mj_bytecode.Compile.im_methods
+  and ctors = Hashtbl.copy image.Mj_bytecode.Compile.im_ctors in
+  (match key with
+  | `Method k -> Hashtbl.replace methods k mc'
+  | `Ctor k -> Hashtbl.replace ctors k mc');
+  ( Printf.sprintf "%s: %s.%s: %s" name mc.I.mc_class mc.I.mc_name what,
+    { image with Mj_bytecode.Compile.im_methods = methods; im_ctors = ctors } )
+
+let mutation_gate =
+  qcase ~count:1500 "verifier: mutated methods run alike or fail alike"
+    (QCheck.make
+       ~print:(fun m -> fst (mutant m))
+       mutation_gen)
+    (fun m ->
+      let what, image = mutant m in
+      let vm = run_metered `Vm image and jit = run_metered `Jit image in
+      agree vm jit
+      || QCheck.Test.fail_reportf "%s\nvm:  %s\njit: %s" what (show vm) (show jit))
+
+(* ---- damaged class files ----------------------------------------------- *)
+
+let fir_image =
+  lazy
+    (let checked = check_src Workloads.Fir_mj.unrestricted_source in
+     (checked, Mj_bytecode.Classfile.encode_image (Mj_bytecode.Compile.compile checked)))
+
+(* FIR's image cut short or with one byte changed either decodes or fails
+   with the decoder's own diagnostic, naming the offset; every method of
+   an image that decodes then passes the load-time verifier or is
+   rejected by it, with or without a receiver slot. *)
+let damaged_image_gate =
+  qcase ~count:1000 "classfile: truncated or flipped images fail with a diagnostic"
+    (QCheck.make
+       ~print:(fun (cut, at, x) -> Printf.sprintf "cut=%b at=%d xor=%d" cut at x)
+       QCheck.Gen.(triple bool (int_bound 100_000) (int_range 1 255)))
+    (fun (cut, at, x) ->
+      let checked, blob = Lazy.force fir_image in
+      let n = String.length blob in
+      let damaged =
+        if cut then String.sub blob 0 (at mod n)
+        else
+          String.mapi
+            (fun i c -> if i = at mod n then Char.chr (Char.code c lxor x) else c)
+            blob
+      in
+      match Mj_bytecode.Classfile.decode_image checked.Mj.Typecheck.symtab damaged with
+      | image ->
+          let verify mc =
+            List.for_all
+              (fun this ->
+                match Mj_bytecode.Verify.verify ~this mc with
+                | _ -> true
+                | exception Mj_runtime.Heap.Runtime_error msg ->
+                    contains ~substring:"verify: " msg
+                    || QCheck.Test.fail_reportf "unverified rejection %S" msg)
+              [ false; true ]
+          in
+          let im = image.Mj_bytecode.Compile.im_methods
+          and ic = image.Mj_bytecode.Compile.im_ctors in
+          verify image.Mj_bytecode.Compile.im_static_init
+          && Hashtbl.fold (fun _ mc ok -> ok && verify mc) im true
+          && Hashtbl.fold (fun _ mc ok -> ok && verify mc) ic true
+      | exception Failure msg ->
+          contains ~substring:"classfile: " msg
+          && contains ~substring:" at offset " msg
+          || QCheck.Test.fail_reportf "undiagnosed failure %S" msg)
+
 let suite =
   List.map differential corpus
   @ [ case "differential: saturating double-to-int narrowing" (fun () ->
@@ -597,7 +868,11 @@ let suite =
       case "differential: a negative array size fails before any charge"
         negative_array_size;
       case "vm load rejects bad stack shapes with its diagnostic"
-        load_time_rejection;
+        (load_time_rejection `Vm);
+      case "jit load rejects the same code with the same diagnostic"
+        (load_time_rejection `Jit);
+      mutation_gate;
+      damaged_image_gate;
       case "arity mismatch fails inside the callee's bracket (vm, jit)"
         arity_in_callee_bracket;
       case "vm frames stay per call under threads (nested yields)"

@@ -429,6 +429,52 @@ let suite =
         Alcotest.(check int) "failure accounted" 1 failures;
         Alcotest.(check int) "data_loss flag raised" 1
           (jint [ "data_loss"; "checkpoint_write_failures" ] (M.snapshot m)));
+    case "a failed save leaves the previous checkpoint byte-identical"
+      (fun () ->
+        let sim = Sim.create (chain_graph ()) in
+        ignore (Sim.step sim [ ("x", D.int 1) ]);
+        let path = Filename.temp_file "ck-durable" ".json" in
+        K.save (K.capture ~system:"test" sim) path;
+        let read () = In_channel.with_open_bin path In_channel.input_all in
+        let before = read () in
+        ignore (Sim.step sim [ ("x", D.int 2) ]);
+        (* a directory where the temporary file would go: the write fails
+           before the target is touched *)
+        let blocker = Asr.Durable.temp_path path in
+        Sys.mkdir blocker 0o755;
+        let m = M.create () in
+        (match K.save ~monitor:m (K.capture ~system:"test" sim) path with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        Alcotest.(check string) "previous file intact" before (read ());
+        let _, _, _, failures = M.checkpoint_stats m in
+        Alcotest.(check int) "failure accounted" 1 failures;
+        Sys.rmdir blocker;
+        K.save (K.capture ~system:"test" sim) path;
+        Alcotest.(check bool) "the next save lands" true (read () <> before);
+        Alcotest.(check bool) "no temporary left" false (Sys.file_exists blocker);
+        Sys.remove path);
+    case "a save whose rename fails removes its temporary file" (fun () ->
+        let sim = Sim.create (chain_graph ()) in
+        let dir = Filename.temp_file "ck-dir" "" in
+        Sys.remove dir;
+        Sys.mkdir dir 0o755;
+        (* the target is a non-empty directory: rename cannot replace it *)
+        let target = Filename.concat dir "ck.json" in
+        Sys.mkdir target 0o755;
+        let inside = Filename.concat target "keep" in
+        Out_channel.with_open_bin inside (fun oc -> output_string oc "x");
+        let m = M.create () in
+        (match K.save ~monitor:m (K.capture ~system:"test" sim) target with
+        | () -> Alcotest.fail "expected Sys_error"
+        | exception Sys_error _ -> ());
+        Alcotest.(check (list string)) "only the target in the directory"
+          [ "ck.json" ] (Array.to_list (Sys.readdir dir));
+        let _, _, _, failures = M.checkpoint_stats m in
+        Alcotest.(check int) "failure accounted" 1 failures;
+        Sys.remove inside;
+        Sys.rmdir target;
+        Sys.rmdir dir);
     case "of_json rejects an unsupported version" (fun () ->
         let sim = Sim.create (chain_graph ()) in
         let ck = K.capture ~system:"test" sim in

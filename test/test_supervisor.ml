@@ -94,6 +94,28 @@ let mj_suite =
         }
       }|}
   in
+  let forever_src =
+    {|class Forever extends ASR {
+        Forever() { declarePorts(1, 1); }
+        public void run() {
+          writePort(0, readPort(0));
+          while (true) { }
+        }
+      }|}
+  in
+  (* Two iterations that charge nothing on the JIT ([bnot], loads,
+     stores, constants and the branch are free there) and then end. *)
+  let settle_src =
+    {|class Settle extends ASR {
+        Settle() { declarePorts(1, 1); }
+        public void run() {
+          boolean a = false;
+          boolean b = false;
+          while (!b) { b = a; a = true; }
+          writePort(0, readPort(0) + 1);
+        }
+      }|}
+  in
   let engines =
     [ ("interp", E.Engine_interp); ("vm", E.Engine_vm); ("jit", E.Engine_jit) ]
   in
@@ -175,7 +197,48 @@ let mj_suite =
             Mj_runtime.Heap.set_limit_words heap None;
             match E.react elab [| D.int 1 |] with
             | [| D.Def _ |] -> ()
-            | _ -> Alcotest.fail "reaction did not resume") ])
+            | _ -> Alcotest.fail "reaction did not resume");
+        (* A loop whose iterations charge nothing (the JIT's loads,
+           stores, constants, jumps and yield points cost 0) must still
+           trip the watchdog: bare, and contained by the supervisor. *)
+        case (label ^ ": an empty infinite loop trips the budget") (fun () ->
+            let elab =
+              E.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
+                (check_src forever_src) ~cls:"Forever"
+            in
+            let before = E.total_cycles elab in
+            match E.react_bounded elab ~budget_cycles:100_000 [| D.int 1 |] with
+            | _ -> Alcotest.fail "the loop returned"
+            | exception Mj_runtime.Cost.Budget_exceeded n ->
+                Alcotest.(check bool) "reading past the start" true (n > before);
+                Alcotest.(check int) "reading is the meter" n (E.total_cycles elab));
+        case (label ^ ": an empty infinite loop is contained as a budget fault")
+          (fun () ->
+            let sup, elab, lines =
+              supervised_run ~engine ~src:forever_src ~cls:"Forever"
+                ~budget:100_000 ~instants:2 ()
+            in
+            Alcotest.(check int) "contained" 2 (S.fault_count sup);
+            Alcotest.(check bool) "classed" true
+              (List.for_all
+                 (fun f -> f.S.f_class = S.Budget_exceeded)
+                 (S.faults sup));
+            Alcotest.(check int) "lines reconcile" (E.total_cycles elab)
+              (Telemetry.Lines.total lines));
+        case (label ^ ": a loop of free iterations that ends runs to its end")
+          (fun () ->
+            let elab () =
+              E.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
+                (check_src settle_src) ~cls:"Settle"
+            in
+            let free = E.react (elab ()) [| D.int 1 |] in
+            let bounded =
+              E.react_bounded (elab ()) ~budget_cycles:100_000 [| D.int 1 |]
+            in
+            Alcotest.(check bool) "wrote its output" true
+              (match free with [| D.Def _ |] -> true | _ -> false);
+            Alcotest.(check bool) "same outputs under a budget" true
+              (free = bounded)) ])
     engines
 
 let suite =
