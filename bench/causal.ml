@@ -16,7 +16,7 @@ module C = Telemetry.Causal
 module G = Asr.Graph
 module B = Asr.Block
 module D = Asr.Domain
-module T = Asr.Trace
+module T = Asr.Checkpoint
 module F = Asr.Fixpoint
 module S = Asr.Supervisor
 module I = Asr.Inject
@@ -59,7 +59,7 @@ let slice_rows ~instants size =
     | [] -> []
     | first :: _ -> List.filter_map (fun (n, _) -> T.output_net t n) first
   in
-  let last = T.instants t - 1 in
+  let last = T.instant t - 1 in
   let slices =
     List.concat_map
       (fun di ->
@@ -84,7 +84,7 @@ let slice_rows ~instants size =
   Row.
     [ count ~w "blocks" (Array.length compiled.G.c_blocks);
       count ~w "nets" compiled.G.n_nets;
-      count ~w "instants" (T.instants t);
+      count ~w "instants" (T.instant t);
       count ~w "events_pushed" (overwrites + List.length (T.events t));
       count ~w "ring_overwrites" overwrites;
       count ~w "slices_checked" checked;
@@ -171,7 +171,7 @@ let replay_rows g stream ~strategy ?policy ?inject () =
   Row.
     [ count ~w ~layer "injected_faults"
         (match inject with None -> 0 | Some l -> List.length l);
-      count ~w ~layer "instants" (T.instants t);
+      count ~w ~layer "instants" (T.instant t);
       exact ~w ~layer "aborted" (Bool (T.fatal t <> None));
       gate ~w ~layer "replay_identical" (T.equal t (T.replay t g));
       gate ~w ~layer "serialization_identical"

@@ -209,8 +209,30 @@ let harness_capture ?injector sim =
    CK_EVERY-instant boundary; at the KILL boundary, touch DIR/ready and
    freeze until the parent's SIGKILL lands. Dying frozen, after
    fsync-visible artifacts and before the next instant, models the
-   power cut the recovery story is for. *)
+   power cut the recovery story is for.
+
+   [recovery-child midwrite PATH READY INSTANTS], spawned by
+   [midwrite_rows], never freezes: it saves the harness checkpoint over
+   the one PATH at every instant boundary, touches READY after the
+   first save, and then re-saves the final checkpoint in a loop, so the
+   parent's SIGKILL lands at an arbitrary point of a save. *)
 let child = function
+  | [ "midwrite"; path; ready; instants ] ->
+      let _g, sim, injector, arr =
+        harness_setup ~instants:(int_of_string instants)
+      in
+      let save () = K.save (harness_capture ~injector sim) path in
+      save ();
+      close_out (open_out ready);
+      Array.iter
+        (fun inputs ->
+          ignore (Asr.Simulate.step sim inputs);
+          I.tick injector;
+          save ())
+        arr;
+      while true do
+        save ()
+      done
   | [ dir; kill; ck_every; instants ] ->
       let kill = int_of_string kill
       and ck_every = int_of_string ck_every
@@ -231,7 +253,9 @@ let child = function
           I.tick injector)
         arr
   | _ ->
-      prerr_endline "usage: recovery-child DIR KILL CK_EVERY INSTANTS";
+      prerr_endline
+        "usage: recovery-child DIR KILL CK_EVERY INSTANTS\n\
+        \       recovery-child midwrite PATH READY INSTANTS";
       exit 1
 
 let rec wait_for path tries =
@@ -242,14 +266,37 @@ let rec wait_for path tries =
           wait_for path (tries - 1)
         end
 
-let kill_rows ~instants ~ck_every j =
-  let kill = max ck_every (41 * j mod instants) in
+(* Does resuming [ck] converge to the in-process oracle, the same run
+   uninterrupted: suffix outputs and a byte-identical final
+   checkpoint? *)
+let converges ~instants ck =
+  let g, sim, injector, arr = harness_setup ~instants in
+  let oracle_outs, _ = drive sim (Some injector) arr ~start:0 in
+  let oracle_final = harness_capture ~injector sim in
+  let r = K.resume ck g in
+  let start = K.instant ck in
+  let routs, _ = drive r.K.r_sim r.K.r_injector arr ~start in
+  outputs_eq routs (drop start oracle_outs)
+  && K.equal oracle_final (harness_capture ?injector:r.K.r_injector r.K.r_sim)
+
+let scratch_dir tag =
   let dir =
     Filename.concat
       (Filename.get_temp_dir_name ())
-      (Printf.sprintf "asr-recovery-%d-%d" (Unix.getpid ()) kill)
+      (Printf.sprintf "asr-recovery-%d-%s" (Unix.getpid ()) tag)
   in
   (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  dir
+
+let remove_dir dir =
+  Array.iter
+    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+    (Sys.readdir dir);
+  try Unix.rmdir dir with Unix.Unix_error _ -> ()
+
+let kill_rows ~instants ~ck_every j =
+  let kill = max ck_every (41 * j mod instants) in
+  let dir = scratch_dir (string_of_int kill) in
   let exe = Sys.executable_name in
   let pid =
     Unix.create_process exe
@@ -266,27 +313,13 @@ let kill_rows ~instants ~ck_every j =
            Scanf.sscanf_opt f "checkpoint-%d.json" (fun i -> i))
     |> List.fold_left max (-1)
   in
-  (* in-process oracle: the same run, uninterrupted *)
-  let g, sim, injector, arr = harness_setup ~instants in
-  let oracle_outs, _ = drive sim (Some injector) arr ~start:0 in
-  let oracle_final = harness_capture ~injector sim in
   let converged =
     latest >= 0
-    &&
-    let ck =
-      K.load (Filename.concat dir (Printf.sprintf "checkpoint-%d.json" latest))
-    in
-    let r = K.resume ck g in
-    let start = K.instant ck in
-    let routs, _ = drive r.K.r_sim r.K.r_injector arr ~start in
-    outputs_eq routs (drop start oracle_outs)
-    && K.equal oracle_final
-         (harness_capture ?injector:r.K.r_injector r.K.r_sim)
+    && converges ~instants
+         (K.load
+            (Filename.concat dir (Printf.sprintf "checkpoint-%d.json" latest)))
   in
-  Array.iter
-    (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
-    (Sys.readdir dir);
-  (try Unix.rmdir dir with Unix.Unix_error _ -> ());
+  remove_dir dir;
   let w = Printf.sprintf "sigkill-%d" j in
   Row.
     [ wall ~w ~unit_:"instant" "kill_instant" (float_of_int kill);
@@ -295,10 +328,53 @@ let kill_rows ~instants ~ck_every j =
         (ready && status = Unix.WSIGNALED Sys.sigkill);
       gate ~w "recovery_converged_ok" converged ]
 
+(* Kill a child that is saving one path over and over, at a seeded
+   moment after its first save: whatever the kill interrupted, the file
+   at the path must load (its digest matching the payload) and resume
+   to the oracle. The moment, whether a save was cut short (a temporary
+   file left behind) and the instant the file held are wall rows. *)
+let midwrite_rows ~instants j =
+  let dir = scratch_dir (Printf.sprintf "midwrite-%d" j) in
+  let path = Filename.concat dir "checkpoint.json"
+  and ready = Filename.concat dir "ready" in
+  let exe = Sys.executable_name in
+  let pid =
+    Unix.create_process exe
+      [| exe; "recovery-child"; "midwrite"; path; ready;
+         string_of_int instants |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let started = wait_for ready 600 in
+  let after_ms = (j - 1) * (j + 2) in
+  Unix.sleepf (float_of_int after_ms /. 1000.0);
+  Unix.kill pid Sys.sigkill;
+  let _, status = Unix.waitpid [] pid in
+  let ck =
+    try Some (K.load path)
+    with Invalid_argument _ | Sys_error _ | Telemetry.Json.Parse_error _ ->
+      None
+  in
+  let converged = Option.fold ~none:false ~some:(converges ~instants) ck in
+  (* a temporary file left beside the path: the kill cut a save short *)
+  let torn =
+    Array.exists (fun f -> Filename.check_suffix f ".tmp") (Sys.readdir dir)
+  in
+  remove_dir dir;
+  let w = Printf.sprintf "sigkill-midwrite-%d" j in
+  Row.
+    [ wall ~w ~unit_:"ms" "kill_after_ms" (float_of_int after_ms);
+      wall ~w ~unit_:"" "save_interrupted" (if torn then 1.0 else 0.0);
+      wall ~w ~unit_:"instant" "recovered_from_instant"
+        (Option.fold ~none:(-1.0) ~some:(fun ck -> float_of_int (K.instant ck)) ck);
+      gate ~w "sigkill_delivered_ok"
+        (started && status = Unix.WSIGNALED Sys.sigkill);
+      gate ~w "artifact_loads_ok" (ck <> None);
+      gate ~w "recovery_converged_ok" converged ]
+
 let rows ~smoke =
   let instants = if smoke then 8 else 12 in
   let ck_every = if smoke then 2 else 3 in
+  let arms = List.init (if smoke then 1 else 3) (fun j -> j + 1) in
   differential ~smoke
-  @ List.concat_map
-      (kill_rows ~instants ~ck_every)
-      (List.init (if smoke then 1 else 3) (fun j -> j + 1))
+  @ List.concat_map (kill_rows ~instants ~ck_every) arms
+  @ List.concat_map (midwrite_rows ~instants) arms

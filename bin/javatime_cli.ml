@@ -9,7 +9,7 @@
    javatime bound <file.mj> <cls> — worst-case reaction bound of an ASR class
    javatime disasm <file.mj>    — dump compiled bytecode
    javatime why <file.mj> <cls> — causal slice behind one net at one instant
-   javatime trace-diff A B      — first divergence between two trace files *)
+   javatime trace-diff A B      — first divergence between two recorded runs *)
 
 open Cmdliner
 
@@ -581,13 +581,18 @@ let simulate_cmd =
               Asr.Checkpoint.save ?monitor:mon ck path;
               path
             in
-            (* Step-wise drive: every instant's net fixed point is
-               captured for the replayable trace artifact, periodic
-               checkpoints land on instant boundaries, and a fail-fast
-               abort still writes both artifacts — the causal trace and
-               a resumable checkpoint of the last completed instant —
-               before the exit-4 diagnostic. *)
-            let entries = ref [] and nets = ref [] and fatal = ref None in
+            (* Step-wise drive: periodic checkpoints land on instant
+               boundaries, and a fail-fast abort still writes both
+               artifacts — the recording and a resumable checkpoint of
+               the last completed instant — before the exit-4
+               diagnostic. *)
+            let recorder =
+              match causal_trace with
+              | Some _ when start = 0 ->
+                  Some (Asr.Checkpoint.recorder sim stream)
+              | _ -> None
+            in
+            let entries = ref [] and fatal = ref None in
             (* pre-instant capture: the abort checkpoint must describe
                the boundary before the killing instant, and the
                supervisor is unreadable mid-instant *)
@@ -602,60 +607,39 @@ let simulate_cmd =
                             ~machine:
                               (Javatime.Elaborate.machine_state_json elab)
                             sim);
-                   match Asr.Simulate.run sim [ inputs ] with
-                   | [ e ] ->
-                       entries := e :: !entries;
-                       if causal_trace <> None then
-                         nets := Asr.Simulate.net_values sim :: !nets;
-                       (match ckpt_dir with
-                       | Some dir
-                         when checkpoint_every > 0
-                              && Asr.Simulate.instant_count sim
-                                 mod checkpoint_every
-                                 = 0 ->
-                           ignore
-                             (write_ck
-                                ~tag:
-                                  (string_of_int
-                                     (Asr.Simulate.instant_count sim))
-                                dir)
-                       | _ -> ())
-                   | _ -> assert false)
+                   entries :=
+                     (match recorder with
+                     | Some r -> Asr.Checkpoint.record_step r
+                     | None -> List.hd (Asr.Simulate.run sim [ inputs ]))
+                     :: !entries;
+                   match ckpt_dir with
+                   | Some dir
+                     when checkpoint_every > 0
+                          && Asr.Simulate.instant_count sim mod checkpoint_every
+                             = 0 ->
+                       ignore
+                         (write_ck
+                            ~tag:(string_of_int (Asr.Simulate.instant_count sim))
+                            dir)
+                   | _ -> ())
                  stream
              with Asr.Supervisor.Fatal f ->
                fatal := Some (Asr.Supervisor.fault_to_string f));
             let entries = List.rev !entries in
-            (match (causal_trace, Asr.Simulate.causal sim) with
-            | Some path, Some cz ->
-                let t =
-                  Asr.Trace.assemble ~system:(Asr.Graph.name g)
-                    ~strategy:(Asr.Simulate.strategy sim)
-                    ?policy:(if supervise then Some policy else None)
-                    ~escalate_after ~graph:(Asr.Graph.compile g) ~causal:cz
-                    ~stream
-                    ~nets:(Array.of_list (List.rev !nets))
-                    ~outputs:
-                      (List.map (fun e -> e.Asr.Simulate.outputs) entries)
-                    ~iterations:
-                      (Array.of_list
-                         (List.map
-                            (fun e -> e.Asr.Simulate.iterations)
-                            entries))
-                    ~faults:
-                      (match sup with
-                      | None -> []
-                      | Some s ->
-                          List.map Asr.Supervisor.fault_to_json
-                            (Asr.Supervisor.faults s))
-                    ?fatal:!fatal ()
-                in
-                Asr.Trace.save t path;
+            (match (causal_trace, recorder) with
+            | Some path, Some r ->
+                Asr.Checkpoint.save
+                  (Asr.Checkpoint.recorded ~system:(Asr.Graph.name g)
+                     ~machine:(Javatime.Elaborate.machine_state_json elab)
+                     r)
+                  path;
                 if !fatal <> None then
                   Format.eprintf "causal trace written to %s@." path
             | Some _, None ->
                 Format.eprintf
-                  "warning: --causal-trace ignored (the resumed checkpoint \
-                   carries no causal state)@."
+                  "warning: --causal-trace ignored (a recording starts at \
+                   instant 0; this run resumes at instant %d)@."
+                  start
             | None, _ -> ());
             (match !fatal with
             | Some msg ->
@@ -842,11 +826,11 @@ let simulate_cmd =
   let causal_trace_arg =
     Arg.(value & opt (some string) None & info [ "causal-trace" ]
            ~docv:"FILE.json"
-           ~doc:"Record the run into a replayable causal trace: the input \
-                 stream, every instant's net fixed point, the fault log and \
-                 the bounded causal event ring, as one JSON artifact for \
-                 'javatime why' and 'javatime trace-diff' (implies driving \
-                 the class through the ASR simulator)")
+           ~doc:"Record the run into a run artifact: the final checkpoint \
+                 (resumable with --resume) plus the input stream, every \
+                 instant's net fixed point and the bounded causal event \
+                 ring, for 'javatime trace-diff' (implies driving the class \
+                 through the ASR simulator; ignored on a resumed run)")
   in
   let causal_capacity_arg =
     Arg.(value & opt int 65536 & info [ "causal-capacity" ] ~docv:"N"
@@ -875,7 +859,8 @@ let simulate_cmd =
   let resume_arg =
     Arg.(value & opt (some string) None & info [ "resume" ]
            ~docv:"FILE.json"
-           ~doc:"Resume from a checkpoint artifact: restore the \
+           ~doc:"Resume from a run artifact (a checkpoint, or the \
+                 --causal-trace file of a completed run): restore the \
                  simulator, supervisor, monitor, causal ring and \
                  machine state, then run the remaining instants (up to \
                  --instants total). Supervision, policy and monitoring \
@@ -925,21 +910,21 @@ let why_cmd =
               List.init n_in (fun i ->
                   (string_of_int i, Asr.Domain.int (ramp t i))))
         in
-        let t = Asr.Trace.record ~strategy g stream in
-        if net < 0 || net >= Asr.Trace.n_nets t then begin
+        let t = Asr.Checkpoint.record ~strategy g stream in
+        if net < 0 || net >= Asr.Checkpoint.n_nets t then begin
           Format.eprintf "net %d out of range (system has %d nets)@." net
-            (Asr.Trace.n_nets t);
+            (Asr.Checkpoint.n_nets t);
           exit 1
         end;
-        if instant < 0 || instant >= Asr.Trace.instants t then begin
+        if instant < 0 || instant >= Asr.Checkpoint.instant t then begin
           Format.eprintf "instant %d out of range (run has %d instants)@."
-            instant (Asr.Trace.instants t);
+            instant (Asr.Checkpoint.instant t);
           exit 1
         end;
-        let sl = Asr.Trace.why t ~net ~instant in
+        let sl = Asr.Checkpoint.why t ~net ~instant in
         if json then
-          print_endline (Telemetry.Json.to_string (Asr.Trace.slice_json t sl))
-        else print_string (Asr.Trace.slice_to_string t sl))
+          print_endline (Telemetry.Json.to_string (Asr.Checkpoint.slice_json t sl))
+        else print_string (Asr.Checkpoint.slice_to_string t sl))
   in
   let net_arg =
     Arg.(required & opt (some int) None & info [ "net" ] ~docv:"N"
@@ -971,9 +956,9 @@ let why_cmd =
 let trace_diff_cmd =
   let run a b json =
     handle (fun () ->
-        let ta = Asr.Trace.load a and tb = Asr.Trace.load b in
-        match Asr.Trace.first_divergence ta tb with
-        | exception Asr.Trace.Incomparable msg ->
+        let ta = Asr.Checkpoint.load a and tb = Asr.Checkpoint.load b in
+        match Asr.Checkpoint.first_divergence ta tb with
+        | exception Asr.Checkpoint.Incomparable msg ->
             Format.eprintf "traces are not comparable: %s@." msg;
             exit 1
         | None ->
@@ -982,27 +967,27 @@ let trace_diff_cmd =
                 (Telemetry.Json.to_string
                    (Telemetry.Json.Obj
                       [ ("identical", Telemetry.Json.Bool true);
-                        ("instants", Telemetry.Json.Int (Asr.Trace.instants ta));
-                        ("nets", Telemetry.Json.Int (Asr.Trace.n_nets ta)) ]))
+                        ("instants", Telemetry.Json.Int (Asr.Checkpoint.instant ta));
+                        ("nets", Telemetry.Json.Int (Asr.Checkpoint.n_nets ta)) ]))
             else
               Printf.printf "traces agree: %d instant(s), %d net(s)\n"
-                (Asr.Trace.instants ta) (Asr.Trace.n_nets ta)
+                (Asr.Checkpoint.instant ta) (Asr.Checkpoint.n_nets ta)
         | Some d ->
             if json then
               print_endline
                 (Telemetry.Json.to_string
                    (Telemetry.Json.Obj
                       [ ("identical", Telemetry.Json.Bool false);
-                        ("divergence", Asr.Trace.divergence_json d) ]))
+                        ("divergence", Asr.Checkpoint.divergence_json d) ]))
             else begin
-              print_endline (Asr.Trace.divergence_to_string d);
-              (match d.Asr.Trace.d_slice_a with
+              print_endline (Asr.Checkpoint.divergence_to_string d);
+              (match d.Asr.Checkpoint.d_slice_a with
               | Some sl ->
-                  print_string ("--- A ---\n" ^ Asr.Trace.slice_to_string ta sl)
+                  print_string ("--- A ---\n" ^ Asr.Checkpoint.slice_to_string ta sl)
               | None -> ());
-              (match d.Asr.Trace.d_slice_b with
+              (match d.Asr.Checkpoint.d_slice_b with
               | Some sl ->
-                  print_string ("--- B ---\n" ^ Asr.Trace.slice_to_string tb sl)
+                  print_string ("--- B ---\n" ^ Asr.Checkpoint.slice_to_string tb sl)
               | None -> ())
             end;
             exit 2)
@@ -1018,8 +1003,8 @@ let trace_diff_cmd =
   in
   Cmd.v
     (Cmd.info "trace-diff"
-       ~doc:"Localize the first divergence between two recorded causal \
-             traces: the earliest (instant, block, net) where the runs \
+       ~doc:"Localize the first divergence between two recorded runs \
+             (--causal-trace artifacts): the earliest (instant, block, net) where the runs \
              disagree, with both causal slices (exit 0 identical, 2 \
              diverged, 1 incomparable)")
     Term.(const run $ a_arg $ b_arg $ json_flag)

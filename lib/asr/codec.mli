@@ -1,5 +1,5 @@
-(** Bit-exact JSON codec for ASR values, shared by the durable
-    artifacts ({!Trace} recordings and {!Checkpoint} snapshots).
+(** Bit-exact JSON codec for ASR values, shared by the run artifact
+    ({!Checkpoint}) and the supervisor's state.
 
     [Telemetry.Json.to_string] rounds floats through a decimal
     representation and renders non-finite values as [0], so reals are
@@ -27,8 +27,3 @@ val vec_of_json : string -> Telemetry.Json.t -> Domain.t array
 
 val spec_json : Inject.spec -> Telemetry.Json.t
 val spec_of_json : Telemetry.Json.t -> Inject.spec
-
-val malformed : string -> 'a
-(** [malformed what] raises [Invalid_argument] naming the offending
-    construct; exposed so artifact parsers built on this codec report
-    errors uniformly. *)

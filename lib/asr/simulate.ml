@@ -239,6 +239,8 @@ let run t stream =
 
 let strategy t = t.strategy
 
+let graph t = t.compiled
+
 let fuse_plan t = t.fuse
 
 let supervisor t = t.supervisor

@@ -87,6 +87,9 @@ val run : t -> (string * Domain.t) list list -> trace_entry list
 
 val strategy : t -> Fixpoint.strategy
 
+val graph : t -> Graph.compiled
+(** The graph compiled at creation. *)
+
 val fuse_plan : t -> Fuse.t option
 (** The {!Fuse} plan precompiled at creation — [Some] exactly when the
     strategy is {!Fixpoint.Fused}. *)

@@ -169,8 +169,6 @@ val containment : t -> int -> string option
 
 val quarantined_blocks : t -> int list
 
-val fault_to_json : fault -> Telemetry.Json.t
-
 val faults_json : t -> Telemetry.Json.t
 (** The full fault log plus summary counters, for [--fault-log]. *)
 

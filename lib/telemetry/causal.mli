@@ -166,16 +166,11 @@ val slice : 'v t -> net:int -> instant:int -> 'v slice
 
 (** {1 Restoration and serialization} *)
 
-val restore : ?capacity:int -> n_nets:int -> 'v event list -> 'v t
-(** Rebuild a queryable log from serialized events (uids preserved).
-    [capacity] defaults to covering the given events. Only querying is
-    meaningful on a restored log. *)
-
-(** A continuable snapshot of the log, unlike {!restore}'s query-only
-    rebuild: it carries the per-net writer registers (which may
-    reference evicted events the ring no longer holds) so a log rebuilt
-    with {!of_state} keeps recording with uids and read edges
-    bit-identical to the uninterrupted run's. *)
+(** A continuable snapshot of the log: it carries the per-net writer
+    registers (which may reference evicted events the ring no longer
+    holds) so a log rebuilt with {!of_state} keeps recording with uids
+    and read edges bit-identical to the uninterrupted run's; queries
+    over the rebuilt log answer as the live one did. *)
 type 'v state = {
   st_capacity : int;
   st_pushed : int;

@@ -335,25 +335,8 @@ let slice t ~net ~instant =
 
 (* ---------------------- restoration / serialization --------------- *)
 
-let restore ?capacity ~n_nets evs =
-  let max_uid = List.fold_left (fun m ev -> max m ev.ev_uid) (-1) evs in
-  let cap =
-    match capacity with Some c -> c | None -> max 1 (max_uid + 1)
-  in
-  let t = create ~capacity:cap ~n_nets () in
-  List.iter (fun ev -> t.c_ring.(ev.ev_uid mod cap) <- Some ev) evs;
-  t.c_pushed <- max_uid + 1;
-  t.c_instant <- List.fold_left (fun m ev -> max m ev.ev_instant) (-1) evs;
-  t
-
-(* [restore] rebuilds a log for querying only: the per-net writer
-   registers stay at -1, so recording could not continue correctly (the
-   first resumed instant's delay bindings would read uid -1, and the
-   live registers may reference evicted events the ring no longer
-   holds). A [state] carries those registers explicitly, which is what
-   makes a checkpointed log *continuable* — the resumed recording
-   produces uids and read edges bit-identical to the uninterrupted
-   run's. *)
+(* A [state] carries the per-net writer registers, so a log rebuilt
+   from it keeps recording like the uninterrupted one. *)
 
 type 'v state = 'v C.state = {
   st_capacity : int;

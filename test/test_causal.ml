@@ -7,7 +7,8 @@ module S = Asr.Supervisor
 module I = Asr.Inject
 module Fx = Asr.Fixpoint
 module Sim = Asr.Simulate
-module T = Asr.Trace
+module T = Asr.Checkpoint
+module Cd = Asr.Codec
 module C = Telemetry.Causal
 module J = Telemetry.Json
 module N = Workloads.Netgen
@@ -288,7 +289,7 @@ let suite =
     (* ---- serialization ---- *)
     case "value codec is bit-exact on every constructor" (fun () ->
         let round v =
-          T.value_of_json (J.parse (J.to_string (T.value_json v)))
+          Cd.value_of_json (J.parse (J.to_string (Cd.value_json v)))
         in
         let bit_eq a b =
           match (a, b) with
@@ -299,7 +300,7 @@ let suite =
         List.iter
           (fun v ->
             Alcotest.(check bool)
-              (J.to_string (T.value_json v))
+              (J.to_string (Cd.value_json v))
               true
               (bit_eq v (round v)))
           [ D.Bottom; D.int 42; D.int (-7); D.Def (Dt.Bool true);
@@ -315,15 +316,15 @@ let suite =
         in
         List.iter
           (fun ev ->
-            let j = J.parse (J.to_string (C.event_json ~render:T.value_json ev)) in
-            let ev' = C.event_of_json ~unrender:T.value_of_json j in
+            let j = J.parse (J.to_string (C.event_json ~render:Cd.value_json ev)) in
+            let ev' = C.event_of_json ~unrender:Cd.value_of_json j in
             Alcotest.(check bool) "round-trip" true (ev = ev'))
           (C.events cz));
     case "trace json round-trips" (fun () ->
         let t = T.record ~strategy:Fx.Fused (netgen 3) (N.stimulus (netgen 3) ~instants:5) in
         let t' = T.of_json (J.parse (J.to_string (T.to_json t))) in
         Alcotest.(check bool) "equal" true (T.equal t t');
-        Alcotest.(check int) "instants" (T.instants t) (T.instants t'));
+        Alcotest.(check int) "instants" (T.instant t) (T.instant t'));
     case "trace save/load round-trips" (fun () ->
         let g = chain_graph () in
         let t =
@@ -377,9 +378,43 @@ let suite =
             (chain_stream 5)
         in
         Alcotest.(check bool) "aborted" true (T.fatal t <> None);
-        Alcotest.(check int) "instants before abort" 2 (T.instants t);
+        Alcotest.(check int) "instants before abort" 2 (T.instant t);
         Alcotest.(check bool) "replay equal" true
           (T.equal t (T.replay t (g ()))));
+    case "replay rejects a recording of another graph" (fun () ->
+        let t = T.record (chain_graph ()) (chain_stream 3) in
+        let other =
+          G.map_blocks (chain_graph ()) (fun i b ->
+              if i = 0 then B.gain 3 else b)
+        in
+        match T.replay t other with
+        | _ -> Alcotest.fail "replayed on another graph"
+        | exception Invalid_argument m ->
+            Alcotest.(check bool) ("named: " ^ m) true
+              (contains ~substring:"fingerprint" m));
+    case "an aborted recording answers queries but does not resume"
+      (fun () ->
+        let inject =
+          [ { I.i_block = 1; i_kind = I.Trap; i_instant = 2;
+              i_persistence = I.Persistent; i_first_only = false } ]
+        in
+        let t =
+          T.record ~policy:S.Fail_fast ~inject (chain_graph ()) (chain_stream 5)
+        in
+        let path = Filename.temp_file "aborted" ".json" in
+        T.save t path;
+        let t' = T.load path in
+        Sys.remove path;
+        Alcotest.(check bool) "round-trips" true (T.equal t t');
+        let net = Option.get (T.output_net t' "y") in
+        (* y(1) = 2*2 + 2 = 6 *)
+        Alcotest.(check bool) "completed instants answer" true
+          ((T.why t' ~net ~instant:1).C.sl_value = Some (D.int 6));
+        match T.resume t' (chain_graph ()) with
+        | _ -> Alcotest.fail "resumed an aborted run"
+        | exception Invalid_argument m ->
+            Alcotest.(check bool) ("named: " ^ m) true
+              (contains ~substring:"aborted" m));
     (* ---- first-divergence localization ---- *)
     case "identical runs have no divergence" (fun () ->
         let stream = N.stimulus (netgen 40) ~instants:5 in

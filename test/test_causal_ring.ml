@@ -140,14 +140,6 @@ let suite =
         List.iter (R.instant t) more;
         List.iter (RO.instant o) more;
         agree t o ~instants:(List.length instants + List.length more));
-    qcase ~count:200 "restore rebuilds the same queryable log"
-      arb_script (fun ((_, instants) as script) ->
-        let evs = C.events (R.run script) in
-        let t = C.restore ~n_nets evs and o = O.restore ~n_nets evs in
-        let t' = C.restore ~capacity:3 ~n_nets evs
-        and o' = O.restore ~capacity:3 ~n_nets evs in
-        let instants = List.length instants in
-        agree t o ~instants && agree t' o' ~instants);
     case "stride growth keeps earlier events intact" (fun () ->
         let script =
           ( 4,

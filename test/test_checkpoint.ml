@@ -28,10 +28,10 @@ let jint path j =
 
 (* x --gain 2--> (+) --> y, with the adder's second arm fed back
    through a delay: y(t) = 2 x(t) + y(t-1). *)
-let chain_graph () =
-  let g = G.create "chain" in
+let chain_graph ?(name = "chain") ?(gain = 2) () =
+  let g = G.create name in
   let x = G.add_input g "x" in
-  let gn = G.add_block g (B.gain 2) in
+  let gn = G.add_block g (B.gain gain) in
   G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port gn 0);
   let add = G.add_block g B.add in
   G.connect g ~src:(G.out_port gn 0) ~dst:(G.in_port add 0);
@@ -230,6 +230,68 @@ let bits_roundtrip f =
   match J.float_of_bits (J.float_bits f) with
   | Some f' -> Int64.bits_of_float f' = Int64.bits_of_float f
   | None -> false
+
+
+(* ---- damaged artifacts ------------------------------------------- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let saved ck =
+  let path = Filename.temp_file "ck-gate" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      K.save ck path;
+      read_file path)
+
+(* The on-disk envelope, rebuilt around a tampered payload with a
+   matching digest: what a well-formed artifact of another version
+   looks like. *)
+let enveloped payload =
+  Printf.sprintf {|{"digest":"%s","artifact":%s}|}
+    (Digest.to_hex (Digest.string payload))
+    payload
+  ^ "\n"
+
+let with_version v ck =
+  J.to_string (map_member "version" (fun _ -> J.Int v) (K.to_json ck))
+
+(* Plain and recorded artifacts of the chain graph, and a recording of
+   the same stream on another graph (other block, other system name). *)
+let gate_artifacts =
+  lazy
+    (let g = chain_graph () in
+     let cz = C.create ~n_nets:(G.compile g).G.n_nets () in
+     let sim = Sim.create ~supervisor:(S.create ()) ~causal:cz g in
+     List.iter (fun i -> ignore (Sim.step sim i)) (chain_stream 4);
+     let recorded =
+       K.record ~policy:S.Hold_last
+         ~inject:[ persistent_trap ~block:1 ~instant:2 ]
+         g (chain_stream 6)
+     in
+     let other =
+       K.record (chain_graph ~name:"other-system" ~gain:3 ()) (chain_stream 6)
+     in
+     (K.capture ~system:"chain" sim, recorded, other))
+
+(* Exceptions the CLI maps to exit 1: [handle]'s diagnostics, and
+   [trace-diff]'s incomparable verdict. *)
+let diagnosed f =
+  match f () with
+  | _ -> Ok true
+  | exception
+      (Invalid_argument _ | J.Parse_error _ | Sys_error _ | K.Incomparable _)
+    ->
+      Ok false
+  | exception e -> Error (Printexc.to_string e)
+
+(* Bundled designs whose damaged sources the front end must diagnose. *)
+let gate_sources =
+  [ Workloads.Fir_mj.unrestricted_source;
+    Workloads.Traffic_mj.source;
+    Workloads.Elevator_mj.source;
+    Workloads.Uart_mj.source;
+    Workloads.Fig8_mj.refined_blocks_source ]
 
 (* ---- generators -------------------------------------------------- *)
 
@@ -561,6 +623,102 @@ let suite =
           let _, start, routs, rfinal, rfatal = resume_and_run ck g stream in
           converged ~oracle_outs:outs ~oracle_final:final ~oracle_fatal:fatal
             ~start ~routs ~final:rfinal ~rfatal);
+
+    case "resume rejects a checkpoint of another graph" (fun () ->
+        (* same topology and net count: only the fingerprint tells the
+           gain2 chain from the gain3 one *)
+        let sim = Sim.create (chain_graph ~name:"chain-a" ()) in
+        List.iter (fun i -> ignore (Sim.step sim i)) (chain_stream 3);
+        let ck = K.capture ~system:"chain-a" sim in
+        let other = chain_graph ~name:"other-system" ~gain:3 () in
+        (match K.resume ck other with
+        | _ -> Alcotest.fail "resumed on another graph"
+        | exception Invalid_argument m ->
+            Alcotest.(check bool) ("named: " ^ m) true
+              (contains ~substring:"fingerprint" m));
+        let r = K.resume ck (chain_graph ~name:"chain-a" ()) in
+        Alcotest.(check int) "the same graph resumes" 3
+          (Sim.instant_count r.K.r_sim));
+    qcase ~count:300
+      "damaged artifacts fail load, resume and diff with a diagnostic"
+      QCheck.(
+        quad (int_bound 4) (int_bound 2) (int_bound 1_000_000)
+          (int_range 1 255))
+      (fun (damage, which, pos, byte) ->
+        let plain, recorded, other = Lazy.force gate_artifacts in
+        let ck = List.nth [ plain; recorded; other ] which in
+        let bytes = saved ck in
+        let n = String.length bytes in
+        let name, contents, must_fail_load =
+          match damage with
+          | 0 -> ("truncated", String.sub bytes 0 (pos mod n), true)
+          | 1 ->
+              let b = Bytes.of_string bytes in
+              let i = pos mod n in
+              Bytes.set b i (Char.chr (Char.code bytes.[i] lxor byte));
+              ("byte-flipped", Bytes.to_string b, true)
+          | 2 -> ("version 1", with_version 1 ck ^ "\n", true)
+          | 3 -> ("version 999", enveloped (with_version 999 ck), true)
+          | _ -> ("other graph", saved other, false)
+        in
+        let path = Filename.temp_file "ck-damaged" ".json" in
+        Out_channel.with_open_bin path (fun oc -> output_string oc contents);
+        let loaded = ref None in
+        let load =
+          diagnosed (fun () ->
+              let ck = K.load path in
+              loaded := Some ck)
+        in
+        Sys.remove path;
+        let later f =
+          match !loaded with None -> Ok false | Some ck -> diagnosed (f ck)
+        in
+        let resume =
+          later (fun ck () -> ignore (K.resume ck (chain_graph ())))
+        in
+        let diff =
+          later (fun ck () -> ignore (K.first_divergence recorded ck))
+        in
+        match (load, resume, diff) with
+        | Error e, _, _ | _, Error e, _ | _, _, Error e ->
+            QCheck.Test.fail_reportf "%s: undiagnosed %s" name e
+        | Ok true, _, _ when must_fail_load ->
+            QCheck.Test.fail_reportf "%s: loaded" name
+        | _, Ok true, _ when which = 2 || damage = 4 ->
+            QCheck.Test.fail_reportf "%s: resumed on another graph" name
+        | _ -> true);
+    qcase ~count:200 "damaged MJ sources fail only with a compile diagnostic"
+      QCheck.(
+        quad (int_bound 4) (int_bound 3) (int_bound 1_000_000)
+          (int_range 1 40))
+      (fun (which, damage, pos, len) ->
+        let src = List.nth gate_sources which in
+        let n = String.length src in
+        let i = pos mod n in
+        let j = min n (i + len) in
+        (* truncate, delete a span, overwrite a character, or repeat a
+           span *)
+        let src =
+          match damage with
+          | 0 -> String.sub src 0 i
+          | 1 -> String.sub src 0 i ^ String.sub src j (n - j)
+          | 2 ->
+              let glyphs = {|{};()=+-*/<>![]0aZ.,"|} in
+              String.mapi
+                (fun k c ->
+                  if k = i then glyphs.[len mod String.length glyphs] else c)
+                src
+          | _ -> String.sub src 0 j ^ String.sub src i (n - i)
+        in
+        match
+          ignore (Mj.Typecheck.check_source ~file:"<damaged>" src);
+          ignore (Javatime.Engine.refine_source ~file:"<damaged>" src)
+        with
+        | () -> true
+        | exception Mj.Diag.Compile_error _ -> true
+        | exception e ->
+            QCheck.Test.fail_reportf "undiagnosed %s on:\n%s"
+              (Printexc.to_string e) src);
 
     (* ---- machine payloads and re-application safety ---- *)
     case "machine snapshot restores a stateful reaction" (fun () ->

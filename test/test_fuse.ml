@@ -429,16 +429,16 @@ let suite =
                         | v -> v)
                       (b.B.fn ins)))
         in
-        let a = Asr.Trace.record ~strategy:Fx.Fused g stream in
-        let b = Asr.Trace.record ~strategy:Fx.Fused broken stream in
-        match Asr.Trace.first_divergence a b with
+        let a = Asr.Checkpoint.record ~strategy:Fx.Fused g stream in
+        let b = Asr.Checkpoint.record ~strategy:Fx.Fused broken stream in
+        match Asr.Checkpoint.first_divergence a b with
         | None -> Alcotest.fail "corrupted plan should diverge"
         | Some d ->
-            Alcotest.(check int) "localized block" target d.Asr.Trace.d_block;
+            Alcotest.(check int) "localized block" target d.Asr.Checkpoint.d_block;
             Alcotest.(check int) "first reacting instant" 0
-              d.Asr.Trace.d_instant;
+              d.Asr.Checkpoint.d_instant;
             Alcotest.(check bool) "slices attached" true
-              (d.Asr.Trace.d_slice_a <> None && d.Asr.Trace.d_slice_b <> None));
+              (d.Asr.Checkpoint.d_slice_a <> None && d.Asr.Checkpoint.d_slice_b <> None));
     qcase ~count:150 "random systems: fused = chaotic" R.arbitrary_spec
       (fun spec ->
         let stream = R.stimuli spec in
@@ -449,12 +449,12 @@ let suite =
         ||
         (* localize the earliest divergent (instant, block, net) so the
            counterexample names the culprit, not just the seed *)
-        let a = Asr.Trace.record ~strategy:Fx.Chaotic (R.build spec) stream in
-        let b = Asr.Trace.record ~strategy:Fx.Fused (R.build spec) stream in
-        match Asr.Trace.first_divergence a b with
+        let a = Asr.Checkpoint.record ~strategy:Fx.Chaotic (R.build spec) stream in
+        let b = Asr.Checkpoint.record ~strategy:Fx.Fused (R.build spec) stream in
+        match Asr.Checkpoint.first_divergence a b with
         | Some d ->
             QCheck.Test.fail_reportf "chaotic vs fused: %s"
-              (Asr.Trace.divergence_to_string d)
+              (Asr.Checkpoint.divergence_to_string d)
         | None ->
             QCheck.Test.fail_reportf
               "chaotic vs fused: runs differ but recorded fixed points agree");

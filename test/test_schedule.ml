@@ -310,18 +310,18 @@ let suite =
           reference = run_fix compiled ~strategy stream
           ||
           let a =
-            Asr.Trace.record ~strategy:F.Chaotic
+            Asr.Checkpoint.record ~strategy:F.Chaotic
               (Test_random_graphs.build spec)
               stream
           in
           let b =
-            Asr.Trace.record ~strategy (Test_random_graphs.build spec) stream
+            Asr.Checkpoint.record ~strategy (Test_random_graphs.build spec) stream
           in
-          match Asr.Trace.first_divergence a b with
+          match Asr.Checkpoint.first_divergence a b with
           | Some d ->
               QCheck.Test.fail_reportf "chaotic vs %s: %s"
                 (F.strategy_name strategy)
-                (Asr.Trace.divergence_to_string d)
+                (Asr.Checkpoint.divergence_to_string d)
           | None ->
               QCheck.Test.fail_reportf
                 "chaotic vs %s: runs differ but recorded fixed points agree"
