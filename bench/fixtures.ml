@@ -279,7 +279,7 @@ let drive ~engine ?(elide = false) ?profile ?lines ?heap_limit ?budget w =
   let elab =
     E.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
       ~elide_bounds_checks:elide
-      ?cost_sink:(Option.map Mj_runtime.Cost.profile_sink profile)
+      ?profile
       ?cost_lines:lines ?heap_limit_words:heap_limit checked ~cls:w.cls
   in
   let react =

@@ -85,33 +85,14 @@ let file_arg =
    carries (t + 1) * (i + 2) mod 17. *)
 let ramp t i = (t + 1) * (i + 2) mod 17
 
-(* One-block ASR system around an elaborated reaction (simulate, why):
-   environment ports named "0".."n-1" on both sides. The supervisor
-   (if any) guards each application, so a trap, blown budget or heap
-   exhaustion degrades the instant instead of killing the run.
-   Worklist, scheduled and fused evaluation apply the block exactly
-   once per instant, which keeps stateful reactions sound. *)
-let asr_wrap ~cls ~n_in ~n_out react =
-  let block =
-    Asr.Block.make ~name:("mj:" ^ cls) ~n_in ~n_out (fun inputs ->
-        if Array.for_all Asr.Domain.is_def inputs then react inputs
-        else Array.make n_out Asr.Domain.Bottom)
-  in
-  let g = Asr.Graph.create ("simulate:" ^ cls) in
-  let b = Asr.Graph.add_block g block in
-  for i = 0 to n_in - 1 do
-    let inp = Asr.Graph.add_input g (string_of_int i) in
-    Asr.Graph.connect g
-      ~src:(Asr.Graph.out_port inp 0)
-      ~dst:(Asr.Graph.in_port b i)
-  done;
-  for j = 0 to n_out - 1 do
-    let out = Asr.Graph.add_output g (string_of_int j) in
-    Asr.Graph.connect g
-      ~src:(Asr.Graph.out_port b j)
-      ~dst:(Asr.Graph.in_port out 0)
-  done;
-  g
+(* --strategy of simulate and why; an unknown name exits 1. *)
+let strategy_of_arg s =
+  match Asr.Fixpoint.strategy_of_string s with
+  | Some st -> st
+  | None ->
+      Format.eprintf "unknown strategy '%s' (chaotic|scheduled|worklist|fused)@."
+        s;
+      exit 1
 
 let class_arg =
   Arg.(required & pos 1 (some string) None & info [] ~docv:"CLASS")
@@ -222,20 +203,20 @@ let engine_arg =
   Arg.(value & opt string "vm" & info [ "e"; "engine" ] ~docv:"ENGINE"
          ~doc:"Execution engine: interp, vm or jit")
 
-(* Run main() under [engine], optionally feeding a profile sink and a
+(* Run main() under [engine], optionally feeding a profile and a
    per-line attribution table. Returns (console output, Cost.cycles). *)
-let run_main_with ?sink ?lines engine checked cls =
+let run_main_with ?profile ?lines engine checked cls =
   match engine with
   | "interp" ->
-      let s = Mj_runtime.Interp.create ?sink ?lines checked in
+      let s = Mj_runtime.Interp.create ?profile ?lines checked in
       Mj_runtime.Interp.run_main s cls;
       (Mj_runtime.Interp.output s, Mj_runtime.Interp.cycles s)
   | "vm" ->
-      let s = Mj_bytecode.Vm.create ?sink ?lines checked in
+      let s = Mj_bytecode.Vm.create ?profile ?lines checked in
       Mj_bytecode.Vm.run_main s cls;
       (Mj_bytecode.Vm.output s, Mj_bytecode.Vm.cycles s)
   | "jit" ->
-      let s = Mj_bytecode.Jit.create ?sink ?lines checked in
+      let s = Mj_bytecode.Jit.create ?profile ?lines checked in
       Mj_bytecode.Jit.run_main s cls;
       (Mj_bytecode.Jit.output s, Mj_bytecode.Jit.cycles s)
   | other ->
@@ -254,8 +235,7 @@ let run_cmd =
             (* A method-level call tree on the cycle timeline. *)
             let reg = Telemetry.Registry.create () in
             let profile = Telemetry.Profile.create ~spans:reg () in
-            let sink = Mj_runtime.Cost.profile_sink profile in
-            let output, _ = run_main_with ~sink engine checked cls in
+            let output, _ = run_main_with ~profile engine checked cls in
             write_file path (Telemetry.Export.chrome_trace reg);
             print_string output)
   in
@@ -323,11 +303,10 @@ let profile_cmd =
           | _ -> Some (Telemetry.Registry.create ())
         in
         let profile = Telemetry.Profile.create ?spans:span_reg () in
-        let sink = Mj_runtime.Cost.profile_sink profile in
         let lines =
           if lines_flag then Some (Telemetry.Lines.create ()) else None
         in
-        let _, cycles = run_main_with ~sink ?lines engine checked cls in
+        let _, cycles = run_main_with ~profile ?lines engine checked cls in
         (match (json, lines) with
         | true, None ->
             print_endline
@@ -410,18 +389,7 @@ let simulate_cmd =
               Format.eprintf "unknown engine '%s' (interp|vm|jit)@." other;
               exit 1
         in
-        let strategy =
-          match strategy with
-          | None -> None
-          | Some s -> (
-              match Asr.Fixpoint.strategy_of_string s with
-              | Some st -> Some st
-              | None ->
-                  Format.eprintf
-                    "unknown strategy '%s' (chaotic|scheduled|worklist|fused)@."
-                    s;
-                  exit 1)
-        in
+        let strategy = strategy_of_arg strategy in
         let supervise = supervise || fault_log <> None in
         let snapshot_every = max 0 snapshot_every in
         let monitor =
@@ -441,7 +409,7 @@ let simulate_cmd =
           Javatime.Elaborate.elaborate ~engine ~enforce_policy:false
             ~bounded_memory:false ?heap_limit_words:heap_limit checked ~cls
         in
-        let n_in, n_out = Javatime.Elaborate.ports elab in
+        let n_in, _ = Javatime.Elaborate.ports elab in
         (* Per-reaction cycle budget: explicit --budget wins; under
            --supervise an 8x-slack budget is derived from the static
            reaction bound when one exists (the static bound is exact for
@@ -494,206 +462,152 @@ let simulate_cmd =
           | Some dir -> Some dir
           | None -> if checkpoint_every > 0 then Some "." else None
         in
-        let trace, supervisor, mon =
-          if supervise || strategy <> None || monitor || causal_trace <> None
-             || ckpt_dir <> None || resumed_ck <> None
-          then begin
-            let g =
-              asr_wrap ~cls ~n_in ~n_out (fun inputs ->
-                  match budget with
-                  | Some budget_cycles ->
-                      Javatime.Elaborate.react_bounded elab ~budget_cycles
-                        inputs
-                  | None -> Javatime.Elaborate.react elab inputs)
-            in
-            let sup =
-              if supervise then
-                Some
-                  (Asr.Supervisor.create ~policy ~escalate_after
-                     ~classify:Javatime.Elaborate.fault_classifier
-                     ?telemetry:reg ())
-              else None
-            in
-            let mon =
-              if monitor then
-                Some
-                  (Telemetry.Monitor.create ~snapshot_every
-                     ~snapshot_sink:(fun line ->
-                       Buffer.add_string snapshot_buf line;
-                       Buffer.add_char snapshot_buf '\n')
-                     ~clock:wall_us
-                     ~cycles_source:(fun () ->
-                       Javatime.Elaborate.last_reaction_cycles elab)
-                     ())
-              else None
-            in
-            let strategy =
-              Option.value strategy ~default:Asr.Fixpoint.Worklist
-            in
-            let causal =
-              match (causal_trace, resumed_ck) with
-              | Some _, None ->
-                  Some
-                    (Telemetry.Causal.create ~capacity:causal_capacity
-                       ~n_nets:(Asr.Graph.compile g).Asr.Graph.n_nets ())
-              | _ ->
-                  (* on resume the artifact's causal state (if any)
-                     continues the original ring *)
-                  None
-            in
-            let sim =
-              match resumed_ck with
-              | Some ck ->
-                  let r =
-                    Asr.Checkpoint.resume ?telemetry:reg ?monitor:mon
-                      ?supervisor:sup ck g
-                  in
-                  (match Asr.Checkpoint.machine ck with
-                  | Some mj -> Javatime.Elaborate.restore_machine_json elab mj
-                  | None -> ());
-                  r.Asr.Checkpoint.r_sim
-              | None ->
-                  Asr.Simulate.create ~strategy ?telemetry:reg ?supervisor:sup
-                    ?monitor:mon ?causal g
-            in
-            let start = Asr.Simulate.instant_count sim in
-            let stream =
-              List.init
-                (max 0 (instants - start))
-                (fun k ->
-                  let t = start + k in
-                  List.init n_in (fun i ->
-                      (string_of_int i, Asr.Domain.int (ramp t i))))
-            in
-            let write_ck ?ck ~tag dir =
-              if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-              let ck =
-                match ck with
-                | Some ck -> ck
-                | None ->
-                    Asr.Checkpoint.capture ~system:(Asr.Graph.name g)
-                      ~machine:(Javatime.Elaborate.machine_state_json elab)
-                      sim
-              in
-              let path =
-                Filename.concat dir (Printf.sprintf "checkpoint-%s.json" tag)
-              in
-              Asr.Checkpoint.save ?monitor:mon ck path;
-              path
-            in
-            (* Step-wise drive: periodic checkpoints land on instant
-               boundaries, and a fail-fast abort still writes both
-               artifacts — the recording and a resumable checkpoint of
-               the last completed instant — before the exit-4
-               diagnostic. *)
-            let recorder =
-              match causal_trace with
-              | Some _ when start = 0 ->
-                  Some (Asr.Checkpoint.recorder sim stream)
-              | _ -> None
-            in
-            let entries = ref [] and fatal = ref None in
-            (* pre-instant capture: the abort checkpoint must describe
-               the boundary before the killing instant, and the
-               supervisor is unreadable mid-instant *)
-            let last_boundary = ref None in
-            (try
-               List.iter
-                 (fun inputs ->
-                   if ckpt_dir <> None then
-                     last_boundary :=
-                       Some
-                         (Asr.Checkpoint.capture ~system:(Asr.Graph.name g)
-                            ~machine:
-                              (Javatime.Elaborate.machine_state_json elab)
-                            sim);
-                   entries :=
-                     (match recorder with
-                     | Some r -> Asr.Checkpoint.record_step r
-                     | None -> List.hd (Asr.Simulate.run sim [ inputs ]))
-                     :: !entries;
-                   match ckpt_dir with
-                   | Some dir
-                     when checkpoint_every > 0
-                          && Asr.Simulate.instant_count sim mod checkpoint_every
-                             = 0 ->
-                       ignore
-                         (write_ck
-                            ~tag:(string_of_int (Asr.Simulate.instant_count sim))
-                            dir)
-                   | _ -> ())
-                 stream
-             with Asr.Supervisor.Fatal f ->
-               fatal := Some (Asr.Supervisor.fault_to_string f));
-            let entries = List.rev !entries in
-            (match (causal_trace, recorder) with
-            | Some path, Some r ->
-                Asr.Checkpoint.save
-                  (Asr.Checkpoint.recorded ~system:(Asr.Graph.name g)
-                     ~machine:(Javatime.Elaborate.machine_state_json elab)
-                     r)
-                  path;
-                if !fatal <> None then
-                  Format.eprintf "causal trace written to %s@." path
-            | Some _, None ->
-                Format.eprintf
-                  "warning: --causal-trace ignored (a recording starts at \
-                   instant 0; this run resumes at instant %d)@."
-                  start
-            | None, _ -> ());
-            (match !fatal with
-            | Some msg ->
-                (match (ckpt_dir, !last_boundary) with
-                | Some dir, Some ck ->
-                    let path = write_ck ~ck ~tag:"abort" dir in
-                    Format.eprintf "abort checkpoint written to %s@." path
-                | _ -> ());
-                Format.eprintf "runtime fault (fail-fast): %s@." msg;
-                exit 4
-            | None -> ());
-            (match ckpt_dir with
-            | Some dir -> ignore (write_ck ~tag:"final" dir)
-            | None -> ());
-            (entries, sup, mon)
-          end
-          else
-            let trace =
-              List.init instants (fun t ->
-                  let inputs =
-                    Array.init n_in (fun i -> Asr.Domain.int (ramp t i))
-                  in
-                  (match reg with
-                  | Some r -> Telemetry.Registry.enter r ~cat:"asr" "instant"
-                  | None -> ());
-                  let outputs =
-                    match budget with
-                    | Some budget_cycles ->
-                        Javatime.Elaborate.react_bounded elab ~budget_cycles
-                          inputs
-                    | None -> Javatime.Elaborate.react elab inputs
-                  in
-                  (match reg with
-                  | Some r ->
-                      Telemetry.Registry.exit r
-                        ~args:
-                          [ ("instant", Telemetry.Registry.Int t);
-                            ( "reaction_cycles",
-                              Telemetry.Registry.Int
-                                (Javatime.Elaborate.last_reaction_cycles elab)
-                            ) ]
-                        ()
-                  | None -> ());
-                  { Asr.Simulate.instant = t;
-                    inputs =
-                      Array.to_list
-                        (Array.mapi (fun i v -> (string_of_int i, v)) inputs);
-                    outputs =
-                      Array.to_list
-                        (Array.mapi (fun i v -> (string_of_int i, v)) outputs);
-                    iterations = 1 })
-            in
-            (trace, None, None)
+        let g, new_instant =
+          Javatime.Elaborate.system ?budget_cycles:budget elab
         in
+        let supervisor =
+          if supervise then
+            Some
+              (Asr.Supervisor.create ~policy ~escalate_after
+                 ~classify:Javatime.Elaborate.fault_classifier ?telemetry:reg
+                 ())
+          else None
+        in
+        let mon =
+          if monitor then
+            Some
+              (Telemetry.Monitor.create ~snapshot_every
+                 ~snapshot_sink:(fun line ->
+                   Buffer.add_string snapshot_buf line;
+                   Buffer.add_char snapshot_buf '\n')
+                 ~clock:wall_us
+                 ~cycles_source:(fun () ->
+                   Javatime.Elaborate.last_reaction_cycles elab)
+                 ())
+          else None
+        in
+        let causal =
+          match (causal_trace, resumed_ck) with
+          | Some _, None ->
+              Some
+                (Telemetry.Causal.create ~capacity:causal_capacity
+                   ~n_nets:(Asr.Graph.compile g).Asr.Graph.n_nets ())
+          | _ ->
+              (* on resume the artifact's causal state (if any) continues
+                 the original ring *)
+              None
+        in
+        let sim =
+          match resumed_ck with
+          | Some ck ->
+              let r =
+                Asr.Checkpoint.resume ?telemetry:reg ?monitor:mon ?supervisor
+                  ck g
+              in
+              (match Asr.Checkpoint.machine ck with
+              | Some mj -> Javatime.Elaborate.restore_machine_json elab mj
+              | None -> ());
+              r.Asr.Checkpoint.r_sim
+          | None ->
+              Asr.Simulate.create ~strategy ?telemetry:reg ?supervisor
+                ?monitor:mon ?causal g
+        in
+        let start = Asr.Simulate.instant_count sim in
+        let stream =
+          List.init
+            (max 0 (instants - start))
+            (fun k ->
+              let t = start + k in
+              List.init n_in (fun i ->
+                  (string_of_int i, Asr.Domain.int (ramp t i))))
+        in
+        let write_ck ?ck ~tag dir =
+          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+          let ck =
+            match ck with
+            | Some ck -> ck
+            | None ->
+                Asr.Checkpoint.capture ~system:(Asr.Graph.name g)
+                  ~machine:(Javatime.Elaborate.machine_state_json elab)
+                  sim
+          in
+          let path =
+            Filename.concat dir (Printf.sprintf "checkpoint-%s.json" tag)
+          in
+          Asr.Checkpoint.save ?monitor:mon ck path;
+          path
+        in
+        (* Step-wise drive: periodic checkpoints land on instant
+           boundaries, and a fail-fast abort still writes both
+           artifacts — the recording and a resumable checkpoint of the
+           last completed instant — before the exit-4 diagnostic. *)
+        let recorder =
+          match causal_trace with
+          | Some _ when start = 0 -> Some (Asr.Checkpoint.recorder sim stream)
+          | _ -> None
+        in
+        let entries = ref [] and fatal = ref None in
+        (* pre-instant capture: the abort checkpoint must describe the
+           boundary before the killing instant, and the supervisor is
+           unreadable mid-instant *)
+        let last_boundary = ref None in
+        (try
+           List.iter
+             (fun inputs ->
+               if ckpt_dir <> None then
+                 last_boundary :=
+                   Some
+                     (Asr.Checkpoint.capture ~system:(Asr.Graph.name g)
+                        ~machine:(Javatime.Elaborate.machine_state_json elab)
+                        sim);
+               new_instant ();
+               entries :=
+                 (match recorder with
+                 | Some r -> Asr.Checkpoint.record_step r
+                 | None -> List.hd (Asr.Simulate.run sim [ inputs ]))
+                 :: !entries;
+               match ckpt_dir with
+               | Some dir
+                 when checkpoint_every > 0
+                      && Asr.Simulate.instant_count sim mod checkpoint_every = 0
+                 ->
+                   ignore
+                     (write_ck
+                        ~tag:(string_of_int (Asr.Simulate.instant_count sim))
+                        dir)
+               | _ -> ())
+             stream
+         with Asr.Supervisor.Fatal f ->
+           fatal := Some (Asr.Supervisor.fault_to_string f));
+        let trace = List.rev !entries in
+        (match (causal_trace, recorder) with
+        | Some path, Some r ->
+            Asr.Checkpoint.save
+              (Asr.Checkpoint.recorded ~system:(Asr.Graph.name g)
+                 ~machine:(Javatime.Elaborate.machine_state_json elab)
+                 r)
+              path;
+            if !fatal <> None then
+              Format.eprintf "causal trace written to %s@." path
+        | Some _, None ->
+            Format.eprintf
+              "warning: --causal-trace ignored (a recording starts at \
+               instant 0; this run resumes at instant %d)@."
+              start
+        | None, _ -> ());
+        (match !fatal with
+        | Some msg ->
+            (match (ckpt_dir, !last_boundary) with
+            | Some dir, Some ck ->
+                let path = write_ck ~ck ~tag:"abort" dir in
+                Format.eprintf "abort checkpoint written to %s@." path
+            | _ -> ());
+            Format.eprintf "runtime fault (fail-fast): %s@." msg;
+            exit 4
+        | None -> ());
+        (match ckpt_dir with
+        | Some dir -> ignore (write_ck ~tag:"final" dir)
+        | None -> ());
         print_string (Asr.Waves.render trace);
         Printf.printf "%d instant(s), %d cycles total\n" instants
           (Javatime.Elaborate.total_cycles elab);
@@ -757,11 +671,11 @@ let simulate_cmd =
            ~doc:"Number of instants to simulate")
   in
   let strategy_arg =
-    Arg.(value & opt (some string) None & info [ "strategy" ] ~docv:"STRATEGY"
+    Arg.(value & opt string "worklist" & info [ "strategy" ] ~docv:"STRATEGY"
            ~doc:"Fixed-point strategy for the reaction (chaotic|scheduled|\
                  worklist|fused); fused compiles the net ahead of time into \
-                 fused slot operations. Implies driving the class through \
-                 the ASR simulator even without --supervise")
+                 fused slot operations. Every strategy runs the reaction \
+                 once per instant")
   in
   let supervise_flag =
     Arg.(value & flag & info [ "supervise" ]
@@ -801,9 +715,7 @@ let simulate_cmd =
            ~doc:"Attach the always-on streaming monitor: a per-instant \
                  flight recorder, bounded-memory latency/eval quantile \
                  sketches, sliding-window rates and per-block health \
-                 (implied by the other --snapshot-*/--flight-out flags; \
-                 drives the class through the ASR simulator even without \
-                 --supervise)")
+                 (implied by the other --snapshot-*/--flight-out flags)")
   in
   let snapshot_every_arg =
     Arg.(value & opt int 0 & info [ "snapshot-every" ] ~docv:"N"
@@ -829,8 +741,7 @@ let simulate_cmd =
            ~doc:"Record the run into a run artifact: the final checkpoint \
                  (resumable with --resume) plus the input stream, every \
                  instant's net fixed point and the bounded causal event \
-                 ring, for 'javatime trace-diff' (implies driving the class \
-                 through the ASR simulator; ignored on a resumed run)")
+                 ring, for 'javatime trace-diff' (ignored on a resumed run)")
   in
   let causal_capacity_arg =
     Arg.(value & opt int 65536 & info [ "causal-capacity" ] ~docv:"N"
@@ -885,32 +796,32 @@ let why_cmd =
   let run file cls net instant instants strategy json =
     handle (fun () ->
         let checked = Mj.Typecheck.check_source ~file (read_file file) in
-        let strategy =
-          match strategy with
-          | None -> Asr.Fixpoint.Worklist
-          | Some s -> (
-              match Asr.Fixpoint.strategy_of_string s with
-              | Some st -> st
-              | None ->
-                  Format.eprintf
-                    "unknown strategy '%s' (chaotic|scheduled|worklist|fused)@."
-                    s;
-                  exit 1)
-        in
+        let strategy = strategy_of_arg strategy in
         let elab =
           Javatime.Elaborate.elaborate ~engine:Javatime.Elaborate.Engine_vm
             ~enforce_policy:false ~bounded_memory:false checked ~cls
         in
-        let n_in, n_out = Javatime.Elaborate.ports elab in
-        let g =
-          asr_wrap ~cls ~n_in ~n_out (Javatime.Elaborate.react elab)
-        in
+        let n_in, _ = Javatime.Elaborate.ports elab in
+        let g, new_instant = Javatime.Elaborate.system elab in
         let stream =
           List.init instants (fun t ->
               List.init n_in (fun i ->
                   (string_of_int i, Asr.Domain.int (ramp t i))))
         in
-        let t = Asr.Checkpoint.record ~strategy g stream in
+        let sim =
+          Asr.Simulate.create ~strategy
+            ~causal:
+              (Telemetry.Causal.create
+                 ~n_nets:(Asr.Graph.compile g).Asr.Graph.n_nets ())
+            g
+        in
+        let r = Asr.Checkpoint.recorder sim stream in
+        List.iter
+          (fun _ ->
+            new_instant ();
+            ignore (Asr.Checkpoint.record_step r))
+          stream;
+        let t = Asr.Checkpoint.recorded ~system:(Asr.Graph.name g) r in
         if net < 0 || net >= Asr.Checkpoint.n_nets t then begin
           Format.eprintf "net %d out of range (system has %d nets)@." net
             (Asr.Checkpoint.n_nets t);
@@ -939,7 +850,7 @@ let why_cmd =
            ~doc:"Number of instants to simulate before querying")
   in
   let strategy_arg =
-    Arg.(value & opt (some string) None & info [ "strategy" ] ~docv:"STRATEGY"
+    Arg.(value & opt string "worklist" & info [ "strategy" ] ~docv:"STRATEGY"
            ~doc:"Fixed-point strategy (chaotic|scheduled|worklist|fused)")
   in
   let json_flag =

@@ -254,6 +254,8 @@ let resume ?telemetry ?monitor ?supervisor t graph =
     given_or (fun () -> Registry.create ()) telemetry t.k_counters
   in
   let monitor = given_or (fun () -> Monitor.create ()) monitor t.k_monitor in
+  (* checked before any attachment is touched; [Simulate.create] reuses
+     this compilation *)
   check_fingerprint "Checkpoint.resume" t (Graph.compile graph');
   let causal = Option.map Causal.of_state t.k_causal in
   let sim =
@@ -283,6 +285,7 @@ let run ?expect ~strategy ?policy ~escalate_after ~inject ~seed ~capacity
   let supervisor =
     Option.map (fun p -> Supervisor.create ~policy:p ~escalate_after ()) policy
   in
+  (* one compilation, shared with [Simulate.create] *)
   let compiled = Graph.compile graph' in
   Option.iter (fun t -> check_fingerprint "Checkpoint.replay" t compiled)
     expect;

@@ -8,8 +8,8 @@ let component_to_domain = function
 
 (* Shared machinery: run the inner fixpoint of [compiled] as the body of
    a single block application. State is the tuple of delay values. The
-   schedule is compiled once per abstraction, and one net buffer is
-   reused across applications. *)
+   fixpoint plan is prepared once per abstraction, as {!Simulate} does,
+   and reused across applications. *)
 let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~name compiled =
   let in_names = Array.map fst compiled.Graph.c_inputs in
   let out_names = Array.map fst compiled.Graph.c_outputs in
@@ -17,15 +17,11 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
   let has_state = n_delays > 0 in
   let n_in = Array.length in_names + if has_state then 1 else 0 in
   let n_out = Array.length out_names + if has_state then 1 else 0 in
-  let schedule = Schedule.of_compiled compiled in
-  let fuse =
-    match strategy with
-    | Fixpoint.Fused -> Some (Fuse.compile ~schedule compiled)
-    | _ -> None
+  let plan =
+    Fixpoint.prepare ~schedule:(Schedule.of_compiled compiled) strategy
+      compiled
   in
-  let buffers = Fixpoint.make_buffers compiled in
   let probe = Option.map Supervisor.probe supervisor in
-  let nets_buffer = Array.make compiled.Graph.n_nets Domain.Bottom in
   let applications = ref 0 in
   let fn inputs =
     incr applications;
@@ -45,8 +41,7 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
                  (Data.to_string v))
     in
     let result =
-      Fixpoint.eval compiled ~inputs:env_inputs ~delay_values ~strategy
-        ~schedule ?fuse ~buffers ~nets:nets_buffer ?probe ()
+      Fixpoint.eval plan ~inputs:env_inputs ~delay_values ?probe ()
     in
     (match instants with
     | Some parent ->

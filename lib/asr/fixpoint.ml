@@ -132,11 +132,6 @@ let apply_block ?probe (c : Graph.compiled) ~bufs nets bi =
 (* ------------------------------------------------------------------ *)
 
 let eval_chaotic ?probe c nets ~bufs ~order =
-  let order =
-    match order with
-    | Some order -> order
-    | None -> Array.init (Array.length c.Graph.c_blocks) (fun i -> i)
-  in
   let evaluations = ref 0 in
   let sweeps = ref 0 in
   (* Height of the product domain = number of nets; one extra sweep
@@ -307,8 +302,24 @@ let eval_fused ?probe c nets ~bufs ~plan =
 
 (* ------------------------------------------------------------------ *)
 
-let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
-    ?schedule ?fuse ?buffers ?nets ?probe () =
+(* How an instant runs: the strategy with what it needs, prepared once. *)
+type lane =
+  | Sweep of int array  (* chaotic, in this block order *)
+  | Static  (* scheduled, along the plan's schedule *)
+  | Queue of int array  (* worklist, seeded in this order *)
+  | Plan of Fuse.t  (* fused *)
+
+type plan = {
+  p_graph : Graph.compiled;
+  p_strategy : strategy;
+  p_schedule : Schedule.t;
+  p_lane : lane;
+  p_buffers : buffers;
+  p_nets : Domain.t array;
+}
+
+let prepare ?order ?schedule strategy (c : Graph.compiled) =
+  let declared () = Array.init (Array.length c.Graph.c_blocks) Fun.id in
   (match (order, strategy) with
   | Some _, (Scheduled | Worklist | Fused) ->
       invalid_arg
@@ -317,33 +328,51 @@ let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
             strategy, not %s"
            (strategy_name strategy))
   | _ -> ());
-  let plan =
-    match strategy with
-    | Fused -> (
-        match fuse with
-        | Some p ->
-            if
-              p.Fuse.f_n_nets <> c.Graph.n_nets
-              || p.Fuse.f_n_blocks <> Array.length c.Graph.c_blocks
-            then invalid_arg "fixpoint: fused plan does not match the graph";
-            Some p
-        | None -> Some (Fuse.compile ?schedule c))
-    | Chaotic | Scheduled | Worklist -> None
+  let p_schedule =
+    match schedule with Some s -> s | None -> Schedule.of_compiled c
   in
-  let nets =
-    match nets with
-    | None -> Array.make c.Graph.n_nets Domain.Bottom
-    | Some buf ->
-        if Array.length buf <> c.Graph.n_nets then
-          invalid_arg "fixpoint: net buffer length mismatch";
-        buf
+  { p_graph = c;
+    p_strategy = strategy;
+    p_schedule;
+    p_lane =
+      (match strategy with
+      | Chaotic -> Sweep (match order with Some o -> o | None -> declared ())
+      | Scheduled -> Static
+      | Worklist ->
+          Queue
+            (match schedule with
+            | Some s -> Schedule.linear_order s
+            | None -> declared ())
+      | Fused -> Plan (Fuse.compile ~schedule:p_schedule c));
+    p_buffers = make_buffers c;
+    p_nets = Array.make c.Graph.n_nets Domain.Bottom }
+
+let graph p = p.p_graph
+
+let strategy p = p.p_strategy
+
+let schedule p = p.p_schedule
+
+let fused p =
+  match p.p_lane with Plan f -> Some f | Sweep _ | Static | Queue _ -> None
+
+let nets p = p.p_nets
+
+let eval plan ~inputs ~delay_values ?probe () =
+  let c = plan.p_graph and nets = plan.p_nets and bufs = plan.p_buffers in
+  (* a probe with instant hooks only leaves every strategy on its
+     unprobed path — under Fused, the fast lane *)
+  let watch =
+    match probe with
+    | Some p when Probe.observes_applications p -> probe
+    | _ -> None
   in
   (* The fused template preloads folded constant nets; other strategies
-     start from all-⊥. The fast lane (no probe) restores only the slots
-     a pass can leave stale — everything else is rewritten
-     unconditionally or aliased away. Probed runs step block by block
-     over every net, so they need the full blit. *)
-  (match (plan, probe) with
+     start from all-⊥. The fast lane restores only the slots a pass can
+     leave stale — everything else is rewritten unconditionally or
+     aliased away. Probed runs step block by block over every net, so
+     they need the full blit. *)
+  (match (fused plan, watch) with
   | Some p, None ->
       let template = p.Fuse.f_template and rlist = p.Fuse.f_reset in
       for k = 0 to Array.length rlist - 1 do
@@ -364,29 +393,19 @@ let eval (c : Graph.compiled) ~inputs ~delay_values ?order ?(strategy = Chaotic)
     (fun i (_, out_net, _) -> nets.(out_net) <- delay_values.(i))
     c.Graph.c_delays;
   (match probe with
-  | Some p -> p.Probe.instant_begin c ~plan ~inputs ~delay_values
+  | Some p -> p.Probe.instant_begin c ~plan:(fused plan) ~inputs ~delay_values
   | None -> ());
-  let bufs = match buffers with Some b -> b | None -> make_buffers c in
   let iterations, block_evaluations =
-    match strategy with
-    | Chaotic -> eval_chaotic ?probe c nets ~bufs ~order
-    | Scheduled ->
-        let schedule =
-          match schedule with
-          | Some s -> s
-          | None -> Schedule.of_compiled c
-        in
-        eval_scheduled ?probe c nets ~bufs ~schedule
-    | Worklist ->
-        let seed =
-          match schedule with
-          | Some s -> Schedule.linear_order s
-          | None -> Array.init (Array.length c.Graph.c_blocks) (fun i -> i)
-        in
-        eval_worklist ?probe c nets ~bufs ~seed
-    | Fused -> eval_fused ?probe c nets ~bufs ~plan:(Option.get plan)
+    match plan.p_lane with
+    | Sweep order -> eval_chaotic ?probe:watch c nets ~bufs ~order
+    | Static ->
+        eval_scheduled ?probe:watch c nets ~bufs ~schedule:plan.p_schedule
+    | Queue seed -> eval_worklist ?probe:watch c nets ~bufs ~seed
+    | Plan fused -> eval_fused ?probe:watch c nets ~bufs ~plan:fused
   in
-  (match probe with Some p -> p.Probe.instant_end () | None -> ());
+  (match probe with
+  | Some p -> p.Probe.instant_end ~nets ~iterations ~block_evaluations
+  | None -> ());
   { nets; iterations; block_evaluations }
 
 let outputs (c : Graph.compiled) result =

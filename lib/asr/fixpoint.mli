@@ -54,64 +54,64 @@ exception Nonmonotonic of string
     iteration exceeded the theoretical bound — the block function is not
     monotone. *)
 
-type buffers
-(** Preallocated per-block scratch: input vectors, result vectors and
-    one application step per block. *)
+type plan
+(** One prepared evaluation of a compiled graph under one strategy: the
+    graph, the strategy, its chaotic order or worklist seed, the
+    schedule, the fused plan, per-block scratch and the net buffer,
+    built once by {!prepare} and reused by every {!eval}. A plan is
+    mutable scratch: one caller at a time. {!Simulate} and {!Compose}
+    each prepare one per simulator or abstraction. *)
 
-val make_buffers : Graph.compiled -> buffers
-(** Preallocate per-block scratch. {!eval} allocates a fresh set per
-    call unless one is supplied; {!Simulate} and {!Compose} allocate
-    once and reuse across instants. *)
+val prepare :
+  ?order:int array -> ?schedule:Schedule.t -> strategy -> Graph.compiled -> plan
+(** [order] permutes chaotic block evaluation (default: declaration
+    order); with any other strategy it raises [Invalid_argument].
+    [schedule] supplies a precompiled schedule, computed here otherwise;
+    [Worklist] seeds its queue in the schedule's linear order when one
+    is supplied, in declaration order otherwise. Under [Fused] the
+    {!Fuse} plan is compiled here from the schedule. *)
+
+val graph : plan -> Graph.compiled
+
+val strategy : plan -> strategy
+
+val schedule : plan -> Schedule.t
+
+val fused : plan -> Fuse.t option
+(** [Some] exactly under [Fused]. *)
+
+val nets : plan -> Domain.t array
+(** The plan's net buffer: the last {!eval}'s fixed point (all ⊥ before
+    the first), aliased by its {!result}. *)
 
 val eval :
-  Graph.compiled ->
+  plan ->
   inputs:(string * Domain.t) list ->
   delay_values:Domain.t array ->
-  ?order:int array ->
-  ?strategy:strategy ->
-  ?schedule:Schedule.t ->
-  ?fuse:Fuse.t ->
-  ?buffers:buffers ->
-  ?nets:Domain.t array ->
   ?probe:Probe.t ->
   unit ->
   result
-(** [delay_values.(i)] is the output of the i-th delay this instant.
-    Unknown input names raise [Invalid_argument]; inputs not mentioned
-    are ⊥ (absent).
+(** One instant. [delay_values.(i)] is the output of the i-th delay
+    this instant. Unknown input names raise [Invalid_argument]; inputs
+    not mentioned are ⊥ (absent). The result aliases the plan's net
+    buffer, so a caller must consume it before the next call.
 
-    [strategy] defaults to [Chaotic]. [order] permutes chaotic block
-    evaluation (default: declaration order) and is rejected under the
-    other strategies. [schedule] supplies a precompiled schedule
-    ([Scheduled] computes one on the fly otherwise; [Worklist] uses it
-    only as its seed order, defaulting to declaration order; [Fused]
-    uses it when compiling a plan on the fly).
-
-    [fuse] supplies a precompiled {!Fuse} plan (only meaningful with
-    [Fused], which otherwise compiles one per call — precompile for
-    per-instant use). A plan whose net/block counts disagree with the
-    graph raises [Invalid_argument].
-
-    [buffers] supplies preallocated per-block scratch (see
-    {!make_buffers}); a fresh set is allocated per call otherwise.
-
-    [nets] optionally supplies a preallocated buffer of length [n_nets]
-    that is cleared and reused — the returned {!result} aliases it, so
-    callers reusing a buffer across instants must consume the result
-    before the next call.
-
-    [probe] observes the evaluation (see {!Probe}): its instant hooks
-    bracket the call, and every block application passes through its
-    application hooks — supervision ({!Supervisor.probe}) guards each
-    application and contains retractions that would otherwise raise
-    {!Nonmonotonic}; {!Probe.counter} counts applications per block;
-    {!Probe.causal} records the evaluation into a causal log. Under
-    [Fused] a probe sees the plan's block-at-a-time ops: kernel steps
-    still run in place, straight on the net slots, and only opaque
-    blocks and cyclic components apply whole blocks. Folded blocks are
-    never applied (they are constant and cannot fault), and evaluation
-    counts are the same with or without a probe. Without a probe,
-    [Fused] runs the chain-collapsed fast lane. *)
+    [probe] observes the evaluation and owns the instant (see
+    {!Probe}): [instant_begin] fires once the inputs and delay outputs
+    are bound, [instant_end] once the fixpoint settled. When the probe
+    watches applications ({!Probe.observes_applications}), every block
+    application passes through its hooks — supervision
+    ({!Supervisor.probe}) guards each application and contains
+    retractions that would otherwise raise {!Nonmonotonic};
+    {!Probe.counter} counts applications per block; {!Probe.causal}
+    records the evaluation into a causal log. Under [Fused] such a
+    probe sees the plan's block-at-a-time ops: kernel steps still run
+    in place, straight on the net slots, and only opaque blocks and
+    cyclic components apply whole blocks. Folded blocks are never
+    applied (they are constant and cannot fault), and evaluation counts
+    are the same with or without a probe. Without a probe, or with one
+    that has instant hooks only, [Fused] runs the chain-collapsed fast
+    lane. *)
 
 val outputs : Graph.compiled -> result -> (string * Domain.t) list
 

@@ -11,13 +11,25 @@ type node_kind =
 (* Nodes live in a growable array and driven in-ports in a hash table:
    node lookup and the double-drive check are O(1), so building a
    100k-block net (the fusion scaling curve) stays linear instead of
-   quadratic in channels. *)
+   quadratic in channels. The compiled form is kept until the next
+   edit, so every consumer of one graph shares one compilation. *)
 type t = {
   gname : string;
   mutable nodes_arr : node_kind array;
   mutable n_nodes : int;
   mutable rev_channels : (endpoint * endpoint) list;
   driven : (endpoint, unit) Hashtbl.t;
+  mutable compiled : compiled option;
+}
+
+and compiled = {
+  n_nets : int;
+  c_blocks : (Block.t * int array * int array) array;
+  c_delays : (int * int * Domain.t) array;
+  c_inputs : (string * int) array;
+  c_outputs : (string * int) array;
+  c_input_index : (string, int) Hashtbl.t;
+  c_consumers : int array array;
 }
 
 let create gname =
@@ -25,7 +37,8 @@ let create gname =
     nodes_arr = [||];
     n_nodes = 0;
     rev_channels = [];
-    driven = Hashtbl.create 64 }
+    driven = Hashtbl.create 64;
+    compiled = None }
 
 let name g = g.gname
 
@@ -38,6 +51,7 @@ let add_node g kind =
   end;
   g.nodes_arr.(id) <- kind;
   g.n_nodes <- id + 1;
+  g.compiled <- None;
   id
 
 let add_block g b = add_node g (Kblock b)
@@ -97,6 +111,7 @@ let connect g ~src:(src_id, src_port) ~dst:(dst_id, dst_port) =
       (Printf.sprintf "graph %s: input port %d of %s is already driven"
          g.gname dst_port (node_label g dst_id));
   Hashtbl.add g.driven (dst_id, dst_port) ();
+  g.compiled <- None;
   g.rev_channels <- ((src_id, src_port), (dst_id, dst_port)) :: g.rev_channels
 
 (* Rebuild the graph with every block passed through [f]. The callback
@@ -121,7 +136,7 @@ let map_blocks g f =
             Kblock b'
         | other -> other)
   in
-  { g with nodes_arr = nodes'; driven = Hashtbl.copy g.driven }
+  { g with nodes_arr = nodes'; driven = Hashtbl.copy g.driven; compiled = None }
 
 let count_kind g p =
   let n = ref 0 in
@@ -134,19 +149,9 @@ let block_count g = count_kind g (function Kblock _ -> true | _ -> false)
 
 let delay_count g = count_kind g (function Kdelay _ -> true | _ -> false)
 
-type compiled = {
-  n_nets : int;
-  c_blocks : (Block.t * int array * int array) array;
-  c_delays : (int * int * Domain.t) array;
-  c_inputs : (string * int) array;
-  c_outputs : (string * int) array;
-  c_input_index : (string, int) Hashtbl.t;
-  c_consumers : int array array;
-}
-
 let input_net c label = Hashtbl.find_opt c.c_input_index label
 
-let compile g =
+let compile_fresh g =
   let node_list = nodes g in
   (* One net per (node, out port). *)
   let net_of = Hashtbl.create 64 in
@@ -210,6 +215,14 @@ let compile g =
     c_outputs = Array.of_list (List.rev !outputs);
     c_input_index;
     c_consumers = Array.map (fun l -> Array.of_list (List.rev l)) rev_consumers }
+
+let compile g =
+  match g.compiled with
+  | Some c -> c
+  | None ->
+      let c = compile_fresh g in
+      g.compiled <- Some c;
+      c
 
 (* Nets transitively influenced by block [bi]'s outputs: closure over
    the consumer index (a block reading a marked net marks all its output

@@ -88,7 +88,10 @@ val input_net : compiled -> string -> int option
 
 val compile : t -> compiled
 (** Validates that every in-port is driven. Raises [Invalid_argument]
-    listing the first unconnected port otherwise. *)
+    listing the first unconnected port otherwise. The result is kept
+    until the graph is next edited, so every consumer of one graph (a
+    simulator, a checkpoint's fingerprint check) shares one
+    compilation; treat it as immutable. *)
 
 val affected_nets : compiled -> int -> bool array
 (** [affected_nets c bi] marks every net transitively influenced by

@@ -1,4 +1,6 @@
 module Causal = Telemetry.Causal
+module Registry = Telemetry.Registry
+module Monitor = Telemetry.Monitor
 
 type step = Domain.t array -> unit
 
@@ -11,7 +13,8 @@ type t = {
     inputs:(string * Domain.t) list ->
     delay_values:Domain.t array ->
     unit;
-  instant_end : unit -> unit;
+  instant_end :
+    nets:Domain.t array -> iterations:int -> block_evaluations:int -> unit;
   enter : int -> unit;
   guard :
     (int -> step -> Domain.t array -> Domain.t array -> int array -> unit)
@@ -25,7 +28,7 @@ type t = {
    by physical equality and a composed hook only calls probes that
    listen. *)
 let no_begin _ ~plan:_ ~inputs:_ ~delay_values:_ = ()
-let no_end () = ()
+let no_end ~nets:_ ~iterations:_ ~block_evaluations:_ = ()
 let no_enter (_ : int) = ()
 let no_retract _ _ _ _ = false
 let no_write (_ : int) (_ : Domain.t) = ()
@@ -53,9 +56,10 @@ let both a b =
           a.instant_begin c ~plan ~inputs ~delay_values;
           b.instant_begin c ~plan ~inputs ~delay_values);
     instant_end =
-      pick no_end a.instant_end b.instant_end (fun () ->
-          b.instant_end ();
-          a.instant_end ());
+      pick no_end a.instant_end b.instant_end
+        (fun ~nets ~iterations ~block_evaluations ->
+          b.instant_end ~nets ~iterations ~block_evaluations;
+          a.instant_end ~nets ~iterations ~block_evaluations);
     enter =
       pick no_enter a.enter b.enter (fun bi ->
           a.enter bi;
@@ -79,6 +83,10 @@ let both a b =
 let compose = function
   | [] -> None
   | p :: rest -> Some (List.fold_left both p rest)
+
+let observes_applications p =
+  p.guard <> None || p.enter != no_enter || p.retract != no_retract
+  || p.write != no_write || p.leave != no_leave
 
 let counter counts =
   { none with
@@ -143,10 +151,106 @@ let causal ?containment cz =
   in
   { none with
     instant_begin;
-    instant_end = (fun () -> if !opened then Causal.end_instant cz);
+    instant_end =
+      (fun ~nets:_ ~iterations:_ ~block_evaluations:_ ->
+        if !opened then Causal.end_instant cz);
     enter =
       (fun bi ->
         let _, ins, _ = !blocks.(bi) in
         Causal.eval_begin cz ~block:bi ~reads:ins);
     write = (fun net v -> Causal.eval_write cz ~net v);
     leave }
+
+(* ------------------------- instant probes ------------------------- *)
+
+type clock = {
+  mutable instant : int;
+  last : Domain.t array;
+  mutable scanned : int;
+  mutable churn : int;
+}
+
+let clock ~churn n_nets =
+  { instant = 0;
+    last = (if churn then Array.make n_nets Domain.Bottom else [||]);
+    scanned = -1;
+    churn = 0 }
+
+(* The O(nets) scan runs at most once per instant: a second reader of
+   the same instant gets the cached count. *)
+let churn clk nets ~scan =
+  if clk.scanned = clk.instant then clk.churn
+  else if not scan then 0
+  else begin
+    let c = ref 0 and last = clk.last in
+    for i = 0 to Array.length nets - 1 do
+      let v = nets.(i) in
+      if not (Domain.equal v last.(i)) then begin
+        incr c;
+        last.(i) <- v
+      end
+    done;
+    clk.scanned <- clk.instant;
+    clk.churn <- !c;
+    !c
+  end
+
+let registry clk reg (c : Graph.compiled) ~faults =
+  let counts = Array.make (Array.length c.Graph.c_blocks) 0 in
+  let block_counters =
+    Array.map
+      (fun (block, _, _) ->
+        Registry.counter reg ("asr.block." ^ block.Block.name ^ ".evals"))
+      c.Graph.c_blocks
+  in
+  let instant_begin _ ~plan:_ ~inputs:_ ~delay_values:_ =
+    if Registry.is_enabled reg then begin
+      Registry.enter reg ~cat:"asr" "instant";
+      Array.fill counts 0 (Array.length counts) 0
+    end
+  in
+  let instant_end ~nets ~iterations ~block_evaluations =
+    if Registry.is_enabled reg then begin
+      let net_churn = churn clk nets ~scan:true in
+      Array.iteri
+        (fun bi n -> if n > 0 then Registry.add block_counters.(bi) n)
+        counts;
+      Registry.count reg "asr.instants" 1;
+      Registry.count reg "asr.block_evaluations" block_evaluations;
+      Registry.observe_value reg "asr.fixpoint_iterations" iterations;
+      Registry.exit reg
+        ~args:
+          ([ ("instant", Registry.Int clk.instant);
+             ("iterations", Registry.Int iterations);
+             ("block_evaluations", Registry.Int block_evaluations);
+             ("net_churn", Registry.Int net_churn) ]
+          @
+          match faults with
+          | Some f -> [ ("faults", Registry.Int (f ())) ]
+          | None -> [])
+        ()
+    end
+  in
+  (* per-block counting is an application hook, so it is attached only
+     when the registry records: a disabled registry keeps Fused on its
+     fast lane *)
+  { (if Registry.is_enabled reg then counter counts else none) with
+    instant_begin;
+    instant_end }
+
+let monitor clk mon ~faults =
+  let k = Monitor.churn_every mon in
+  { none with
+    instant_begin =
+      (fun _ ~plan:_ ~inputs:_ ~delay_values:_ -> Monitor.instant_begin mon);
+    instant_end =
+      (fun ~nets ~iterations ~block_evaluations ->
+        (* sampled every [k] instants, closing a uniform window
+           (instants k-1, 2k-1, ...), unless a registry already
+           scanned this instant *)
+        let net_churn =
+          churn clk nets ~scan:(k > 0 && (clk.instant + 1) mod k = 0)
+        in
+        Monitor.instant_end mon ~iterations ~block_evals:block_evaluations
+          ~net_churn
+          ~faults:(match faults with Some f -> f () | None -> 0)) }

@@ -2,9 +2,11 @@
 
     ASR systems are reactive — the environment initiates every instant
     by presenting inputs; with no input the system sits idle (paper §3).
-    The simulator owns the delay state between instants, compiles the
-    evaluation {!Schedule} once at creation, and reuses one net buffer
-    across instants instead of allocating per reaction. *)
+    The simulator owns the delay state between instants and one
+    {!Fixpoint.plan}, prepared at creation; each reaction evaluates the
+    plan and advances the delays. Every attachment observes the instant
+    through one composed {!Probe}, which owns the instant's lifecycle:
+    the simulator calls no attachment itself. *)
 
 type t
 
@@ -24,59 +26,36 @@ val create :
   ?causal:Domain.t Telemetry.Causal.t ->
   Graph.t ->
   t
-(** Compiles the graph and its schedule — and, under
-    {!Fixpoint.Fused}, the {!Fuse} plan — once at creation. [strategy]
+(** Compiles the graph and prepares its {!Fixpoint.plan} (schedule,
+    and under {!Fixpoint.Fused} the {!Fuse} plan) once. [strategy]
     defaults to {!Fixpoint.Worklist} — near-linear per instant on
     feed-forward systems — unless [order] is given, which selects
     chaotic iteration under that fixed block order (determinism tests
     shuffle it). Passing [order] together with a non-chaotic [strategy]
     raises [Invalid_argument].
 
-    [telemetry]: each reaction emits one ["instant"] span (args:
-    instant index, fixpoint iterations, block evaluations, net churn —
-    nets whose fixed-point value differs from the previous instant's),
-    maintains ["asr.instants"] / ["asr.block_evaluations"] and one
-    ["asr.block.<name>.evals"] counter per block, and feeds the
-    ["asr.fixpoint_iterations"] histogram. Disabled registries cost one
-    check per reaction.
+    The attachments are composed here, once, into one probe — in this
+    order, so the instant closes in reverse: {!Supervisor.probe} (every
+    application guarded; the supervisor's instant opens and closes with
+    the evaluation), {!Probe.monitor}, {!Probe.causal} (the sink's net
+    count must match the compiled graph), {!Probe.registry}. The
+    registry closes first, so with both it and the monitor attached
+    churn is scanned once and exact; the monitor records the instant
+    before the supervisor closes it, so a quarantine escalation's
+    flight dump covers the instant that triggered it. With nothing
+    attached, or only instant hooks (a monitor, a disabled registry),
+    the evaluation path — under [Fused], the chain-collapsed fast lane
+    — is exactly the unobserved one.
 
-    [telemetry], [supervisor] and [causal] observe the fixpoint through
-    one {!Probe}, composed here once: the per-block eval counter (while
-    the registry is enabled), {!Supervisor.probe} and {!Probe.causal}.
-    With none attached the execution path — under [Fused], the
-    chain-collapsed fast lane — is exactly the unobserved one.
-
-    [supervisor]: every block application of every instant runs under
-    the supervisor's guard (trap containment, budgets, quarantine); the
-    simulator drives the supervisor's instant lifecycle and, with
-    telemetry on, adds a ["faults"] arg to each instant span.
-
-    [monitor]: each reaction is bracketed by
-    {!Telemetry.Monitor.instant_begin} / [instant_end], recording one
-    flight-recorder entry per instant (iterations, block evaluations,
-    net churn, faults) and feeding the streaming sketches and windows.
-    With only a monitor attached, the O(nets) churn scan runs every
-    [Telemetry.Monitor.churn_every] instants rather than every instant
-    (records between samples carry churn 0, the sampled record carries
-    "nets changed since the previous sample") — always-on monitoring
-    must not scale per-instant cost with net count; with [telemetry]
-    also enabled churn is exact every instant.
-    The record is pushed {e before} [Supervisor.end_instant], so a
-    quarantine escalation's flight dump covers the instant that
-    triggered it. With both [monitor] and [supervisor], the simulator
-    installs a {!Supervisor.set_observer} hook translating fault /
-    recovery / quarantine events into monitor block health. The monitor
-    is independent of [telemetry]; with both, their cumulative
+    Glue between attachments is also wired here: with [monitor] and
+    [supervisor], supervisor fault / recovery / quarantine events feed
+    the monitor's block health ({!Supervisor.set_observer}); with
+    [monitor] and [causal], the monitor's [data_loss] object reports
+    the causal ring's overwrite and truncated-slice counters. The
+    monitor is independent of [telemetry]; with both, their cumulative
     ["asr.instants"] / ["asr.block_evaluations"] /
     ["asr.supervisor.faults"] views reconcile exactly because they are
-    fed from the same per-instant values.
-
-    [causal]: every reaction is recorded into the bounded causal event
-    log as one traced instant (see {!Probe.causal} and
-    {!Telemetry.Causal}); the sink's net count must match the compiled
-    graph. With both [monitor] and [causal], the monitor's [data_loss]
-    object additionally reports the causal ring's overwrite and
-    truncated-slice counters. *)
+    fed from the same per-instant values. *)
 
 val step : t -> (string * Domain.t) list -> (string * Domain.t) list
 (** React to one instant's inputs; returns the outputs and advances the

@@ -365,17 +365,17 @@ let retract t bi nets out_nets detail =
     true
   end
 
-(* Standalone use (no Simulate driving the lifecycle): an evaluation
-   with no instant open is bracketed as one supervised instant. *)
+(* The probe owns the supervised instant: every evaluation it observes
+   is one instant, opened once the inputs are bound and closed once the
+   fixpoint settled. *)
 let probe t =
-  let auto = ref false in
   { Probe.none with
     Probe.instant_begin =
       (fun c ~plan:_ ~inputs:_ ~delay_values:_ ->
         attach t c;
-        auto := not t.in_instant;
-        if !auto then begin_instant t);
-    instant_end = (fun () -> if !auto then end_instant t);
+        begin_instant t);
+    instant_end =
+      (fun ~nets:_ ~iterations:_ ~block_evaluations:_ -> end_instant t);
     guard = Some (guard t);
     retract = retract t }
 
@@ -419,15 +419,6 @@ let quarantined_blocks t =
     List.filter
       (fun bi -> t.quarantined.(bi))
       (List.init t.n_blocks (fun i -> i))
-
-let fault_to_json f =
-  Telemetry.Json.Obj
-    [ ("instant", Telemetry.Json.Int f.f_instant);
-      ("block", Telemetry.Json.Int f.f_block);
-      ("block_name", Telemetry.Json.Str f.f_block_name);
-      ("class", Telemetry.Json.Str (class_name f.f_class));
-      ("detail", Telemetry.Json.Str f.f_detail);
-      ("action", Telemetry.Json.Str (action_name f.f_action)) ]
 
 (* ------------------------- state snapshot ------------------------- *)
 
@@ -604,7 +595,7 @@ let faults_json t =
       ( "quarantined",
         Telemetry.Json.List
           (List.map (fun bi -> Telemetry.Json.Int bi) (quarantined_blocks t)) );
-      ("faults", Telemetry.Json.List (List.map fault_to_json (faults t))) ]
+      ("faults", Telemetry.Json.List (List.map fault_json (faults t))) ]
 
 let reset t =
   t.instant <- 0;

@@ -24,10 +24,10 @@
     graph, inputs, policy and (injected) faults, the fault log and all
     net traces are identical run to run.
 
-    Lifecycle: {!attach} once per compiled graph (done implicitly by
-    the {!probe}), {!begin_instant} / {!end_instant} around each
-    instant (done by {!Simulate.react}; the probe brackets a
-    standalone {!Fixpoint.eval}). *)
+    Lifecycle: {!attach} once per compiled graph, {!begin_instant} /
+    {!end_instant} around each instant — both done by the {!probe},
+    the one owner of the supervised instant, so every
+    {!Fixpoint.eval} it observes is one instant. *)
 
 type policy =
   | Fail_fast  (** re-raise as {!Fatal}: stop the simulation *)
@@ -132,9 +132,9 @@ val probe : t -> Probe.t
     block at its nets' current values for the rest of the instant — or
     declines when the block was already contained this instant, and
     {!Fixpoint.Nonmonotonic} propagates. Its instant hooks {!attach}
-    the evaluated graph and, when no instant is open (a standalone
-    evaluation, not {!Simulate}), bracket the evaluation as one
-    supervised instant. *)
+    the evaluated graph and bracket the evaluation as one supervised
+    instant ({!begin_instant} / {!end_instant}); an escaping fault
+    ({!Fatal}) leaves that instant open. *)
 
 (** {2 Inspection} *)
 
@@ -170,7 +170,10 @@ val containment : t -> int -> string option
 val quarantined_blocks : t -> int list
 
 val faults_json : t -> Telemetry.Json.t
-(** The full fault log plus summary counters, for [--fault-log]. *)
+(** The full fault log plus summary counters, for [--fault-log]. Each
+    fault is the same object as in {!state_json}: [action] is a tag
+    (["held"], ["absent"], ["recovered:N"], ["escalated"],
+    ["aborted"]). *)
 
 val reset : t -> unit
 (** Clear all per-block state, counters and the log (for re-running a

@@ -17,7 +17,7 @@ type lane = Verify.ty = Int | Bool | Double | Boxed
 type frame = Frame.t = { i : int array; d : Float.Array.t; v : Value.t array }
 
 type compiled = {
-  c_label : string;  (* "Class.method", for the cost sink *)
+  c_label : string;  (* "Class.method", for the cost profile *)
   c_mc : Instr.method_code;
   mutable c_verified : Verify.t option;  (* until translated *)
   c_decl : Mj.Ast.ty array;  (* declared parameter types *)
@@ -1497,8 +1497,8 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let of_image ?(tariff = Cost.jit_tariff) ?sink ?lines image =
-  let m = Machine.create ~tariff ?sink ?lines image.Compile.im_tab in
+let of_image ?(tariff = Cost.jit_tariff) ?profile ?lines image =
+  let m = Machine.create ~tariff ?profile ?lines image.Compile.im_tab in
   let t = { m; link = Link.create image m ~load:shell; translated = 0 } in
   m.Machine.invoke_run <- (fun recv -> ignore (call t recv "run" []));
   let clinit = shell ~this:false image.Compile.im_static_init in
@@ -1506,5 +1506,5 @@ let of_image ?(tariff = Cost.jit_tariff) ?sink ?lines image =
   ignore (enter t clinit no_conversion (new_frame t clinit));
   t
 
-let create ?tariff ?sink ?lines ?elide checked =
-  of_image ?tariff ?sink ?lines (Compile.compile ?elide checked)
+let create ?tariff ?profile ?lines ?elide checked =
+  of_image ?tariff ?profile ?lines (Compile.compile ?elide checked)

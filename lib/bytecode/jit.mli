@@ -13,19 +13,19 @@ type t
 
 val create :
   ?tariff:Mj_runtime.Cost.tariff ->
-  ?sink:Mj_runtime.Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
   Mj.Typecheck.checked ->
   t
-(** Default tariff is {!Mj_runtime.Cost.jit_tariff}. [sink] observes
-    every cycle from creation on; [lines] receives per-source-line
+(** Default tariff is {!Mj_runtime.Cost.jit_tariff}. [profile]
+    observes every cycle from creation on; [lines] receives per-source-line
     attribution from positions fixed at translate time (one branch per
     charging node when no table is attached). *)
 
 val of_image :
   ?tariff:Mj_runtime.Cost.tariff ->
-  ?sink:Mj_runtime.Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   Compile.image -> t
 

@@ -962,11 +962,11 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let of_image ?tariff ?sink ?lines image =
+let of_image ?tariff ?profile ?lines image =
   let m =
     match tariff with
-    | Some tariff -> Machine.create ~tariff ?sink ?lines image.Compile.im_tab
-    | None -> Machine.create ?sink ?lines image.Compile.im_tab
+    | Some tariff -> Machine.create ~tariff ?profile ?lines image.Compile.im_tab
+    | None -> Machine.create ?profile ?lines image.Compile.im_tab
   in
   let t =
     { image; m; cost = m.Machine.cost; heap = m.Machine.heap;
@@ -979,5 +979,5 @@ let of_image ?tariff ?sink ?lines image =
        false Value.Null no_ints no_doubles no_values 0 [||]);
   t
 
-let create ?tariff ?sink ?lines ?elide checked =
-  of_image ?tariff ?sink ?lines (Compile.compile ?elide checked)
+let create ?tariff ?profile ?lines ?elide checked =
+  of_image ?tariff ?profile ?lines (Compile.compile ?elide checked)

@@ -11,19 +11,19 @@ type t
 
 val create :
   ?tariff:Mj_runtime.Cost.tariff ->
-  ?sink:Mj_runtime.Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
   Mj.Typecheck.checked ->
   t
 (** Compile the program, allocate machine state, run the static
-    initializer. [sink] observes every cycle from creation on; [lines]
+    initializer. [profile] observes every cycle from creation on; [lines]
     likewise receives per-source-line attribution, driven by the
     compiled line tables ({!Instr.line_at}). *)
 
 val of_image :
   ?tariff:Mj_runtime.Cost.tariff ->
-  ?sink:Mj_runtime.Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   Compile.image -> t
 (** Same, reusing a precompiled image (compile once, run many). *)

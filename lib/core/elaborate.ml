@@ -22,7 +22,7 @@ type t = {
   stateless : bool;
 }
 
-let ops_of_engine ~elide ?port_ranges ?sink ?lines engine checked =
+let ops_of_engine ~elide ?port_ranges ?profile ?lines engine checked =
   (* The elision plan only affects the bytecode engines; the interpreter
      walks the AST and always performs the modelled bounds check. *)
   let hints =
@@ -44,17 +44,17 @@ let ops_of_engine ~elide ?port_ranges ?sink ?lines engine checked =
   in
   match engine with
   | Engine_interp ->
-      let s = Mj_runtime.Interp.create ?sink ?lines checked in
+      let s = Mj_runtime.Interp.create ?profile ?lines checked in
       { o_machine = Mj_runtime.Interp.machine s;
         o_new = Mj_runtime.Interp.new_instance s;
         o_call = Mj_runtime.Interp.call s }
   | Engine_vm ->
-      let s = Mj_bytecode.Vm.create ?sink ?lines ?elide:(plan ()) checked in
+      let s = Mj_bytecode.Vm.create ?profile ?lines ?elide:(plan ()) checked in
       { o_machine = Mj_bytecode.Vm.machine s;
         o_new = Mj_bytecode.Vm.new_instance s;
         o_call = Mj_bytecode.Vm.call s }
   | Engine_jit ->
-      let s = Mj_bytecode.Jit.create ?sink ?lines ?elide:(plan ()) checked in
+      let s = Mj_bytecode.Jit.create ?profile ?lines ?elide:(plan ()) checked in
       { o_machine = Mj_bytecode.Jit.machine s;
         o_new = Mj_bytecode.Jit.new_instance s;
         o_call = Mj_bytecode.Jit.call s }
@@ -104,7 +104,7 @@ let value_to_data m = function
 
 let elaborate ?(engine = Engine_vm) ?(enforce_policy = true)
     ?(bounded_memory = true) ?gc_threshold ?heap_limit_words ?(ctor_args = [])
-    ?(elide_bounds_checks = false) ?port_ranges ?cost_sink ?cost_lines checked
+    ?(elide_bounds_checks = false) ?port_ranges ?profile ?cost_lines checked
     ~cls =
   if enforce_policy && not (Policy.Asr_policy.compliant checked) then
     invalid_arg
@@ -115,7 +115,7 @@ let elaborate ?(engine = Engine_vm) ?(enforce_policy = true)
   if not (List.mem cls (Policy.Phases.asr_classes checked)) then
     invalid_arg (Printf.sprintf "elaborate: class %s does not extend ASR" cls);
   let ops =
-    ops_of_engine ~elide:elide_bounds_checks ?port_ranges ?sink:cost_sink
+    ops_of_engine ~elide:elide_bounds_checks ?port_ranges ?profile
       ?lines:cost_lines engine checked
   in
   let m = ops.o_machine in
@@ -221,19 +221,19 @@ let machine_state_json t = Mj_runtime.Snapshot.to_json (machine_state t)
 let restore_machine_json t j =
   restore_machine_state t (Mj_runtime.Snapshot.of_json j)
 
-(* A stateful design's run() advances its fields, so applying its block
-   twice in one instant double-steps the state — the reason chaotic
-   iteration was excluded from trace correspondence. Snapshotting the
-   machine at the first application of each instant and restoring
-   before every further application makes N applications
-   indistinguishable from one: same outputs (monotone fixpoints feed a
-   fully-defined input vector the same values all instant), same final
-   heap, and same cycle meter (the restore rewinds it, so the instant
-   charges exactly one application). The driver announces instant
-   boundaries through the returned thunk. *)
+(* A stateful design's run() advances its fields, so running it twice in
+   one instant double-steps the state. Nets only rise within an instant,
+   so once every input is defined the block sees the same input vector
+   for the rest of the instant: the first such application runs the
+   reaction, and every further one returns its outputs. N applications
+   are then indistinguishable from one — same outputs, same final heap,
+   same cycle meter — at no cost per instant. An application that raised
+   left no outputs, so a retry runs the reaction again on the state the
+   failed attempt left. The caller announces instant boundaries through
+   the returned thunk. *)
 let to_reapplicable_block ?budget_cycles t =
-  let snap = ref None in
-  let new_instant () = snap := None in
+  let outputs = ref None in
+  let new_instant () = outputs := None in
   let react t inputs =
     match budget_cycles with
     | Some budget_cycles -> react_bounded t ~budget_cycles inputs
@@ -242,15 +242,35 @@ let to_reapplicable_block ?budget_cycles t =
   let block =
     Asr.Block.make ~name:("mj:" ^ t.cls) ~n_in:t.n_in ~n_out:t.n_out
       (fun inputs ->
-        if Array.for_all Asr.Domain.is_def inputs then begin
-          (match !snap with
-          | None -> snap := Some (Mj_runtime.Snapshot.capture t.ops.o_machine)
-          | Some s -> Mj_runtime.Snapshot.restore s t.ops.o_machine);
-          react t inputs
-        end
+        if Array.for_all Asr.Domain.is_def inputs then (
+          match !outputs with
+          | Some outs -> outs
+          | None ->
+              let outs = react t inputs in
+              outputs := Some outs;
+              outs)
         else Array.make t.n_out Asr.Domain.Bottom)
   in
   (block, new_instant)
+
+(* The design as a one-block ASR system: environment ports "0".."n-1"
+   on both sides of the re-applicable block, so every strategy (chaotic
+   iteration included) sees one reaction per instant. *)
+let system ?budget_cycles t =
+  let block, new_instant = to_reapplicable_block ?budget_cycles t in
+  let g = Asr.Graph.create ("simulate:" ^ t.cls) in
+  let b = Asr.Graph.add_block g block in
+  for i = 0 to t.n_in - 1 do
+    let inp = Asr.Graph.add_input g (string_of_int i) in
+    Asr.Graph.connect g ~src:(Asr.Graph.out_port inp 0)
+      ~dst:(Asr.Graph.in_port b i)
+  done;
+  for j = 0 to t.n_out - 1 do
+    let out = Asr.Graph.add_output g (string_of_int j) in
+    Asr.Graph.connect g ~src:(Asr.Graph.out_port b j)
+      ~dst:(Asr.Graph.in_port out 0)
+  done;
+  (g, new_instant)
 
 (* Map the engine-level traps onto supervisor fault classes. The heap
    message prefixes are the ones [Heap] actually raises: a blown heap

@@ -21,7 +21,7 @@ val elaborate :
   ?ctor_args:Mj_runtime.Value.t list ->
   ?elide_bounds_checks:bool ->
   ?port_ranges:int * int ->
-  ?cost_sink:Mj_runtime.Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?cost_lines:Telemetry.Lines.t ->
   Mj.Typecheck.checked ->
   cls:string ->
@@ -43,9 +43,9 @@ val elaborate :
     {!Asr.Fuse}), which unlocks elision at sites indexed by port data.
     The claim is the caller's to keep — a value outside the range can
     turn an elided site into an unchecked out-of-bounds access.
-    [cost_sink] is installed
-    on the engine's cost meter at creation, so a profile fed by it
-    reconciles exactly with {!total_cycles} — initialization included.
+    [profile] is attached
+    to the engine's cost meter at creation, so it reconciles exactly
+    with {!total_cycles} — initialization included.
     [cost_lines] is a per-source-line attribution table with the same
     exact-reconciliation property. *)
 
@@ -98,14 +98,25 @@ val to_block : ?budget_cycles:int -> t -> Asr.Block.t
 val to_reapplicable_block :
   ?budget_cycles:int -> t -> Asr.Block.t * (unit -> unit)
 (** Like {!to_block} but sound for *stateful* designs under any
-    strategy, chaotic iteration included: the block snapshots its
-    machine ({!Mj_runtime.Snapshot}) at the first application of each
-    instant and restores before every re-application, so N applications
-    are indistinguishable from one — same outputs, same final heap,
-    and the same cycle meter (the instant charges exactly one
-    application, whatever the strategy). The second component announces
-    an instant boundary; the driver calls it before each
+    strategy, chaotic iteration included: the first application of an
+    instant with every input defined runs the reaction, and every
+    further application in the instant returns its outputs (nets only
+    rise, so the inputs cannot have changed). N applications are
+    indistinguishable from one — same outputs, same final heap, and the
+    same cycle meter (the instant charges exactly one application,
+    whatever the strategy). An application that raised leaves no
+    outputs, so a supervisor's retry runs the reaction again from the
+    state the failed attempt left. The second component announces an
+    instant boundary; the caller calls it before each
     {!Asr.Simulate.step}/[run]. *)
+
+val system : ?budget_cycles:int -> t -> Asr.Graph.t * (unit -> unit)
+(** The design as a one-block ASR system named ["simulate:<cls>"]:
+    environment inputs ["0"].. drive the {!to_reapplicable_block}
+    block, whose outputs feed environment outputs ["0"].. — the system
+    [javatime simulate] and [why] drive, and
+    {!Verify.spec_stream}'s. The second component announces an instant
+    boundary; the caller calls it before each step. *)
 
 (** {2 Machine checkpointing}
 

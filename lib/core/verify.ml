@@ -244,9 +244,9 @@ let abstract_outputs ~n_out (events : Mj_runtime.Threads.event list) =
 
 (* The deterministic instant stream of the refined program: the
    elaborated reaction as a one-block ASR system, driven on the input
-   ramp under the given fixpoint strategy. Chaotic iteration may apply
-   a block several times per instant, which is unsound for stateful
-   reactions — callers exclude it when [Elaborate.writes_state]. *)
+   ramp under the given fixpoint strategy. The block is re-applicable,
+   so even strategies that apply it several times per instant (chaotic
+   iteration) see single-application semantics. *)
 let spec_stream ?(engine = Elaborate.Engine_vm)
     ?(inputs = fun t i -> D.int (ramp t i)) ~strategy ~instants checked ~cls =
   let elab =
@@ -254,25 +254,7 @@ let spec_stream ?(engine = Elaborate.Engine_vm)
       checked ~cls
   in
   let n_in, n_out = Elaborate.ports elab in
-  (* Re-applicable embedding: the machine snapshots at the first
-     application of each instant and restores before any further one,
-     so even strategies that apply the block several times per instant
-     (chaotic iteration) see single-application semantics. *)
-  let block, new_instant = Elaborate.to_reapplicable_block elab in
-  let g = Asr.Graph.create ("verify:" ^ cls) in
-  let b = Asr.Graph.add_block g block in
-  for i = 0 to n_in - 1 do
-    let inp = Asr.Graph.add_input g (string_of_int i) in
-    Asr.Graph.connect g
-      ~src:(Asr.Graph.out_port inp 0)
-      ~dst:(Asr.Graph.in_port b i)
-  done;
-  for j = 0 to n_out - 1 do
-    let out = Asr.Graph.add_output g (string_of_int j) in
-    Asr.Graph.connect g
-      ~src:(Asr.Graph.out_port b j)
-      ~dst:(Asr.Graph.in_port out 0)
-  done;
+  let g, new_instant = Elaborate.system elab in
   let sim = Asr.Simulate.create ~strategy g in
   let stream =
     List.init instants (fun t ->
@@ -377,12 +359,11 @@ let trace_correspondence ?(engine = Elaborate.Engine_vm) ?(schedules = 100)
         else 1
   in
   let inputs = make_inputs ~kinds ~array_size in
-  (* Chaotic iteration re-applies blocks within an instant, which used
-     to exclude it here: re-running run() double-steps any stateful
-     design. The re-applicable embedding ([Elaborate.
-     to_reapplicable_block]) closes that gap — the machine restores to
-     its instant-entry snapshot before each re-application — so all
-     four strategies are checked. *)
+  (* Chaotic iteration re-applies blocks within an instant, and
+     re-running run() would double-step any stateful design. The
+     re-applicable embedding ([Elaborate.to_reapplicable_block]) runs
+     the reaction once per instant and answers re-applications with its
+     outputs, so all four strategies are checked. *)
   let strategies =
     [ Asr.Fixpoint.Chaotic; Asr.Fixpoint.Scheduled; Asr.Fixpoint.Worklist;
       Asr.Fixpoint.Fused ]

@@ -23,21 +23,13 @@ let jit_tariff =
     array_unchecked = 1; call = 10; alloc_base = 120; alloc_word = 4;
     native = 20; gc_base = 50_000; gc_word = 8 }
 
-type sink = {
-  sink_charge : int -> unit;
-  sink_enter : string -> unit;
-  sink_leave : unit -> unit;
-  sink_alloc : words:int -> unit;
-  sink_gc : cycles:int -> unit;
-}
-
 type t = {
   tariff : tariff;
   mutable cycles : int;
   mutable budget : int option;
-  mutable sink : sink option;
+  profile : Telemetry.Profile.t option;
   mutable lines : Telemetry.Lines.t option;
-  (* [slow] caches [budget <> None || sink <> None || lines <> None] so
+  (* [slow] caches [budget <> None || profile <> None || lines <> None] so
      the common path of [charge] — no watchdog, no telemetry — is a
      single flag test. *)
   mutable slow : bool;
@@ -45,19 +37,15 @@ type t = {
 
 exception Budget_exceeded of int
 
-let create ?sink ?lines tariff =
-  { tariff; cycles = 0; budget = None; sink; lines;
-    slow = sink <> None || lines <> None }
+let create ?profile ?lines tariff =
+  { tariff; cycles = 0; budget = None; profile; lines;
+    slow = profile <> None || lines <> None }
 
 let refresh_slow t =
-  t.slow <- t.budget <> None || t.sink <> None || t.lines <> None
+  t.slow <- t.budget <> None || t.profile <> None || t.lines <> None
 
 let set_budget t budget =
   t.budget <- budget;
-  refresh_slow t
-
-let set_sink t sink =
-  t.sink <- sink;
   refresh_slow t
 
 let set_lines t lines =
@@ -90,15 +78,15 @@ let cycles t = t.cycles
 let reset t = t.cycles <- 0
 
 (* Checkpoint restore: the meter is set, not charged, so no budget
-   check fires and no sink or line table sees a phantom charge. *)
+   check fires and no profile or line table sees a phantom charge. *)
 let restore_cycles t n = t.cycles <- n
 
-(* The sink sees the charge even when it trips the watchdog: the cycles
+(* The profile sees the charge even when it trips the watchdog: the cycles
    were added to the meter, so a profile stays reconciled on the
    Budget_exceeded path too. *)
 let charge_slow t n =
   (match t.lines with None -> () | Some l -> Telemetry.Lines.charge l n);
-  (match t.sink with None -> () | Some s -> s.sink_charge n);
+  (match t.profile with None -> () | Some p -> Telemetry.Profile.charge p n);
   match t.budget with
   | Some limit when t.cycles > limit -> raise (Budget_exceeded t.cycles)
   | Some _ | None -> ()
@@ -135,28 +123,23 @@ let back_edge t (a : int array) k =
       end
 
 let enter_method t label =
-  (match t.sink with None -> () | Some s -> s.sink_enter label);
+  (match t.profile with None -> () | Some p -> Telemetry.Profile.enter p label);
   match t.lines with None -> () | Some l -> Telemetry.Lines.enter l
 
 (* Variant taking the qualified name in two halves so the disabled path
    does not even pay the string concatenation. *)
 let[@inline] enter_method_in t cls name =
-  (match t.sink with None -> () | Some s -> s.sink_enter (cls ^ "." ^ name));
+  (match t.profile with
+  | None -> ()
+  | Some p -> Telemetry.Profile.enter p (cls ^ "." ^ name));
   match t.lines with None -> () | Some l -> Telemetry.Lines.enter l
 
 let[@inline] leave_method t =
-  (match t.sink with None -> () | Some s -> s.sink_leave ());
+  (match t.profile with None -> () | Some p -> Telemetry.Profile.leave p);
   match t.lines with None -> () | Some l -> Telemetry.Lines.leave l
 
 let bounds_trap t =
   match t.lines with None -> () | Some l -> Telemetry.Lines.trap l
-
-let profile_sink p =
-  { sink_charge = Telemetry.Profile.charge p;
-    sink_enter = Telemetry.Profile.enter p;
-    sink_leave = (fun () -> Telemetry.Profile.leave p);
-    sink_alloc = (fun ~words -> Telemetry.Profile.alloc p ~words);
-    sink_gc = (fun ~cycles -> Telemetry.Profile.gc p ~cycles) }
 
 let[@inline] dispatch t = charge t t.tariff.dispatch
 let[@inline] arith t = charge t t.tariff.arith
@@ -168,11 +151,11 @@ let[@inline] call t = charge t t.tariff.call
 let alloc t ~words =
   charge t (t.tariff.alloc_base + (t.tariff.alloc_word * words));
   (match t.lines with None -> () | Some l -> Telemetry.Lines.alloc l ~words);
-  match t.sink with None -> () | Some s -> s.sink_alloc ~words
+  match t.profile with None -> () | Some p -> Telemetry.Profile.alloc p ~words
 
 let native t = charge t t.tariff.native
 
 let gc t ~live_words =
   let pause = t.tariff.gc_base + (t.tariff.gc_word * live_words) in
   charge t pause;
-  match t.sink with None -> () | Some s -> s.sink_gc ~cycles:pause
+  match t.profile with None -> () | Some p -> Telemetry.Profile.gc p ~cycles:pause

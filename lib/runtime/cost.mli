@@ -27,21 +27,6 @@ val interpreter_tariff : tariff
 val jit_tariff : tariff
 (** Models compiled code (the paper's "Café JIT"): dispatch eliminated. *)
 
-type sink = {
-  sink_charge : int -> unit;  (** after every cycle charge, with its size *)
-  sink_enter : string -> unit;  (** method entry, label ["Class.method"] *)
-  sink_leave : unit -> unit;
-  sink_alloc : words:int -> unit;  (** per allocation, after its charge *)
-  sink_gc : cycles:int -> unit;  (** per GC pause, after its charge *)
-}
-(** Observation interface for the cost meter. The engines bracket every
-    method body with {!enter_method}/{!leave_method}; a sink attached at
-    machine creation therefore sees every cycle from load time onward
-    and can attribute each to the innermost open method — the basis of
-    the deterministic profiler ({!Telemetry.Profile}, adapted by
-    {!profile_sink}). Allocation and GC events are reported in addition
-    to (not instead of) their cycle charges. *)
-
 type t
 
 exception Budget_exceeded of int
@@ -50,18 +35,23 @@ exception Budget_exceeded of int
     watchdog: a compliant reaction run under its static worst-case
     bound can never trip it. *)
 
-val create : ?sink:sink -> ?lines:Telemetry.Lines.t -> tariff -> t
+val create :
+  ?profile:Telemetry.Profile.t -> ?lines:Telemetry.Lines.t -> tariff -> t
+(** [profile] is the deterministic per-method profiler: the engines
+    bracket every method body with {!enter_method}/{!leave_method}, so
+    a profile attached at machine creation sees every cycle from load
+    time onward, each attributed to the innermost open method, and
+    reconciles exactly with {!cycles}. Allocations and GC pauses are
+    reported to it in addition to (not instead of) their charges.
+    [lines] is the per-source-line table, with the same property. *)
 
 val set_budget : t -> int option -> unit
 (** Absolute cycle count the meter may not exceed; [None] disables. *)
 
-val set_sink : t -> sink option -> unit
-(** Attaching after cycles have been spent loses the exact-reconciliation
-    property; prefer [?sink] on creation (or on the engine's [create]). *)
-
 val set_lines : t -> Telemetry.Lines.t option -> unit
-(** Same caveat as {!set_sink}: attach at creation for exact
-    reconciliation ([Telemetry.Lines.total] = {!cycles}). *)
+(** Attaching after cycles have been spent loses the exact-reconciliation
+    property ([Telemetry.Lines.total] = {!cycles}); prefer [?lines] on
+    creation (or on the engine's [create]). *)
 
 val lines_on : t -> bool
 (** Whether a line table is attached — engines with per-instruction
@@ -73,11 +63,11 @@ val lines : t -> Telemetry.Lines.t option
 val tariff : t -> tariff
 
 val observed : t -> bool
-(** Whether a sink, a line table or a budget watches the meter: then
+(** Whether a profile, a line table or a budget watches the meter: then
     every charge must be made on its own, at its own line. *)
 
 val advance : t -> int -> unit
-(** Add cycles to the meter with no sink, line table or budget seeing
+(** Add cycles to the meter with no profile, line table or budget seeing
     them — several charges of one instruction at once. Only sound while
     {!observed} is false. *)
 
@@ -96,7 +86,7 @@ val reset : t -> unit
 
 val restore_cycles : t -> int -> unit
 (** Set the meter to an absolute value (checkpoint restore). Unlike
-    {!charge} this is not a charge: no budget check fires and no sink or
+    {!charge} this is not a charge: no budget check fires and no profile or
     line table observes it. *)
 
 val charge : t -> int -> unit
@@ -129,11 +119,11 @@ val native : t -> unit
 val gc : t -> live_words:int -> unit
 
 val enter_method : t -> string -> unit
-(** Notify the sink of a method entry. One branch when no sink is set. *)
+(** Notify the profile of a method entry. One branch when none is set. *)
 
 val enter_method_in : t -> string -> string -> unit
 (** [enter_method_in t cls name] = [enter_method t (cls ^ "." ^ name)],
-    but only pays the concatenation when a sink is attached. *)
+    but only pays the concatenation when a profile is attached. *)
 
 val leave_method : t -> unit
 
@@ -141,6 +131,3 @@ val bounds_trap : t -> unit
 (** Record a bounds-check violation on the current source line (fired by
     the heap just before it raises). No cycle charge — the trap aborts
     the reaction. *)
-
-val profile_sink : Telemetry.Profile.t -> sink
-(** The standard sink: feed a deterministic per-method cycle profile. *)

@@ -449,9 +449,9 @@ let new_instance t cls args = construct t cls args
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let create ?(tariff = Cost.interpreter_tariff) ?sink ?lines
+let create ?(tariff = Cost.interpreter_tariff) ?profile ?lines
     (checked : Mj.Typecheck.checked) =
-  let t = Machine.create ~tariff ?sink ?lines checked.symtab in
+  let t = Machine.create ~tariff ?profile ?lines checked.symtab in
   t.Machine.invoke_run <- (fun recv -> ignore (invoke_virtual t recv "run" []));
   (* Run static field initializers in declaration order. *)
   List.iter

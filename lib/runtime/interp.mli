@@ -10,13 +10,13 @@ type t
 
 val create :
   ?tariff:Cost.tariff ->
-  ?sink:Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   Mj.Typecheck.checked ->
   t
 (** Build a session: allocates static storage and runs static field
-    initializers ("loading, linking and initialization"). [sink]
-    observes every cycle from creation on (see {!Cost.sink}); [lines]
+    initializers ("loading, linking and initialization"). [profile]
+    observes every cycle from creation on (see {!Cost.create}); [lines]
     likewise receives an exact per-source-line attribution, driven by
     the AST locations the evaluator walks. *)
 

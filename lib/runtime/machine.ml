@@ -24,11 +24,11 @@ and ports = {
 
 let fail fmt = Format.kasprintf (fun m -> raise (Heap.Runtime_error m)) fmt
 
-let create ?(tariff = Cost.interpreter_tariff) ?sink ?lines tab =
+let create ?(tariff = Cost.interpreter_tariff) ?profile ?lines tab =
   let root = { label = "<root>"; subs = [] } in
   let t =
     { tab; heap = Heap.create (); statics = Hashtbl.create 64;
-      instances = Hashtbl.create 16; cost = Cost.create ?sink ?lines tariff;
+      instances = Hashtbl.create 16; cost = Cost.create ?profile ?lines tariff;
       console = Buffer.create 256; asr_ports = Hashtbl.create 8;
       instant_stack = [ root ]; root;
       invoke_run = (fun _ -> fail "no engine installed for Thread.start");

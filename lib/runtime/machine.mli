@@ -38,7 +38,7 @@ and ports = {
 
 val create :
   ?tariff:Cost.tariff ->
-  ?sink:Cost.sink ->
+  ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   Mj.Symtab.t ->
   t

@@ -11,8 +11,9 @@
     with the number of instants, which is what distinguishes this layer
     from the batch exporters in {!Export}.
 
-    The driver ({!Asr.Simulate}) brackets each instant with
-    {!instant_begin} / {!instant_end} and forwards supervisor events;
+    The simulator attaches it as an instant probe ([Asr.Probe.monitor])
+    that brackets each instant with {!instant_begin} / {!instant_end},
+    and forwards supervisor events;
     the monitor emits one NDJSON snapshot every [snapshot_every]
     instants and a flight-recorder dump the moment a block is
     quarantined, so escalations ship with their last-K-instants

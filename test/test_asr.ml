@@ -116,6 +116,20 @@ let suite =
              ignore (G.compile g);
              false
            with Invalid_argument _ -> true));
+    case "one compilation is shared until the graph is edited" (fun () ->
+        let g = accumulator () in
+        let c = G.compile g in
+        Alcotest.(check bool) "compile again" true (G.compile g == c);
+        let sim = Asr.Simulate.create g in
+        Alcotest.(check bool) "the simulator's graph" true
+          (Asr.Simulate.graph sim == c);
+        ignore (G.add_input g "spare");
+        let c' = G.compile g in
+        Alcotest.(check bool) "recompiled after an edit" true (c' != c);
+        Alcotest.(check int) "the new net" (c.G.n_nets + 1) c'.G.n_nets;
+        let c'' = G.compile (G.map_blocks g (fun _ b -> b)) in
+        Alcotest.(check bool) "a mapped graph compiles on its own" true
+          (c'' != c'));
     case "bad port numbers rejected" (fun () ->
         let g = G.create "ports" in
         let i = G.add_input g "a" in
@@ -220,7 +234,7 @@ let suite =
         Alcotest.(check bool) "raises" true
           (try
              ignore
-               (Asr.Fixpoint.eval compiled
+               (Asr.Fixpoint.eval (Asr.Fixpoint.prepare Asr.Fixpoint.Chaotic compiled)
                   ~inputs:[ ("x", D.int 1) ]
                   ~delay_values:[||] ());
              false
@@ -259,7 +273,7 @@ let suite =
     case "fixpoint iteration counts are reported" (fun () ->
         let compiled = G.compile (accumulator ()) in
         let result =
-          Asr.Fixpoint.eval compiled
+          Asr.Fixpoint.eval (Asr.Fixpoint.prepare Asr.Fixpoint.Chaotic compiled)
             ~inputs:[ ("x", D.int 1) ]
             ~delay_values:[| D.int 0 |]
             ()
@@ -273,7 +287,7 @@ let suite =
         Alcotest.(check bool) "raises" true
           (try
              ignore
-               (Asr.Fixpoint.eval compiled
+               (Asr.Fixpoint.eval (Asr.Fixpoint.prepare Asr.Fixpoint.Chaotic compiled)
                   ~inputs:[ ("nope", D.int 1) ]
                   ~delay_values:[| D.int 0 |] ());
              false

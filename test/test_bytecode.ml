@@ -315,22 +315,21 @@ let engine_name = function `Interp -> "interp" | `Vm -> "vm" | `Jit -> "jit"
 let run_failing engine src =
   let p = Profile.create () in
   let lt = Lines.create () in
-  let sink = Mj_runtime.Cost.profile_sink p in
   let checked = check_src ~file:"neg.mj" src in
   let machine, cycles, run =
     match engine with
     | `Interp ->
-        let s = Mj_runtime.Interp.create ~sink ~lines:lt checked in
+        let s = Mj_runtime.Interp.create ~profile:p ~lines:lt checked in
         ( Mj_runtime.Interp.machine s,
           (fun () -> Mj_runtime.Interp.cycles s),
           fun () -> Mj_runtime.Interp.run_main s "Main" )
     | `Vm ->
-        let s = Mj_bytecode.Vm.create ~sink ~lines:lt checked in
+        let s = Mj_bytecode.Vm.create ~profile:p ~lines:lt checked in
         ( Mj_bytecode.Vm.machine s,
           (fun () -> Mj_bytecode.Vm.cycles s),
           fun () -> Mj_bytecode.Vm.run_main s "Main" )
     | `Jit ->
-        let s = Mj_bytecode.Jit.create ~sink ~lines:lt checked in
+        let s = Mj_bytecode.Jit.create ~profile:p ~lines:lt checked in
         ( Mj_bytecode.Jit.machine s,
           (fun () -> Mj_bytecode.Jit.cycles s),
           fun () -> Mj_bytecode.Jit.run_main s "Main" )
@@ -483,15 +482,16 @@ let arity_in_callee_bracket () =
   List.iter
     (fun engine ->
       let p = Profile.create () in
-      let sink = Mj_runtime.Cost.profile_sink p in
       let image = patched "main" code in
       let run () =
         match engine with
         | `Vm ->
-            Mj_bytecode.Vm.run_main (Mj_bytecode.Vm.of_image ~sink image) "Main"
+            Mj_bytecode.Vm.run_main
+              (Mj_bytecode.Vm.of_image ~profile:p image)
+              "Main"
         | `Jit ->
             Mj_bytecode.Jit.run_main
-              (Mj_bytecode.Jit.of_image ~sink image)
+              (Mj_bytecode.Jit.of_image ~profile:p image)
               "Main"
       in
       expect_runtime_error ~substring:"arity mismatch calling Main.f" run;

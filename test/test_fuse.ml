@@ -305,7 +305,7 @@ let suite =
         let count strategy =
           let counts = Array.make (Array.length c.G.c_blocks) 0 in
           let r =
-            Fx.eval c ~inputs ~delay_values:delays ~strategy
+            Fx.eval (Fx.prepare strategy c) ~inputs ~delay_values:delays
               ~probe:(Asr.Probe.counter counts) ()
           in
           (counts, r.Fx.block_evaluations)
@@ -313,19 +313,11 @@ let suite =
         let fused, fused_total = count Fx.Fused in
         let sched, _ = count Fx.Scheduled in
         Alcotest.(check bool) "per-block counts equal" true (fused = sched);
-        let fast = Fx.eval c ~inputs ~delay_values:delays ~strategy:Fx.Fused () in
+        let fast =
+          Fx.eval (Fx.prepare Fx.Fused c) ~inputs ~delay_values:delays ()
+        in
         Alcotest.(check int) "fast lane accounts the same evaluations"
           fused_total fast.Fx.block_evaluations);
-    case "plan/graph mismatch is rejected" (fun () ->
-        let plan = F.compile (G.compile (mux_fork_graph ())) in
-        let c = G.compile (fir_graph 3) in
-        let delays = Array.map (fun (_, _, init) -> init) c.G.c_delays in
-        match
-          Fx.eval c ~inputs:[ ("x", D.int 1) ] ~delay_values:delays
-            ~strategy:Fx.Fused ~fuse:plan ()
-        with
-        | _ -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
     case "Simulate exposes the plan only under the fused strategy" (fun () ->
         let fused = Asr.Simulate.create ~strategy:Fx.Fused (fir_graph 3) in
         let sched = Asr.Simulate.create ~strategy:Fx.Scheduled (fir_graph 3) in
@@ -551,6 +543,48 @@ let suite =
             "probed run allocates %.0f minor words per instant, more than \
              1.5x the fast lane's %.0f"
             probed bare);
+    case "instant-only attachments keep the fast lane" (fun () ->
+        (* Wrap every op of both lanes of a simulator's plan with a tally;
+           which lane ran is then visible without timing. *)
+        let lanes sim =
+          let plan = Option.get (Asr.Simulate.fuse_plan sim) in
+          let fast = ref 0 and probed = ref 0 in
+          let tally n step nets =
+            incr n;
+            step nets
+          in
+          Array.iteri
+            (fun k -> function
+              | F.Frun run -> plan.F.f_fast.(k) <- F.Frun (tally fast run)
+              | F.Fiter _ -> ())
+            plan.F.f_fast;
+          Array.iteri
+            (fun k -> function
+              | F.Step (bi, step) ->
+                  plan.F.f_ops.(k) <- F.Step (bi, tally probed step)
+              | F.Generic (bi, step) ->
+                  plan.F.f_ops.(k) <- F.Generic (bi, tally probed step)
+              | F.Iterate _ -> ())
+            plan.F.f_ops;
+          List.iter (fun i -> ignore (Asr.Simulate.step sim i)) (int_stream 6);
+          (!fast > 0, !probed > 0)
+        in
+        let fused ?telemetry ?monitor ?supervisor () =
+          Asr.Simulate.create ~strategy:Fx.Fused ?telemetry ?monitor ?supervisor
+            (fir_graph 4)
+        in
+        let check name expected sim =
+          Alcotest.(check (pair bool bool)) name expected (lanes sim)
+        in
+        check "bare" (true, false) (fused ());
+        check "monitor only" (true, false)
+          (fused ~monitor:(Telemetry.Monitor.create ()) ());
+        check "disabled registry" (true, false)
+          (fused ~telemetry:(Telemetry.Registry.create ~enabled:false ()) ());
+        check "enabled registry" (false, true)
+          (fused ~telemetry:(Telemetry.Registry.create ()) ());
+        check "supervisor" (false, true)
+          (fused ~supervisor:(S.create ()) ()));
     case "kernel traps are contained as kernel steps, not whole blocks"
       (fun () ->
         let plan = F.compile (G.compile (trap_graph ())) in

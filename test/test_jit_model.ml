@@ -35,16 +35,15 @@ let lines_digest lt =
 let run_attributed ?(within = fun run -> run ()) engine ~file src cls =
   let p = Profile.create () in
   let lt = Lines.create () in
-  let sink = Cost.profile_sink p in
   let checked = check_src ~file src in
   let cycles, out =
     match engine with
     | `Vm ->
-        let s = Mj_bytecode.Vm.create ~sink ~lines:lt checked in
+        let s = Mj_bytecode.Vm.create ~profile:p ~lines:lt checked in
         within (fun () -> Mj_bytecode.Vm.run_main s cls);
         (Mj_bytecode.Vm.cycles s, Mj_bytecode.Vm.output s)
     | `Jit ->
-        let s = Mj_bytecode.Jit.create ~sink ~lines:lt checked in
+        let s = Mj_bytecode.Jit.create ~profile:p ~lines:lt checked in
         within (fun () -> Mj_bytecode.Jit.run_main s cls);
         (Mj_bytecode.Jit.cycles s, Mj_bytecode.Jit.output s)
   in
@@ -94,9 +93,9 @@ let jpeg_variants =
 let jpeg_input =
   lazy [| Asr.Domain.int_array (Workloads.Images.synthetic ~width ~height) |]
 
-let elab_jpeg ?cost_sink ?cost_lines engine src =
+let elab_jpeg ?profile ?cost_lines engine src =
   E.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
-    ~gc_threshold:16_384 ?cost_sink ?cost_lines
+    ~gc_threshold:16_384 ?profile ?cost_lines
     (check_src ~file:"jpeg.mj" src)
     ~cls:Workloads.Jpeg_mj.class_name
 
@@ -108,9 +107,7 @@ let outputs_digest outs =
 let jpeg_record src engine =
   let p = Profile.create () in
   let lt = Lines.create () in
-  let elab =
-    elab_jpeg ~cost_sink:(Cost.profile_sink p) ~cost_lines:lt engine src
-  in
+  let elab = elab_jpeg ~profile:p ~cost_lines:lt engine src in
   let input = Lazy.force jpeg_input in
   let o1 = E.react elab input in
   let r1 = E.last_reaction_cycles elab in
@@ -313,9 +310,9 @@ let failing_src =
 
 let fused_like_observed () =
   let run ~observed src =
-    let sink = Cost.profile_sink (Profile.create ()) in
     let vm =
-      if observed then Mj_bytecode.Vm.create ~sink (check_src src)
+      if observed then
+        Mj_bytecode.Vm.create ~profile:(Profile.create ()) (check_src src)
       else Mj_bytecode.Vm.create (check_src src)
     in
     let error =
@@ -335,13 +332,13 @@ let fused_like_observed () =
      :: Test_bytecode.corpus);
   List.iter
     (fun (variant, src) ->
-      let reaction ?cost_sink () =
-        let elab = elab_jpeg ?cost_sink E.Engine_vm src in
+      let reaction ?profile () =
+        let elab = elab_jpeg ?profile E.Engine_vm src in
         let out = E.react elab (Lazy.force jpeg_input) in
         (E.total_cycles elab, outputs_digest out)
       in
       let c1, o1 = reaction ()
-      and c2, o2 = reaction ~cost_sink:(Cost.profile_sink (Profile.create ())) () in
+      and c2, o2 = reaction ~profile:(Profile.create ()) () in
       Alcotest.(check int) (variant ^ " cycles") c2 c1;
       Alcotest.(check string) (variant ^ " outputs") o2 o1)
     jpeg_variants

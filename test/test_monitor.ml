@@ -330,7 +330,19 @@ let sim_tests =
         Alcotest.(check int) "instants" (cval "asr.instants") (M.instants m);
         Alcotest.(check int) "evals"
           (cval "asr.block_evaluations")
-          (M.cum_block_evals m));
+          (M.cum_block_evals m);
+        (* the registry scans churn every instant, and the monitor
+           records that exact count rather than its sampled one *)
+        let span_churn =
+          List.fold_left
+            (fun acc sp ->
+              match List.assoc_opt "net_churn" sp.R.sp_args with
+              | Some (R.Int n) when sp.R.sp_name = "instant" -> acc + n
+              | _ -> acc)
+            0 (R.spans reg)
+        in
+        Alcotest.(check int) "churn" span_churn (M.cum_net_churn m);
+        Alcotest.(check bool) "nonzero churn" true (span_churn > 0));
     case "data-loss flags surface in the snapshot" (fun () ->
         (* tiny ring so it wraps; a negative cycles source so the cycles
            sketch sees out-of-range samples *)

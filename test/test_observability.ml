@@ -354,8 +354,7 @@ let flame_tests =
         let reg = R.create () in
         let profile = P.create ~spans:reg () in
         let s =
-          Mj_bytecode.Vm.create ~sink:(Mj_runtime.Cost.profile_sink profile)
-            checked
+          Mj_bytecode.Vm.create ~profile checked
         in
         Mj_bytecode.Vm.run_main s "Main";
         let rows = F.collapse reg in

@@ -51,12 +51,13 @@ let evil_block () =
 (* Drive a compiled system through [stream] under one strategy at the
    Fixpoint level, recording full net vectors and outputs per instant. *)
 let run_fix compiled ?order ~strategy stream =
+  let plan = F.prepare ?order strategy compiled in
   let delays =
     ref (Array.map (fun (_, _, init) -> init) compiled.G.c_delays)
   in
   List.map
     (fun inputs ->
-      let r = F.eval compiled ~inputs ~delay_values:!delays ?order ~strategy () in
+      let r = F.eval plan ~inputs ~delay_values:!delays () in
       delays := F.delay_next compiled r;
       (Array.to_list r.F.nets, F.outputs compiled r))
     stream
@@ -132,9 +133,9 @@ let suite =
         List.iter
           (fun strategy ->
             let r =
-              F.eval compiled
+              F.eval (F.prepare strategy compiled)
                 ~inputs:[ ("sel", D.bool true) ]
-                ~delay_values:[||] ~strategy ()
+                ~delay_values:[||] ()
             in
             match F.outputs compiled r with
             | [ ("y", v) ] ->
@@ -146,9 +147,9 @@ let suite =
         (* SCC {mux, fork} writes 3 nets; bound is 3 + 2 rounds *)
         let compiled = G.compile (mux_cycle ()) in
         let r =
-          F.eval compiled
+          F.eval (F.prepare F.Scheduled compiled)
             ~inputs:[ ("sel", D.bool true) ]
-            ~delay_values:[||] ~strategy:F.Scheduled ()
+            ~delay_values:[||] ()
         in
         Alcotest.(check bool) "within bound" true (r.F.iterations <= 5);
         Alcotest.(check bool) "needed inner iteration" true (r.F.iterations >= 2));
@@ -170,7 +171,8 @@ let suite =
               true
               (try
                  ignore
-                   (F.eval (build ()) ~inputs:[] ~delay_values:[||] ~strategy ());
+                   (F.eval (F.prepare strategy (build ())) ~inputs:[]
+                      ~delay_values:[||] ());
                  false
                with F.Nonmonotonic _ -> true))
           strategies);
@@ -194,18 +196,18 @@ let suite =
               true
               (try
                  ignore
-                   (F.eval (build ())
+                   (F.eval (F.prepare strategy (build ()))
                       ~inputs:[ ("x", D.int 1) ]
-                      ~delay_values:[||] ~strategy ());
+                      ~delay_values:[||] ());
                  false
                with F.Nonmonotonic _ -> true))
           [ F.Chaotic; F.Worklist ];
         (* the static schedule applies an acyclic block exactly once,
            with final inputs: the documented evaluate-once semantics *)
         let r =
-          F.eval (build ())
+          F.eval (F.prepare F.Scheduled (build ()))
             ~inputs:[ ("x", D.int 1) ]
-            ~delay_values:[||] ~strategy:F.Scheduled ()
+            ~delay_values:[||] ()
         in
         match F.outputs (build ()) r with
         | [ ("y", v) ] -> Alcotest.check domain "value at final inputs" (D.int 2) v
@@ -224,9 +226,9 @@ let suite =
         List.iter
           (fun strategy ->
             let r =
-              F.eval compiled
+              F.eval (F.prepare strategy compiled)
                 ~inputs:[ ("x", D.int 1) ]
-                ~delay_values:[||] ~strategy ()
+                ~delay_values:[||] ()
             in
             match F.outputs compiled r with
             | [ ("y", v) ] ->
@@ -241,10 +243,7 @@ let suite =
               (F.strategy_name strategy ^ " rejects order")
               true
               (try
-                 ignore
-                   (F.eval compiled
-                      ~inputs:[ ("x", D.int 1) ]
-                      ~delay_values:[||] ~order:[| 0; 1; 2 |] ~strategy ());
+                 ignore (F.prepare ~order:[| 0; 1; 2 |] strategy compiled);
                  false
                with Invalid_argument _ -> true))
           [ F.Scheduled; F.Worklist ];

@@ -392,12 +392,40 @@ let suite =
         (match J.member "policy" round with
         | Some (J.Str "hold-last") -> ()
         | _ -> Alcotest.fail "policy missing");
-        match J.member "faults" round with
+        (match J.member "faults" round with
         | Some (J.List [ f ]) -> (
             match J.member "class" f with
             | Some (J.Str "trap") -> ()
             | _ -> Alcotest.fail "class missing")
         | _ -> Alcotest.fail "faults missing");
+        (* one shape per fault: the action is the tag the checkpoint
+           parses back, never prose *)
+        let actions sup =
+          match J.member "faults" (J.parse (J.to_string (S.faults_json sup))) with
+          | Some (J.List fs) ->
+              List.map
+                (fun f ->
+                  match J.member "action" f with
+                  | Some (J.Str a) -> a
+                  | _ -> Alcotest.fail "action missing")
+                fs
+          | _ -> Alcotest.fail "faults missing"
+        in
+        Alcotest.(check (list string)) "held" [ "held" ] (actions sup);
+        let _, recovered, _ =
+          drive_injected [ trap_at ~first_only:true 1 ] [ 3; 5; 7 ]
+            ~policy:(S.Retry 2)
+        in
+        Alcotest.(check (list string)) "recovered" [ "recovered:1" ]
+          (actions recovered);
+        let _, escalated, _ =
+          drive_injected
+            [ trap_at ~persistence:I.Persistent 0 ]
+            [ 3; 5; 7 ] ~policy:S.Hold_last ~escalate_after:2
+        in
+        Alcotest.(check (list string)) "escalated"
+          [ "held"; "held"; "escalated" ]
+          (actions escalated));
     case "telemetry counters track containment and recovery" (fun () ->
         let reg = Telemetry.Registry.create () in
         let inj = I.make [ trap_at 1 ] in

@@ -260,7 +260,7 @@ let profile_tests =
             let elab =
               Javatime.Elaborate.elaborate ~engine ~enforce_policy:false
                 ~bounded_memory:false
-                ~cost_sink:(Mj_runtime.Cost.profile_sink profile)
+                ~profile
                 checked ~cls:Workloads.Fir_mj.class_name
             in
             for i = 1 to 12 do
