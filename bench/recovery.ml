@@ -62,6 +62,19 @@ let arms ~n_blocks ~instants =
           i_persistence = I.Persistent;
           i_first_only = false } ] ) ]
 
+(* MD5 over the bytes [K.save] writes for each artifact, in order. An
+   exact row: an encoder change that moves one byte of any saved
+   artifact fails against the recorded baseline. *)
+let artifact_md5 cks =
+  let path = Filename.temp_file "asr-recovery" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  List.map
+    (fun ck ->
+      K.save ck path;
+      In_channel.with_open_bin path In_channel.input_all)
+    cks
+  |> String.concat "" |> Digest.string |> Digest.to_hex
+
 (* One oracle run captures a deep checkpoint at every [ck_every]-th
    instant boundary while it keeps going; each artifact is then
    round-tripped through JSON, resumed against the clean graph, and
@@ -70,7 +83,9 @@ let arms ~n_blocks ~instants =
    equal the oracle's final checkpoint: delay registers, fixed points,
    counters, fault log, quarantine set, monitor cumulatives and causal
    events in one comparison. Fail_fast oracles abort instead; there the
-   resumed run must abort at the same instant with the same fault. *)
+   resumed run must abort at the same instant with the same fault.
+   Where the arm carries a causal ring, a recording of the same run
+   joins the hashed artifacts ([artifact_md5]). *)
 let differential_rows ~name g stream ~strategy ?policy ~inject ~ck_every
     ~with_causal () =
   let arr = Array.of_list stream in
@@ -120,6 +135,14 @@ let differential_rows ~name g stream ~strategy ?policy ~inject ~ck_every
     (K.equal ck ck', outputs_eq routs (drop start oracle_outs) && end_ok)
   in
   let results = List.map resumed (List.rev !cks) in
+  let recorded =
+    if with_causal then
+      [ K.record ~strategy ?policy ~inject ~seed:17 g stream ]
+    else []
+  in
+  let md5 =
+    artifact_md5 (List.rev !cks @ Option.to_list oracle_final @ recorded)
+  in
   let w = name
   and layer =
     F.strategy_name strategy ^ "/"
@@ -133,6 +156,7 @@ let differential_rows ~name g stream ~strategy ?policy ~inject ~ck_every
       exact ~w ~layer "aborted" (Bool (Option.is_some fatal));
       count ~w ~layer "checkpoints_checked" n;
       count ~w ~layer "resumes_checked" n;
+      str ~w ~layer "artifact_md5" md5;
       gate ~w ~layer "checkpoint_captured" (n > 0);
       gate ~w ~layer "artifact_roundtrip_identical"
         (List.for_all fst results);

@@ -81,9 +81,23 @@ let handle f =
 let file_arg =
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE.mj")
 
-(* Deterministic input ramp shared by simulate/why: port i at instant t
-   carries (t + 1) * (i + 2) mod 17. *)
-let ramp t i = (t + 1) * (i + 2) mod 17
+(* The deterministic stimulus of simulate and why, as verify-refinement
+   builds it: scalar port i at instant t carries (t + 1) * (i + 2) mod
+   17, and a port the class reads with readPortArray a pixel-like array
+   of the smallest power-of-two length a probe reaction accepts. *)
+let stimulus ~engine checked ~cls ~n_in ~instants ~start =
+  let kinds = Javatime.Verify.input_kinds checked ~cls ~n_in in
+  let array_size =
+    if Array.exists Fun.id kinds then
+      Javatime.Verify.calibrate_array_size ~engine ~kinds checked ~cls
+    else 1
+  in
+  List.init
+    (max 0 (instants - start))
+    (fun k ->
+      List.init n_in (fun i ->
+          ( string_of_int i,
+            Javatime.Verify.make_inputs ~kinds ~array_size (start + k) i )))
 
 (* --strategy of simulate and why; an unknown name exits 1. *)
 let strategy_of_arg s =
@@ -513,14 +527,7 @@ let simulate_cmd =
                 ?monitor:mon ?causal g
         in
         let start = Asr.Simulate.instant_count sim in
-        let stream =
-          List.init
-            (max 0 (instants - start))
-            (fun k ->
-              let t = start + k in
-              List.init n_in (fun i ->
-                  (string_of_int i, Asr.Domain.int (ramp t i))))
-        in
+        let stream = stimulus ~engine checked ~cls ~n_in ~instants ~start in
         let write_ck ?ck ~tag dir =
           if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let ck =
@@ -804,9 +811,8 @@ let why_cmd =
         let n_in, _ = Javatime.Elaborate.ports elab in
         let g, new_instant = Javatime.Elaborate.system elab in
         let stream =
-          List.init instants (fun t ->
-              List.init n_in (fun i ->
-                  (string_of_int i, Asr.Domain.int (ramp t i))))
+          stimulus ~engine:Javatime.Elaborate.Engine_vm checked ~cls ~n_in
+            ~instants ~start:0
         in
         let sim =
           Asr.Simulate.create ~strategy

@@ -55,48 +55,12 @@ let has_monitor t = Option.is_some t.k_monitor
 
 let machine t = t.k_machine
 
-(* ---------------------------- codec ------------------------------ *)
-
-let opt_json f = function None -> Json.Null | Some v -> f v
-
-let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a))
-
-let bindings_json bs =
-  Json.List
-    (List.map
-       (fun (name, v) -> Json.List [ Json.Str name; Codec.value_json v ])
-       bs)
-
-let pairs_json ps =
-  Json.List
-    (Array.to_list
-       (Array.map
-          (fun (name, n) -> Json.List [ Json.Str name; Json.Int n ])
-          ps))
+let fingerprint t = t.k_fingerprint
 
 (* --------------------------- fingerprint -------------------------- *)
 
-(* Block names and the net layout of every block, delay and port.
-   Functions and initial values are not covered: a mutated block under
-   its old name is what [first_divergence] exists to compare. *)
-let fingerprint (c : Graph.compiled) =
-  Json.List
-    [ Json.Int c.Graph.n_nets;
-      Json.List
-        (Array.to_list
-           (Array.map
-              (fun (b, ins, outs) ->
-                Json.List [ Json.Str b.Block.name; ints ins; ints outs ])
-              c.Graph.c_blocks));
-      Json.List
-        (Array.to_list
-           (Array.map (fun (i, o, _) -> ints [| i; o |]) c.Graph.c_delays));
-      pairs_json c.Graph.c_inputs;
-      pairs_json c.Graph.c_outputs ]
-  |> Json.to_string |> Digest.string |> Digest.to_hex
-
 let check_fingerprint who t compiled =
-  if fingerprint compiled <> t.k_fingerprint then
+  if Graph.fingerprint compiled <> t.k_fingerprint then
     invalid_arg
       (Printf.sprintf
          "%s: graph fingerprint mismatch (artifact of system %S was \
@@ -187,7 +151,7 @@ let snapshot ~system ?(seed = 0) ?injector ?machine ?recording sim =
       (match sup with Some s -> Supervisor.escalation_threshold s | None -> 3);
     k_inject = (match injector with Some i -> Inject.specs i | None -> []);
     k_seed = seed;
-    k_fingerprint = fingerprint (Simulate.graph sim);
+    k_fingerprint = Graph.fingerprint (Simulate.graph sim);
     k_state = Simulate.export_state sim;
     k_supervisor = unless_aborted Supervisor.state_json sup;
     k_injector =
@@ -597,64 +561,127 @@ let divergence_json d =
 
 (* -------------------------- serialization ------------------------- *)
 
-let recording_json rc =
-  Json.Obj
-    [ ("stream", Json.List (List.map bindings_json rc.rc_stream));
-      ("nets", Json.List (Array.to_list (Array.map Codec.vec_json rc.rc_nets)));
-      ("out_stream", Json.List (List.map bindings_json rc.rc_outputs));
-      ("iterations", ints rc.rc_iterations);
-      ("fatal", opt_json (fun s -> Json.Str s) rc.rc_fatal);
-      ( "blocks",
-        Json.List
-          (Array.to_list (Array.map (fun s -> Json.Str s) rc.rc_blocks)) );
-      ("producers", ints rc.rc_producers);
-      ("inputs", pairs_json rc.rc_inputs);
-      ("outputs", pairs_json rc.rc_ports) ]
+(* The one encoder: [save] writes these bytes, [to_json] is their parse
+   and [equal] compares them. Each writer below takes its value, then
+   the buffer; sections that grow with the run (causal events, net
+   vectors, the recording) are written field by field, and the small
+   fixed trees (supervisor, monitor, machine, injection specs) go
+   through [Json.write]. Keys are plain ASCII. *)
 
-let causal_state_json (st : Domain.t Causal.state) =
-  Json.Obj
-    [ ("capacity", Json.Int st.Causal.st_capacity);
-      ("pushed", Json.Int st.Causal.st_pushed);
-      ("instant", Json.Int st.Causal.st_instant);
-      ("truncated", Json.Int st.Causal.st_truncated);
+let int n buf = Json.write_int buf n
+
+let str s buf = Json.write_str buf s
+
+let tree j buf = Json.write buf j
+
+let value v buf = Codec.write_value buf v
+
+let opt f x buf =
+  match x with None -> Buffer.add_string buf "null" | Some v -> f v buf
+
+let seq iteri f xs buf =
+  Buffer.add_char buf '[';
+  iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char buf ',';
+      f x buf)
+    xs;
+  Buffer.add_char buf ']'
+
+let list f = seq List.iteri f
+
+let array f = seq Array.iteri f
+
+let obj fields buf =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, f) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      Buffer.add_string buf k;
+      Buffer.add_string buf "\":";
+      f buf)
+    fields;
+  Buffer.add_char buf '}'
+
+let binding (name, v) buf =
+  Buffer.add_char buf '[';
+  Json.write_str buf name;
+  Buffer.add_char buf ',';
+  Codec.write_value buf v;
+  Buffer.add_char buf ']'
+
+let pair (name, n) buf =
+  Buffer.add_char buf '[';
+  Json.write_str buf name;
+  Buffer.add_char buf ',';
+  Json.write_int buf n;
+  Buffer.add_char buf ']'
+
+let ints = array int
+
+let vec = array value
+
+let write_recording rc =
+  obj
+    [ ("stream", list (list binding) rc.rc_stream);
+      ("nets", array vec rc.rc_nets);
+      ("out_stream", list (list binding) rc.rc_outputs);
+      ("iterations", ints rc.rc_iterations);
+      ("fatal", opt str rc.rc_fatal);
+      ("blocks", array str rc.rc_blocks);
+      ("producers", ints rc.rc_producers);
+      ("inputs", array pair rc.rc_inputs);
+      ("outputs", array pair rc.rc_ports) ]
+
+let write_causal (st : Domain.t Causal.state) =
+  obj
+    [ ("capacity", int st.Causal.st_capacity);
+      ("pushed", int st.Causal.st_pushed);
+      ("instant", int st.Causal.st_instant);
+      ("truncated", int st.Causal.st_truncated);
       ("writers", ints st.Causal.st_writers);
       ( "events",
-        Json.List
-          (List.map
-             (Causal.event_json ~render:Codec.value_json)
-             st.Causal.st_events) ) ]
+        list
+          (fun ev buf -> Causal.write_event ~render:Codec.write_value buf ev)
+          st.Causal.st_events ) ]
 
-let to_json t =
-  Json.Obj
-    [ ("version", Json.Int version);
-      ("system", Json.Str t.k_system);
-      ("strategy", Json.Str (Fixpoint.strategy_name t.k_strategy));
-      ( "policy",
-        opt_json (fun p -> Json.Str (Supervisor.policy_name p)) t.k_policy );
-      ("escalate_after", Json.Int t.k_escalate_after);
-      ("inject", Json.List (List.map Codec.spec_json t.k_inject));
-      ("seed", Json.Int t.k_seed);
-      ("fingerprint", Json.Str t.k_fingerprint);
-      ("instant", Json.Int t.k_state.Simulate.st_instant);
-      ("evaluations", Json.Int t.k_state.Simulate.st_evaluations);
-      ("delays", Codec.vec_json t.k_state.Simulate.st_delays);
-      ("nets", Codec.vec_json t.k_state.Simulate.st_nets);
-      ("prev_nets", Codec.vec_json t.k_state.Simulate.st_prev_nets);
-      ("supervisor", opt_json Fun.id t.k_supervisor);
+let write t =
+  let st = t.k_state in
+  obj
+    [ ("version", int version);
+      ("system", str t.k_system);
+      ("strategy", str (Fixpoint.strategy_name t.k_strategy));
+      ("policy", opt (fun p -> str (Supervisor.policy_name p)) t.k_policy);
+      ("escalate_after", int t.k_escalate_after);
+      ("inject", list (fun s -> tree (Codec.spec_json s)) t.k_inject);
+      ("seed", int t.k_seed);
+      ("fingerprint", str t.k_fingerprint);
+      ("instant", int st.Simulate.st_instant);
+      ("evaluations", int st.Simulate.st_evaluations);
+      ("delays", vec st.Simulate.st_delays);
+      ("nets", vec st.Simulate.st_nets);
+      ("prev_nets", vec st.Simulate.st_prev_nets);
+      ("supervisor", opt tree t.k_supervisor);
       ( "injector",
-        opt_json
+        opt
           (fun (instant, fired) ->
-            Json.Obj
-              [ ("instant", Json.Int instant); ("fired", Json.Int fired) ])
+            obj [ ("instant", int instant); ("fired", int fired) ])
           t.k_injector );
-      ( "counters",
-        opt_json (fun cs -> pairs_json (Array.of_list cs)) t.k_counters );
-      ("monitor", opt_json Fun.id t.k_monitor);
-      ("causal", opt_json causal_state_json t.k_causal);
-      ("machine", opt_json Fun.id t.k_machine);
-      ("recording", opt_json recording_json t.k_recording) ]
+      ("counters", opt (list pair) t.k_counters);
+      ("monitor", opt tree t.k_monitor);
+      ("causal", opt write_causal t.k_causal);
+      ("machine", opt tree t.k_machine);
+      ("recording", opt write_recording t.k_recording) ]
 
-let equal a b = Json.to_string (to_json a) = Json.to_string (to_json b)
+let encode t =
+  let buf = Buffer.create 65536 in
+  write t buf;
+  Buffer.contents buf
+
+let to_json t = Json.parse (encode t)
+
+let equal a b = String.equal (encode a) (encode b)
 
 let field name j =
   match Json.member name j with
@@ -832,15 +859,16 @@ let payload_at = String.length digest_key + 32 + String.length artifact_key
 
 (* [save] writes through {!Durable.write_file}, so a crash mid-save
    leaves the previous artifact intact. It feeds the monitor's
-   checkpoint-write accounting: byte volume and [Sys.time] cost on
-   success, the data-loss failure flag on [Sys_error] (the error still
-   propagates — the caller decides whether a failed write is fatal). *)
+   checkpoint-write accounting: byte volume and the [Sys.time] cost of
+   the whole save (encoding, digest, durable write) on success, the
+   data-loss failure flag on [Sys_error] (the error still propagates —
+   the caller decides whether a failed write is fatal). *)
 let save ?monitor t path =
-  let payload = Json.to_string (to_json t) in
+  let t0 = Sys.time () in
+  let payload = encode t in
   let header =
     digest_key ^ Digest.to_hex (Digest.string payload) ^ artifact_key
   in
-  let t0 = Sys.time () in
   match Durable.write_file path [ header; payload; "}\n" ] with
   | () ->
       Option.iter

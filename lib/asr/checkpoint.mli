@@ -133,6 +133,10 @@ val has_monitor : t -> bool
 val machine : t -> Telemetry.Json.t option
 (** The opaque embedder payload passed to {!capture}, if any. *)
 
+val fingerprint : t -> string
+(** The captured graph's {!Graph.fingerprint}. Every capture of one
+    simulator shares the string its compilation computed once. *)
+
 val n_nets : t -> int
 
 (** The recording queries below raise [Invalid_argument] on an
@@ -213,23 +217,30 @@ val divergence_to_string : divergence -> string
 
 val divergence_json : divergence -> Telemetry.Json.t
 
-(** {1 Serialization} *)
+(** {1 Serialization}
+
+    One encoder writes an artifact's bytes straight into a buffer, with
+    no JSON tree in between; {!save} writes them, {!to_json} parses
+    them and {!equal} compares them, so the three cannot disagree. *)
 
 val to_json : t -> Telemetry.Json.t
+(** The parse of the payload {!save} writes (reals' ["r"] members are
+    the rounded decimals the file holds; their ["bits"] are exact). *)
 
 val of_json : Telemetry.Json.t -> t
 (** Raises [Invalid_argument] on malformed input or a version other
     than 2. *)
 
 val equal : t -> t -> bool
-(** Bit-exact artifact equality (serialized-form comparison). *)
+(** Bit-exact artifact equality: the encoded payloads are equal. *)
 
 val save : ?monitor:Telemetry.Monitor.t -> t -> string -> unit
 (** Write [{"digest":D,"artifact":P}] and a newline durably
     ({!Durable.write_file}), [D] being the MD5 of the payload bytes [P]:
     a crash or a failed write leaves the file at [path] as it was. When
     a monitor is passed, feeds its checkpoint-write accounting: bytes
-    and [Sys.time] seconds on success, the [checkpoint_write_failures]
+    and the [Sys.time] seconds of the whole save — encoding, digest and
+    durable write — on success, the [checkpoint_write_failures]
     data-loss flag on [Sys_error] (which still propagates). *)
 
 val load : string -> t

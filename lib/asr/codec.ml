@@ -51,12 +51,45 @@ let value_json (v : Domain.t) =
 let value_of_json j =
   match j with Json.Null -> Domain.Bottom | j -> Domain.Def (data_of_json j)
 
+(* [value_json]'s bytes, streamed. Integers, the bulk of a checkpoint's
+   nets and causal writes, allocate nothing; a real's small object goes
+   through the tree, so its rendering has one definition. *)
+let rec write_data buf (d : Data.t) =
+  match d with
+  | Data.Int n -> Json.write_int buf n
+  | Data.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Data.Real f -> Json.write buf (Json.float_bits f)
+  | Data.Str s ->
+      Buffer.add_string buf {|{"s":|};
+      Json.write_str buf s;
+      Buffer.add_char buf '}'
+  | Data.Int_array a ->
+      Buffer.add_string buf {|{"ia":[|};
+      Array.iteri
+        (fun i n ->
+          if i > 0 then Buffer.add_char buf ',';
+          Json.write_int buf n)
+        a;
+      Buffer.add_string buf "]}"
+  | Data.Tuple vs ->
+      Buffer.add_string buf {|{"tu":[|};
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          write_data buf v)
+        vs;
+      Buffer.add_string buf "]}"
+  | Data.Absent -> Buffer.add_string buf {|{"absent":true}|}
+
+let write_value buf (v : Domain.t) =
+  match v with
+  | Domain.Bottom -> Buffer.add_string buf "null"
+  | Domain.Def d -> write_data buf d
+
 (* Bit-exact equality: Domain.equal compares reals with (=), which
    conflates distinct NaN payloads and -0.0 with 0.0; the serialized
    form is the identity replay and resume are measured against. *)
 let value_eq a b = Json.to_string (value_json a) = Json.to_string (value_json b)
-
-let vec_json vec = Json.List (Array.to_list (Array.map value_json vec))
 
 let vec_of_json name j =
   match j with

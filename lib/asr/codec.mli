@@ -16,13 +16,16 @@ val value_json : Domain.t -> Telemetry.Json.t
 
 val value_of_json : Telemetry.Json.t -> Domain.t
 
+val write_value : Buffer.t -> Domain.t -> unit
+(** Appends [Telemetry.Json.to_string (value_json v)] without building
+    the tree; integers allocate nothing. *)
+
 val value_eq : Domain.t -> Domain.t -> bool
 (** Bit-exact equality: [Domain.equal] compares reals with [(=)], which
     conflates distinct NaN payloads and [-0.0] with [0.0]; this compares
     the serialized forms, the identity replay and resume are measured
     against. *)
 
-val vec_json : Domain.t array -> Telemetry.Json.t
 val vec_of_json : string -> Telemetry.Json.t -> Domain.t array
 
 val spec_json : Inject.spec -> Telemetry.Json.t

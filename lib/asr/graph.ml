@@ -30,6 +30,7 @@ and compiled = {
   c_outputs : (string * int) array;
   c_input_index : (string, int) Hashtbl.t;
   c_consumers : int array array;
+  c_fingerprint : string Lazy.t;
 }
 
 let create gname =
@@ -151,6 +152,27 @@ let delay_count g = count_kind g (function Kdelay _ -> true | _ -> false)
 
 let input_net c label = Hashtbl.find_opt c.c_input_index label
 
+(* Block names and the net layout of every block, delay and port.
+   Functions and initial values are not covered: a mutated block under
+   its old name is what a first-divergence query exists to compare. *)
+let render_fingerprint n_nets blocks delays inputs outputs =
+  let module J = Telemetry.Json in
+  let list f a = J.List (Array.to_list (Array.map f a)) in
+  let ints = list (fun n -> J.Int n) in
+  let pairs = list (fun (name, n) -> J.List [ J.Str name; J.Int n ]) in
+  J.List
+    [ J.Int n_nets;
+      list
+        (fun (b, ins, outs) ->
+          J.List [ J.Str b.Block.name; ints ins; ints outs ])
+        blocks;
+      list (fun (i, o, _) -> ints [| i; o |]) delays;
+      pairs inputs;
+      pairs outputs ]
+  |> J.to_string |> Digest.string |> Digest.to_hex
+
+let fingerprint c = Lazy.force c.c_fingerprint
+
 let compile_fresh g =
   let node_list = nodes g in
   (* One net per (node, out port). *)
@@ -208,13 +230,18 @@ let compile_fresh g =
           | existing -> rev_consumers.(net) <- bi :: existing)
         ins)
     c_blocks;
-  { n_nets = !n_nets;
+  let n_nets = !n_nets
+  and c_delays = Array.of_list (List.rev !delays)
+  and c_outputs = Array.of_list (List.rev !outputs) in
+  { n_nets;
     c_blocks;
-    c_delays = Array.of_list (List.rev !delays);
+    c_delays;
     c_inputs;
-    c_outputs = Array.of_list (List.rev !outputs);
+    c_outputs;
     c_input_index;
-    c_consumers = Array.map (fun l -> Array.of_list (List.rev l)) rev_consumers }
+    c_consumers = Array.map (fun l -> Array.of_list (List.rev l)) rev_consumers;
+    c_fingerprint =
+      lazy (render_fingerprint n_nets c_blocks c_delays c_inputs c_outputs) }
 
 let compile g =
   match g.compiled with

@@ -81,6 +81,7 @@ type compiled = {
       (** net -> indices into [c_blocks] of the blocks reading it (each
           block listed once); the reverse index behind the worklist
           fixpoint strategy *)
+  c_fingerprint : string Lazy.t;  (** read through {!fingerprint} *)
 }
 
 val input_net : compiled -> string -> int option
@@ -92,6 +93,13 @@ val compile : t -> compiled
     until the graph is next edited, so every consumer of one graph (a
     simulator, a checkpoint's fingerprint check) shares one
     compilation; treat it as immutable. *)
+
+val fingerprint : compiled -> string
+(** MD5 hex of the block names and the net layout of every block,
+    delay and port — what a run artifact records to reject resuming on
+    another graph. Block functions and delay initial values are not
+    covered. Computed on first use and kept with the compilation, so
+    every checkpoint of one simulator shares one string. *)
 
 val affected_nets : compiled -> int -> bool array
 (** [affected_nets c bi] marks every net transitively influenced by

@@ -559,6 +559,46 @@ let event_json ~render ev =
     @ (if ev.ev_src < 0 then [] else [ ("src", Json.Int ev.ev_src) ])
     @ [ ("reads", Json.List reads); ("writes", Json.List writes) ])
 
+(* [event_json]'s bytes, streamed: the checkpoint writes every retained
+   event of a full ring, so nothing here may allocate per event beyond
+   what [render] does. *)
+let write_event ~render buf ev =
+  Buffer.add_string buf {|{"uid":|};
+  Json.write_int buf ev.ev_uid;
+  Buffer.add_string buf {|,"instant":|};
+  Json.write_int buf ev.ev_instant;
+  Buffer.add_string buf {|,"kind":"|};
+  Buffer.add_string buf (kind_name ev.ev_kind);
+  Buffer.add_string buf {|","block":|};
+  Json.write_int buf ev.ev_block;
+  if ev.ev_tag <> "" then begin
+    Buffer.add_string buf {|,"tag":|};
+    Json.write_str buf ev.ev_tag
+  end;
+  if ev.ev_src >= 0 then begin
+    Buffer.add_string buf {|,"src":|};
+    Json.write_int buf ev.ev_src
+  end;
+  Buffer.add_string buf {|,"reads":[|};
+  for p = 0 to (Array.length ev.ev_reads / 2) - 1 do
+    if p > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '[';
+    Json.write_int buf ev.ev_reads.(2 * p);
+    Buffer.add_char buf ',';
+    Json.write_int buf ev.ev_reads.((2 * p) + 1);
+    Buffer.add_char buf ']'
+  done;
+  Buffer.add_string buf {|],"writes":[|};
+  for i = 0 to Array.length ev.ev_write_nets - 1 do
+    if i > 0 then Buffer.add_char buf ',';
+    Buffer.add_char buf '[';
+    Json.write_int buf ev.ev_write_nets.(i);
+    Buffer.add_char buf ',';
+    render buf ev.ev_write_values.(i);
+    Buffer.add_char buf ']'
+  done;
+  Buffer.add_string buf "]}"
+
 let event_of_json ~unrender j =
   let get k =
     match Json.member k j with

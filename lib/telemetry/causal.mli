@@ -195,6 +195,12 @@ val of_state : 'v state -> 'v t
 
 val event_json : render:('v -> Json.t) -> 'v event -> Json.t
 
+val write_event :
+  render:(Buffer.t -> 'v -> unit) -> Buffer.t -> 'v event -> unit
+(** Appends the bytes [Json.to_string (event_json ~render:r ev)], given
+    a [render] that appends [Json.to_string (r v)]; allocates nothing
+    per event beyond what [render] does. *)
+
 val event_of_json : unrender:(Json.t -> 'v) -> Json.t -> 'v event
 (** Inverse of {!event_json}. Raises [Invalid_argument] or
     [Json.Parse_error] on malformed input. *)

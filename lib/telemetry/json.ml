@@ -9,19 +9,46 @@ type t =
 
 exception Parse_error of string
 
+(* A loop, not [String.iter]: the streaming encoders escape one tag per
+   causal event and must not allocate a closure for each. *)
 let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '"' -> Buffer.add_string buf "\\\""
+    | '\\' -> Buffer.add_string buf "\\\\"
+    | '\n' -> Buffer.add_string buf "\\n"
+    | '\r' -> Buffer.add_string buf "\\r"
+    | '\t' -> Buffer.add_string buf "\\t"
+    | c when Char.code c < 0x20 ->
+        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+    | c -> Buffer.add_char buf c
+  done
+
+let write_str buf s =
+  Buffer.add_char buf '"';
+  escape buf s;
+  Buffer.add_char buf '"'
+
+(* [string_of_int] without the string: digits from the most significant
+   down. [min_int] has no positive counterpart and takes the slow path. *)
+let write_int buf n =
+  if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    let n =
+      if n < 0 then (
+        Buffer.add_char buf '-';
+        -n)
+      else n
+    in
+    let p = ref 1 in
+    while !p <= n / 10 do
+      p := !p * 10
+    done;
+    while !p > 0 do
+      Buffer.add_char buf (Char.unsafe_chr (48 + (n / !p mod 10)));
+      p := !p / 10
+    done
+  end
 
 let float_repr f =
   if not (Float.is_finite f) then "0"
@@ -32,12 +59,9 @@ let float_repr f =
 let rec write buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Int n -> write_int buf n
   | Float f -> Buffer.add_string buf (float_repr f)
-  | Str s ->
-      Buffer.add_char buf '"';
-      escape buf s;
-      Buffer.add_char buf '"'
+  | Str s -> write_str buf s
   | List items ->
       Buffer.add_char buf '[';
       List.iteri
@@ -51,9 +75,8 @@ let rec write buf = function
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
-          Buffer.add_char buf '"';
-          escape buf k;
-          Buffer.add_string buf "\":";
+          write_str buf k;
+          Buffer.add_char buf ':';
           write buf v)
         kvs;
       Buffer.add_char buf '}'

@@ -23,6 +23,22 @@ val to_string : t -> string
 (** Compact (single-line) rendering. Strings are escaped; non-finite
     floats are rendered as [0] (JSON has no representation for them). *)
 
+(** {2 Streaming}
+
+    Encoders that emit large documents write straight into a buffer,
+    with no tree in between. Each writer appends exactly the bytes
+    {!to_string} renders for the corresponding tree node, so streamed
+    and tree-built sections can be mixed in one document. *)
+
+val write : Buffer.t -> t -> unit
+(** [write buf j] appends [to_string j]. *)
+
+val write_int : Buffer.t -> int -> unit
+(** Appends [to_string (Int n)] without allocating. *)
+
+val write_str : Buffer.t -> string -> unit
+(** Appends [to_string (Str s)]: quoted and escaped. *)
+
 val parse : string -> t
 (** Inverse of {!to_string} on its image; accepts any whitespace-
     separated JSON text with ASCII escapes. Raises {!Parse_error} with

@@ -110,6 +110,9 @@ val set_causal_source : t -> (unit -> int * int) -> unit
     raises the [checkpoint_write_failures] flag in [data_loss]. *)
 
 val checkpoint_written : t -> bytes:int -> seconds:float -> unit
+(** One successful write of [bytes]; [seconds] is what the whole save
+    cost — [Asr.Checkpoint.save] passes the [Sys.time] of encoding,
+    digest and durable write together, not the write alone. *)
 
 val checkpoint_write_failed : t -> unit
 

@@ -13,6 +13,19 @@ case_ () {
   echo "[exit $?]"
 }
 
+# For outputs too wide to pin line by line (image arrays): the first
+# and last lines cut to 100 columns, then the byte count and MD5 of the
+# whole stdout.
+case_digest () {
+  echo "\$ javatime $*"
+  "$cli" "$@" 2>/dev/null > out.txt
+  status=$?
+  head -n 1 out.txt | cut -c 1-100 | sed "s/ *$//"
+  tail -n 1 out.txt | cut -c 1-100 | sed "s/ *$//"
+  echo "stdout: $(wc -c < out.txt | tr -d ' ') bytes, md5 $(md5sum < out.txt | cut -d' ' -f1)"
+  echo "[exit $status]"
+}
+
 "$cli" demo fir > fir.mj
 "$cli" demo traffic > traffic.mj
 
@@ -39,3 +52,9 @@ case_ simulate fir.mj FirFilter -n 8 --strategy fused --causal-trace f.json
 case_ simulate fir.mj FirFilter -n 12 --causal-trace w12.json
 case_ trace-diff w.json f.json
 case_ trace-diff w.json w12.json
+
+# An array-port design: the restricted JPEG codec reads its image with
+# readPortArray, so its stimulus is a calibrated pixel array.
+"$cli" demo jpeg-restricted > jr.mj
+case_digest simulate jr.mj JpegCodec -n 3
+case_digest why jr.mj JpegCodec --net 1 --instant 1 -n 2

@@ -314,6 +314,242 @@ let arbitrary_data =
     ~print:(fun v -> J.to_string (Cd.value_json v))
     (oneof [ map (fun d -> D.Def d) data; return D.Bottom ])
 
+(* ---- the streamed encoder against the tree encoding -------------- *)
+
+(* Printable strings mixed with every escaped character, control bytes
+   and high bytes. *)
+let awkward_string =
+  let open QCheck.Gen in
+  string_size (int_range 0 6)
+    ~gen:
+      (oneof
+         [ printable;
+           oneofl
+             [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\031'; '\127'; '\200' ]
+         ])
+
+let any_int =
+  QCheck.Gen.(oneof [ small_signed_int; int; oneofl [ min_int; max_int; -1 ] ])
+
+let awkward_value =
+  let open QCheck.Gen in
+  let real =
+    oneof
+      [ map Int64.float_of_bits ui64;
+        oneofl
+          [ nan; -0.0; infinity; neg_infinity; 1e15; -2.5e-300;
+            Int64.float_of_bits 0x7ff0000000deadL;
+            Int64.float_of_bits 0xfff8000000000001L ] ]
+  in
+  let scalar =
+    oneof
+      [ map (fun n -> Dt.Int n) any_int;
+        map (fun f -> Dt.Real f) real;
+        map (fun b -> Dt.Bool b) bool;
+        map (fun s -> Dt.Str s) awkward_string;
+        map (fun a -> Dt.Int_array a) (array_size (int_range 0 4) any_int);
+        return Dt.Absent ]
+  in
+  let data =
+    oneof
+      [ scalar;
+        map (fun l -> Dt.Tuple l) (list_size (int_range 0 3) scalar);
+        map
+          (fun l -> Dt.Tuple [ Dt.Tuple l ])
+          (list_size (int_range 0 2) scalar) ]
+  in
+  frequency [ (5, map (fun d -> D.Def d) data); (1, return D.Bottom) ]
+
+(* An opaque section (supervisor, monitor, machine): any tree but
+   floats, whose decimal rendering is not meant to round-trip. *)
+let opaque_tree =
+  let open QCheck.Gen in
+  sized_size (int_range 0 3)
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ map (fun k -> J.Int k) any_int;
+               map (fun s -> J.Str s) awkward_string;
+               map (fun b -> J.Bool b) bool;
+               return J.Null ]
+         in
+         if n = 0 then leaf
+         else
+           oneof
+             [ leaf;
+               map
+                 (fun l -> J.List l)
+                 (list_size (int_range 0 3) (self (n - 1)));
+               map
+                 (fun l -> J.Obj l)
+                 (list_size (int_range 0 3)
+                    (pair awkward_string (self (n - 1))))
+             ])
+
+let random_event =
+  let open QCheck.Gen in
+  let* uid = any_int and* instant = any_int and* block = any_int in
+  let* kind = oneofl [ C.Eval; C.Input; C.Delay; C.Folded ] in
+  let* tag = oneof [ return ""; awkward_string ] in
+  let* src = oneof [ return (-1); small_nat ] in
+  let* reads = list_size (int_range 0 3) (pair small_nat any_int) in
+  let* writes = list_size (int_range 0 3) (pair small_nat awkward_value) in
+  return
+    { C.ev_uid = uid;
+      ev_instant = instant;
+      ev_kind = kind;
+      ev_block = block;
+      ev_tag = tag;
+      ev_src = src;
+      ev_reads = Array.of_list (List.concat_map (fun (n, u) -> [ n; u ]) reads);
+      ev_write_nets = Array.of_list (List.map fst writes);
+      ev_write_values = Array.of_list (List.map snd writes) }
+
+(* A random artifact as the tree the format describes, assembled from
+   the tree codecs ([Causal.event_json], [Codec.value_json]); shapes
+   are consistent where [of_json] checks them (the recording's instant
+   and net counts, producers and ports). *)
+let artifact_tree =
+  let open QCheck.Gen in
+  let ints a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a)) in
+  let vec a = J.List (Array.to_list (Array.map Cd.value_json a)) in
+  let nullable f = function None -> J.Null | Some x -> f x in
+  let bindings l =
+    J.List (List.map (fun (n, v) -> J.List [ J.Str n; Cd.value_json v ]) l)
+  in
+  let pairs l =
+    J.List (List.map (fun (n, k) -> J.List [ J.Str n; J.Int k ]) l)
+  in
+  let* n_nets = int_range 0 5 and* instants = int_range 0 3 in
+  let net = if n_nets = 0 then return 0 else int_range 0 (n_nets - 1) in
+  let nets = array_repeat n_nets awkward_value in
+  let stream_step =
+    list_size (int_range 0 2) (pair awkward_string awkward_value)
+  in
+  let* system = awkward_string
+  and* strategy = oneofl [ Fx.Chaotic; Fx.Scheduled; Fx.Worklist; Fx.Fused ]
+  and* policy =
+    opt
+      (oneof
+         [ oneofl [ S.Fail_fast; S.Hold_last; S.Absent ];
+           map (fun n -> S.Retry n) small_nat ])
+  and* escalate_after = small_nat
+  and* inject =
+    list_size (int_range 0 2)
+      (let* block = small_nat and* instant = small_nat and* first_only = bool in
+       let* kind = oneofl [ I.Trap; I.Cycle_spike; I.Alloc_storm ] in
+       let* persistence = oneofl [ I.Transient; I.Persistent ] in
+       return
+         { I.i_block = block;
+           i_kind = kind;
+           i_instant = instant;
+           i_persistence = persistence;
+           i_first_only = first_only })
+  and* seed = any_int
+  and* fingerprint = awkward_string
+  and* evaluations = any_int
+  and* delays = array_size (int_range 0 3) awkward_value
+  and* state_nets = nets
+  and* prev_nets = nets
+  and* supervisor = opt opaque_tree
+  and* injector = opt (pair any_int any_int)
+  and* counters = opt (list_size (int_range 0 3) (pair awkward_string any_int))
+  and* monitor = opt opaque_tree
+  and* machine = opt opaque_tree
+  and* recorded = bool in
+  let* recording =
+    if not recorded then return None
+    else
+      let* stream = list_repeat instants stream_step
+      and* extra = list_size (int_range 0 2) stream_step
+      and* rc_nets = list_repeat instants nets
+      and* outputs = list_repeat instants stream_step
+      and* iterations = array_repeat instants any_int
+      and* fatal = opt awkward_string
+      and* blocks = array_size (int_range 0 3) awkward_string in
+      let* producers =
+        array_repeat n_nets (int_range (-3) (Array.length blocks - 1))
+      and* inputs = list_size (int_range 0 2) (pair awkward_string net)
+      and* ports = list_size (int_range 0 2) (pair awkward_string net) in
+      let inputs = if n_nets = 0 then [] else inputs
+      and ports = if n_nets = 0 then [] else ports in
+      return
+        (Some
+           (J.Obj
+              [ ("stream", J.List (List.map bindings (stream @ extra)));
+                ("nets", J.List (List.map vec rc_nets));
+                ("out_stream", J.List (List.map bindings outputs));
+                ("iterations", ints iterations);
+                ("fatal", nullable (fun s -> J.Str s) fatal);
+                ( "blocks",
+                  J.List (Array.to_list (Array.map (fun s -> J.Str s) blocks))
+                );
+                ("producers", ints producers);
+                ("inputs", pairs inputs);
+                ("outputs", pairs ports) ]))
+  in
+  let* causal =
+    let section =
+      let* capacity = any_int and* pushed = any_int and* instant = any_int
+      and* truncated = any_int
+      and* writers = array_repeat n_nets any_int
+      and* events = list_size (int_range 0 6) random_event in
+      return
+        (J.Obj
+           [ ("capacity", J.Int capacity);
+             ("pushed", J.Int pushed);
+             ("instant", J.Int instant);
+             ("truncated", J.Int truncated);
+             ("writers", ints writers);
+             ( "events",
+               J.List (List.map (C.event_json ~render:Cd.value_json) events) )
+           ])
+    in
+    (* a recording needs its causal section *)
+    if recording <> None then map Option.some section else opt section
+  in
+  return
+    (J.Obj
+       [ ("version", J.Int 2);
+         ("system", J.Str system);
+         ("strategy", J.Str (Fx.strategy_name strategy));
+         ("policy", nullable (fun p -> J.Str (S.policy_name p)) policy);
+         ("escalate_after", J.Int escalate_after);
+         ("inject", J.List (List.map Cd.spec_json inject));
+         ("seed", J.Int seed);
+         ("fingerprint", J.Str fingerprint);
+         ("instant", J.Int instants);
+         ("evaluations", J.Int evaluations);
+         ("delays", vec delays);
+         ("nets", vec state_nets);
+         ("prev_nets", vec prev_nets);
+         ("supervisor", nullable Fun.id supervisor);
+         ( "injector",
+           nullable
+             (fun (i, f) -> J.Obj [ ("instant", J.Int i); ("fired", J.Int f) ])
+             injector );
+         ("counters", nullable pairs counters);
+         ("monitor", nullable Fun.id monitor);
+         ("causal", nullable Fun.id causal);
+         ("machine", nullable Fun.id machine);
+         ("recording", nullable Fun.id recording) ])
+
+(* A generated net whose causal ring has wrapped: every one of the
+   ring's [capacity] slots holds a retained event. *)
+let full_ring_capture () =
+  let g =
+    Workloads.Netgen.generate ~inputs:3 ~delays:2 ~seed:5 ~depth:6 ~width:8 ()
+  in
+  let cz = C.create ~n_nets:(G.compile g).G.n_nets () in
+  let sim = Sim.create ~strategy:Fx.Worklist ~causal:cz g in
+  let stream = Array.of_list (Workloads.Netgen.stimulus g ~instants:64) in
+  let t = ref 0 in
+  while C.pushed cz <= C.capacity cz do
+    ignore (Sim.step sim stream.(!t mod Array.length stream));
+    incr t
+  done;
+  (sim, K.capture ~system:"full-ring" sim)
+
 let suite =
   [
     (* ---- shared IEEE-754 codec ---- *)
@@ -333,6 +569,57 @@ let suite =
     qcase ~count:200 "domain values round-trip through the codec"
       arbitrary_data
       (fun v -> Cd.value_eq v (Cd.value_of_json (Cd.value_json v)));
+
+    qcase ~count:300 "the streamed artifact equals the tree encoding's bytes"
+      (QCheck.make ~print:J.to_string artifact_tree)
+      (fun tree ->
+        let t = K.of_json tree in
+        let path = Filename.temp_file "ck-stream" ".json" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        K.save t path;
+        let bytes = read_file path in
+        if bytes <> enveloped (J.to_string tree) then
+          QCheck.Test.fail_reportf "saved %S" bytes;
+        K.equal (K.load path) t);
+    case "saving a full causal ring allocates nothing per event" (fun () ->
+        let _, ck = full_ring_capture () in
+        let retained = List.length (K.events ck) in
+        Alcotest.(check int) "the ring is full" 65536 retained;
+        let path = Filename.temp_file "ck-alloc" ".json" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        K.save ck path;
+        let before = Gc.minor_words () in
+        K.save ck path;
+        let per_event =
+          (Gc.minor_words () -. before) /. float_of_int retained
+        in
+        if per_event > 0.5 then
+          Alcotest.failf "%.2f minor words per retained event (bound 0.5)"
+            per_event);
+    case "the monitor is charged for the whole save" (fun () ->
+        let _, ck = full_ring_capture () in
+        let t0 = Sys.time () in
+        ignore (K.equal ck ck);
+        (* two encodings of the 65,536-event artifact *)
+        let encodes = Sys.time () -. t0 in
+        let path = Filename.temp_file "ck-monitor" ".json" in
+        Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+        let m = M.create () in
+        K.save ~monitor:m ck path;
+        let writes, bytes, seconds, _ = M.checkpoint_stats m in
+        Alcotest.(check int) "one write" 1 writes;
+        Alcotest.(check int) "its bytes" (String.length (read_file path)) bytes;
+        if seconds < encodes /. 4.0 then
+          Alcotest.failf
+            "save charged %.4f s, less than half of one encoding (%.4f s)"
+            seconds (encodes /. 2.0));
+    case "captures of one simulator share one fingerprint" (fun () ->
+        let sim, first = full_ring_capture () in
+        let second = K.capture ~system:"full-ring" sim in
+        Alcotest.(check string) "the compiled graph's"
+          (G.fingerprint (Sim.graph sim)) (K.fingerprint first);
+        Alcotest.(check bool) "computed once, not per capture" true
+          (K.fingerprint first == K.fingerprint second));
 
     (* ---- simulator state ---- *)
     case "simulate state export/import resumes bit-identically" (fun () ->
