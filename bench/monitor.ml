@@ -57,7 +57,7 @@ let exact_quantile sorted q =
 let accuracy_rows ~w ~layer sk values =
   let sorted = Array.of_list (List.map float_of_int values) in
   Array.sort compare sorted;
-  let alpha = Sk.alpha sk in
+  let alpha = Sk.alpha in
   let probes =
     List.map
       (fun q ->

@@ -9,18 +9,15 @@
    Parameters and unknown calls evaluate to top, so a site is only in
    the plan when its safety follows from constants, [static final]
    fields, statically-sized allocations, and branch guards — never from
-   assumptions about callers. [hints] relaxes exactly the unknown-call
-   leg: the harness can bound specific int-returning methods (e.g.
-   [readPort] under a known stimulus or fused constant net), unlocking
-   elision at sites indexed by environment data. *)
+   assumptions about callers. *)
 
-let plan ?hints checked =
+let plan checked =
   let safe : (Mj.Loc.t, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun cls ->
       List.iter
         (fun body ->
-          let summary = Interval.analyze ?hints checked body.Mj.Visit.b_stmts in
+          let summary = Interval.analyze checked body.Mj.Visit.b_stmts in
           Hashtbl.iter
             (fun loc () -> Hashtbl.replace safe loc ())
             (Interval.safe_sites summary))

@@ -178,15 +178,11 @@ type ctx = {
   mutable record : bool;  (* true during the post-fixpoint reporting pass *)
   sites : (Mj.Loc.t, bool) Hashtbl.t;  (* index-expr span -> always safe *)
   loop_envs : (Mj.Loc.t, env) Hashtbl.t;  (* for-stmt span -> entry env *)
-  hints : (string -> itv list -> itv option) option;
-      (* caller-supplied ranges for opaque int-returning calls, keyed by
-         method name — e.g. the ASR harness bounding readPort by the
-         fused net's folded constants or the stimulus range *)
 }
 
-let make_ctx ?hints checked =
+let make_ctx checked =
   { checked; record = false; sites = Hashtbl.create 32;
-    loop_envs = Hashtbl.create 8; hints }
+    loop_envs = Hashtbl.create 8 }
 
 let lookup env name ety =
   match SMap.find_opt name env with
@@ -267,26 +263,15 @@ let rec eval ctx env e : env * aval =
         | Rexpr o -> fst (eval ctx env o)
         | Rsuper | Rimplicit | Rstatic _ -> env
       in
-      let env, arg_itvs =
-        List.fold_left_map
-          (fun env a ->
-            let env, v = eval ctx env a in
-            (env, as_itv v))
-          env call.args
+      let env =
+        List.fold_left (fun env a -> fst (eval ctx env a)) env call.args
       in
       (* Calls cannot rebind the caller's locals, and a tracked array
          length is an object property fixed at allocation — so no havoc
-         is needed; only the result is unknown, unless the caller
-         supplied a range hint for this method. *)
+         is needed; only the result is unknown. *)
       let v =
         match e.ety with
-        | Some TInt -> (
-            match ctx.hints with
-            | Some h -> (
-                match h call.mname arg_itvs with
-                | Some i -> Aint i
-                | None -> Aint top)
-            | None -> Aint top)
+        | Some TInt -> Aint top
         | Some (TArray _) -> Aarr None
         | _ -> Aother
       in
@@ -574,9 +559,9 @@ type summary = {
 
 module Solver = Dataflow.Make (State)
 
-let analyze_uncached ?hints checked stmts =
+let analyze_uncached checked stmts =
   let cfg = Cfg.build stmts in
-  let ctx = make_ctx ?hints checked in
+  let ctx = make_ctx checked in
   let in_states =
     Solver.solve ~transfer:(transfer ctx) cfg ~init:(Some SMap.empty)
   in
@@ -610,18 +595,13 @@ end)
 
 let cache : summary Cache.t = Cache.create 64
 
-(* The cache is keyed on the statements alone, so hinted runs — whose
-   summaries depend on the hint function too — bypass it entirely. *)
-let analyze ?hints checked stmts =
-  match hints with
-  | Some _ -> analyze_uncached ?hints checked stmts
-  | None -> (
-      match Cache.find_opt cache stmts with
-      | Some s when s.s_checked == checked -> s
-      | _ ->
-          let s = analyze_uncached checked stmts in
-          Cache.replace cache stmts s;
-          s)
+let analyze checked stmts =
+  match Cache.find_opt cache stmts with
+  | Some s when s.s_checked == checked -> s
+  | _ ->
+      let s = analyze_uncached checked stmts in
+      Cache.replace cache stmts s;
+      s
 
 let safe_sites summary = summary.s_safe_sites
 

@@ -112,15 +112,11 @@ let neg =
       | v ->
           invalid_arg (Printf.sprintf "neg: non-numeric %s" (Data.to_string v)))
 
-let logical name f =
-  map2 ~name (fun a b ->
+let logical_and =
+  map2 ~name:"and" (fun a b ->
       match (a, b) with
-      | Data.Bool x, Data.Bool y -> Data.Bool (f x y)
-      | _ -> invalid_arg (name ^ ": non-boolean operands"))
-
-let logical_and = logical "and" ( && )
-
-let logical_or = logical "or" ( || )
+      | Data.Bool x, Data.Bool y -> Data.Bool (x && y)
+      | _ -> invalid_arg "and: non-boolean operands")
 
 let logical_not =
   map1 ~name:"not" (function

@@ -78,7 +78,6 @@ val mul : t
 val gain : int -> t
 val neg : t
 val logical_and : t
-val logical_or : t
 val logical_not : t
 val mux : t
 (** 3 inputs: select (bool), then-branch, else-branch. Non-strict: the

@@ -266,9 +266,10 @@ let run ?expect ~strategy ?policy ~escalate_after ~inject ~seed ~capacity
   snapshot ~system:(Graph.name graph) ~seed ?injector
     ~recording:(recording_of r) sim
 
-let record ?(strategy = Fixpoint.Scheduled) ?policy ?(escalate_after = 3)
-    ?(inject = []) ?(seed = 0) ?(capacity = 65536) graph stream =
-  run ~strategy ?policy ~escalate_after ~inject ~seed ~capacity graph stream
+let record ?(strategy = Fixpoint.Scheduled) ?policy ?(inject = []) ?(seed = 0)
+    graph stream =
+  run ~strategy ?policy ~escalate_after:3 ~inject ~seed ~capacity:65536 graph
+    stream
 
 (* ----------------------------- queries ---------------------------- *)
 

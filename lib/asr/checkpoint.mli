@@ -65,17 +65,15 @@ val recorded : system:string -> ?machine:Telemetry.Json.t -> recorder -> t
 val record :
   ?strategy:Fixpoint.strategy ->
   ?policy:Supervisor.policy ->
-  ?escalate_after:int ->
   ?inject:Inject.spec list ->
   ?seed:int ->
-  ?capacity:int ->
   Graph.t ->
   (string * Domain.t) list list ->
   t
-(** Run [graph] over the stream with a fresh causal ring of [capacity]
-    events (default 65536) and record it. [strategy] defaults to
-    {!Fixpoint.Scheduled}; [policy] (with [escalate_after], default 3)
-    attaches a supervisor; [inject] instruments the graph with a fresh
+(** Run [graph] over the stream with a fresh causal ring of 65,536
+    events and record it. [strategy] defaults to {!Fixpoint.Scheduled};
+    [policy] attaches a supervisor that escalates after 3 consecutive
+    faulty instants; [inject] instruments the graph with a fresh
     injector ticked once per instant. A [Fail_fast] abort is caught and
     recorded in {!fatal}. *)
 

@@ -8,20 +8,16 @@ let component_to_domain = function
 
 (* Shared machinery: run the inner fixpoint of [compiled] as the body of
    a single block application. State is the tuple of delay values. The
-   fixpoint plan is prepared once per abstraction, as {!Simulate} does,
+   Worklist plan is prepared once per abstraction, as {!Simulate} does,
    and reused across applications. *)
-let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~name compiled =
+let make_abstract_block ?instants ~name compiled =
   let in_names = Array.map fst compiled.Graph.c_inputs in
   let out_names = Array.map fst compiled.Graph.c_outputs in
   let n_delays = Array.length compiled.Graph.c_delays in
   let has_state = n_delays > 0 in
   let n_in = Array.length in_names + if has_state then 1 else 0 in
   let n_out = Array.length out_names + if has_state then 1 else 0 in
-  let plan =
-    Fixpoint.prepare ~schedule:(Schedule.of_compiled compiled) strategy
-      compiled
-  in
-  let probe = Option.map Supervisor.probe supervisor in
+  let plan = Fixpoint.prepare Fixpoint.Worklist compiled in
   let applications = ref 0 in
   let fn inputs =
     incr applications;
@@ -41,7 +37,7 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
                  (Data.to_string v))
     in
     let result =
-      Fixpoint.eval plan ~inputs:env_inputs ~delay_values ?probe ()
+      Fixpoint.eval plan ~inputs:env_inputs ~delay_values ()
     in
     (match instants with
     | Some parent ->
@@ -68,23 +64,21 @@ let make_abstract_block ?instants ?(strategy = Fixpoint.Worklist) ?supervisor ~n
   in
   (Block.make ~name ~n_in ~n_out fn, in_names, out_names, has_state)
 
-let to_block ?instants ?strategy ?supervisor g =
+let to_block ?instants g =
   if Graph.delay_count g > 0 then
     invalid_arg
       (Printf.sprintf "Compose.to_block: graph %s contains delay elements"
          (Graph.name g));
   let compiled = Graph.compile g in
   let block, _, _, _ =
-    make_abstract_block ?instants ?strategy ?supervisor
-      ~name:(Graph.name g ^ "^") compiled
+    make_abstract_block ?instants ~name:(Graph.name g ^ "^") compiled
   in
   block
 
-let abstract ?instants ?strategy ?supervisor g =
+let abstract g =
   let compiled = Graph.compile g in
   let block, in_names, out_names, has_state =
-    make_abstract_block ?instants ?strategy ?supervisor
-      ~name:(Graph.name g ^ "^") compiled
+    make_abstract_block ~name:(Graph.name g ^ "^") compiled
   in
   let out_graph = Graph.create (Graph.name g ^ "_abstract") in
   let b = Graph.add_block out_graph block in

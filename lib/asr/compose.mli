@@ -4,32 +4,16 @@
     block; a collection of blocks and delay elements is equivalent to a
     system with one block and one (vector-valued) delay element. *)
 
-val to_block :
-  ?instants:Instant.t ->
-  ?strategy:Fixpoint.strategy ->
-  ?supervisor:Supervisor.t ->
-  Graph.t ->
-  Block.t
+val to_block : ?instants:Instant.t -> Graph.t -> Block.t
 (** Collapse a delay-free graph into one functional block whose inputs
     and outputs follow the graph's environment port order. Each
-    application runs the internal fixed point under a schedule
-    precompiled once at collapse time ([strategy] defaults to
-    {!Fixpoint.Worklist}); with [instants] set, the internal activity of
-    every application is logged as nested sub-instants. Raises
-    [Invalid_argument] if the graph contains delay elements.
+    application runs the internal fixed point under a
+    {!Fixpoint.Worklist} plan prepared once at collapse time; with
+    [instants] set, the internal activity of every application is
+    logged as nested sub-instants. Raises [Invalid_argument] if the
+    graph contains delay elements. *)
 
-    [supervisor] (which must be dedicated to this inner graph, not
-    shared with an enclosing simulation) guards the internal fixpoint:
-    each application of the collapsed block runs as one supervised
-    instant, so a fault inside the subsystem is contained within it
-    rather than tearing down the enclosing system. *)
-
-val abstract :
-  ?instants:Instant.t ->
-  ?strategy:Fixpoint.strategy ->
-  ?supervisor:Supervisor.t ->
-  Graph.t ->
-  Graph.t
+val abstract : Graph.t -> Graph.t
 (** Fig. 5 proper: an equivalent system with exactly one block and (if
     the original had any delays) one delay element carrying the tuple of
     all delay states. Environment ports keep their names, so traces of

@@ -41,11 +41,6 @@ let int_array a = Def (Data.Int_array a)
 
 let to_int = function Def (Data.Int n) -> Some n | _ -> None
 
-let to_real = function
-  | Def (Data.Real f) -> Some f
-  | Def (Data.Int n) -> Some (float_of_int n)
-  | _ -> None
-
 let to_bool = function Def (Data.Bool b) -> Some b | _ -> None
 
 let pp ppf = function

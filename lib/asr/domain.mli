@@ -33,8 +33,6 @@ val int_array : int array -> t
 val to_int : t -> int option
 (** Projection helpers used by block definitions. *)
 
-val to_real : t -> float option
-
 val to_bool : t -> bool option
 
 val pp : Format.formatter -> t -> unit

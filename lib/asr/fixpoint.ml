@@ -318,8 +318,7 @@ type plan = {
   p_nets : Domain.t array;
 }
 
-let prepare ?order ?schedule strategy (c : Graph.compiled) =
-  let declared () = Array.init (Array.length c.Graph.c_blocks) Fun.id in
+let prepare ?order strategy (c : Graph.compiled) =
   (match (order, strategy) with
   | Some _, (Scheduled | Worklist | Fused) ->
       invalid_arg
@@ -328,21 +327,19 @@ let prepare ?order ?schedule strategy (c : Graph.compiled) =
             strategy, not %s"
            (strategy_name strategy))
   | _ -> ());
-  let p_schedule =
-    match schedule with Some s -> s | None -> Schedule.of_compiled c
-  in
+  let p_schedule = Schedule.of_compiled c in
   { p_graph = c;
     p_strategy = strategy;
     p_schedule;
     p_lane =
       (match strategy with
-      | Chaotic -> Sweep (match order with Some o -> o | None -> declared ())
+      | Chaotic ->
+          Sweep
+            (match order with
+            | Some o -> o
+            | None -> Array.init (Array.length c.Graph.c_blocks) Fun.id)
       | Scheduled -> Static
-      | Worklist ->
-          Queue
-            (match schedule with
-            | Some s -> Schedule.linear_order s
-            | None -> declared ())
+      | Worklist -> Queue (Schedule.linear_order p_schedule)
       | Fused -> Plan (Fuse.compile ~schedule:p_schedule c));
     p_buffers = make_buffers c;
     p_nets = Array.make c.Graph.n_nets Domain.Bottom }

@@ -15,21 +15,23 @@
     - {!Scheduled} — follow a precompiled {!Schedule}: acyclic blocks
       run exactly once in topological order; only delay-free cyclic
       components iterate (bounded by their net count).
-    - {!Worklist} — seed every block once, then re-evaluate a block
-      only when one of its input nets actually changed (driven by the
-      [c_consumers] reverse index).
+    - {!Worklist} — seed every block once, in the schedule's linear
+      order, then re-evaluate a block only when one of its input nets
+      actually changed (driven by the [c_consumers] reverse index).
     - {!Fused} — execute a {!Fuse} plan compiled ahead of time from the
       schedule: acyclic blocks become direct slot operations (standard
       cells as allocation-free closures, constants folded into the
       instant template), cyclic SCCs fall back to bounded lub-iteration.
       Same single-application acyclic semantics as [Scheduled].
 
-    Caveat on non-monotone blocks: chaotic iteration and the worklist
-    re-apply blocks whose inputs rose and therefore observe retraction
-    ({!Nonmonotonic}). [Scheduled] and [Fused] apply an acyclic block
-    exactly once, with final inputs, so a non-monotone block in acyclic
-    position silently yields its value at those inputs; inside cyclic
-    components every strategy detects retraction. *)
+    Caveat on non-monotone blocks: chaotic iteration re-applies blocks
+    whose inputs rose and therefore observes retraction
+    ({!Nonmonotonic}). [Scheduled], [Worklist] and [Fused] apply an
+    acyclic block exactly once, after all its producers, with final
+    inputs (the worklist's schedule-order seed reaches an acyclic block
+    only once its inputs have settled), so a non-monotone block in
+    acyclic position silently yields its value at those inputs; inside
+    cyclic components every strategy detects retraction. *)
 
 type result = {
   nets : Domain.t array;        (** value of every net at the fixed point *)
@@ -62,14 +64,12 @@ type plan
     mutable scratch: one caller at a time. {!Simulate} and {!Compose}
     each prepare one per simulator or abstraction. *)
 
-val prepare :
-  ?order:int array -> ?schedule:Schedule.t -> strategy -> Graph.compiled -> plan
+val prepare : ?order:int array -> strategy -> Graph.compiled -> plan
 (** [order] permutes chaotic block evaluation (default: declaration
-    order); with any other strategy it raises [Invalid_argument].
-    [schedule] supplies a precompiled schedule, computed here otherwise;
-    [Worklist] seeds its queue in the schedule's linear order when one
-    is supplied, in declaration order otherwise. Under [Fused] the
-    {!Fuse} plan is compiled here from the schedule. *)
+    order); with any other strategy it raises [Invalid_argument]. The
+    {!Schedule} is computed here; [Worklist] seeds its queue in the
+    schedule's linear order, and under [Fused] the {!Fuse} plan is
+    compiled here from it. *)
 
 val graph : plan -> Graph.compiled
 

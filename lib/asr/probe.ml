@@ -204,39 +204,30 @@ let registry clk reg (c : Graph.compiled) ~faults =
       c.Graph.c_blocks
   in
   let instant_begin _ ~plan:_ ~inputs:_ ~delay_values:_ =
-    if Registry.is_enabled reg then begin
-      Registry.enter reg ~cat:"asr" "instant";
-      Array.fill counts 0 (Array.length counts) 0
-    end
+    Registry.enter reg ~cat:"asr" "instant";
+    Array.fill counts 0 (Array.length counts) 0
   in
   let instant_end ~nets ~iterations ~block_evaluations =
-    if Registry.is_enabled reg then begin
-      let net_churn = churn clk nets ~scan:true in
-      Array.iteri
-        (fun bi n -> if n > 0 then Registry.add block_counters.(bi) n)
-        counts;
-      Registry.count reg "asr.instants" 1;
-      Registry.count reg "asr.block_evaluations" block_evaluations;
-      Registry.observe_value reg "asr.fixpoint_iterations" iterations;
-      Registry.exit reg
-        ~args:
-          ([ ("instant", Registry.Int clk.instant);
-             ("iterations", Registry.Int iterations);
-             ("block_evaluations", Registry.Int block_evaluations);
-             ("net_churn", Registry.Int net_churn) ]
-          @
-          match faults with
-          | Some f -> [ ("faults", Registry.Int (f ())) ]
-          | None -> [])
-        ()
-    end
+    let net_churn = churn clk nets ~scan:true in
+    Array.iteri
+      (fun bi n -> if n > 0 then Registry.add block_counters.(bi) n)
+      counts;
+    Registry.count reg "asr.instants" 1;
+    Registry.count reg "asr.block_evaluations" block_evaluations;
+    Registry.observe_value reg "asr.fixpoint_iterations" iterations;
+    Registry.exit reg
+      ~args:
+        ([ ("instant", Registry.Int clk.instant);
+           ("iterations", Registry.Int iterations);
+           ("block_evaluations", Registry.Int block_evaluations);
+           ("net_churn", Registry.Int net_churn) ]
+        @
+        match faults with
+        | Some f -> [ ("faults", Registry.Int (f ())) ]
+        | None -> [])
+      ()
   in
-  (* per-block counting is an application hook, so it is attached only
-     when the registry records: a disabled registry keeps Fused on its
-     fast lane *)
-  { (if Registry.is_enabled reg then counter counts else none) with
-    instant_begin;
-    instant_end }
+  { (counter counts) with instant_begin; instant_end }
 
 let monitor clk mon ~faults =
   let k = Monitor.churn_every mon in

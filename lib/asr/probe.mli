@@ -16,15 +16,15 @@
 
     {b Who owns the instant.} The probe does: an instant opens in
     [instant_begin] and closes in [instant_end], both fired by
-    {!Fixpoint.eval}, so {!Simulate} and {!Compose} drive no attachment
-    themselves. A fault that escapes the evaluation (fail-fast, a
-    non-monotone block) skips [instant_end] and leaves the instant open.
+    {!Fixpoint.eval}, so {!Simulate} drives no attachment itself. A
+    fault that escapes the evaluation (fail-fast, a non-monotone block)
+    skips [instant_end] and leaves the instant open.
 
     {b The fast lane.} {!Fixpoint.eval} runs its uninstrumented code
     unchanged — under [Fused], the chain-collapsed fast lane — whenever
     the probe has no application hook ({!observes_applications} is
-    false): no probe, or one with instant hooks only, such as a monitor
-    or a disabled registry. *)
+    false): no probe, or one with instant hooks only, such as a
+    monitor. *)
 
 type step = Domain.t array -> unit
 (** One application of a block: reads its input nets from the array it
@@ -143,14 +143,13 @@ val registry :
   Graph.compiled ->
   faults:(unit -> int) option ->
   t
-(** While the registry is enabled, each instant is one ["instant"] span
-    (args: instant index, fixpoint iterations, block evaluations, net
-    churn scanned every instant, and [faults ()] when given), counters
-    ["asr.instants"], ["asr.block_evaluations"] and
-    ["asr.block.<name>.evals"] (one per block, created here), and the
-    ["asr.fixpoint_iterations"] histogram. Per-block counting is an
-    application hook, attached only when the registry is enabled at
-    creation, so a disabled one keeps the fast lane. *)
+(** Each instant is one ["instant"] span (args: instant index,
+    fixpoint iterations, block evaluations, net churn scanned every
+    instant, and [faults ()] when given), counters ["asr.instants"],
+    ["asr.block_evaluations"] and ["asr.block.<name>.evals"] (one per
+    block, created here), and the ["asr.fixpoint_iterations"]
+    histogram. Per-block counting is an application hook, so a
+    registry takes Fused off its fast lane. *)
 
 val monitor :
   clock -> Telemetry.Monitor.t -> faults:(unit -> int) option -> t

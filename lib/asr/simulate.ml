@@ -32,10 +32,7 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
   | Some cz when Telemetry.Causal.n_nets cz <> compiled.Graph.n_nets ->
       invalid_arg "Simulate.create: causal sink net count mismatch"
   | _ -> ());
-  let plan =
-    Fixpoint.prepare ?order ~schedule:(Schedule.of_compiled compiled) strategy
-      compiled
-  in
+  let plan = Fixpoint.prepare ?order strategy compiled in
   (* causal-ring loss rides along in the monitor's data_loss object *)
   (match (monitor, causal) with
   | Some mon, Some cz ->

@@ -43,9 +43,9 @@ val create :
     churn is scanned once and exact; the monitor records the instant
     before the supervisor closes it, so a quarantine escalation's
     flight dump covers the instant that triggered it. With nothing
-    attached, or only instant hooks (a monitor, a disabled registry),
-    the evaluation path — under [Fused], the chain-collapsed fast lane
-    — is exactly the unobserved one.
+    attached, or only instant hooks (a monitor), the evaluation path —
+    under [Fused], the chain-collapsed fast lane — is exactly the
+    unobserved one.
 
     Glue between attachments is also wired here: with [monitor] and
     [supervisor], supervisor fault / recovery / quarantine events feed

@@ -28,7 +28,6 @@ type event =
 type t = {
   policy : policy;
   escalate_after : int;
-  max_log : int;
   classify : exn -> (fault_class * string) option;
   step_budget : int option;
   telemetry : Telemetry.Registry.t option;
@@ -114,8 +113,10 @@ let default_classify = function
   | Out_of_memory -> Some (Heap_exhausted, "out of memory")
   | _ -> None
 
-let create ?(policy = Hold_last) ?(escalate_after = 3) ?(max_log = 1000)
-    ?step_budget ?classify ?telemetry () =
+let max_log = 1000
+
+let create ?(policy = Hold_last) ?(escalate_after = 3) ?step_budget ?classify
+    ?telemetry () =
   if escalate_after < 1 then
     invalid_arg "Supervisor.create: escalate_after must be >= 1";
   (match step_budget with
@@ -130,7 +131,6 @@ let create ?(policy = Hold_last) ?(escalate_after = 3) ?(max_log = 1000)
   in
   { policy;
     escalate_after;
-    max_log;
     classify;
     step_budget;
     telemetry;
@@ -201,7 +201,7 @@ let count_telemetry t name n =
   | None -> ()
 
 let log_fault t f =
-  if t.log_len < t.max_log then begin
+  if t.log_len < max_log then begin
     t.rev_log <- f :: t.rev_log;
     t.log_len <- t.log_len + 1
   end

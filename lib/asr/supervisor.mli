@@ -74,16 +74,15 @@ type t
 val create :
   ?policy:policy ->
   ?escalate_after:int ->
-  ?max_log:int ->
   ?step_budget:int ->
   ?classify:(exn -> (fault_class * string) option) ->
   ?telemetry:Telemetry.Registry.t ->
   unit ->
   t
 (** Defaults: [policy = Hold_last], [escalate_after = 3] consecutive
-    faulty instants before quarantine, [max_log = 1000] retained fault
-    records (later ones are counted in {!dropped_faults}), no
-    [step_budget] (no per-instant application limit).
+    faulty instants before quarantine, no [step_budget] (no
+    per-instant application limit). The fault log retains 1,000
+    records; later ones are counted in {!dropped_faults}.
 
     [classify] maps an exception raised by a block to a fault class and
     detail; it is consulted before the built-in classifier (which
@@ -101,7 +100,7 @@ val create :
 val set_observer : t -> (event -> unit) -> unit
 (** Install a synchronous event observer, replacing any previous one.
     Fired at every containment ([Ev_fault], including the ones beyond
-    the [max_log] retention cap), retry recovery ([Ev_recovered]) and
+    the 1,000-record log cap), retry recovery ([Ev_recovered]) and
     watchdog escalation ([Ev_quarantined], from {!end_instant}). Under
     [Fail_fast] the observer sees the fault before {!Fatal} is raised.
     {!Simulate} uses this to feed {!Telemetry.Monitor} block health;
@@ -144,7 +143,7 @@ val escalation_threshold : t -> int
 (** The [escalate_after] this supervisor was created with. *)
 
 val faults : t -> fault list
-(** Chronological fault log (capped at [max_log]). *)
+(** Chronological fault log (capped at 1,000 records). *)
 
 val fault_count : t -> int
 (** Contained (non-recovered) faults, including those beyond the cap. *)

@@ -110,13 +110,12 @@ let vcd_value kind v =
   | Vcd.String_kind, Domain.Bottom -> Vcd.Str "bottom"
   | Vcd.String_kind, v -> Vcd.Str (Domain.to_string v)
 
-let signals_to_vcd ?timescale ?scope rows =
-  Vcd.dump ?timescale ?scope
+let signals_to_vcd rows =
+  Vcd.dump
     (List.map
        (fun (name, values) ->
          let kind = kind_of values in
          ({ Vcd.name; kind }, List.map (vcd_value kind) values))
        rows)
 
-let to_vcd ?timescale ?scope trace =
-  signals_to_vcd ?timescale ?scope (collect trace)
+let to_vcd trace = signals_to_vcd (collect trace)

@@ -16,13 +16,12 @@ val render : Simulate.trace_entry list -> string
 val render_signals : (string * Domain.t list) list -> string
 (** Lower-level: explicit rows. *)
 
-val to_vcd : ?timescale:string -> ?scope:string -> Simulate.trace_entry list -> string
+val to_vcd : Simulate.trace_entry list -> string
 (** Standard VCD dump of the same signals (one VCD timestep per
     instant), openable in GTKWave. Booleans become 1-bit wires, ints
     32-bit vectors (two's complement), reals VCD real variables, and ⊥
     renders as ['x'] (or the string ["bottom"] for signals forced to
-    string variables). Defaults: [timescale = "1 us"], [scope = "asr"]. *)
+    string variables), at a timescale of 1 us in module scope [asr]. *)
 
-val signals_to_vcd :
-  ?timescale:string -> ?scope:string -> (string * Domain.t list) list -> string
+val signals_to_vcd : (string * Domain.t list) list -> string
 (** Lower-level: explicit rows, as {!render_signals}. *)

@@ -38,11 +38,7 @@ let machine t = t.m
 
 let cycles t = Cost.cycles t.m.Machine.cost
 
-let reset_cycles t = Cost.reset t.m.Machine.cost
-
 let output t = Buffer.contents t.m.Machine.console
-
-let clear_output t = Buffer.clear t.m.Machine.console
 
 let compiled_methods t = t.translated
 
@@ -1497,8 +1493,10 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let of_image ?(tariff = Cost.jit_tariff) ?profile ?lines image =
-  let m = Machine.create ~tariff ?profile ?lines image.Compile.im_tab in
+let start ?profile ?lines image =
+  let m =
+    Machine.create ~tariff:Cost.jit_tariff ?profile ?lines image.Compile.im_tab
+  in
   let t = { m; link = Link.create image m ~load:shell; translated = 0 } in
   m.Machine.invoke_run <- (fun recv -> ignore (call t recv "run" []));
   let clinit = shell ~this:false image.Compile.im_static_init in
@@ -1506,5 +1504,7 @@ let of_image ?(tariff = Cost.jit_tariff) ?profile ?lines image =
   ignore (enter t clinit no_conversion (new_frame t clinit));
   t
 
-let create ?tariff ?profile ?lines ?elide checked =
-  of_image ?tariff ?profile ?lines (Compile.compile ?elide checked)
+let of_image ?profile image = start ?profile image
+
+let create ?profile ?lines ?elide checked =
+  start ?profile ?lines (Compile.compile ?elide checked)

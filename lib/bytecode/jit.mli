@@ -6,38 +6,33 @@
     time, slots live unboxed in the lanes the verifier typed them in,
     and call, field and static sites are linked to their targets
     (DESIGN.md §2a). Charges happen in bytecode order, so results,
-    cycles and profiles match a stack machine with the same tariff; only
-    the speed and the cost tariff differ from {!Vm}. *)
+    cycles and profiles match a stack machine with the same tariff, with
+    six exceptions: the JIT charges nothing for [ineg], [dneg], [bnot],
+    [i2d] and [d2i], which the VM charges [arith], nor for
+    [arraylength], which the VM charges [field]. Otherwise only the
+    speed and the cost tariff differ from {!Vm}. *)
 
 type t
 
 val create :
-  ?tariff:Mj_runtime.Cost.tariff ->
   ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
   Mj.Typecheck.checked ->
   t
-(** Default tariff is {!Mj_runtime.Cost.jit_tariff}. [profile]
+(** Charges {!Mj_runtime.Cost.jit_tariff}. [profile]
     observes every cycle from creation on; [lines] receives per-source-line
     attribution from positions fixed at translate time (one branch per
     charging node when no table is attached). *)
 
-val of_image :
-  ?tariff:Mj_runtime.Cost.tariff ->
-  ?profile:Telemetry.Profile.t ->
-  ?lines:Telemetry.Lines.t ->
-  Compile.image -> t
+val of_image : ?profile:Telemetry.Profile.t -> Compile.image -> t
+(** Same, reusing a precompiled image. *)
 
 val machine : t -> Mj_runtime.Machine.t
 
 val cycles : t -> int
 
-val reset_cycles : t -> unit
-
 val output : t -> string
-
-val clear_output : t -> unit
 
 val new_instance : t -> string -> Mj_runtime.Value.t list -> Mj_runtime.Value.t
 

@@ -137,11 +137,7 @@ let image t = t.image
 
 let cycles t = Cost.cycles t.cost
 
-let reset_cycles t = Cost.reset t.cost
-
 let output t = Buffer.contents t.m.Machine.console
-
-let clear_output t = Buffer.clear t.m.Machine.console
 
 (* ---- load: decoding ------------------------------------------------- *)
 
@@ -962,12 +958,8 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let of_image ?tariff ?profile ?lines image =
-  let m =
-    match tariff with
-    | Some tariff -> Machine.create ~tariff ?profile ?lines image.Compile.im_tab
-    | None -> Machine.create ?profile ?lines image.Compile.im_tab
-  in
+let start ?profile ?lines image =
+  let m = Machine.create ?profile ?lines image.Compile.im_tab in
   let t =
     { image; m; cost = m.Machine.cost; heap = m.Machine.heap;
       link = Link.create image m ~load:(load m) }
@@ -979,5 +971,7 @@ let of_image ?tariff ?profile ?lines image =
        false Value.Null no_ints no_doubles no_values 0 [||]);
   t
 
-let create ?tariff ?profile ?lines ?elide checked =
-  of_image ?tariff ?profile ?lines (Compile.compile ?elide checked)
+let of_image ?profile image = start ?profile image
+
+let create ?profile ?lines ?elide checked =
+  start ?profile ?lines (Compile.compile ?elide checked)

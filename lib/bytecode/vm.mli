@@ -10,22 +10,18 @@
 type t
 
 val create :
-  ?tariff:Mj_runtime.Cost.tariff ->
   ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
   Mj.Typecheck.checked ->
   t
 (** Compile the program, allocate machine state, run the static
-    initializer. [profile] observes every cycle from creation on; [lines]
-    likewise receives per-source-line attribution, driven by the
-    compiled line tables ({!Instr.line_at}). *)
+    initializer, charging {!Mj_runtime.Cost.interpreter_tariff}.
+    [profile] observes every cycle from creation on; [lines] likewise
+    receives per-source-line attribution, driven by the compiled line
+    tables ({!Instr.line_at}). *)
 
-val of_image :
-  ?tariff:Mj_runtime.Cost.tariff ->
-  ?profile:Telemetry.Profile.t ->
-  ?lines:Telemetry.Lines.t ->
-  Compile.image -> t
+val of_image : ?profile:Telemetry.Profile.t -> Compile.image -> t
 (** Same, reusing a precompiled image (compile once, run many). *)
 
 val machine : t -> Mj_runtime.Machine.t
@@ -34,11 +30,7 @@ val image : t -> Compile.image
 
 val cycles : t -> int
 
-val reset_cycles : t -> unit
-
 val output : t -> string
-
-val clear_output : t -> unit
 
 val new_instance : t -> string -> Mj_runtime.Value.t list -> Mj_runtime.Value.t
 

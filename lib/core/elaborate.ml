@@ -22,26 +22,10 @@ type t = {
   stateless : bool;
 }
 
-let ops_of_engine ~elide ?port_ranges ?profile ?lines engine checked =
+let ops_of_engine ~elide ?profile ?lines engine checked =
   (* The elision plan only affects the bytecode engines; the interpreter
      walks the AST and always performs the modelled bounds check. *)
-  let hints =
-    (* Environment knowledge crossing the block boundary: when the
-       harness bounds the stimulus (or fusion folded the feeding net to
-       a constant), readPort's result range is known and sites indexed
-       by port data become elidable. *)
-    match port_ranges with
-    | None -> None
-    | Some (lo, hi) ->
-        Some
-          (fun mname _args ->
-            if String.equal mname "readPort" then
-              Some { Analysis.Interval.lo; hi }
-            else None)
-  in
-  let plan () =
-    if elide then Some (Analysis.Elide.plan ?hints checked) else None
-  in
+  let plan () = if elide then Some (Analysis.Elide.plan checked) else None in
   match engine with
   | Engine_interp ->
       let s = Mj_runtime.Interp.create ?profile ?lines checked in
@@ -103,9 +87,8 @@ let value_to_data m = function
   | Value.Null -> invalid_arg "elaborate: null on an output port"
 
 let elaborate ?(engine = Engine_vm) ?(enforce_policy = true)
-    ?(bounded_memory = true) ?gc_threshold ?heap_limit_words ?(ctor_args = [])
-    ?(elide_bounds_checks = false) ?port_ranges ?profile ?cost_lines checked
-    ~cls =
+    ?(bounded_memory = true) ?gc_threshold ?heap_limit_words
+    ?(elide_bounds_checks = false) ?profile ?cost_lines checked ~cls =
   if enforce_policy && not (Policy.Asr_policy.compliant checked) then
     invalid_arg
       (Printf.sprintf
@@ -115,13 +98,13 @@ let elaborate ?(engine = Engine_vm) ?(enforce_policy = true)
   if not (List.mem cls (Policy.Phases.asr_classes checked)) then
     invalid_arg (Printf.sprintf "elaborate: class %s does not extend ASR" cls);
   let ops =
-    ops_of_engine ~elide:elide_bounds_checks ?port_ranges ?profile
-      ?lines:cost_lines engine checked
+    ops_of_engine ~elide:elide_bounds_checks ?profile ?lines:cost_lines engine
+      checked
   in
   let m = ops.o_machine in
   Heap.set_phase m.Machine.heap Heap.Init;
   Heap.set_limit_words m.Machine.heap heap_limit_words;
-  let instance = ops.o_new cls ctor_args in
+  let instance = ops.o_new cls [] in
   let n_in, n_out = Machine.ports_of m instance in
   let init_cycles = Mj_runtime.Cost.cycles m.Machine.cost in
   Heap.set_phase m.Machine.heap Heap.Reactive;

@@ -18,9 +18,7 @@ val elaborate :
   ?bounded_memory:bool ->
   ?gc_threshold:int ->
   ?heap_limit_words:int ->
-  ?ctor_args:Mj_runtime.Value.t list ->
   ?elide_bounds_checks:bool ->
-  ?port_ranges:int * int ->
   ?profile:Telemetry.Profile.t ->
   ?cost_lines:Telemetry.Lines.t ->
   Mj.Typecheck.checked ->
@@ -28,22 +26,17 @@ val elaborate :
   t
 (** Defaults: VM engine, policy enforced (raises [Invalid_argument] on a
     non-compliant program), bounded memory armed (reactive-phase
-    allocation raises), garbage collection disabled, zero constructor
-    arguments, bounds checks kept. [gc_threshold] (in heap words) arms
-    the JDK-style collector: reactive allocation beyond the threshold
-    charges a pause proportional to the approximate live size.
+    allocation raises), garbage collection disabled, bounds checks
+    kept. The class is constructed with no arguments. [gc_threshold]
+    (in heap words) arms the JDK-style collector: reactive allocation
+    beyond the threshold charges a pause proportional to the
+    approximate live size.
     [heap_limit_words] arms a fixed heap capacity on the machine
     ({!Mj_runtime.Heap.set_limit_words}); allocation past it raises
     [Runtime_error "heap exhausted: ..."], which {!fault_classifier}
     maps to {!Asr.Supervisor.Heap_exhausted}. [elide_bounds_checks] runs the interval analysis and compiles
     statically safe array accesses to unchecked instructions (bytecode
-    engines only; the interpreter ignores it). [port_ranges] feeds the
-    analysis an inter-block fact: every [readPort] result lies in the
-    given inclusive range (a stimulus bound, or a constant net folded by
-    {!Asr.Fuse}), which unlocks elision at sites indexed by port data.
-    The claim is the caller's to keep — a value outside the range can
-    turn an elided site into an unchecked out-of-bounds access.
-    [profile] is attached
+    engines only; the interpreter ignores it). [profile] is attached
     to the engine's cost meter at creation, so it reconciles exactly
     with {!total_cycles} — initialization included.
     [cost_lines] is a per-source-line attribution table with the same

@@ -33,16 +33,11 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
     ?(catalogue = Transforms.catalogue) ?telemetry ?(provenance = false)
     program =
   let module Reg = Telemetry.Registry in
-  let tele =
-    match telemetry with
-    | Some reg when Reg.is_enabled reg -> Some reg
-    | _ -> None
-  in
   let initial = program in
   let check_policy checked =
     List.concat_map
       (fun r ->
-        match tele with
+        match telemetry with
         | None -> r.Policy.Rule.check checked
         | Some reg ->
             Reg.enter reg ~cat:"rule" ("check." ^ r.Policy.Rule.id);
@@ -52,7 +47,7 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
       policy
   in
   let rec loop iteration program steps prov =
-    (match tele with
+    (match telemetry with
     | Some reg ->
         Reg.enter reg ~cat:"refine" "iteration"
           ~args:[ ("iteration", Reg.Int iteration) ];
@@ -69,7 +64,7 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
     in
     let blocking = List.filter Policy.Rule.is_blocking violations in
     let close_iteration ~outcome ~applied =
-      match tele with
+      match telemetry with
       | Some reg ->
           Reg.exit reg
             ~args:
@@ -107,7 +102,7 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
       (* Apply the first transformation that changes something, then
          re-analyze: one incremental refinement per iteration. *)
       let apply_one t =
-        match tele with
+        match telemetry with
         | None -> t.Transforms.apply checked
         | Some reg ->
             Reg.enter reg ~cat:"transform" ("apply." ^ t.Transforms.id);
@@ -157,10 +152,8 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
   in
   loop 1 program [] []
 
-let refine_source ?(file = "<source>") ?max_iterations ?policy ?catalogue
-    ?telemetry ?provenance src =
-  refine ?max_iterations ?policy ?catalogue ?telemetry ?provenance
-    (Mj.Parser.parse_program ~file src)
+let refine_source ?(file = "<source>") ?telemetry ?provenance src =
+  refine ?telemetry ?provenance (Mj.Parser.parse_program ~file src)
 
 let pp_trace ppf outcome =
   Format.fprintf ppf "successive formal refinement: %d iteration(s)@."

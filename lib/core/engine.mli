@@ -63,9 +63,6 @@ val refine :
 
 val refine_source :
   ?file:string ->
-  ?max_iterations:int ->
-  ?policy:Policy.Rule.t list ->
-  ?catalogue:Transforms.t list ->
   ?telemetry:Telemetry.Registry.t ->
   ?provenance:bool ->
   string ->

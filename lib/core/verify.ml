@@ -37,10 +37,8 @@ type vc_report = {
 
 let all_vcs r = List.concat_map (fun s -> s.s_vcs) r.v_steps @ [ r.v_races ]
 
-let check_program ?max_iterations ?policy ?catalogue program =
-  let outcome =
-    Engine.refine ?max_iterations ?policy ?catalogue ~provenance:true program
-  in
+let check_program ?catalogue program =
+  let outcome = Engine.refine ?catalogue ~provenance:true program in
   let iterations =
     match outcome.Engine.provenance with
     | Some p -> p.Provenance.p_iterations
@@ -247,11 +245,11 @@ let abstract_outputs ~n_out (events : Mj_runtime.Threads.event list) =
    ramp under the given fixpoint strategy. The block is re-applicable,
    so even strategies that apply it several times per instant (chaotic
    iteration) see single-application semantics. *)
-let spec_stream ?(engine = Elaborate.Engine_vm)
-    ?(inputs = fun t i -> D.int (ramp t i)) ~strategy ~instants checked ~cls =
+let spec_stream ?(inputs = fun t i -> D.int (ramp t i)) ~strategy ~instants
+    checked ~cls =
   let elab =
-    Elaborate.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
-      checked ~cls
+    Elaborate.elaborate ~enforce_policy:false ~bounded_memory:false checked
+      ~cls
   in
   let n_in, n_out = Elaborate.ports elab in
   let g, new_instant = Elaborate.system elab in
@@ -279,10 +277,10 @@ let spec_stream ?(engine = Elaborate.Engine_vm)
    the nondeterministic low-level semantics the refined stream must be
    an abstraction of. [branched] is set when any instant's scheduler
    had a choice, also when the schedule raises. *)
-let low_schedule ~branched ~engine ~inputs ~seed ~instants checked ~cls =
+let low_schedule ~branched ~inputs ~seed ~instants checked ~cls =
   let elab =
-    Elaborate.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
-      checked ~cls
+    Elaborate.elaborate ~enforce_policy:false ~bounded_memory:false checked
+      ~cls
   in
   let n_in, n_out = Elaborate.ports elab in
   List.init instants (fun t ->
@@ -299,10 +297,9 @@ let low_schedule ~branched ~engine ~inputs ~seed ~instants checked ~cls =
       in
       abstract_outputs ~n_out events)
 
-let low_stream ?(engine = Elaborate.Engine_vm)
-    ?(inputs = fun t i -> D.int (ramp t i)) ~seed ~instants checked ~cls =
-  low_schedule ~branched:(ref false) ~engine ~inputs ~seed ~instants checked
-    ~cls
+let low_stream ?(inputs = fun t i -> D.int (ramp t i)) ~seed ~instants
+    checked ~cls =
+  low_schedule ~branched:(ref false) ~inputs ~seed ~instants checked ~cls
 
 type correspondence = {
   c_schedules : int;      (* seeded schedules covered *)
@@ -336,15 +333,14 @@ let diverging_instant spec low =
   in
   go 0 spec low
 
-let trace_correspondence ?(engine = Elaborate.Engine_vm) ?(schedules = 100)
-    ?(instants = 8) ?array_size ?max_iterations ?policy ?catalogue program
-    ~cls =
-  let outcome = Engine.refine ?max_iterations ?policy ?catalogue program in
+let trace_correspondence ?(schedules = 100) ?(instants = 8) ?array_size
+    program ~cls =
+  let outcome = Engine.refine program in
   let refined = outcome.Engine.checked in
   let unrestricted = Mj.Typecheck.check program in
   let n_in =
     let elab =
-      Elaborate.elaborate ~engine ~enforce_policy:false ~bounded_memory:false
+      Elaborate.elaborate ~enforce_policy:false ~bounded_memory:false
         unrestricted ~cls
     in
     fst (Elaborate.ports elab)
@@ -355,7 +351,7 @@ let trace_correspondence ?(engine = Elaborate.Engine_vm) ?(schedules = 100)
     | Some s -> s
     | None ->
         if Array.exists Fun.id kinds then
-          calibrate_array_size ~engine ~kinds unrestricted ~cls
+          calibrate_array_size ~kinds unrestricted ~cls
         else 1
   in
   let inputs = make_inputs ~kinds ~array_size in
@@ -376,7 +372,7 @@ let trace_correspondence ?(engine = Elaborate.Engine_vm) ?(schedules = 100)
     List.map
       (fun strategy ->
         ( Asr.Fixpoint.strategy_name strategy,
-          spec_stream ~engine ~inputs ~strategy ~instants refined ~cls ))
+          spec_stream ~inputs ~strategy ~instants refined ~cls ))
       strategies
   in
   (match specs with
@@ -397,8 +393,7 @@ let trace_correspondence ?(engine = Elaborate.Engine_vm) ?(schedules = 100)
       let execute seed =
         incr executed;
         match
-          low_schedule ~branched ~engine ~inputs ~seed ~instants unrestricted
-            ~cls
+          low_schedule ~branched ~inputs ~seed ~instants unrestricted ~cls
         with
         | low -> Ok low
         | exception e -> Error e

@@ -38,8 +38,6 @@ val all_vcs : vc_report -> Analysis.Refinement.vc list
 (** Per-step VCs in chain order, then the race VC. *)
 
 val check_program :
-  ?max_iterations:int ->
-  ?policy:Policy.Rule.t list ->
   ?catalogue:Transforms.t list ->
   Mj.Ast.program ->
   vc_report * Engine.outcome
@@ -89,29 +87,28 @@ val abstract_outputs :
     defines the instant's value; unwritten ports are ⊥. *)
 
 val spec_stream :
-  ?engine:Elaborate.engine ->
   ?inputs:(int -> int -> Asr.Domain.t) ->
   strategy:Asr.Fixpoint.strategy ->
   instants:int ->
   Mj.Typecheck.checked ->
   cls:string ->
   Asr.Domain.t array list
-(** Instant stream of [cls] elaborated as a one-block ASR system on the
-    input ramp. The block is the re-applicable embedding
+(** Instant stream of [cls] elaborated on the VM as a one-block ASR
+    system on the input ramp. The block is the re-applicable embedding
     ({!Elaborate.to_reapplicable_block}), so every strategy — chaotic
     iteration included — sees single-application semantics even for
     stateful reactions (e.g. a filter window surviving between
     applications). *)
 
 val low_stream :
-  ?engine:Elaborate.engine ->
   ?inputs:(int -> int -> Asr.Domain.t) ->
   seed:int ->
   instants:int ->
   Mj.Typecheck.checked ->
   cls:string ->
   Asr.Domain.t array list
-(** α-image of one seeded schedule of the (unrestricted) program. *)
+(** α-image of one seeded schedule of the (unrestricted) program, run
+    on the VM. *)
 
 type correspondence = {
   c_schedules : int;          (** seeded schedules covered *)
@@ -129,13 +126,9 @@ val coverage : correspondence -> string
 (** ["exhaustive"] when [c_exhaustive], else ["sampled"]. *)
 
 val trace_correspondence :
-  ?engine:Elaborate.engine ->
   ?schedules:int ->
   ?instants:int ->
   ?array_size:int ->
-  ?max_iterations:int ->
-  ?policy:Policy.Rule.t list ->
-  ?catalogue:Transforms.t list ->
   Mj.Ast.program ->
   cls:string ->
   correspondence

@@ -127,8 +127,3 @@ let exists_stmt pred stmts =
   !found
 
 let iter_expr = iter_expr_deep
-
-let exists_expr_deep pred e =
-  let found = ref false in
-  iter_expr_deep (fun x -> if pred x then found := true) e;
-  !found

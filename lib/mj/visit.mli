@@ -32,5 +32,3 @@ val exists_stmt : (Ast.stmt -> bool) -> Ast.stmt list -> bool
 val iter_expr : (Ast.expr -> unit) -> Ast.expr -> unit
 (** Pre-order walk of one expression tree (including lvalue
     subexpressions). *)
-
-val exists_expr_deep : (Ast.expr -> bool) -> Ast.expr -> bool

@@ -22,25 +22,6 @@ let reactive_roots (checked : Mj.Typecheck.checked) =
         checked.program.classes
   | classes -> List.map (fun cls -> Call_graph.method_node cls "run") classes
 
-let init_roots (checked : Mj.Typecheck.checked) =
-  let classes =
-    match asr_classes checked with
-    | [] -> List.map (fun c -> c.cl_name) checked.program.classes
-    | classes -> classes
-  in
-  List.concat_map
-    (fun cls_name ->
-      match find_class checked.program cls_name with
-      | None -> []
-      | Some cls ->
-          let arities =
-            match cls.cl_ctors with
-            | [] -> [ 0 ]
-            | ctors -> List.map (fun c -> List.length c.c_params) ctors
-          in
-          List.map (Call_graph.ctor_node cls_name) arities)
-    classes
-
 let body_of_node (checked : Mj.Typecheck.checked) (cls_name, member) =
   match find_class checked.program cls_name with
   | None -> None

@@ -10,10 +10,6 @@ val reactive_roots : Mj.Typecheck.checked -> Call_graph.node list
     subclasses; when a program has none, its static [main] methods
     (design-phase programs are analyzed relative to [main]). *)
 
-val init_roots : Mj.Typecheck.checked -> Call_graph.node list
-(** Entry points of the initialization phase: constructors of ASR
-    subclasses, or all user constructors when there are none. *)
-
 val reactive_bodies :
   Mj.Typecheck.checked -> Call_graph.t -> (Call_graph.node * Mj.Visit.body) list
 (** Bodies of user-program methods/constructors reachable from the

@@ -5,9 +5,10 @@ type bound = Cycles of int | Unbounded of string
 
 exception Unbounded_exc of string
 
+let tariff = Cost.interpreter_tariff
+
 type ctx = {
   checked : Mj.Typecheck.checked;
-  tariff : Cost.tariff;
   memo : (string * string, int) Hashtbl.t;
   in_progress : (string * string, unit) Hashtbl.t;
   (* The statements of the body currently being costed, so loop-bound
@@ -21,7 +22,7 @@ let with_enclosing ctx stmts f =
   Fun.protect ~finally:(fun () -> ctx.enclosing <- saved) f
 
 let rec expr_cost ctx e =
-  let t = ctx.tariff in
+  let t = tariff in
   let base = t.Cost.dispatch in
   base
   +
@@ -60,13 +61,13 @@ let rec expr_cost ctx e =
       t.Cost.arith + expr_cost ctx c + max (expr_cost ctx a) (expr_cost ctx b)
 
 and lvalue_cost ctx = function
-  | Lname _ | Llocal _ -> ctx.tariff.Cost.load_store
-  | Lfield (o, _) -> ctx.tariff.Cost.field + expr_cost ctx o
-  | Lstatic_field _ -> ctx.tariff.Cost.field
-  | Lindex (a, i) -> ctx.tariff.Cost.array + expr_cost ctx a + expr_cost ctx i
+  | Lname _ | Llocal _ -> tariff.Cost.load_store
+  | Lfield (o, _) -> tariff.Cost.field + expr_cost ctx o
+  | Lstatic_field _ -> tariff.Cost.field
+  | Lindex (a, i) -> tariff.Cost.array + expr_cost ctx a + expr_cost ctx i
 
 and call_cost ctx call =
-  let t = ctx.tariff in
+  let t = tariff in
   let args = List.fold_left (fun acc a -> acc + expr_cost ctx a) 0 call.args in
   let recv =
     match call.recv with
@@ -95,7 +96,7 @@ and ctor_cost ctx cls arity =
                   (fun acc f ->
                     match f.f_init with
                     | Some e when not f.f_mods.is_static ->
-                        acc + expr_cost ctx e + ctx.tariff.Cost.field
+                        acc + expr_cost ctx e + tariff.Cost.field
                     | Some _ | None -> 0 + acc)
                   0 decl.cl_fields
           in
@@ -121,7 +122,7 @@ and named_method_cost ctx cls mname =
   | None -> raise (Unbounded_exc (Printf.sprintf "no method %s.%s" cls mname))
   | Some (defining, m) -> (
       match m.m_body with
-      | None -> ctx.tariff.Cost.native
+      | None -> tariff.Cost.native
       | Some body ->
           (* Dynamic dispatch: bound by the worst over all overrides. *)
           let overrides =
@@ -140,7 +141,7 @@ and named_method_cost ctx cls mname =
           in
           let cost_of (owner, (m : method_decl)) =
             match m.m_body with
-            | None -> ctx.tariff.Cost.native
+            | None -> tariff.Cost.native
             | Some body ->
                 body_cost ctx (owner, mname) (fun () ->
                     with_enclosing ctx body (fun () -> stmts_cost ctx body))
@@ -170,7 +171,7 @@ and stmts_cost ctx stmts =
   List.fold_left (fun acc s -> acc + stmt_cost ctx s) 0 stmts
 
 and stmt_cost ctx s =
-  let t = ctx.tariff in
+  let t = tariff in
   t.Cost.dispatch
   +
   match s.stmt with
@@ -209,13 +210,12 @@ and stmt_cost ctx s =
   | Super_call args ->
       List.fold_left (fun acc a -> acc + expr_cost ctx a) 0 args
 
-let method_bound ?(tariff = Cost.interpreter_tariff) checked ~cls ~mname =
+let method_bound checked ~cls ~mname =
   let ctx =
-    { checked; tariff; memo = Hashtbl.create 32;
+    { checked; memo = Hashtbl.create 32;
       in_progress = Hashtbl.create 8; enclosing = [] }
   in
   try Cycles (named_method_cost ctx cls mname)
   with Unbounded_exc why -> Unbounded why
 
-let reaction_bound ?tariff checked ~cls =
-  method_bound ?tariff checked ~cls ~mname:"run"
+let reaction_bound checked ~cls = method_bound checked ~cls ~mname:"run"

@@ -28,7 +28,7 @@ type t = {
   mutable cycles : int;
   mutable budget : int option;
   profile : Telemetry.Profile.t option;
-  mutable lines : Telemetry.Lines.t option;
+  lines : Telemetry.Lines.t option;
   (* [slow] caches [budget <> None || profile <> None || lines <> None] so
      the common path of [charge] — no watchdog, no telemetry — is a
      single flag test. *)
@@ -41,16 +41,9 @@ let create ?profile ?lines tariff =
   { tariff; cycles = 0; budget = None; profile; lines;
     slow = profile <> None || lines <> None }
 
-let refresh_slow t =
-  t.slow <- t.budget <> None || t.profile <> None || t.lines <> None
-
 let set_budget t budget =
   t.budget <- budget;
-  refresh_slow t
-
-let set_lines t lines =
-  t.lines <- lines;
-  refresh_slow t
+  t.slow <- budget <> None || t.profile <> None || t.lines <> None
 
 let lines_on t = t.lines <> None
 

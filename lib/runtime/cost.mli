@@ -48,11 +48,6 @@ val create :
 val set_budget : t -> int option -> unit
 (** Absolute cycle count the meter may not exceed; [None] disables. *)
 
-val set_lines : t -> Telemetry.Lines.t option -> unit
-(** Attaching after cycles have been spent loses the exact-reconciliation
-    property ([Telemetry.Lines.total] = {!cycles}); prefer [?lines] on
-    creation (or on the engine's [create]). *)
-
 val lines_on : t -> bool
 (** Whether a line table is attached — engines with per-instruction
     position updates check this once per frame and skip the updates

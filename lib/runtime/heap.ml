@@ -179,11 +179,6 @@ let object_class t index =
   | Object { layout; _ } -> layout.l_cls
   | Arr _ -> not_an_object ()
 
-let object_layout t index =
-  match get t index with
-  | Object { layout; _ } -> Some layout
-  | Arr _ -> None
-
 let slot_of layout name =
   match Hashtbl.find_opt layout.l_index name with
   | Some i -> i

@@ -76,9 +76,6 @@ val deref : t -> Value.t -> int
 
 val object_class : t -> int -> string
 
-val object_layout : t -> int -> layout option
-(** [None] for an array. *)
-
 val get_field : t -> int -> string -> Value.t
 (** By name; raises on an array or a missing field. *)
 

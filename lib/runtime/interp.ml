@@ -25,11 +25,7 @@ let heap (t : t) = t.Machine.heap
 
 let cycles (t : t) = Cost.cycles t.Machine.cost
 
-let reset_cycles (t : t) = Cost.reset t.Machine.cost
-
 let output (t : t) = Buffer.contents t.Machine.console
-
-let clear_output (t : t) = Buffer.clear t.Machine.console
 
 let coerce = Machine.coerce
 
@@ -449,9 +445,8 @@ let new_instance t cls args = construct t cls args
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let create ?(tariff = Cost.interpreter_tariff) ?profile ?lines
-    (checked : Mj.Typecheck.checked) =
-  let t = Machine.create ~tariff ?profile ?lines checked.symtab in
+let create ?profile ?lines (checked : Mj.Typecheck.checked) =
+  let t = Machine.create ?profile ?lines checked.symtab in
   t.Machine.invoke_run <- (fun recv -> ignore (invoke_virtual t recv "run" []));
   (* Run static field initializers in declaration order. *)
   List.iter

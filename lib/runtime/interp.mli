@@ -9,13 +9,13 @@
 type t
 
 val create :
-  ?tariff:Cost.tariff ->
   ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
   Mj.Typecheck.checked ->
   t
 (** Build a session: allocates static storage and runs static field
-    initializers ("loading, linking and initialization"). [profile]
+    initializers ("loading, linking and initialization"), charging
+    {!Cost.interpreter_tariff}. [profile]
     observes every cycle from creation on (see {!Cost.create}); [lines]
     likewise receives an exact per-source-line attribution, driven by
     the AST locations the evaluator walks. *)
@@ -28,11 +28,7 @@ val heap : t -> Heap.t
 
 val cycles : t -> int
 
-val reset_cycles : t -> unit
-
 val output : t -> string
-
-val clear_output : t -> unit
 
 val new_instance : t -> string -> Value.t list -> Value.t
 

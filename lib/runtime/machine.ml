@@ -429,10 +429,6 @@ let clear_io t recv =
 
 let instant_root t = t.root
 
-let reset_instants t =
-  t.root.subs <- [];
-  t.instant_stack <- [ t.root ]
-
 let int_array t v =
   let r = Heap.deref t.heap v in
   Array.init (Heap.array_length t.heap r) (fun i ->

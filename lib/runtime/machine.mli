@@ -124,7 +124,6 @@ val output_port : t -> Value.t -> int -> Value.t option
 val clear_io : t -> Value.t -> unit
 
 val instant_root : t -> instant
-val reset_instants : t -> unit
 
 val int_array : t -> Value.t -> int array
 val make_int_array : t -> int array -> Value.t

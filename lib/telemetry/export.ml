@@ -208,37 +208,6 @@ let profile_table ?limit prof =
        100.0);
   Buffer.contents buf
 
-let lines_table ?limit lt =
-  let grand_total = Lines.total lt in
-  let rows = Lines.by_cycles lt in
-  let rows =
-    match limit with
-    | Some n -> List.filteri (fun i _ -> i < n) rows
-    | None -> rows
-  in
-  let name r =
-    let open Lines in
-    if r.e_file = "" then "<unattributed>"
-    else Printf.sprintf "%s:%d" r.e_file r.e_line
-  in
-  let label_w = List.fold_left (fun acc r -> max acc (String.length (name r))) 4 rows in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-*s %12s %7s %8s %10s %6s\n" label_w "line" "cycles"
-       "cyc%" "allocs" "words" "traps");
-  List.iter
-    (fun r ->
-      let open Lines in
-      Buffer.add_string buf
-        (Printf.sprintf "%-*s %12d %6.2f%% %8d %10d %6d\n" label_w (name r)
-           r.e_cycles
-           (pct grand_total r.e_cycles)
-           r.e_allocs r.e_alloc_words r.e_traps))
-    rows;
-  Buffer.add_string buf
-    (Printf.sprintf "%-*s %12d %6.2f%%\n" label_w "total" grand_total 100.0);
-  Buffer.contents buf
-
 let lines_json lt =
   let rows =
     List.map

@@ -34,9 +34,5 @@ val profile_table : ?limit:int -> Profile.t -> string
 val profile_json : Profile.t -> Json.t
 (** [{"total": n, "methods": [...]}] in self-descending order. *)
 
-val lines_table : ?limit:int -> Lines.t -> string
-(** Flat per-source-line profile sorted by cycles (descending), with
-    allocation and bounds-trap columns and a reconciling total row. *)
-
 val lines_json : Lines.t -> Json.t
 (** [{"total": n, "lines": [...]}] in cycles-descending order. *)

@@ -1,8 +1,10 @@
-let collapse ?(cat = "method") reg =
+let collapse reg =
   let all = Registry.spans reg in
   let by_id = Hashtbl.create 256 in
   List.iter (fun (s : Registry.span) -> Hashtbl.replace by_id s.sp_id s) all;
-  let matching (s : Registry.span) = s.sp_closed && String.equal s.sp_cat cat in
+  let matching (s : Registry.span) =
+    s.sp_closed && String.equal s.sp_cat "method"
+  in
   (* Nearest enclosing span of the same category, skipping over spans of
      other categories (e.g. a method span opened inside an iteration
      span still stacks under the enclosing method). *)

@@ -12,8 +12,8 @@
     counts, so summing the lines whose leaf is a given method
     reproduces that method's [r_self] in the flat profile. *)
 
-val collapse : ?cat:string -> Registry.t -> (string * int) list
-(** Fold the registry's closed spans of [cat] (default ["method"]) into
+val collapse : Registry.t -> (string * int) list
+(** Fold the registry's closed ["method"] spans into
     [(stack, self_weight)] rows, sorted by stack. Parent chains skip
     spans of other categories; still-open spans are ignored. Rows with
     zero self weight are dropped. *)

@@ -58,8 +58,6 @@ type t = {
   m_snapshot_every : int;
   mutable m_snapshots : int;
   m_snapshot_sink : (string -> unit) option;
-  m_spike_factor : float;
-  m_spike_warmup : int;
   m_dump_sink : (Json.t -> unit) option;
   m_churn_every : int;
   m_latency : Sketch.t;
@@ -83,12 +81,12 @@ type t = {
 
 let batch = 32
 
-let create ?(alpha = 0.01) ?(recorder_capacity = 256) ?(window = 64)
-    ?(ewma_alpha = 0.1) ?(spike_factor = 4.0) ?(spike_warmup = 8)
-    ?(snapshot_every = 0) ?snapshot_sink ?dump_sink ?clock ?cycles_source
-    ?(churn_every = 256) () =
-  if spike_factor <= 1.0 then
-    invalid_arg "Monitor.create: spike_factor must be > 1";
+let window = 64
+let spike_factor = 4.0
+let spike_warmup = 8
+
+let create ?(recorder_capacity = 256) ?(snapshot_every = 0) ?snapshot_sink
+    ?dump_sink ?clock ?cycles_source ?(churn_every = 256) () =
   if snapshot_every < 0 then
     invalid_arg "Monitor.create: snapshot_every must be >= 0";
   if churn_every < 0 then
@@ -111,16 +109,14 @@ let create ?(alpha = 0.01) ?(recorder_capacity = 256) ?(window = 64)
     m_snapshot_every = snapshot_every;
     m_snapshots = 0;
     m_snapshot_sink = snapshot_sink;
-    m_spike_factor = spike_factor;
-    m_spike_warmup = max 1 spike_warmup;
     m_dump_sink = dump_sink;
     m_churn_every = churn_every;
-    m_latency = Sketch.create ~alpha ();
-    m_cycles = Sketch.create ~alpha ();
-    m_evals = Sketch.create ~alpha ();
-    m_lat_win = Window.create ~ewma_alpha ~capacity:window ();
-    m_evals_win = Window.create ~ewma_alpha ~capacity:window ();
-    m_churn_win = Window.create ~ewma_alpha ~capacity:window ();
+    m_latency = Sketch.create ();
+    m_cycles = Sketch.create ();
+    m_evals = Sketch.create ();
+    m_lat_win = Window.create ~capacity:window ();
+    m_evals_win = Window.create ~capacity:window ();
+    m_churn_win = Window.create ~capacity:window ();
     m_spikes = 0;
     m_last_dump = None;
     m_causal_source = None;
@@ -231,9 +227,9 @@ let flush t =
     let churn = t.m_pend.((4 * k) + 3) in
     let prev_ewma = Window.ewma t.m_lat_win in
     if
-      Window.pushed t.m_lat_win >= t.m_spike_warmup
+      Window.pushed t.m_lat_win >= spike_warmup
       && (not (Float.is_nan prev_ewma))
-      && latency > t.m_spike_factor *. prev_ewma
+      && latency > spike_factor *. prev_ewma
     then t.m_spikes <- t.m_spikes + 1;
     Sketch.add t.m_latency latency;
     Sketch.add t.m_cycles cycles;
@@ -278,12 +274,12 @@ let snapshot t =
       ("health", health_json t);
       ("data_loss", data_loss_json t) ]
 
-let dump ?last ~reason t =
+let dump ~reason t =
   flush t;
   Json.Obj
     [ ("reason", Json.Str reason);
       ("instant", Json.Int (t.m_instants - 1));
-      ("flight", Recorder.dump ?last t.m_recorder);
+      ("flight", Recorder.dump t.m_recorder);
       ("health", health_json t);
       ("data_loss", data_loss_json t) ]
 
@@ -344,10 +340,8 @@ let instants t = t.m_instants
 
 let churn_every t = t.m_churn_every
 let cum_block_evals t = t.m_cum_evals
-let cum_iterations t = t.m_cum_iterations
 let cum_net_churn t = t.m_cum_churn
 let cum_faults t = t.m_cum_faults
-let cum_cycles t = t.m_cum_cycles
 let latency t = flush t; t.m_latency
 let cycles t = flush t; t.m_cycles
 let evals t = flush t; t.m_evals

@@ -34,12 +34,7 @@ type health = {
 type t
 
 val create :
-  ?alpha:float ->
   ?recorder_capacity:int ->
-  ?window:int ->
-  ?ewma_alpha:float ->
-  ?spike_factor:float ->
-  ?spike_warmup:int ->
   ?snapshot_every:int ->
   ?snapshot_sink:(string -> unit) ->
   ?dump_sink:(Json.t -> unit) ->
@@ -48,11 +43,12 @@ val create :
   ?churn_every:int ->
   unit ->
   t
-(** Defaults: [alpha = 0.01] (sketch relative error),
-    [recorder_capacity = 256], [window = 64], [ewma_alpha = 0.1],
-    [spike_factor = 4.0], [spike_warmup = 8] instants before spike
-    flags arm, [snapshot_every = 0] (periodic snapshots off),
-    deterministic tick clock, no cycle source, [churn_every = 256].
+(** Defaults: [recorder_capacity = 256], [snapshot_every = 0]
+    (periodic snapshots off), deterministic tick clock, no cycle
+    source, [churn_every = 256]. Fixed: {!Sketch}'s 1% relative
+    error, 64-instant windows with {!Window}'s EWMA weight 0.1, and a
+    latency spike flag at 4 × the running EWMA, armed after 8
+    instants.
 
     [snapshot_sink] receives each periodic snapshot as one serialized
     JSON object (no trailing newline — append one per line for NDJSON).
@@ -128,10 +124,8 @@ val churn_every : t -> int
 (** The churn sampling stride the driver should honor (see {!create}). *)
 
 val cum_block_evals : t -> int
-val cum_iterations : t -> int
 val cum_net_churn : t -> int
 val cum_faults : t -> int
-val cum_cycles : t -> int
 
 val latency : t -> Sketch.t
 val cycles : t -> Sketch.t
@@ -140,8 +134,8 @@ val evals : t -> Sketch.t
 val recorder : t -> Recorder.t
 
 val spike_count : t -> int
-(** Instants whose latency exceeded [spike_factor] × the running EWMA
-    (after warmup). *)
+(** Instants whose latency exceeded 4 × the running EWMA (after an
+    8-instant warmup). *)
 
 val health : t -> health list
 (** Blocks that ever faulted (or were quarantined), sorted by name. *)
@@ -155,7 +149,7 @@ val snapshot : t -> Json.t
 
 val snapshots_emitted : t -> int
 
-val dump : ?last:int -> reason:string -> t -> Json.t
+val dump : reason:string -> t -> Json.t
 (** Flight-recorder dump with monitor context:
     [{"reason": r, "instant": n, "flight": {...}, "health": [...]}]. *)
 

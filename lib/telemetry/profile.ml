@@ -98,15 +98,12 @@ let rows t =
   t.root.r_cum <- t.total;
   t.root :: List.rev t.rows_rev
 
-let sorted_by key t =
+let by_self t =
   List.stable_sort
     (fun a b ->
-      match compare (key b) (key a) with
+      match compare b.r_self a.r_self with
       | 0 -> compare a.r_label b.r_label
       | c -> c)
     (rows t)
-
-let by_self = sorted_by (fun r -> r.r_self)
-let by_cum = sorted_by (fun r -> r.r_cum)
 
 let depth t = List.length t.stack

@@ -46,9 +46,6 @@ val rows : t -> row list
 val by_self : t -> row list
 (** Sorted by [r_self] descending (ties by label). *)
 
-val by_cum : t -> row list
-(** Sorted by [r_cum] descending (ties by label). *)
-
 val depth : t -> int
 (** Current stack depth — 0 when every [enter] has been matched, useful
     as a sanity check. *)

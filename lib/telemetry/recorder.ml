@@ -58,9 +58,8 @@ let record_at t slot =
     r_net_churn = d.(base + 4);
     r_faults = d.(base + 5) }
 
-let records ?last t =
+let records t =
   let n = size t in
-  let n = match last with Some k when k < n -> max 0 k | _ -> n in
   List.init n (fun k -> record_at t ((t.g_pushed - n + k) mod t.g_capacity))
 
 let record_to_json r =
@@ -72,11 +71,11 @@ let record_to_json r =
       ("net_churn", Json.Int r.r_net_churn);
       ("faults", Json.Int r.r_faults) ]
 
-let dump ?last t =
+let dump t =
   Json.Obj
     [ ("capacity", Json.Int t.g_capacity);
       ("pushed", Json.Int t.g_pushed);
       ("overwrites", Json.Int (overwrites t));
-      ("records", Json.List (List.map record_to_json (records ?last t))) ]
+      ("records", Json.List (List.map record_to_json (records t))) ]
 
 let clear t = t.g_pushed <- 0

@@ -50,12 +50,12 @@ val overwrites : t -> int
 (** Records lost to ring wrap-around — a data-loss flag, included in
     every {!dump}. *)
 
-val records : ?last:int -> t -> record list
-(** Chronological (oldest first); [last] keeps only the most recent N. *)
+val records : t -> record list
+(** Chronological (oldest first). *)
 
 val record_to_json : record -> Json.t
 
-val dump : ?last:int -> t -> Json.t
+val dump : t -> Json.t
 (** [{"capacity": c, "pushed": n, "overwrites": o, "records": [...]}]
     with records chronological — parseable back by {!Json.parse}. *)
 

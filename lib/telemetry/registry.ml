@@ -24,7 +24,6 @@ type span = {
 }
 
 type t = {
-  mutable enabled : bool;
   clock : unit -> float;
   counters_tbl : (string, counter) Hashtbl.t;
   mutable counters_rev : counter list;
@@ -44,10 +43,9 @@ let tick_clock () =
     t := !t +. 1.0;
     !t
 
-let create ?(enabled = true) ?clock ?(max_spans = 1_000_000) () =
+let create ?clock ?(max_spans = 1_000_000) () =
   let clock = match clock with Some c -> c | None -> tick_clock () in
-  { enabled;
-    clock;
+  { clock;
     counters_tbl = Hashtbl.create 32;
     counters_rev = [];
     histograms_tbl = Hashtbl.create 16;
@@ -58,9 +56,6 @@ let create ?(enabled = true) ?clock ?(max_spans = 1_000_000) () =
     dropped = 0;
     open_stack = [];
     next_id = 0 }
-
-let is_enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let sat_add a b = if a > max_int - b then max_int else a + b
 
@@ -75,7 +70,7 @@ let counter t name =
 
 let add c n = if n > 0 then c.c_value <- sat_add c.c_value n
 
-let count t name n = if t.enabled then add (counter t name) n
+let count t name n = add (counter t name) n
 
 let histogram t name =
   match Hashtbl.find_opt t.histograms_tbl name with
@@ -107,54 +102,48 @@ let observe h v =
   let b = bucket_of v in
   h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
-let observe_value t name v = if t.enabled then observe (histogram t name) v
+let observe_value t name v = observe (histogram t name) v
 
 let mean h = if h.h_count = 0 then 0.0 else float_of_int h.h_sum /. float_of_int h.h_count
 
 let enter t ?(cat = "") ?(args = []) ?ts name =
-  if t.enabled then begin
-    let now = match ts with Some ts -> ts | None -> t.clock () in
-    let parent, depth =
-      match t.open_stack with
-      | [] -> (-1, 0)
-      | p :: _ -> (p.sp_id, p.sp_depth + 1)
-    in
-    let sp =
-      { sp_id = t.next_id;
-        sp_name = name;
-        sp_cat = cat;
-        sp_depth = depth;
-        sp_parent = parent;
-        sp_start = now;
-        sp_stop = now;
-        sp_closed = false;
-        sp_args = args }
-    in
-    t.next_id <- t.next_id + 1;
-    t.open_stack <- sp :: t.open_stack;
-    if t.n_spans < t.max_spans then begin
-      t.spans_rev <- sp :: t.spans_rev;
-      t.n_spans <- t.n_spans + 1
-    end
-    else t.dropped <- t.dropped + 1
+  let now = match ts with Some ts -> ts | None -> t.clock () in
+  let parent, depth =
+    match t.open_stack with
+    | [] -> (-1, 0)
+    | p :: _ -> (p.sp_id, p.sp_depth + 1)
+  in
+  let sp =
+    { sp_id = t.next_id;
+      sp_name = name;
+      sp_cat = cat;
+      sp_depth = depth;
+      sp_parent = parent;
+      sp_start = now;
+      sp_stop = now;
+      sp_closed = false;
+      sp_args = args }
+  in
+  t.next_id <- t.next_id + 1;
+  t.open_stack <- sp :: t.open_stack;
+  if t.n_spans < t.max_spans then begin
+    t.spans_rev <- sp :: t.spans_rev;
+    t.n_spans <- t.n_spans + 1
   end
+  else t.dropped <- t.dropped + 1
 
 let exit t ?(args = []) ?ts () =
-  if t.enabled then
-    match t.open_stack with
-    | [] -> ()
-    | sp :: rest ->
-        t.open_stack <- rest;
-        sp.sp_stop <- (match ts with Some ts -> ts | None -> t.clock ());
-        sp.sp_closed <- true;
-        if args <> [] then sp.sp_args <- sp.sp_args @ args
+  match t.open_stack with
+  | [] -> ()
+  | sp :: rest ->
+      t.open_stack <- rest;
+      sp.sp_stop <- (match ts with Some ts -> ts | None -> t.clock ());
+      sp.sp_closed <- true;
+      if args <> [] then sp.sp_args <- sp.sp_args @ args
 
-let with_span t ?cat ?args name f =
-  if not t.enabled then f ()
-  else begin
-    enter t ?cat ?args name;
-    Fun.protect ~finally:(fun () -> exit t ()) f
-  end
+let with_span t ?cat name f =
+  enter t ?cat name;
+  Fun.protect ~finally:(fun () -> exit t ()) f
 
 let counters t = List.rev t.counters_rev
 let histograms t = List.rev t.histograms_rev

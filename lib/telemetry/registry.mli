@@ -2,8 +2,8 @@
     power-of-two histograms, and nestable spans.
 
     One registry is one observation session. Components take a registry
-    as an optional argument and record into it when it is enabled; a
-    disabled registry costs one branch per operation. Timestamps come
+    as an optional argument and record into it when one is given; with
+    none they skip the recording altogether. Timestamps come
     from a caller-supplied clock (microseconds by convention — the
     Chrome trace exporter assumes µs) or, by default, from a
     deterministic tick counter so unit tests are reproducible. *)
@@ -38,36 +38,30 @@ type span = {
 
 type t
 
-val create : ?enabled:bool -> ?clock:(unit -> float) -> ?max_spans:int -> unit -> t
-(** Defaults: enabled, deterministic tick clock (1.0 per reading,
+val create : ?clock:(unit -> float) -> ?max_spans:int -> unit -> t
+(** Defaults: deterministic tick clock (1.0 per reading,
     starting at 1.0), [max_spans = 1_000_000] retained span records
     (further spans still nest and time correctly but are not retained;
     see {!dropped_spans}). *)
 
-val is_enabled : t -> bool
-val set_enabled : t -> bool -> unit
-
 (** {2 Counters} *)
 
 val counter : t -> string -> counter
-(** Find-or-create. The handle is valid for the registry's lifetime;
-    callers caching handles on hot paths guard with {!is_enabled}
-    themselves. *)
+(** Find-or-create. The handle is valid for the registry's lifetime. *)
 
 val add : counter -> int -> unit
 (** Saturates at [max_int]; negative increments are ignored (counters
-    are monotonic). Not gated on {!is_enabled} — use {!count} for the
-    gated one-shot form. *)
+    are monotonic). *)
 
 val count : t -> string -> int -> unit
-(** [count t name n]: find-or-create + {!add}, skipped when disabled. *)
+(** [count t name n]: find-or-create + {!add}. *)
 
 (** {2 Histograms} *)
 
 val histogram : t -> string -> histogram
 val observe : histogram -> int -> unit
 val observe_value : t -> string -> int -> unit
-(** Gated find-or-create + {!observe}. *)
+(** Find-or-create + {!observe}. *)
 
 val mean : histogram -> float
 
@@ -77,14 +71,13 @@ val enter :
   t -> ?cat:string -> ?args:(string * arg) list -> ?ts:float -> string -> unit
 (** Open a span nested under the innermost open span. [ts] overrides the
     registry clock (used by the cycle profiler, whose timeline is cycle
-    counts rather than wall time). No-op when disabled. *)
+    counts rather than wall time). *)
 
 val exit : t -> ?args:(string * arg) list -> ?ts:float -> unit -> unit
 (** Close the innermost open span, appending [args] to it. Unbalanced
     calls are ignored. *)
 
-val with_span :
-  t -> ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
+val with_span : t -> ?cat:string -> string -> (unit -> 'a) -> 'a
 (** [enter]/[exit] bracket, exception-safe. *)
 
 (** {2 Inspection} *)

@@ -1,8 +1,9 @@
+let alpha = 0.01
+let gamma = (1.0 +. alpha) /. (1.0 -. alpha)
+let log_gamma = log gamma
+let max_buckets = 2048
+
 type t = {
-  s_alpha : float;
-  s_gamma : float;
-  s_log_gamma : float;
-  s_max_buckets : int;
   s_buckets : (int, int ref) Hashtbl.t;  (* bucket index -> count cell *)
   mutable s_count : int;  (* recorded values: zeros + positives *)
   mutable s_zeros : int;
@@ -20,17 +21,8 @@ type t = {
   mutable s_memo_cell : int ref option;  (* count cell of the memo bucket *)
 }
 
-let create ?(alpha = 0.01) ?(max_buckets = 2048) () =
-  if not (alpha > 0.0 && alpha < 1.0) then
-    invalid_arg "Sketch.create: alpha must be in (0, 1)";
-  if max_buckets < 16 then
-    invalid_arg "Sketch.create: max_buckets must be >= 16";
-  let gamma = (1.0 +. alpha) /. (1.0 -. alpha) in
-  { s_alpha = alpha;
-    s_gamma = gamma;
-    s_log_gamma = log gamma;
-    s_max_buckets = max_buckets;
-    s_buckets = Hashtbl.create 64;
+let create () =
+  { s_buckets = Hashtbl.create 64;
     s_count = 0;
     s_zeros = 0;
     s_out_of_range = 0;
@@ -43,28 +35,26 @@ let create ?(alpha = 0.01) ?(max_buckets = 2048) () =
     s_memo_hi = nan;
     s_memo_cell = None }
 
-let alpha t = t.s_alpha
-
 (* ceil(log_gamma v), corrected against floating error so the bucket
    invariant gamma^(i-1) < v <= gamma^i genuinely holds — the
    relative-error guarantee depends on it, not on log being exact. *)
 let index_of t v =
   if v > t.s_memo_lo && v <= t.s_memo_hi then t.s_memo_idx
   else begin
-    let i = ref (int_of_float (Float.ceil (log v /. t.s_log_gamma))) in
-    while Float.pow t.s_gamma (float_of_int (!i - 1)) >= v do
+    let i = ref (int_of_float (Float.ceil (log v /. log_gamma))) in
+    while Float.pow gamma (float_of_int (!i - 1)) >= v do
       decr i
     done;
-    while Float.pow t.s_gamma (float_of_int !i) < v do
+    while Float.pow gamma (float_of_int !i) < v do
       incr i
     done;
     t.s_memo_idx <- !i;
-    t.s_memo_lo <- Float.pow t.s_gamma (float_of_int (!i - 1));
-    t.s_memo_hi <- Float.pow t.s_gamma (float_of_int !i);
+    t.s_memo_lo <- Float.pow gamma (float_of_int (!i - 1));
+    t.s_memo_hi <- Float.pow gamma (float_of_int !i);
     !i
   end
 
-let bucket_value t i = 2.0 *. Float.pow t.s_gamma (float_of_int i) /. (t.s_gamma +. 1.0)
+let bucket_value i = 2.0 *. Float.pow gamma (float_of_int i) /. (gamma +. 1.0)
 
 let sorted_indices t =
   Hashtbl.fold (fun i _ acc -> i :: acc) t.s_buckets []
@@ -75,9 +65,9 @@ let sorted_indices t =
    guarantee; the boundary itself absorbs everything below. *)
 let collapse_if_needed t =
   let n = Hashtbl.length t.s_buckets in
-  if n > t.s_max_buckets then begin
+  if n > max_buckets then begin
     t.s_memo_cell <- None;  (* the memo bucket may be folded away *)
-    let excess = n - t.s_max_buckets + 1 in
+    let excess = n - max_buckets + 1 in
     let lowest = List.filteri (fun k _ -> k < excess) (sorted_indices t) in
     match List.rev lowest with
     | [] -> ()
@@ -153,7 +143,7 @@ let quantile t q =
            (fun i ->
              cum := !cum + !(Hashtbl.find t.s_buckets i);
              if rank < !cum then begin
-               result := bucket_value t i;
+               result := bucket_value i;
                raise Exit
              end)
            (sorted_indices t)
@@ -165,8 +155,6 @@ let quantile t q =
   end
 
 let merge ~into src =
-  if into.s_alpha <> src.s_alpha then
-    invalid_arg "Sketch.merge: sketches have different alpha";
   Hashtbl.iter
     (fun i c ->
       match Hashtbl.find_opt into.s_buckets i with
@@ -193,7 +181,7 @@ let buckets t =
 let float_eq a b = (Float.is_nan a && Float.is_nan b) || a = b
 
 let equal a b =
-  a.s_alpha = b.s_alpha && a.s_count = b.s_count && a.s_zeros = b.s_zeros
+  a.s_count = b.s_count && a.s_zeros = b.s_zeros
   && a.s_out_of_range = b.s_out_of_range
   && a.s_collapsed = b.s_collapsed
   && float_eq a.s_min b.s_min && float_eq a.s_max b.s_max
@@ -212,7 +200,7 @@ let clear t =
 
 let to_json t =
   Json.Obj
-    [ ("alpha", Json.Float t.s_alpha);
+    [ ("alpha", Json.Float alpha);
       ("count", Json.Int t.s_count);
       ("zeros", Json.Int t.s_zeros);
       ("out_of_range", Json.Int t.s_out_of_range);

@@ -1,9 +1,9 @@
 (** Mergeable log-bucket quantile sketch (DDSketch-style).
 
     A bounded-memory summary of a value stream that answers quantile
-    queries with a configurable {e relative}-error guarantee: for any
-    recorded positive value stream and any [q], the estimate [x̂]
-    satisfies [|x̂ - x| <= alpha * x] where [x] is the exact
+    queries with a {e relative}-error guarantee: for any recorded
+    positive value stream and any [q], the estimate [x̂] satisfies
+    [|x̂ - x| <= alpha * x] ([alpha = 0.01]) where [x] is the exact
     [q]-quantile — the log-bucket layout makes the guarantee
     multiplicative, so one sketch covers microseconds and minutes alike.
 
@@ -25,15 +25,14 @@
 
 type t
 
-val create : ?alpha:float -> ?max_buckets:int -> unit -> t
-(** Defaults: [alpha = 0.01] (1% relative error), [max_buckets = 2048].
-    When the bucket table would exceed [max_buckets], the lowest
-    buckets collapse into one (standard DDSketch degradation: the
-    guarantee then holds only above the collapse boundary; see
-    {!collapsed}). [Invalid_argument] unless [0 < alpha < 1] and
-    [max_buckets >= 16]. *)
+val create : unit -> t
+(** An empty sketch holding at most 2,048 buckets. When the bucket
+    table would exceed that, the lowest buckets collapse into one
+    (standard DDSketch degradation: the guarantee then holds only above
+    the collapse boundary; see {!collapsed}). *)
 
-val alpha : t -> float
+val alpha : float
+(** The relative error bound, 0.01. *)
 
 val add : t -> float -> unit
 (** Record one value. Zero is counted exactly; negative, NaN and ±∞
@@ -49,8 +48,8 @@ val out_of_range : t -> int
     data-loss flag, surfaced by every exporter. *)
 
 val collapsed : t -> int
-(** Values whose low buckets were collapsed past [max_buckets] — 0 in
-    normal operation. *)
+(** Values whose low buckets were collapsed past the 2,048-bucket cap
+    — 0 in normal operation. *)
 
 val min_value : t -> float
 (** Smallest recorded value; [nan] when empty. *)
@@ -70,14 +69,13 @@ val merge : into:t -> t -> unit
 (** Pointwise bucket addition of the second sketch into [into]. The
     result is exactly the sketch of the concatenated streams
     (bucket-identical, so quantile queries agree bit-for-bit with a
-    single sketch that saw every value). [Invalid_argument] when the
-    two sketches were created with different [alpha]. *)
+    single sketch that saw every value). *)
 
 val copy : t -> t
 
 val equal : t -> t -> bool
 (** Structural equality of everything quantile queries depend on:
-    alpha, counts, min/max and every bucket. The floating [sum] is
+    counts, min/max and every bucket. The floating [sum] is
     deliberately excluded (float addition is not associative, so sums
     of differently ordered merges may differ in the last ulp). *)
 
@@ -86,7 +84,7 @@ val buckets : t -> (int * int) list
     state, for tests and serialization. *)
 
 val clear : t -> unit
-(** Back to the empty sketch (alpha and capacity retained). *)
+(** Back to the empty sketch. *)
 
 val to_json : t -> Json.t
 (** [{"alpha": a, "count": n, "zeros": z, "out_of_range": o,

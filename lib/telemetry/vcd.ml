@@ -36,11 +36,11 @@ let var_decl kind code name =
   | Real_kind -> Printf.sprintf "$var real 64 %s %s $end" code (sanitize name)
   | String_kind -> Printf.sprintf "$var string 1 %s %s $end" code (sanitize name)
 
-let dump ?(timescale = "1 us") ?(scope = "asr") signals =
+let dump signals =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
-  line "$timescale %s $end" timescale;
-  line "$scope module %s $end" scope;
+  line "$timescale 1 us $end";
+  line "$scope module asr $end";
   List.iteri
     (fun i ({ name; kind }, _) -> line "%s" (var_decl kind (id_code i) name))
     signals;

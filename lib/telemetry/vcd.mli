@@ -3,7 +3,7 @@
     Generic over signal kinds so the ASR layer can map its domain values
     onto wires, reals, and string variables; the output opens in GTKWave
     and other standard waveform viewers. Timestamps are instants
-    (0, 1, 2, …) scaled by [timescale]. *)
+    (0, 1, 2, …) at a timescale of 1 us. *)
 
 type value =
   | Bits of string  (** binary digits, or ["x"] for undefined *)
@@ -21,10 +21,9 @@ val id_code : int -> string
 (** The identifier code assigned to the [i]-th signal (printable ASCII
     per the VCD grammar). Exposed for golden tests. *)
 
-val dump :
-  ?timescale:string -> ?scope:string -> (signal * value list) list -> string
+val dump : (signal * value list) list -> string
 (** [dump signals] renders a complete VCD document: header, one [$var]
     per signal, initial values under [$dumpvars] at [#0], then
     change-only emission at each subsequent instant. All value lists
     should have equal length; shorter ones read as undefined at the
-    missing instants. Defaults: [timescale = "1 us"], [scope = "asr"]. *)
+    missing instants. Every signal sits in one module scope, [asr]. *)

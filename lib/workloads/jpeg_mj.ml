@@ -7,11 +7,11 @@ let restricted_classes = [ "JpegCodec" ]
 (* Constant declarations shared by both variants. PW/PH pad to whole 8x8
    blocks; MAXRLE is the worst case of the entropy stream (a (run,value)
    pair per coefficient plus a block terminator, three channels). *)
-let constants ~width ~height ~quality =
+let constants ~width ~height =
   Printf.sprintf
     {|  private static final int WIDTH = %d;
   private static final int HEIGHT = %d;
-  private static final int QUALITY = %d;
+  private static final int QUALITY = 2;
   private static final int PW = (WIDTH + 7) / 8 * 8;
   private static final int PH = (HEIGHT + 7) / 8 * 8;
   private static final int BX = PW / 8;
@@ -20,7 +20,7 @@ let constants ~width ~height ~quality =
   private static final int MAXRLE = NBLOCKS * 3 * 130;
   private static final int EOB = 0 - 999999;
 |}
-    width height quality
+    width height
 
 (* Zigzag order and quantization matrix, built in both variants'
    constructors. *)
@@ -65,7 +65,7 @@ let cos_table_init =
 (* Restricted (hand-refined, policy-compliant) variant                 *)
 (* ------------------------------------------------------------------ *)
 
-let restricted_source ?(quality = 2) ~width ~height () =
+let restricted_source ~width ~height () =
   Printf.sprintf
     {|class JpegCodec extends ASR {
 %s
@@ -246,14 +246,14 @@ let restricted_source ?(quality = 2) ~width ~height () =
   }
 }
 |}
-    (constants ~width ~height ~quality)
+    (constants ~width ~height)
     zig_quant_init cos_table_init
 
 (* ------------------------------------------------------------------ *)
 (* Unrestricted (design-phase) variant                                 *)
 (* ------------------------------------------------------------------ *)
 
-let unrestricted_source ?(quality = 2) ~width ~height () =
+let unrestricted_source ~width ~height () =
   Printf.sprintf
     {|class IntNode {
   public int value;
@@ -487,5 +487,5 @@ class JpegCodec extends ASR {
   }
 }
 |}
-    (constants ~width ~height ~quality)
+    (constants ~width ~height)
     zig_quant_init

@@ -20,9 +20,9 @@
 
 val class_name : string
 
-val unrestricted_source : ?quality:int -> width:int -> height:int -> unit -> string
+val unrestricted_source : width:int -> height:int -> unit -> string
 
-val restricted_source : ?quality:int -> width:int -> height:int -> unit -> string
+val restricted_source : width:int -> height:int -> unit -> string
 
 val unrestricted_classes : string list
 (** User classes of the unrestricted program (for program-size

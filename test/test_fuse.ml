@@ -353,29 +353,6 @@ let suite =
               true
               (fused_evals <= sched_evals))
           [ 1; 7; 42 ]);
-    case "interval hints unlock elision at call-indexed sites" (fun () ->
-        let checked =
-          check_src
-            {|class P {
-  int src(int t) { return t; }
-  void f(int p) {
-    int[] a = new int[8];
-    a[src(p)] = 1;
-  }
-}|}
-        in
-        let bare = Analysis.Elide.plan checked in
-        let hinted =
-          Analysis.Elide.plan
-            ~hints:(fun name _ ->
-              if name = "src" then
-                Some { Analysis.Interval.lo = 0; hi = 7 }
-              else None)
-            checked
-        in
-        Alcotest.(check int) "no elision without the hint" 0
-          (Hashtbl.length bare);
-        Alcotest.(check int) "hinted site elides" 1 (Hashtbl.length hinted));
     case "imap kernels agree with their data functions on ints" (fun () ->
         List.iter
           (fun b ->
@@ -579,9 +556,7 @@ let suite =
         check "bare" (true, false) (fused ());
         check "monitor only" (true, false)
           (fused ~monitor:(Telemetry.Monitor.create ()) ());
-        check "disabled registry" (true, false)
-          (fused ~telemetry:(Telemetry.Registry.create ~enabled:false ()) ());
-        check "enabled registry" (false, true)
+        check "registry" (false, true)
           (fused ~telemetry:(Telemetry.Registry.create ()) ());
         check "supervisor" (false, true)
           (fused ~supervisor:(S.create ()) ()));

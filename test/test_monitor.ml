@@ -52,21 +52,31 @@ let sketch_tests =
             let exact = exact_quantile sorted q in
             let est = Sk.quantile s q in
             let rel = Float.abs (est -. exact) /. exact in
-            if rel > Sk.alpha s +. 1e-9 then
+            if rel > Sk.alpha +. 1e-9 then
               Alcotest.failf "q=%.2f exact=%.1f est=%.3f rel=%.4f" q exact est
                 rel)
           [ 0.0; 0.25; 0.5; 0.75; 0.95; 0.99; 1.0 ]);
     case "bucket overflow collapses and is flagged, never silent" (fun () ->
-        let s = Sk.create ~alpha:0.05 ~max_buckets:16 () in
-        for i = 0 to 99 do
-          Sk.add s (Float.pow 2.0 (float_of_int (i mod 40)))
+        (* ratio 1.03 > gamma = 1.01/0.99: every value lands in a bucket
+           of its own, so the first 2,048 fill the table exactly and the
+           152 after them each fold the lowest buckets *)
+        let s = Sk.create () in
+        Alcotest.(check (float 0.0)) "alpha" 0.01 Sk.alpha;
+        for i = 0 to 2047 do
+          Sk.add s (Float.pow 1.03 (float_of_int i))
         done;
+        Alcotest.(check int) "2,048 buckets fit" 0 (Sk.collapsed s);
+        Alcotest.(check int) "one bucket each" 2048 (List.length (Sk.buckets s));
+        for i = 2048 to 2199 do
+          Sk.add s (Float.pow 1.03 (float_of_int i))
+        done;
+        Alcotest.(check int) "capped at 2,048" 2048 (List.length (Sk.buckets s));
         Alcotest.(check bool) "collapsed flagged" true (Sk.collapsed s > 0);
-        Alcotest.(check int) "count intact" 100 (Sk.count s);
+        Alcotest.(check int) "count intact" 2200 (Sk.count s);
         Alcotest.(check bool)
           "top quantile survives collapse" true
           (Float.abs (Sk.quantile s 1.0 -. Sk.max_value s)
-          <= 0.11 *. Sk.max_value s));
+          <= Sk.alpha *. Sk.max_value s));
     case "copy is independent of the original" (fun () ->
         let s = feed [ 1.0; 2.0; 3.0 ] in
         let c = Sk.copy s in
@@ -139,7 +149,7 @@ let sketch_qcheck =
           (fun q ->
             let exact = exact_quantile sorted q in
             Float.abs (Sk.quantile s q -. exact)
-            <= (Sk.alpha s *. exact) +. 1e-9)
+            <= (Sk.alpha *. exact) +. 1e-9)
           [ 0.5; 0.95; 0.99 ]) ]
 
 (* ------------------------------------------------------------------ *)

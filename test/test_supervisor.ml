@@ -373,16 +373,19 @@ let suite =
     case "fault log is capped, drops are counted" (fun () ->
         let inj = I.make [ trap_at ~persistence:I.Persistent 0 ] in
         let g = I.instrument inj (gain_graph ()) in
-        let sup = S.create ~escalate_after:100 ~max_log:2 () in
+        let sup = S.create ~escalate_after:2000 () in
         let sim = Asr.Simulate.create ~supervisor:sup g in
-        List.iter
-          (fun x ->
-            ignore (Asr.Simulate.step sim [ ("x", D.int x) ]);
-            I.tick inj)
-          [ 1; 2; 3; 4 ];
-        Alcotest.(check int) "total" 4 (S.fault_count sup);
-        Alcotest.(check int) "retained" 2 (List.length (S.faults sup));
-        Alcotest.(check int) "dropped" 2 (S.dropped_faults sup));
+        for x = 1 to 1001 do
+          ignore (Asr.Simulate.step sim [ ("x", D.int x) ]);
+          I.tick inj;
+          if x = 1000 then begin
+            Alcotest.(check int) "1,000 fit" 1000 (List.length (S.faults sup));
+            Alcotest.(check int) "none dropped yet" 0 (S.dropped_faults sup)
+          end
+        done;
+        Alcotest.(check int) "total" 1001 (S.fault_count sup);
+        Alcotest.(check int) "retained" 1000 (List.length (S.faults sup));
+        Alcotest.(check int) "dropped" 1 (S.dropped_faults sup));
     case "fault log exports as parseable JSON" (fun () ->
         let _, sup, _ =
           drive_injected [ trap_at 1 ] [ 3; 5; 7 ] ~policy:S.Hold_last

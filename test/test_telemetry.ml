@@ -64,15 +64,6 @@ let span_tests =
         R.exit reg ();
         R.exit reg ();
         Alcotest.(check int) "one span" 1 (List.length (R.spans reg)));
-    case "disabled registry records nothing" (fun () ->
-        let reg = R.create ~enabled:false () in
-        R.enter reg "a";
-        R.exit reg ();
-        R.count reg "n" 5;
-        R.observe_value reg "h" 3;
-        Alcotest.(check int) "no spans" 0 (List.length (R.spans reg));
-        Alcotest.(check int) "no counters" 0 (List.length (R.counters reg));
-        Alcotest.(check int) "no histograms" 0 (List.length (R.histograms reg)));
     case "max_spans caps retention but keeps pairing" (fun () ->
         let reg = R.create ~max_spans:2 () in
         for _ = 1 to 5 do
