@@ -213,14 +213,14 @@ let dump_run ~taps ~instants ~escalate_after =
       ignore (Asr.Simulate.step sim inputs);
       I.tick inj)
     (F.stimulus g ~instants);
-  (mon, List.rev_map J.to_string !dumps)
+  (mon, sup, List.rev_map J.to_string !dumps)
 
 let dump_rows ~smoke =
   let taps = if smoke then 8 else 32 in
   let instants = if smoke then 12 else 40 in
   let escalate_after = 3 in
-  let mon, dumps = dump_run ~taps ~instants ~escalate_after in
-  let _, dumps2 = dump_run ~taps ~instants ~escalate_after in
+  let mon, sup, dumps = dump_run ~taps ~instants ~escalate_after in
+  let _, _, dumps2 = dump_run ~taps ~instants ~escalate_after in
   let faulty_records =
     List.length
       (List.filter (fun r -> r.R.r_faults > 0) (R.records (M.recorder mon)))
@@ -230,8 +230,8 @@ let dump_rows ~smoke =
     [ count ~w ~layer "escalate_after" escalate_after;
       gate ~w ~layer "quarantine_ok"
         (List.exists
-           (fun h -> h.M.h_quarantined && h.M.h_max_streak >= escalate_after)
-           (M.health mon)
+           (fun h -> h.S.h_quarantined && h.S.h_max_streak >= escalate_after)
+           (S.health sup)
         && M.last_dump mon <> None);
       gate ~w ~layer "dump_deterministic" (dumps <> [] && dumps = dumps2);
       gate ~w ~layer "covers_streak_ok" (faulty_records >= escalate_after) ]

@@ -44,7 +44,8 @@ let thread_classes checked =
     checked.Mj.Typecheck.program.classes
 
 (* Bodies reachable from one root method, across resolved calls,
-   dynamic-dispatch overrides, and constructor invocations. *)
+   dynamic-dispatch overrides, and constructor invocations (superclass
+   constructors included). *)
 let reachable_bodies checked ~cls ~mname =
   let tab = checked.Mj.Typecheck.symtab in
   let program = Mj.Symtab.program tab in
@@ -97,14 +98,21 @@ let reachable_bodies checked ~cls ~mname =
               | _ -> ())
             decl.cl_fields
       | None -> ());
-      match Mj.Symtab.lookup_ctor tab cls arity with
-      | Some ctor -> take (Printf.sprintf "%s.<init>" cls) ctor.c_body
-      | None -> (
-          (* Implicit default constructor: field inits only, plus the
-             superclass chain. *)
-          match Mj.Symtab.superclass tab cls with
-          | Some super -> visit_ctor super 0
-          | None -> ())
+      (* The superclass constructor runs too: the one an explicit
+         [super(...)] names, else the implicit no-argument one (an
+         implicit default constructor has field inits only). *)
+      let super_arity =
+        match Mj.Symtab.lookup_ctor tab cls arity with
+        | Some ctor -> (
+            take (Printf.sprintf "%s.<init>" cls) ctor.c_body;
+            match ctor.c_body with
+            | { stmt = Super_call args; _ } :: _ -> List.length args
+            | _ -> 0)
+        | None -> 0
+      in
+      match Mj.Symtab.superclass tab cls with
+      | Some super -> visit_ctor super super_arity
+      | None -> ()
     end
   and take name stmts =
     out := (name, stmts) :: !out;

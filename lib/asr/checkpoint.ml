@@ -5,7 +5,9 @@ module Registry = Telemetry.Registry
 
 let malformed what = invalid_arg ("Checkpoint.of_json: malformed " ^ what)
 
-let version = 2
+(* 3: the supervisor section carries per-block health registers and the
+   monitor section no longer mirrors them *)
+let version = 3
 
 (* What a recorded run adds to the boundary state: the stream it was
    fed, every completed instant's fixed point, outputs and iteration
@@ -887,8 +889,10 @@ let reject contents =
     (if String.starts_with ~prefix:digest_key contents then
        "Checkpoint.load: content digest mismatch (altered or torn artifact)"
      else
-       "Checkpoint.load: not a version 2 run artifact (no content digest \
-        header; version 1 artifacts predate it)")
+       Printf.sprintf
+         "Checkpoint.load: not a version %d run artifact (no content digest \
+          header; version 1 artifacts predate it)"
+         version)
 
 let load path =
   let s = In_channel.with_open_bin path In_channel.input_all in

@@ -5,10 +5,13 @@
     A checkpoint captures everything the rest of the run depends on —
     the simulator registers ({!Simulate.state}), the supervisor's
     inter-instant state (committed outputs, fault streaks, quarantine
-    set, retry counters, capped fault log), the fault injector's clock,
-    the telemetry registry's counters, the monitor's cumulatives and
-    per-block health, and the causal log's continuable state
-    ({!Telemetry.Causal.state}). Reals ride as IEEE-754 bit patterns
+    set, per-block health, retry counters, capped fault log), the fault
+    injector's clock, the telemetry registry's counters, the monitor's
+    cumulatives, and the causal log's continuable state
+    ({!Telemetry.Causal.state}). Each section belongs to the one
+    component that owns the state: block health is the supervisor's
+    alone, so a resumed run reports it whether or not the monitor was
+    attached before. Reals ride as IEEE-754 bit patterns
     ({!Codec}), so a resumed run is bit-identical to the uninterrupted
     one under every strategy and supervisor policy, injected campaigns
     included.
@@ -227,7 +230,8 @@ val to_json : t -> Telemetry.Json.t
 
 val of_json : Telemetry.Json.t -> t
 (** Raises [Invalid_argument] on malformed input or a version other
-    than 2. *)
+    than 3 (version 3 moved per-block health from the monitor section
+    to the supervisor section). *)
 
 val equal : t -> t -> bool
 (** Bit-exact artifact equality: the encoded payloads are equal. *)

@@ -8,9 +8,6 @@
     restores the identical bits (NaN payloads and [-0.0] included).
     All decoders raise [Invalid_argument] on malformed input. *)
 
-val data_json : Data.t -> Telemetry.Json.t
-val data_of_json : Telemetry.Json.t -> Data.t
-
 val value_json : Domain.t -> Telemetry.Json.t
 (** [Bottom] encodes as JSON [null]. *)
 

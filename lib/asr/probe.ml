@@ -229,7 +229,7 @@ let registry clk reg (c : Graph.compiled) ~faults =
   in
   { (counter counts) with instant_begin; instant_end }
 
-let monitor clk mon ~faults =
+let monitor clk mon ~faults ~escalated =
   let k = Monitor.churn_every mon in
   { none with
     instant_begin =
@@ -242,6 +242,10 @@ let monitor clk mon ~faults =
         let net_churn =
           churn clk nets ~scan:(k > 0 && (clk.instant + 1) mod k = 0)
         in
-        Monitor.instant_end mon ~iterations ~block_evals:block_evaluations
-          ~net_churn
-          ~faults:(match faults with Some f -> f () | None -> 0)) }
+        Monitor.instant_end mon ~instant:clk.instant ~iterations
+          ~block_evals:block_evaluations ~net_churn
+          ~faults:(match faults with Some f -> f () | None -> 0);
+        match escalated with
+        | Some f ->
+            List.iter (fun block -> Monitor.quarantine mon ~block) (f ())
+        | None -> ()) }

@@ -152,9 +152,17 @@ val registry :
     registry takes Fused off its fast lane. *)
 
 val monitor :
-  clock -> Telemetry.Monitor.t -> faults:(unit -> int) option -> t
+  clock ->
+  Telemetry.Monitor.t ->
+  faults:(unit -> int) option ->
+  escalated:(unit -> string list) option ->
+  t
 (** Brackets each instant with {!Telemetry.Monitor.instant_begin} /
-    [instant_end], recording iterations, block evaluations, [faults ()]
-    and churn: exact when a registry probe scanned the instant,
-    otherwise sampled as {!Telemetry.Monitor.create} describes for
-    [churn_every]. Instant hooks only. *)
+    [instant_end], recording it under the clock's instant index with
+    its iterations, block evaluations, [faults ()] and churn: exact
+    when a registry probe scanned the instant, otherwise sampled as
+    {!Telemetry.Monitor.create} describes for [churn_every]. Then one
+    {!Telemetry.Monitor.quarantine} dump per block [escalated ()]
+    names: composed before the supervisor's probe, so that the
+    supervisor closes the instant first, these are the blocks
+    quarantined in the instant just recorded. Instant hooks only. *)

@@ -33,7 +33,9 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
       invalid_arg "Simulate.create: causal sink net count mismatch"
   | _ -> ());
   let plan = Fixpoint.prepare ?order strategy compiled in
-  (* causal-ring loss rides along in the monitor's data_loss object *)
+  (* the monitor's data_loss object reports causal-ring loss, and its
+     health is the supervisor's: sources, because telemetry cannot
+     depend on asr types *)
   (match (monitor, causal) with
   | Some mon, Some cz ->
       Telemetry.Monitor.set_causal_source mon (fun () ->
@@ -42,19 +44,10 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
   (match supervisor with
   | Some sup -> Supervisor.attach sup compiled
   | None -> ());
-  (* supervisor fault events feed the monitor's per-block health; the
-     glue lives here because telemetry cannot depend on asr types *)
   (match (monitor, supervisor) with
   | Some mon, Some sup ->
-      Supervisor.set_observer sup (fun ev ->
-          match ev with
-          | Supervisor.Ev_fault f ->
-              Telemetry.Monitor.block_fault mon ~block:f.Supervisor.f_block_name
-          | Supervisor.Ev_recovered f ->
-              Telemetry.Monitor.block_recovered mon
-                ~block:f.Supervisor.f_block_name
-          | Supervisor.Ev_quarantined f ->
-              Telemetry.Monitor.quarantine mon ~block:f.Supervisor.f_block_name)
+      Telemetry.Monitor.set_health_source mon (fun () ->
+          Supervisor.health_json sup)
   | _ -> ());
   let clock =
     Probe.clock
@@ -64,15 +57,27 @@ let create ?order ?strategy ?telemetry ?supervisor ?monitor ?causal graph =
   let faults =
     Option.map (fun sup () -> Supervisor.instant_fault_count sup) supervisor
   in
+  let escalated =
+    Option.map
+      (fun sup () ->
+        List.map
+          (fun bi ->
+            let block, _, _ = compiled.Graph.c_blocks.(bi) in
+            block.Block.name)
+          (Supervisor.escalated sup))
+      supervisor
+  in
   (* Instant hooks open in list order and close in reverse: the
      registry closes first, so its exact churn is the monitor's too, and
-     the monitor records the instant before the supervisor closes it —
-     a quarantine escalation's flight dump covers the instant that
-     triggered it. *)
+     the supervisor closes before the monitor records the instant — a
+     quarantine escalation's flight dump covers the instant that
+     triggered it, and its health already shows the quarantine. *)
   let probes =
     List.filter_map Fun.id
-      [ Option.map Supervisor.probe supervisor;
-        Option.map (fun mon -> Probe.monitor clock mon ~faults) monitor;
+      [ Option.map
+          (fun mon -> Probe.monitor clock mon ~faults ~escalated)
+          monitor;
+        Option.map Supervisor.probe supervisor;
         Option.map
           (Probe.causal
              ?containment:(Option.map Supervisor.containment supervisor))
@@ -98,8 +103,7 @@ let react t inputs =
     Fixpoint.eval t.plan ~inputs ~delay_values:t.delays ?probe:t.probe ()
   in
   let compiled = Fixpoint.graph t.plan in
-  (* in place: the bound values were copied into the net slots already,
-     and [delay_state] hands out copies *)
+  (* in place: the bound values were copied into the net slots already *)
   Fixpoint.delay_next_into compiled result t.delays;
   t.clock.Probe.instant <- t.clock.Probe.instant + 1;
   t.evaluations <- t.evaluations + result.Fixpoint.block_evaluations;
@@ -136,8 +140,6 @@ let schedule t = Fixpoint.schedule t.plan
 let instant_count t = t.clock.Probe.instant
 
 let block_evaluations t = t.evaluations
-
-let delay_state t = Array.copy t.delays
 
 (* ------------------------- checkpoint state ----------------------- *)
 

@@ -35,27 +35,29 @@ val create :
     raises [Invalid_argument].
 
     The attachments are composed here, once, into one probe — in this
-    order, so the instant closes in reverse: {!Supervisor.probe} (every
-    application guarded; the supervisor's instant opens and closes with
-    the evaluation), {!Probe.monitor}, {!Probe.causal} (the sink's net
-    count must match the compiled graph), {!Probe.registry}. The
-    registry closes first, so with both it and the monitor attached
-    churn is scanned once and exact; the monitor records the instant
-    before the supervisor closes it, so a quarantine escalation's
-    flight dump covers the instant that triggered it. With nothing
-    attached, or only instant hooks (a monitor), the evaluation path —
-    under [Fused], the chain-collapsed fast lane — is exactly the
-    unobserved one.
+    order, so the instant closes in reverse: {!Probe.monitor},
+    {!Supervisor.probe} (every application guarded; the supervisor's
+    instant opens and closes with the evaluation), {!Probe.causal} (the
+    sink's net count must match the compiled graph), {!Probe.registry}.
+    The registry closes first, so with both it and the monitor attached
+    churn is scanned once and exact; the supervisor closes before the
+    monitor records the instant, so the monitor's quarantine dump for a
+    block the supervisor escalated covers the instant that triggered
+    it, and a snapshot taken at that instant already shows the block
+    quarantined. With nothing attached, or only instant hooks (a
+    monitor), the evaluation path — under [Fused], the chain-collapsed
+    fast lane — is exactly the unobserved one.
 
-    Glue between attachments is also wired here: with [monitor] and
-    [supervisor], supervisor fault / recovery / quarantine events feed
-    the monitor's block health ({!Supervisor.set_observer}); with
-    [monitor] and [causal], the monitor's [data_loss] object reports
-    the causal ring's overwrite and truncated-slice counters. The
-    monitor is independent of [telemetry]; with both, their cumulative
-    ["asr.instants"] / ["asr.block_evaluations"] /
-    ["asr.supervisor.faults"] views reconcile exactly because they are
-    fed from the same per-instant values. *)
+    The monitor copies no state: it records each instant under the
+    simulator's instant index, and with [supervisor] its snapshots and
+    dumps embed {!Supervisor.health_json}
+    ({!Telemetry.Monitor.set_health_source}); with [causal], its
+    [data_loss] object reports the causal ring's overwrite and
+    truncated-slice counters. The monitor is independent of
+    [telemetry]; with both, their cumulative ["asr.instants"] /
+    ["asr.block_evaluations"] / ["asr.supervisor.faults"] views
+    reconcile exactly because they are fed from the same per-instant
+    values. *)
 
 val step : t -> (string * Domain.t) list -> (string * Domain.t) list
 (** React to one instant's inputs; returns the outputs and advances the
@@ -82,8 +84,6 @@ val block_evaluations : t -> int
 (** Total block applications across all instants since creation (or the
     last {!reset}) — the quantity the scheduling strategies minimize. *)
 
-val delay_state : t -> Domain.t array
-
 val supervisor : t -> Supervisor.t option
 
 val monitor : t -> Telemetry.Monitor.t option
@@ -99,7 +99,8 @@ val net_values : t -> Domain.t array
 
 val reset : t -> unit
 (** Back to initial delay values, instant 0, evaluation count 0; also
-    resets the attached supervisor, if any. *)
+    resets the attached supervisor, if any, and with it the health an
+    attached monitor reports. *)
 
 (** {2 Checkpoint state}
 

@@ -20,10 +20,16 @@ type fault = {
 
 exception Fatal of fault
 
-type event =
-  | Ev_fault of fault
-  | Ev_recovered of fault
-  | Ev_quarantined of fault
+type health = {
+  h_block : int;
+  h_block_name : string;
+  h_faults : int;
+  h_recovered : int;
+  h_streak : int;
+  h_max_streak : int;
+  h_last_fault_instant : int;
+  h_quarantined : bool;
+}
 
 type t = {
   policy : policy;
@@ -43,6 +49,14 @@ type t = {
   mutable faulty_instant : bool array; (* unrecovered fault this instant *)
   mutable consec : int array; (* consecutive faulty instants *)
   mutable quarantined : bool array;
+  (* block health: contained faults (escalations are not faults),
+     faults a retry absorbed, longest [consec], instant of the last
+     contained fault (-1: none) *)
+  mutable block_faults : int array;
+  mutable block_recovered : int array;
+  mutable max_consec : int array;
+  mutable last_fault : int array;
+  mutable escalated : int list; (* quarantined as this instant closed *)
   mutable instant : int;
   mutable in_instant : bool;
   mutable rev_log : fault list;
@@ -51,7 +65,6 @@ type t = {
   mutable total_faults : int;
   mutable total_recovered : int;
   mutable instant_faults : int;
-  mutable observer : (event -> unit) option;
 }
 
 let policy_name = function
@@ -145,6 +158,11 @@ let create ?(policy = Hold_last) ?(escalate_after = 3) ?step_budget ?classify
     faulty_instant = [||];
     consec = [||];
     quarantined = [||];
+    block_faults = [||];
+    block_recovered = [||];
+    max_consec = [||];
+    last_fault = [||];
+    escalated = [];
     instant = 0;
     in_instant = false;
     rev_log = [];
@@ -152,12 +170,7 @@ let create ?(policy = Hold_last) ?(escalate_after = 3) ?step_budget ?classify
     dropped_log = 0;
     total_faults = 0;
     total_recovered = 0;
-    instant_faults = 0;
-    observer = None }
-
-let set_observer t f = t.observer <- Some f
-
-let notify t ev = match t.observer with Some f -> f ev | None -> ()
+    instant_faults = 0 }
 
 let attach t (c : Graph.compiled) =
   let n = Array.length c.Graph.c_blocks in
@@ -174,7 +187,11 @@ let attach t (c : Graph.compiled) =
     t.latched <- Array.make n false;
     t.faulty_instant <- Array.make n false;
     t.consec <- Array.make n 0;
-    t.quarantined <- Array.make n false
+    t.quarantined <- Array.make n false;
+    t.block_faults <- Array.make n 0;
+    t.block_recovered <- Array.make n 0;
+    t.max_consec <- Array.make n 0;
+    t.last_fault <- Array.make n (-1)
   end
   else if t.n_blocks <> n then
     invalid_arg
@@ -188,6 +205,7 @@ let begin_instant t =
   if t.in_instant then invalid_arg "Supervisor.begin_instant: instant open";
   t.in_instant <- true;
   t.instant_faults <- 0;
+  t.escalated <- [];
   if t.n_blocks > 0 then begin
     Array.fill t.staged_valid 0 t.n_blocks false;
     Array.fill t.apps 0 t.n_blocks 0;
@@ -221,8 +239,11 @@ let end_instant t =
     end;
     if t.faulty_instant.(bi) then begin
       t.consec.(bi) <- t.consec.(bi) + 1;
+      if t.consec.(bi) > t.max_consec.(bi) then
+        t.max_consec.(bi) <- t.consec.(bi);
       if t.consec.(bi) >= t.escalate_after && not t.quarantined.(bi) then begin
         t.quarantined.(bi) <- true;
+        t.escalated <- bi :: t.escalated;
         let f =
           { f_instant = t.instant;
             f_block = bi;
@@ -233,8 +254,7 @@ let end_instant t =
             f_action = Escalated }
         in
         log_fault t f;
-        count_telemetry t "asr.supervisor.quarantined" 1;
-        notify t (Ev_quarantined f)
+        count_telemetry t "asr.supervisor.quarantined" 1
       end
     end
     else if not t.quarantined.(bi) then t.consec.(bi) <- 0
@@ -280,6 +300,8 @@ let contain t ~bi ~cls ~detail =
   t.faulty_instant.(bi) <- true;
   t.total_faults <- t.total_faults + 1;
   t.instant_faults <- t.instant_faults + 1;
+  t.block_faults.(bi) <- t.block_faults.(bi) + 1;
+  t.last_fault.(bi) <- t.instant;
   let action = if t.policy = Fail_fast then Aborted else fault_action t bi in
   let f =
     { f_instant = t.instant;
@@ -292,7 +314,6 @@ let contain t ~bi ~cls ~detail =
   log_fault t f;
   count_telemetry t "asr.supervisor.faults" 1;
   count_telemetry t ("asr.supervisor.fault." ^ class_name cls) 1;
-  notify t (Ev_fault f);
   if t.policy = Fail_fast then raise (Fatal f)
 
 (* A top-level recursion over explicit arguments: the retry loop builds
@@ -302,6 +323,7 @@ let rec attempt t bi step nets dst slots ~retries failed =
   | () ->
       if failed > 0 then begin
         t.total_recovered <- t.total_recovered + 1;
+        t.block_recovered.(bi) <- t.block_recovered.(bi) + 1;
         let f =
           { f_instant = t.instant;
             f_block = bi;
@@ -311,8 +333,7 @@ let rec attempt t bi step nets dst slots ~retries failed =
             f_action = Recovered failed }
         in
         log_fault t f;
-        count_telemetry t "asr.supervisor.recovered" 1;
-        notify t (Ev_recovered f)
+        count_telemetry t "asr.supervisor.recovered" 1
       end;
       stage t bi dst slots
   | exception e -> (
@@ -420,6 +441,33 @@ let quarantined_blocks t =
       (fun bi -> t.quarantined.(bi))
       (List.init t.n_blocks (fun i -> i))
 
+let escalated t = List.rev t.escalated
+
+(* Blocks that ever faulted, in block order: the health table is as
+   long as the fault history, not the graph. *)
+let faulted_blocks t =
+  let rec go bi acc =
+    if bi < 0 then acc
+    else
+      go (bi - 1)
+        (if t.block_faults.(bi) > 0 || t.block_recovered.(bi) > 0 then bi :: acc
+         else acc)
+  in
+  go (t.n_blocks - 1) []
+
+let health t =
+  List.map
+    (fun bi ->
+      { h_block = bi;
+        h_block_name = t.names.(bi);
+        h_faults = t.block_faults.(bi);
+        h_recovered = t.block_recovered.(bi);
+        h_streak = t.consec.(bi);
+        h_max_streak = t.max_consec.(bi);
+        h_last_fault_instant = t.last_fault.(bi);
+        h_quarantined = t.quarantined.(bi) })
+    (faulted_blocks t)
+
 (* ------------------------- state snapshot ------------------------- *)
 
 module Json = Telemetry.Json
@@ -479,6 +527,21 @@ let fault_json f =
       ("detail", Json.Str f.f_detail);
       ("action", Json.Str (action_tag f.f_action)) ]
 
+let health_json t =
+  Json.List
+    (List.map
+       (fun h ->
+         Json.Obj
+           [ ("block", Json.Int h.h_block);
+             ("block_name", Json.Str h.h_block_name);
+             ("faults", Json.Int h.h_faults);
+             ("recovered", Json.Int h.h_recovered);
+             ("streak", Json.Int h.h_streak);
+             ("max_streak", Json.Int h.h_max_streak);
+             ("last_fault_instant", Json.Int h.h_last_fault_instant);
+             ("quarantined", Json.Bool h.h_quarantined) ])
+       (health t))
+
 let fault_of_json j =
   { f_instant = int_member "instant" j;
     f_block = int_member "block" j;
@@ -492,6 +555,14 @@ let fault_of_json j =
       (match action_of_tag (str_member "action" j) with
       | Some a -> a
       | None -> state_malformed "action") }
+
+let clear_health t =
+  if t.n_blocks > 0 then begin
+    Array.fill t.block_faults 0 t.n_blocks 0;
+    Array.fill t.block_recovered 0 t.n_blocks 0;
+    Array.fill t.max_consec 0 t.n_blocks 0;
+    Array.fill t.last_fault 0 t.n_blocks (-1)
+  end
 
 (* Only the inter-instant registers travel: the per-instant ones
    (staged, latched, application counts, ...) are cleared by the next
@@ -513,6 +584,18 @@ let state_json t =
         Json.List (Array.to_list (Array.map vec t.committed)) );
       ("consec", ints t.consec);
       ("quarantined", bools t.quarantined);
+      (* the other health registers, of the blocks that ever faulted *)
+      ( "block_health",
+        Json.List
+          (List.map
+             (fun bi ->
+               Json.Obj
+                 [ ("block", Json.Int bi);
+                   ("faults", Json.Int t.block_faults.(bi));
+                   ("recovered", Json.Int t.block_recovered.(bi));
+                   ("max_streak", Json.Int t.max_consec.(bi));
+                   ("last_fault_instant", Json.Int t.last_fault.(bi)) ])
+             (faulted_blocks t)) );
       ("total_faults", Json.Int t.total_faults);
       ("total_recovered", Json.Int t.total_recovered);
       ("dropped_log", Json.Int t.dropped_log);
@@ -566,6 +649,19 @@ let restore_state t j =
           | _ -> state_malformed "quarantined")
         l
   | _ -> state_malformed "quarantined");
+  clear_health t;
+  (match Json.member "block_health" j with
+  | Some (Json.List l) ->
+      List.iter
+        (fun h ->
+          let bi = int_member "block" h in
+          if bi < 0 || bi >= t.n_blocks then state_malformed "block_health";
+          t.block_faults.(bi) <- int_member "faults" h;
+          t.block_recovered.(bi) <- int_member "recovered" h;
+          t.max_consec.(bi) <- int_member "max_streak" h;
+          t.last_fault.(bi) <- int_member "last_fault_instant" h)
+        l
+  | _ -> state_malformed "block_health");
   t.instant <- int_member "instant" j;
   t.total_faults <- int_member "total_faults" j;
   t.total_recovered <- int_member "total_recovered" j;
@@ -578,6 +674,7 @@ let restore_state t j =
   | _ -> state_malformed "log");
   t.in_instant <- false;
   t.instant_faults <- 0;
+  t.escalated <- [];
   if t.n_blocks > 0 then begin
     Array.fill t.staged_valid 0 t.n_blocks false;
     Array.fill t.apps 0 t.n_blocks 0;
@@ -606,6 +703,8 @@ let reset t =
   t.total_faults <- 0;
   t.total_recovered <- 0;
   t.instant_faults <- 0;
+  t.escalated <- [];
+  clear_health t;
   if t.n_blocks > 0 then begin
     for bi = 0 to t.n_blocks - 1 do
       Array.fill t.committed.(bi) 0 (Array.length t.committed.(bi)) Domain.Bottom;

@@ -63,11 +63,23 @@ type fault = {
 exception Fatal of fault
 (** Raised under [Fail_fast] (after logging the fault). *)
 
-type event =
-  | Ev_fault of fault  (** a fault was contained (any action) *)
-  | Ev_recovered of fault  (** a [Retry] absorbed a transient fault *)
-  | Ev_quarantined of fault
-      (** the watchdog escalated the block to permanent quarantine *)
+(** One block's fault history. The supervisor is its only owner:
+    {!Telemetry.Monitor} snapshots and flight dumps embed
+    {!health_json}, and a checkpoint carries the registers behind it. *)
+type health = {
+  h_block : int;  (** index in [compiled.c_blocks]; names may repeat *)
+  h_block_name : string;
+  h_faults : int;
+      (** contained faults, beyond the log cap too; escalations are not
+          faults *)
+  h_recovered : int;  (** faults a [Retry] absorbed *)
+  h_streak : int;  (** consecutive faulty instants, current *)
+  h_max_streak : int;
+  h_last_fault_instant : int;
+      (** instant of the last contained fault; -1 when a [Retry]
+          absorbed every one *)
+  h_quarantined : bool;
+}
 
 type t
 
@@ -97,15 +109,6 @@ val create :
     ["asr.supervisor.fault.<class>"], ["asr.supervisor.recovered"] and
     ["asr.supervisor.quarantined"]. *)
 
-val set_observer : t -> (event -> unit) -> unit
-(** Install a synchronous event observer, replacing any previous one.
-    Fired at every containment ([Ev_fault], including the ones beyond
-    the 1,000-record log cap), retry recovery ([Ev_recovered]) and
-    watchdog escalation ([Ev_quarantined], from {!end_instant}). Under
-    [Fail_fast] the observer sees the fault before {!Fatal} is raised.
-    {!Simulate} uses this to feed {!Telemetry.Monitor} block health;
-    {!reset} leaves the observer installed. *)
-
 val attach : t -> Graph.compiled -> unit
 (** Size the per-block state for this graph. Idempotent for graphs with
     the same block count; [Invalid_argument] if the supervisor is
@@ -115,7 +118,8 @@ val begin_instant : t -> unit
 
 val end_instant : t -> unit
 (** Commit staged outputs, advance the watchdog (consecutive-fault
-    counters, quarantine escalation), move to the next instant. *)
+    counters, longest streaks, quarantine escalation), move to the next
+    instant. *)
 
 val in_instant : t -> bool
 
@@ -168,6 +172,19 @@ val containment : t -> int -> string option
 
 val quarantined_blocks : t -> int list
 
+val escalated : t -> int list
+(** Blocks the watchdog quarantined as the current (or just-ended)
+    instant closed, ascending. *)
+
+val health : t -> health list
+(** One row per block that ever faulted (a fault a [Retry] absorbed
+    counts), in block order. *)
+
+val health_json : t -> Telemetry.Json.t
+(** {!health} as a list of objects: [block] (index), [block_name],
+    [faults], [recovered], [streak], [max_streak],
+    [last_fault_instant], [quarantined]. *)
+
 val faults_json : t -> Telemetry.Json.t
 (** The full fault log plus summary counters, for [--fault-log]. Each
     fault is the same object as in {!state_json}: [action] is a tag
@@ -181,8 +198,9 @@ val reset : t -> unit
 (** {2 Checkpoint state}
 
     The inter-instant registers — instant index, committed outputs,
-    fault streaks, quarantine flags, counters, and the capped fault
-    log — as a JSON blob. Per-instant scratch (staged values, latches,
+    fault streaks, quarantine flags, the other {!health} registers of
+    the blocks that ever faulted, counters, and the capped fault log —
+    as a JSON blob. Per-instant scratch (staged values, latches,
     application counts) is excluded: it is cleared by the next
     [begin_instant], so a checkpoint taken between instants never needs
     it. Reals serialize as IEEE-754 bit patterns, and fault actions as
@@ -206,8 +224,6 @@ val policy_of_string : string -> policy option
     ["retry:<n>"]. *)
 
 val class_name : fault_class -> string
-
-val action_name : action -> string
 
 val fault_to_string : fault -> string
 

@@ -22,8 +22,10 @@
     instruction at different depths, an operand has the wrong type for
     its typed operator, a local may be read on some path before it is
     written, a local slot or jump target lies outside the method, the
-    method declares more than {!max_locals} locals, or control falls off
-    the end of the code. *)
+    method declares more than 65,535 locals (the most a JVM class file
+    can declare; the verifier's tables and every frame grow with the
+    count, so a damaged image must not choose it freely), or control
+    falls off the end of the code. *)
 
 type ty =
   | Int
@@ -32,11 +34,6 @@ type ty =
   | Boxed  (** a [Value.t]: references, strings, and values of unknown type *)
 
 type t
-
-val max_locals : int
-(** 65,535, the most a JVM class file can declare ([max_locals] is a
-    u2). The verifier's tables and every frame grow with the count, so a
-    damaged or hostile image must not choose it freely. *)
 
 val verify : this:bool -> Instr.method_code -> t
 (** [this]: slot 0 holds a receiver and the parameters follow it;

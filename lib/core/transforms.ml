@@ -113,6 +113,9 @@ let loop_rewrites ~do_while checked =
   in
   (program, !count)
 
+(* A convertible [while] without an adjacent constant initializer still
+   becomes a [for], leaving R4 to report the bound; a [do-while] only
+   when the constant initial value provably passes the entry test. *)
 let while_to_for =
   { id = "while-to-for";
     description = "convert counted while loops into bounded for loops";

@@ -10,28 +10,12 @@ type t = {
       (** rewritten user program and number of sites changed *)
 }
 
-val while_to_for : t
-(** [int i = c; while (i REL lim) { body; i += s; }] becomes a bounded
-    [for]; a convertible [while] without an adjacent constant
-    initializer still becomes a [for] (leaving R4 to report the bound). *)
-
-val do_while_to_for : t
-(** Same shape for [do-while], only when the constant initial value
-    provably passes the entry test (so at-least-once equals while). *)
-
 val hoist_alloc : t
 (** Constant-size array allocations in reactive methods move into the
     enclosing class's constructors as preallocated private fields; the
     allocation site becomes an aliasing declaration plus a zero-fill
     loop, preserving Java's fresh-array semantics. Only non-escaping
     arrays are hoisted. *)
-
-val privatize_fields : t
-(** Non-private instance fields with no cross-class accesses become
-    private. *)
-
-val remove_finalizers : t
-(** Delete [finalize] methods that are never called. *)
 
 val catalogue : t list
 (** In application order. *)

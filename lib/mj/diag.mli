@@ -19,5 +19,3 @@ val make : severity -> Loc.t -> string -> t
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
-
-val severity_to_string : severity -> string

@@ -20,8 +20,6 @@ type program_totals = {
   pt_expressions : int;
 }
 
-val of_body : cls:string -> member:string -> Ast.stmt list -> method_metrics
-
 val of_program : Ast.program -> method_metrics list
 (** One entry per constructor and method body, declaration order. *)
 

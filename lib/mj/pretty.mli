@@ -1,14 +1,6 @@
 (** Pretty-printer for MJ syntax. Output re-parses to an equal AST. *)
 
-val pp_ty : Format.formatter -> Ast.ty -> unit
-
-val pp_expr : Format.formatter -> Ast.expr -> unit
-
-val pp_stmt : Format.formatter -> Ast.stmt -> unit
-
 val pp_class : Format.formatter -> Ast.class_decl -> unit
-
-val pp_program : Format.formatter -> Ast.program -> unit
 
 val program_to_string : Ast.program -> string
 

@@ -25,8 +25,6 @@ val recursive_nodes : t -> node list
 
 val node_loc : t -> node -> Mj.Loc.t
 
-val ctor_node : string -> int -> node
-
 val method_node : string -> string -> node
 
 val node_name : node -> string

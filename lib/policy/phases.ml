@@ -10,6 +10,9 @@ let asr_classes (checked : Mj.Typecheck.checked) =
       else None)
     checked.program.classes
 
+(* Entry points of the reactive phase: the [run] methods of ASR
+   subclasses; when a program has none, its static [main] methods
+   (design-phase programs are analyzed relative to [main]). *)
 let reactive_roots (checked : Mj.Typecheck.checked) =
   match asr_classes checked with
   | [] ->

@@ -5,11 +5,6 @@
 val asr_classes : Mj.Typecheck.checked -> string list
 (** User classes that (transitively) extend the [ASR] base class. *)
 
-val reactive_roots : Mj.Typecheck.checked -> Call_graph.node list
-(** Entry points of the reactive phase: the [run] methods of ASR
-    subclasses; when a program has none, its static [main] methods
-    (design-phase programs are analyzed relative to [main]). *)
-
 val reactive_bodies :
   Mj.Typecheck.checked -> Call_graph.t -> (Call_graph.node * Mj.Visit.body) list
 (** Bodies of user-program methods/constructors reachable from the

@@ -57,10 +57,5 @@ val pp_violation : Format.formatter -> violation -> unit
 
 val pp_report : Format.formatter -> violation list -> unit
 
-val violation_to_json : violation -> string
-(** One violation as a JSON object: rule id, severity, span (file, line,
-    col, end_line, end_col), subject, message, suggested fixes, and a
-    ["related"] array of secondary locations. *)
-
 val report_to_json : violation list -> string
 (** Whole report as [{"compliant": bool, "violations": [...]}]. *)

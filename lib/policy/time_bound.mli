@@ -12,7 +12,5 @@ type bound =
   | Cycles of int
   | Unbounded of string  (** why: recursion, while loop, unknown bound… *)
 
-val method_bound : Mj.Typecheck.checked -> cls:string -> mname:string -> bound
-
 val reaction_bound : Mj.Typecheck.checked -> cls:string -> bound
 (** Bound of the class's [run] method. *)

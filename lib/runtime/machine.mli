@@ -116,8 +116,6 @@ val enter_frame : t -> unit
 
 val leave_frame : t -> unit
 
-val ports_state : t -> Value.t -> ports
-
 val ports_of : t -> Value.t -> int * int
 val set_input : t -> Value.t -> int -> Value.t option -> unit
 val output_port : t -> Value.t -> int -> Value.t option

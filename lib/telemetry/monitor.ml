@@ -1,25 +1,3 @@
-type health = {
-  h_block : string;
-  h_faults : int;
-  h_recovered : int;
-  h_streak : int;
-  h_max_streak : int;
-  h_last_fault_instant : int;
-  h_quarantined : bool;
-}
-
-(* Mutable per-block state behind the exported snapshot type. *)
-type block_state = {
-  b_name : string;
-  mutable b_faults : int;
-  mutable b_recovered : int;
-  mutable b_streak : int;
-  mutable b_max_streak : int;
-  mutable b_last_fault_instant : int;
-  mutable b_quarantined : bool;
-  mutable b_faulted_now : bool;  (* >= 1 fault in the open instant *)
-}
-
 (* Field order is deliberate: everything the per-instant path touches
    (clock, counters, ring, pending buffer) sits first so it packs onto
    adjacent cache lines — on an always-on monitor the simulation's own
@@ -36,6 +14,7 @@ type t = {
   m_begin_ts : float array;
   mutable m_in_instant : bool;
   mutable m_instants : int;
+  mutable m_instant : int;  (* index of the last recorded instant, or -1 *)
   mutable m_cum_evals : int;
   mutable m_cum_iterations : int;
   mutable m_cum_churn : int;
@@ -53,8 +32,6 @@ type t = {
      the instant. *)
   m_pend : float array;
   mutable m_pending : int;
-  mutable m_nblocks : int;  (* Hashtbl.length m_blocks, on the hot line *)
-  m_blocks : (string, block_state) Hashtbl.t;
   m_snapshot_every : int;
   mutable m_snapshots : int;
   m_snapshot_sink : (string -> unit) option;
@@ -71,6 +48,8 @@ type t = {
   (* (overwrites, truncated_slices) of an attached causal event ring;
      installed by the simulator so ring loss rides along in data_loss *)
   mutable m_causal_source : (unit -> int * int) option;
+  (* the supervisor's block health as JSON, installed by the simulator *)
+  mutable m_health_source : (unit -> Json.t) option;
   (* durable-checkpoint write accounting; failures surface in
      [data_loss_json] — a failed write is lost recovery data *)
   mutable m_ckpt_writes : int;
@@ -96,6 +75,7 @@ let create ?(recorder_capacity = 256) ?(snapshot_every = 0) ?snapshot_sink
     m_begin_ts = Array.make 1 0.0;
     m_in_instant = false;
     m_instants = 0;
+    m_instant = -1;
     m_cum_evals = 0;
     m_cum_iterations = 0;
     m_cum_churn = 0;
@@ -104,8 +84,6 @@ let create ?(recorder_capacity = 256) ?(snapshot_every = 0) ?snapshot_sink
     m_recorder = Recorder.create ~capacity:recorder_capacity ();
     m_pend = Array.make (4 * batch) 0.0;
     m_pending = 0;
-    m_nblocks = 0;
-    m_blocks = Hashtbl.create 16;
     m_snapshot_every = snapshot_every;
     m_snapshots = 0;
     m_snapshot_sink = snapshot_sink;
@@ -120,12 +98,15 @@ let create ?(recorder_capacity = 256) ?(snapshot_every = 0) ?snapshot_sink
     m_spikes = 0;
     m_last_dump = None;
     m_causal_source = None;
+    m_health_source = None;
     m_ckpt_writes = 0;
     m_ckpt_bytes = 0;
     m_ckpt_failures = 0;
     m_ckpt_seconds = Array.make 1 0.0 }
 
 let set_causal_source t f = t.m_causal_source <- Some f
+
+let set_health_source t f = t.m_health_source <- Some f
 
 let checkpoint_written t ~bytes ~seconds =
   t.m_ckpt_writes <- t.m_ckpt_writes + 1;
@@ -137,67 +118,14 @@ let checkpoint_write_failed t = t.m_ckpt_failures <- t.m_ckpt_failures + 1
 let checkpoint_stats t =
   (t.m_ckpt_writes, t.m_ckpt_bytes, t.m_ckpt_seconds.(0), t.m_ckpt_failures)
 
-let block_state t name =
-  match Hashtbl.find_opt t.m_blocks name with
-  | Some b -> b
-  | None ->
-      let b =
-        { b_name = name;
-          b_faults = 0;
-          b_recovered = 0;
-          b_streak = 0;
-          b_max_streak = 0;
-          b_last_fault_instant = -1;
-          b_quarantined = false;
-          b_faulted_now = false }
-      in
-      Hashtbl.replace t.m_blocks name b;
-      t.m_nblocks <- t.m_nblocks + 1;
-      b
-
 let instant_begin t =
   (match t.m_clock with
   | Some c -> t.m_begin_ts.(0) <- c ()
   | None -> ());
   t.m_in_instant <- true
 
-let block_fault t ~block =
-  let b = block_state t block in
-  b.b_faults <- b.b_faults + 1;
-  b.b_last_fault_instant <- t.m_instants;
-  b.b_faulted_now <- true
-
-let block_recovered t ~block =
-  let b = block_state t block in
-  b.b_recovered <- b.b_recovered + 1
-
-let health t =
-  Hashtbl.fold
-    (fun _ b acc ->
-      { h_block = b.b_name;
-        h_faults = b.b_faults;
-        h_recovered = b.b_recovered;
-        h_streak = b.b_streak;
-        h_max_streak = b.b_max_streak;
-        h_last_fault_instant = b.b_last_fault_instant;
-        h_quarantined = b.b_quarantined }
-      :: acc)
-    t.m_blocks []
-  |> List.sort (fun a b -> compare a.h_block b.h_block)
-
 let health_json t =
-  Json.List
-    (List.map
-       (fun h ->
-         Json.Obj
-           [ ("block", Json.Str h.h_block);
-             ("faults", Json.Int h.h_faults);
-             ("recovered", Json.Int h.h_recovered);
-             ("streak", Json.Int h.h_streak);
-             ("max_streak", Json.Int h.h_max_streak);
-             ("last_fault_instant", Json.Int h.h_last_fault_instant);
-             ("quarantined", Json.Bool h.h_quarantined) ])
-       (health t))
+  match t.m_health_source with Some f -> f () | None -> Json.List []
 
 let data_loss_json t =
   let sketch_oor =
@@ -247,7 +175,7 @@ let flush t =
 let snapshot t =
   flush t;
   Json.Obj
-    [ ("instant", Json.Int (t.m_instants - 1));
+    [ ("instant", Json.Int t.m_instant);
       ("instants", Json.Int t.m_instants);
       ("block_evaluations", Json.Int t.m_cum_evals);
       ("iterations", Json.Int t.m_cum_iterations);
@@ -278,19 +206,17 @@ let dump ~reason t =
   flush t;
   Json.Obj
     [ ("reason", Json.Str reason);
-      ("instant", Json.Int (t.m_instants - 1));
+      ("instant", Json.Int t.m_instant);
       ("flight", Recorder.dump t.m_recorder);
       ("health", health_json t);
       ("data_loss", data_loss_json t) ]
 
 let quarantine t ~block =
-  let b = block_state t block in
-  b.b_quarantined <- true;
   let d = dump ~reason:("quarantine:" ^ block) t in
   t.m_last_dump <- Some d;
   match t.m_dump_sink with Some sink -> sink d | None -> ()
 
-let instant_end t ~iterations ~block_evals ~net_churn ~faults =
+let instant_end t ~instant ~iterations ~block_evals ~net_churn ~faults =
   let latency =
     if not t.m_in_instant then 0.0
     else
@@ -303,12 +229,13 @@ let instant_end t ~iterations ~block_evals ~net_churn ~faults =
     match t.m_cycles_source with Some f -> f () | None -> 0
   in
   t.m_instants <- t.m_instants + 1;
+  t.m_instant <- instant;
   t.m_cum_evals <- t.m_cum_evals + block_evals;
   t.m_cum_iterations <- t.m_cum_iterations + iterations;
   t.m_cum_churn <- t.m_cum_churn + net_churn;
   t.m_cum_faults <- t.m_cum_faults + faults;
   t.m_cum_cycles <- t.m_cum_cycles + cycles;
-  Recorder.push_values t.m_recorder ~instant:(t.m_instants - 1) ~cycles
+  Recorder.push_values t.m_recorder ~instant ~cycles
     ~iterations ~block_evals ~net_churn ~faults;
   let base = 4 * t.m_pending in
   t.m_pend.(base) <- latency;
@@ -317,18 +244,6 @@ let instant_end t ~iterations ~block_evals ~net_churn ~faults =
   t.m_pend.(base + 3) <- float_of_int net_churn;
   t.m_pending <- t.m_pending + 1;
   if t.m_pending = batch then flush t;
-  (* advance per-block fault streaks; the table is empty until the
-     first fault, so the always-on path skips the traversal *)
-  if t.m_nblocks > 0 then
-    Hashtbl.iter
-      (fun _ b ->
-        if b.b_faulted_now then begin
-          b.b_streak <- b.b_streak + 1;
-          if b.b_streak > b.b_max_streak then b.b_max_streak <- b.b_streak;
-          b.b_faulted_now <- false
-        end
-        else if not b.b_quarantined then b.b_streak <- 0)
-      t.m_blocks;
   if t.m_snapshot_every > 0 && t.m_instants mod t.m_snapshot_every = 0 then begin
     t.m_snapshots <- t.m_snapshots + 1;
     match t.m_snapshot_sink with
@@ -358,10 +273,9 @@ let reset t =
   Window.clear t.m_lat_win;
   Window.clear t.m_evals_win;
   Window.clear t.m_churn_win;
-  Hashtbl.reset t.m_blocks;
-  t.m_nblocks <- 0;
   t.m_pending <- 0;
   t.m_instants <- 0;
+  t.m_instant <- -1;
   t.m_begin_ts.(0) <- 0.0;
   t.m_in_instant <- false;
   t.m_cum_evals <- 0;
@@ -388,19 +302,16 @@ let state_int name j =
   | _ -> state_malformed name
 
 (* What travels in a checkpoint: the cumulative counters (the resume
-   bit-exactness gate), per-block health, and the spike/snapshot
-   counts. The quantile sketches, windows and flight ring restart
-   empty on restore — they are bounded-memory summaries of the
-   *process*, not simulation state, and their contents are not
-   recoverable from their own outputs anyway. Checkpoint write
-   accounting also restarts: it describes the writing process. *)
+   bit-exactness gate) and the spike/snapshot counts. The quantile
+   sketches, windows and flight ring restart empty on restore — they
+   are bounded-memory summaries of the *process*, not simulation
+   state, and their contents are not recoverable from their own
+   outputs anyway. Checkpoint write accounting also restarts: it
+   describes the writing process. Block health is the supervisor's
+   and travels in its section. *)
 let state_json t =
   if t.m_in_instant then invalid_arg "Monitor.state_json: instant open";
   flush t;
-  let blocks =
-    Hashtbl.fold (fun _ b acc -> b :: acc) t.m_blocks []
-    |> List.sort (fun a b -> compare a.b_name b.b_name)
-  in
   Json.Obj
     [ ("instants", Json.Int t.m_instants);
       ("block_evaluations", Json.Int t.m_cum_evals);
@@ -409,20 +320,7 @@ let state_json t =
       ("faults", Json.Int t.m_cum_faults);
       ("cycles", Json.Int t.m_cum_cycles);
       ("spikes", Json.Int t.m_spikes);
-      ("snapshots", Json.Int t.m_snapshots);
-      ( "blocks",
-        Json.List
-          (List.map
-             (fun b ->
-               Json.Obj
-                 [ ("block", Json.Str b.b_name);
-                   ("faults", Json.Int b.b_faults);
-                   ("recovered", Json.Int b.b_recovered);
-                   ("streak", Json.Int b.b_streak);
-                   ("max_streak", Json.Int b.b_max_streak);
-                   ("last_fault_instant", Json.Int b.b_last_fault_instant);
-                   ("quarantined", Json.Bool b.b_quarantined) ])
-             blocks) ) ]
+      ("snapshots", Json.Int t.m_snapshots) ]
 
 let restore_state t j =
   reset t;
@@ -433,25 +331,4 @@ let restore_state t j =
   t.m_cum_faults <- state_int "faults" j;
   t.m_cum_cycles <- state_int "cycles" j;
   t.m_spikes <- state_int "spikes" j;
-  t.m_snapshots <- state_int "snapshots" j;
-  match Json.member "blocks" j with
-  | Some (Json.List bs) ->
-      List.iter
-        (fun bj ->
-          let name =
-            match Json.member "block" bj with
-            | Some (Json.Str s) -> s
-            | _ -> state_malformed "block"
-          in
-          let b = block_state t name in
-          b.b_faults <- state_int "faults" bj;
-          b.b_recovered <- state_int "recovered" bj;
-          b.b_streak <- state_int "streak" bj;
-          b.b_max_streak <- state_int "max_streak" bj;
-          b.b_last_fault_instant <- state_int "last_fault_instant" bj;
-          b.b_quarantined <-
-            (match Json.member "quarantined" bj with
-            | Some (Json.Bool q) -> q
-            | _ -> state_malformed "quarantined"))
-        bs
-  | _ -> state_malformed "blocks"
+  t.m_snapshots <- state_int "snapshots" j

@@ -5,31 +5,27 @@
     instants), three {!Sketch} quantile sketches (per-instant latency,
     modeled cycles, block evaluations — p50/p95/p99 at any moment, any
     stream length), sliding {!Window} aggregations (evaluation rate,
-    churn min/max, latency EWMA), and per-block health derived from
-    supervisor fault events (fault streaks, quarantine state) plus an
-    EWMA latency-spike flag. Memory is fixed at creation; nothing grows
-    with the number of instants, which is what distinguishes this layer
-    from the batch exporters in {!Export}.
+    churn min/max, latency EWMA) and an EWMA latency-spike flag. Memory
+    is fixed at creation; nothing grows with the number of instants,
+    which is what distinguishes this layer from the batch exporters in
+    {!Export}.
+
+    The monitor observes; it owns no simulation state. Per-block health
+    (fault counts, streaks, quarantine) is the supervisor's, and the
+    instant index is the simulator's: snapshots and dumps embed the
+    health a source installed by the simulator returns
+    ({!set_health_source}), and each instant is recorded under the
+    index its caller passes.
 
     The simulator attaches it as an instant probe ([Asr.Probe.monitor])
-    that brackets each instant with {!instant_begin} / {!instant_end},
-    and forwards supervisor events;
-    the monitor emits one NDJSON snapshot every [snapshot_every]
+    that brackets each instant with {!instant_begin} / {!instant_end}
+    and calls {!quarantine} for each block the supervisor escalated in
+    it; the monitor emits one NDJSON snapshot every [snapshot_every]
     instants and a flight-recorder dump the moment a block is
     quarantined, so escalations ship with their last-K-instants
     context. All timestamps come from a caller-supplied clock
     (µs by convention), defaulting to a deterministic tick so tests and
     fixed-seed campaigns are bit-reproducible. *)
-
-type health = {
-  h_block : string;
-  h_faults : int;  (** contained faults attributed to this block *)
-  h_recovered : int;  (** faults a [Retry] absorbed *)
-  h_streak : int;  (** consecutive faulty instants, current *)
-  h_max_streak : int;
-  h_last_fault_instant : int;  (** -1 when never faulted *)
-  h_quarantined : bool;
-}
 
 type t
 
@@ -74,21 +70,27 @@ val instant_begin : t -> unit
     {!instant_end}. *)
 
 val instant_end :
-  t -> iterations:int -> block_evals:int -> net_churn:int -> faults:int -> unit
-(** Close the instant: push the flight record, feed sketches and
-    windows, advance per-block fault streaks, flag latency spikes, and
-    emit a periodic snapshot when due. *)
-
-(** {2 Supervisor events (forwarded by the simulator)} *)
-
-val block_fault : t -> block:string -> unit
-
-val block_recovered : t -> block:string -> unit
+  t ->
+  instant:int ->
+  iterations:int ->
+  block_evals:int ->
+  net_churn:int ->
+  faults:int ->
+  unit
+(** Close the instant: push its flight record under index [instant]
+    (the simulator's, so a resumed run continues the numbering), feed
+    sketches and windows, flag latency spikes, and emit a periodic
+    snapshot when due. *)
 
 val quarantine : t -> block:string -> unit
-(** Mark the block quarantined and emit a flight-recorder dump
-    ([reason = "quarantine"]) to [dump_sink]; the dump is also retained
-    as {!last_dump}. *)
+(** Emit a flight-recorder dump ([reason = "quarantine:<block>"]) to
+    [dump_sink]; the dump is also retained as {!last_dump}. *)
+
+val set_health_source : t -> (unit -> Json.t) -> unit
+(** Install a thunk returning per-block health as JSON (the simulator
+    installs [Asr.Supervisor.health_json] of its supervisor); every
+    snapshot's and dump's [health] member is its result, [[]] when no
+    source is installed. *)
 
 val set_causal_source : t -> (unit -> int * int) -> unit
 (** Install a thunk returning an attached {!Causal} ring's
@@ -118,7 +120,8 @@ val checkpoint_stats : t -> int * int * float * int
 (** {2 Inspection} *)
 
 val instants : t -> int
-(** Completed instants. *)
+(** Instants this monitor recorded (restored ones included): its own
+    count, not an instant index. *)
 
 val churn_every : t -> int
 (** The churn sampling stride the driver should honor (see {!create}). *)
@@ -137,21 +140,22 @@ val spike_count : t -> int
 (** Instants whose latency exceeded 4 × the running EWMA (after an
     8-instant warmup). *)
 
-val health : t -> health list
-(** Blocks that ever faulted (or were quarantined), sorted by name. *)
-
 val snapshot : t -> Json.t
 (** The current snapshot object — the same shape the periodic sink
-    receives: cumulative counters, sketch quantiles, window aggregates,
-    health, and a [data_loss] object (recorder overwrites, sketch
-    out-of-range counts, causal-ring overwrites and truncated slices —
-    see {!set_causal_source}). *)
+    receives: the index of the last recorded instant as [instant] (-1
+    before the first), cumulative counters, sketch quantiles, window
+    aggregates, health (see {!set_health_source}), and a [data_loss]
+    object (recorder overwrites, sketch out-of-range counts,
+    causal-ring overwrites and truncated slices — see
+    {!set_causal_source}). *)
 
 val snapshots_emitted : t -> int
 
 val dump : reason:string -> t -> Json.t
 (** Flight-recorder dump with monitor context:
-    [{"reason": r, "instant": n, "flight": {...}, "health": [...]}]. *)
+    [{"reason": r, "instant": n, "flight": {...}, "health": [...],
+    "data_loss": {...}}], [n] the index of the last recorded
+    instant. *)
 
 val last_dump : t -> Json.t option
 (** The most recent dump emitted by {!quarantine}. *)
@@ -161,10 +165,10 @@ val reset : t -> unit
 (** {2 Checkpoint state}
 
     What travels in a durable checkpoint: the cumulative counters (the
-    resume bit-exactness gate), per-block health, and the
-    spike/snapshot counts. The quantile sketches, windows and flight
-    ring restart empty on restore — they are bounded-memory summaries
-    of the process, not simulation state. *)
+    resume bit-exactness gate) and the spike/snapshot counts. The
+    quantile sketches, windows and flight ring restart empty on restore
+    — they are bounded-memory summaries of the process, not simulation
+    state. Block health is the supervisor's and travels with it. *)
 
 val state_json : t -> Json.t
 (** Raises [Invalid_argument] when an instant is open. *)

@@ -53,8 +53,6 @@ val overwrites : t -> int
 val records : t -> record list
 (** Chronological (oldest first). *)
 
-val record_to_json : record -> Json.t
-
 val dump : t -> Json.t
 (** [{"capacity": c, "pushed": n, "overwrites": o, "records": [...]}]
     with records chronological — parseable back by {!Json.parse}. *)

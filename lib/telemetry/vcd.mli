@@ -17,10 +17,6 @@ type kind =
 
 type signal = { name : string; kind : kind }
 
-val id_code : int -> string
-(** The identifier code assigned to the [i]-th signal (printable ASCII
-    per the VCD grammar). Exposed for golden tests. *)
-
 val dump : (signal * value list) list -> string
 (** [dump signals] renders a complete VCD document: header, one [$var]
     per signal, initial values under [$dumpvars] at [#0], then

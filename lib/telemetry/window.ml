@@ -1,18 +1,17 @@
 type t = {
   w_ring : float array;
   w_capacity : int;
-  w_ewma_alpha : float;
   mutable w_pushed : int;
   mutable w_ewma : float;
 }
 
-let create ?(ewma_alpha = 0.1) ~capacity () =
+(* weight of a new sample in the moving average *)
+let ewma_alpha = 0.1
+
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Window.create: capacity must be >= 1";
-  if not (ewma_alpha > 0.0 && ewma_alpha <= 1.0) then
-    invalid_arg "Window.create: ewma_alpha must be in (0, 1]";
   { w_ring = Array.make capacity 0.0;
     w_capacity = capacity;
-    w_ewma_alpha = ewma_alpha;
     w_pushed = 0;
     w_ewma = nan }
 
@@ -22,7 +21,7 @@ let push t v =
   t.w_ring.(t.w_pushed mod t.w_capacity) <- v;
   t.w_ewma <-
     (if t.w_pushed = 0 then v
-     else (t.w_ewma_alpha *. v) +. ((1.0 -. t.w_ewma_alpha) *. t.w_ewma));
+     else (ewma_alpha *. v) +. ((1.0 -. ewma_alpha) *. t.w_ewma));
   t.w_pushed <- t.w_pushed + 1
 
 let size t = min t.w_pushed t.w_capacity

@@ -8,9 +8,9 @@
 
 type t
 
-val create : ?ewma_alpha:float -> capacity:int -> unit -> t
-(** [ewma_alpha] defaults to [0.1] (new sample weight).
-    [Invalid_argument] unless [capacity >= 1] and [0 < ewma_alpha <= 1]. *)
+val create : capacity:int -> unit -> t
+(** The EWMA weighs each new sample 0.1. [Invalid_argument] unless
+    [capacity >= 1]. *)
 
 val capacity : t -> int
 

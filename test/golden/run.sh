@@ -58,3 +58,17 @@ case_ trace-diff w.json w12.json
 "$cli" demo jpeg-restricted > jr.mj
 case_digest simulate jr.mj JpegCodec -n 3
 case_digest why jr.mj JpegCodec --net 1 --instant 1 -n 2
+
+# Resume with a fresh monitor: the first run quarantines mj:FirFilter at
+# instant 2 and checkpoints at instant 4 with no monitor attached; the
+# resumed run's flight dump carries the supervisor's block health and
+# the simulator's instant numbers. Its summary line holds wall-clock
+# latencies, so that command prints only its exit code, then the dump,
+# which holds modeled values only.
+case_ simulate fir.mj FirFilter -n 4 --supervise --budget 10 --checkpoint-every 4 --checkpoint-out ck
+echo "\$ javatime simulate fir.mj FirFilter -n 6 --resume ck/checkpoint-4.json --monitor --flight-out flight.json"
+"$cli" simulate fir.mj FirFilter -n 6 --resume ck/checkpoint-4.json --monitor --flight-out flight.json > /dev/null 2>&1
+echo "[exit $?]"
+echo "flight.json:"
+cat flight.json
+echo

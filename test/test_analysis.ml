@@ -229,6 +229,39 @@ let race_suite =
         Alcotest.(check int) "refined clean" 0
           (List.length (ids Workloads.Fig8_mj.refined_blocks_source))) ]
 
+let super_ctor_race =
+  case "a write in a superclass constructor races, explicit or implicit super"
+    (fun () ->
+      let src child_ctor =
+        Printf.sprintf
+          {|class Counter { public static int n = 0; }
+            class Base { Base() { Counter.n = Counter.n + 1; } }
+            class Child extends Base { %s }
+            class T1 extends Thread { T1() {} public void run() { Child c = new Child(); } }
+            class T2 extends Thread { T2() {} public void run() { Child c = new Child(); } }|}
+          child_ctor
+      in
+      let r10 src =
+        List.length
+          (List.filter
+             (fun v -> v.Policy.Rule.rule_id = "R10-no-shared-field-races")
+             (Policy.Asr_policy.check (check_src src)))
+      in
+      List.iter
+        (fun ctor ->
+          (match races (src ctor) with
+          | [ r ] ->
+              Alcotest.(check string) (ctor ^ ": field") "n"
+                r.Analysis.Races.r_field;
+              Alcotest.(check (list string)) (ctor ^ ": roots") [ "T1"; "T2" ]
+                (List.sort compare r.Analysis.Races.r_roots)
+          | rs ->
+              Alcotest.failf "%s: expected 1 race, got %d" ctor
+                (List.length rs));
+          Alcotest.(check bool) (ctor ^ ": R10 flags it") true
+            (r10 (src ctor) > 0))
+        [ "Child() { super(); }"; "Child() {}"; "" ])
+
 (* ------------------------------------------------------------------ *)
 (* Const_eval edge cases                                               *)
 (* ------------------------------------------------------------------ *)
@@ -463,3 +496,4 @@ let elision_suite =
 
 let suite =
   interval_suite @ race_suite @ const_suite @ escape_suite @ elision_suite
+  @ [ super_ctor_race ]

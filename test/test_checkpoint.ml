@@ -12,6 +12,7 @@ module Cd = Asr.Codec
 module C = Telemetry.Causal
 module J = Telemetry.Json
 module M = Telemetry.Monitor
+module Rc = Telemetry.Recorder
 module E = Javatime.Elaborate
 
 (* ---- helpers ----------------------------------------------------- *)
@@ -231,6 +232,82 @@ let bits_roundtrip f =
   | Some f' -> Int64.bits_of_float f' = Int64.bits_of_float f
   | None -> false
 
+
+(* ---- one owner of fault state ------------------------------------ *)
+
+(* The CLI's resume scenario on the chain: a persistent trap in the
+   gain block quarantines it at instant 2 (escalation after 3). The
+   oracle runs 6 instants with a monitor; the resumed run checkpoints
+   at instant 4 with none attached and resumes with a fresh monitor for
+   the last 2. Returns the oracle's and the resumed monitor. *)
+let resumed_with_fresh_monitor () =
+  let g = chain_graph () in
+  let stream = chain_stream 6 in
+  let inject = [ persistent_trap ~block:0 ~instant:0 ] in
+  let drive ?monitor stream =
+    let inj = I.make inject in
+    let sim =
+      Sim.create ~supervisor:(S.create ~escalate_after:3 ()) ?monitor
+        (I.instrument inj g)
+    in
+    ignore (run_to_end sim (Some inj) stream);
+    K.capture ~system:"test" ~injector:inj sim
+  in
+  let oracle = M.create () in
+  ignore (drive ~monitor:oracle stream);
+  let ck = drive (List.filteri (fun i _ -> i < 4) stream) in
+  let resumed = M.create () in
+  let r = K.resume ~monitor:resumed ck g in
+  ignore (run_to_end r.K.r_sim r.K.r_injector (drop 4 stream));
+  (oracle, resumed)
+
+let flight_instants m =
+  List.map (fun r -> r.Rc.r_instant) (Rc.records (M.recorder m))
+
+(* Block health recomputed from an uncapped fault log, over the
+   [closed] instants that completed: contained faults and the instant
+   of the last one, retry recoveries, escalations, and the streaks the
+   watchdog counts (a quarantined block's streak never resets). *)
+let health_of_log (c : G.compiled) faults ~closed =
+  let n = Array.length c.G.c_blocks in
+  let contained = Array.make n 0 and recovered = Array.make n 0 in
+  let last = Array.make n (-1) and escalated_at = Array.make n max_int in
+  let faulty = Hashtbl.create 16 in
+  List.iter
+    (fun f ->
+      let b = f.S.f_block in
+      match f.S.f_action with
+      | S.Escalated -> escalated_at.(b) <- f.S.f_instant
+      | S.Recovered _ -> recovered.(b) <- recovered.(b) + 1
+      | S.Held | S.Went_absent | S.Aborted ->
+          contained.(b) <- contained.(b) + 1;
+          last.(b) <- f.S.f_instant;
+          Hashtbl.replace faulty (b, f.S.f_instant) ())
+    faults;
+  List.filter_map
+    (fun b ->
+      if contained.(b) = 0 && recovered.(b) = 0 then None
+      else begin
+        let streak = ref 0 and longest = ref 0 in
+        for i = 0 to closed - 1 do
+          if Hashtbl.mem faulty (b, i) then begin
+            incr streak;
+            longest := max !longest !streak
+          end
+          else if i < escalated_at.(b) then streak := 0
+        done;
+        let block, _, _ = c.G.c_blocks.(b) in
+        Some
+          { S.h_block = b;
+            h_block_name = block.B.name;
+            h_faults = contained.(b);
+            h_recovered = recovered.(b);
+            h_streak = !streak;
+            h_max_streak = !longest;
+            h_last_fault_instant = last.(b);
+            h_quarantined = escalated_at.(b) < max_int }
+      end)
+    (List.init n Fun.id)
 
 (* ---- damaged artifacts ------------------------------------------- *)
 
@@ -510,7 +587,7 @@ let artifact_tree =
   in
   return
     (J.Obj
-       [ ("version", J.Int 2);
+       [ ("version", J.Int 3);
          ("system", J.Str system);
          ("strategy", J.Str (Fx.strategy_name strategy));
          ("policy", nullable (fun p -> J.Str (S.policy_name p)) policy);
@@ -827,20 +904,22 @@ let suite =
     case "of_json rejects an unsupported version" (fun () ->
         let sim = Sim.create (chain_graph ()) in
         let ck = K.capture ~system:"test" sim in
-        let tampered =
-          match K.to_json ck with
-          | J.Obj kvs ->
-              J.Obj
-                (List.map
-                   (function
-                     | ("version", _) -> ("version", J.Int 999)
-                     | kv -> kv)
-                   kvs)
-          | _ -> Alcotest.fail "object expected"
-        in
-        match K.of_json tampered with
-        | _ -> Alcotest.fail "expected Invalid_argument"
-        | exception Invalid_argument _ -> ());
+        (* 2 is the version before block health moved to the
+           supervisor section *)
+        List.iter
+          (fun v ->
+            let tampered =
+              map_member "version" (fun _ -> J.Int v) (K.to_json ck)
+            in
+            match K.of_json tampered with
+            | _ -> Alcotest.failf "version %d accepted" v
+            | exception Invalid_argument m ->
+                Alcotest.(check bool) ("named: " ^ m) true
+                  (contains
+                     ~substring:
+                       (Printf.sprintf "unsupported artifact version %d" v)
+                     m))
+          [ 2; 999 ]);
     qcase ~count:200 "a corrupt causal section fails resume with a named error"
       QCheck.(triple small_nat small_nat small_nat)
       (fun (which, i, d) ->
@@ -911,6 +990,84 @@ let suite =
           converged ~oracle_outs:outs ~oracle_final:final ~oracle_fatal:fatal
             ~start ~routs ~final:rfinal ~rfatal);
 
+    case "a resumed run with a fresh monitor reports the supervisor's health"
+      (fun () ->
+        let oracle, resumed = resumed_with_fresh_monitor () in
+        let health m = J.member "health" (M.dump ~reason:"end-of-run" m) in
+        Alcotest.(check string) "health of the uninterrupted run"
+          (J.to_string (Option.get (health oracle)))
+          (J.to_string (Option.get (health resumed)));
+        match health resumed with
+        | Some (J.List [ row ]) ->
+            Alcotest.(check (list int)) "faults, streak" [ 3; 3 ]
+              [ jint [ "faults" ] row; jint [ "streak" ] row ];
+            Alcotest.(check bool) "quarantined" true
+              (J.member "quarantined" row = Some (J.Bool true))
+        | _ -> Alcotest.fail "expected one health row");
+    case "a resumed run numbers its flight records from the resume instant"
+      (fun () ->
+        let _, resumed = resumed_with_fresh_monitor () in
+        Alcotest.(check (list int)) "flight records" [ 4; 5 ]
+          (flight_instants resumed);
+        Alcotest.(check int) "dump instant" 5
+          (jint [ "instant" ] (M.dump ~reason:"end-of-run" resumed)));
+    qcase ~count:40
+      "random netgen fault plans: health is the fault log's, and resumes"
+      QCheck.(
+        pair
+          (triple (int_bound 10_000) (int_bound 3) (int_bound 3))
+          (pair (int_range 1 4) bool))
+      (fun ((seed, pol, strat), (n_faults, first_only)) ->
+        let policy =
+          List.nth [ S.Fail_fast; S.Hold_last; S.Absent; S.Retry 1 ] pol
+        in
+        let strategy =
+          List.nth [ Fx.Chaotic; Fx.Scheduled; Fx.Worklist; Fx.Fused ] strat
+        in
+        (* Netgen names blocks by function, so names repeat *)
+        let g = Workloads.Netgen.generate ~seed ~depth:3 ~width:4 () in
+        let c = G.compile g in
+        let n = 8 in
+        let stream = Workloads.Netgen.stimulus g ~instants:n in
+        let inj =
+          I.make
+            (I.plan ~seed ~n_blocks:(Array.length c.G.c_blocks) ~instants:n
+               ~n_faults ~first_only ())
+        in
+        let sup = S.create ~policy () in
+        let sim = Sim.create ~strategy ~supervisor:sup (I.instrument inj g) in
+        (* a checkpoint at every boundary; no monitor in the oracle *)
+        let cks = ref [] and closed = ref 0 in
+        let boundary () =
+          cks := K.capture ~system:"netgen" ~injector:inj sim :: !cks
+        in
+        (try
+           List.iter
+             (fun inputs ->
+               boundary ();
+               ignore (Sim.step sim inputs);
+               I.tick inj;
+               incr closed)
+             stream;
+           boundary ()
+         with S.Fatal _ -> ());
+        let oracle = S.health sup in
+        if oracle <> health_of_log c (S.faults sup) ~closed:!closed then
+          QCheck.Test.fail_reportf "health differs from the fault log's";
+        List.iter
+          (fun ck ->
+            let k = K.instant ck in
+            let mon = M.create () in
+            let r = K.resume ~monitor:mon ck g in
+            ignore (run_to_end r.K.r_sim r.K.r_injector (drop k stream));
+            if S.health (Option.get r.K.r_supervisor) <> oracle then
+              QCheck.Test.fail_reportf "resumed at %d: supervisor health" k;
+            if J.member "health" (M.snapshot mon) <> Some (S.health_json sup)
+            then QCheck.Test.fail_reportf "resumed at %d: monitor health" k;
+            if flight_instants mon <> List.init (!closed - k) (fun i -> k + i)
+            then QCheck.Test.fail_reportf "resumed at %d: flight records" k)
+          !cks;
+        true);
     case "resume rejects a checkpoint of another graph" (fun () ->
         (* same topology and net count: only the fingerprint tells the
            gain2 chain from the gain3 one *)

@@ -167,11 +167,13 @@ let window_tests =
         Alcotest.(check (float 1e-9)) "mean" 4.5 (W.mean w);
         Alcotest.(check (float 1e-9)) "last" 6.0 (W.last w));
     case "ewma seeds on the first sample and tracks the stream" (fun () ->
-        let w = W.create ~ewma_alpha:0.5 ~capacity:4 () in
+        let w = W.create ~capacity:4 () in
         W.push w 10.0;
         Alcotest.(check (float 1e-9)) "seeded" 10.0 (W.ewma w);
         W.push w 0.0;
-        Alcotest.(check (float 1e-9)) "decays" 5.0 (W.ewma w));
+        Alcotest.(check (float 1e-9)) "decays by the 0.1 weight" 9.0 (W.ewma w);
+        W.push w 20.0;
+        Alcotest.(check (float 1e-9)) "rises" 10.1 (W.ewma w));
     case "clear resets to empty" (fun () ->
         let w = W.create ~capacity:4 () in
         W.push w 1.0;
@@ -233,8 +235,8 @@ let recorder_tests =
 let drive_monitor m evals_of n =
   for i = 0 to n - 1 do
     M.instant_begin m;
-    M.instant_end m ~iterations:1 ~block_evals:(evals_of i) ~net_churn:0
-      ~faults:0
+    M.instant_end m ~instant:i ~iterations:1 ~block_evals:(evals_of i)
+      ~net_churn:0 ~faults:0
   done
 
 (* a clock the test scripts: pops one preset timestamp per call *)
@@ -307,7 +309,8 @@ let monitor_tests =
         Alcotest.(check int) "sketch" 0 (Sk.count (M.latency m));
         Alcotest.(check int) "ring" 0 (Rc.pushed (M.recorder m));
         Alcotest.(check int) "spikes" 0 (M.spike_count m);
-        Alcotest.(check bool) "health" true (M.health m = [])) ]
+        Alcotest.(check bool) "no recorded instant" true
+          (J.member "instant" (M.snapshot m) = Some (J.Int (-1)))) ]
 
 (* ------------------------------------------------------------------ *)
 (* Monitor wired into the simulator                                    *)
@@ -324,8 +327,75 @@ let gain_graph () =
 
 let stream n = List.init n (fun i -> [ ("x", D.int (i mod 3)) ])
 
+let trap ?(persistence = I.Transient) block instant =
+  { I.i_block = block; i_kind = I.Trap; i_instant = instant;
+    i_persistence = persistence; i_first_only = false }
+
+let health_rows m =
+  match J.member "health" (M.snapshot m) with
+  | Some (J.List rows) -> rows
+  | _ -> Alcotest.fail "snapshot missing health"
+
+let row_int key row =
+  match J.member key row with
+  | Some (J.Int n) -> n
+  | _ -> Alcotest.failf "health row missing %s" key
+
 let sim_tests =
-  [ case "snapshot reconciles exactly with the telemetry registry" (fun () ->
+  [ case "blocks that share a name keep separate health" (fun () ->
+        (* x forks into two [add] blocks (1 and 2) that fault at
+           instants 0, 1 and 2, alternating: neither faults twice in a
+           row *)
+        let g = G.create "t" in
+        let x = G.add_input g "x" in
+        let f = G.add_block g (Asr.Block.fork 4) in
+        G.connect g ~src:(G.out_port x 0) ~dst:(G.in_port f 0);
+        List.iteri
+          (fun k y ->
+            let b = G.add_block g Asr.Block.add in
+            G.connect g ~src:(G.out_port f (2 * k)) ~dst:(G.in_port b 0);
+            G.connect g ~src:(G.out_port f ((2 * k) + 1)) ~dst:(G.in_port b 1);
+            let y = G.add_output g y in
+            G.connect g ~src:(G.out_port b 0) ~dst:(G.in_port y 0))
+          [ "y0"; "y1" ];
+        let inj = I.make [ trap 1 0; trap 2 1; trap 1 2 ] in
+        let m = M.create () in
+        let sup = S.create ~escalate_after:3 () in
+        let sim =
+          Asr.Simulate.create ~supervisor:sup ~monitor:m (I.instrument inj g)
+        in
+        List.iter
+          (fun i ->
+            ignore (Asr.Simulate.step sim i);
+            I.tick inj)
+          (stream 4);
+        Alcotest.(check (list (pair int int)))
+          "faults and longest streak, one row per block" [ (2, 1); (1, 1) ]
+          (List.map
+             (fun r -> (row_int "faults" r, row_int "max_streak" r))
+             (health_rows m));
+        Alcotest.(check (list int)) "rows by block index" [ 1; 2 ]
+          (List.map (fun h -> h.S.h_block) (S.health sup));
+        Alcotest.(check (list int)) "nothing quarantined" []
+          (S.quarantined_blocks sup));
+    case "simulator reset clears the health the monitor reports" (fun () ->
+        let inj = I.make [ trap ~persistence:I.Persistent 0 0 ] in
+        let m = M.create () in
+        let sim =
+          Asr.Simulate.create ~supervisor:(S.create ~escalate_after:2 ())
+            ~monitor:m
+            (I.instrument inj (gain_graph ()))
+        in
+        List.iter
+          (fun i ->
+            ignore (Asr.Simulate.step sim i);
+            I.tick inj)
+          (stream 3);
+        Alcotest.(check int) "one faulty block" 1 (List.length (health_rows m));
+        Asr.Simulate.reset sim;
+        Alcotest.(check int) "no faulty block after reset" 0
+          (List.length (health_rows m)));
+    case "snapshot reconciles exactly with the telemetry registry" (fun () ->
         let reg = R.create () in
         let m = M.create () in
         let sim = Asr.Simulate.create ~telemetry:reg ~monitor:m (gain_graph ()) in
@@ -411,10 +481,10 @@ let sim_tests =
               ignore (Asr.Simulate.step sim i);
               I.tick inj)
             (stream 10);
-          (m, List.rev_map J.to_string !dumps)
+          (m, sup, List.rev_map J.to_string !dumps)
         in
-        let m1, d1 = run () in
-        let _, d2 = run () in
+        let m1, sup1, d1 = run () in
+        let _, _, d2 = run () in
         Alcotest.(check bool) "dump emitted" true (d1 <> []);
         Alcotest.(check (list string)) "deterministic" d1 d2;
         (match M.last_dump m1 with
@@ -435,12 +505,12 @@ let sim_tests =
             | None -> Alcotest.fail "dump missing flight")
         | None -> Alcotest.fail "last_dump missing");
         let q =
-          List.filter (fun h -> h.M.h_quarantined) (M.health m1)
+          List.filter (fun h -> h.S.h_quarantined) (S.health sup1)
         in
         Alcotest.(check int) "one block quarantined" 1 (List.length q);
         Alcotest.(check bool)
           "streak length recorded" true
-          (List.for_all (fun h -> h.M.h_max_streak >= 2) q)) ]
+          (List.for_all (fun h -> h.S.h_max_streak >= 2) q)) ]
 
 let suite =
   sketch_tests @ sketch_qcheck @ window_tests @ recorder_tests
