@@ -39,10 +39,9 @@ type t = {
   k_injector : (int * int) option;  (* (instant, fired) *)
   k_counters : (string * int) list option;
   k_monitor : Json.t option;
-  k_causal : Domain.t Causal.state option;
+  k_causal : Domain.t Causal.t option;  (* a snapshot, never recorded into *)
   k_machine : Json.t option;
   k_recording : recording option;
-  mutable k_log : Domain.t Causal.t option;  (* queries' rebuild, cached *)
 }
 
 let instant t = t.k_state.Simulate.st_instant
@@ -68,18 +67,6 @@ let check_fingerprint who t compiled =
          "%s: graph fingerprint mismatch (artifact of system %S was \
           captured on other blocks or another port layout)"
          who t.k_system)
-
-(* A ring cut short mid-instant by a fail-fast abort cannot export its
-   continuable state. Its committed events still answer queries about
-   the completed instants; the writer registers are unknown, which only
-   matters to a resume, and an aborted recording is not resumable. *)
-let aborted_state c : Domain.t Causal.state =
-  { Causal.st_capacity = Causal.capacity c;
-    st_pushed = Causal.pushed c;
-    st_instant = Causal.instant c;
-    st_truncated = Causal.truncated_slices c;
-    st_writers = Array.make (Causal.n_nets c) (-1);
-    st_events = Causal.events c }
 
 (* ----------------------------- capture ---------------------------- *)
 
@@ -134,17 +121,20 @@ let recording_of r =
     rc_ports = Array.copy c.Graph.c_outputs }
 
 (* The one capture path. An aborted recording is taken mid-instant, so
-   it carries no supervisor, monitor or machine section and a
-   query-only causal state. *)
+   it carries no supervisor, monitor or machine section, and its causal
+   snapshot keeps the committed events with unknown writer registers:
+   enough for queries about the completed instants, and an aborted
+   recording is not resumable. *)
 let snapshot ~system ?(seed = 0) ?injector ?machine ?recording sim =
   let aborted =
     match recording with Some { rc_fatal = Some _; _ } -> true | _ -> false
   in
-  let sup = Simulate.supervisor sim in
-  (match sup with
-  | Some s when Supervisor.in_instant s && not aborted ->
-      invalid_arg "Checkpoint.capture: instant open"
-  | _ -> ());
+  let sup = Simulate.supervisor sim and causal = Simulate.causal sim in
+  if
+    (not aborted)
+    && (Option.fold ~none:false ~some:Supervisor.in_instant sup
+       || Option.fold ~none:false ~some:Causal.in_instant causal)
+  then invalid_arg "Checkpoint.capture: instant open";
   let unless_aborted f x = if aborted then None else Option.map f x in
   { k_system = system;
     k_strategy = Simulate.strategy sim;
@@ -161,13 +151,9 @@ let snapshot ~system ?(seed = 0) ?injector ?machine ?recording sim =
     k_counters =
       Option.map Registry.export_counters (Simulate.telemetry sim);
     k_monitor = unless_aborted Monitor.state_json (Simulate.monitor sim);
-    k_causal =
-      Option.map
-        (if aborted then aborted_state else Causal.export_state)
-        (Simulate.causal sim);
+    k_causal = Option.map Causal.snapshot causal;
     k_machine = unless_aborted Fun.id machine;
-    k_recording = recording;
-    k_log = None }
+    k_recording = recording }
 
 let capture ~system ?seed ?injector ?machine sim =
   snapshot ~system ?seed ?injector ?machine sim
@@ -223,7 +209,7 @@ let resume ?telemetry ?monitor ?supervisor t graph =
   (* checked before any attachment is touched; [Simulate.create] reuses
      this compilation *)
   check_fingerprint "Checkpoint.resume" t (Graph.compile graph');
-  let causal = Option.map Causal.of_state t.k_causal in
+  let causal = Option.map Causal.copy t.k_causal in
   let sim =
     Simulate.create ~strategy:t.k_strategy ?telemetry ?supervisor ?monitor
       ?causal graph'
@@ -281,13 +267,9 @@ let recording t =
   | None -> invalid_arg "Checkpoint: the artifact has no recording"
 
 let log t =
-  match (t.k_log, t.k_causal) with
-  | Some l, _ -> l
-  | None, Some st ->
-      let l = Causal.of_state st in
-      t.k_log <- Some l;
-      l
-  | None, None -> invalid_arg "Checkpoint: the artifact has no causal log"
+  match t.k_causal with
+  | Some c -> c
+  | None -> invalid_arg "Checkpoint: the artifact has no causal log"
 
 let replay t graph =
   run ~expect:t ~strategy:t.k_strategy ?policy:t.k_policy
@@ -637,18 +619,6 @@ let write_recording rc =
       ("inputs", array pair rc.rc_inputs);
       ("outputs", array pair rc.rc_ports) ]
 
-let write_causal (st : Domain.t Causal.state) =
-  obj
-    [ ("capacity", int st.Causal.st_capacity);
-      ("pushed", int st.Causal.st_pushed);
-      ("instant", int st.Causal.st_instant);
-      ("truncated", int st.Causal.st_truncated);
-      ("writers", ints st.Causal.st_writers);
-      ( "events",
-        list
-          (fun ev buf -> Causal.write_event ~render:Codec.write_value buf ev)
-          st.Causal.st_events ) ]
-
 let write t =
   let st = t.k_state in
   obj
@@ -673,7 +643,10 @@ let write t =
           t.k_injector );
       ("counters", opt (list pair) t.k_counters);
       ("monitor", opt tree t.k_monitor);
-      ("causal", opt write_causal t.k_causal);
+      ( "causal",
+        opt
+          (fun c buf -> Causal.write_json ~render:Codec.write_value buf c)
+          t.k_causal );
       ("machine", opt tree t.k_machine);
       ("recording", opt write_recording t.k_recording) ]
 
@@ -773,17 +746,6 @@ let recording_of_json ~n_nets ~instants j =
   then malformed "recording (producers or ports)";
   rc
 
-let causal_state_of_json j : Domain.t Causal.state =
-  { Causal.st_capacity = int_field "capacity" j;
-    st_pushed = int_field "pushed" j;
-    st_instant = int_field "instant" j;
-    st_truncated = int_field "truncated" j;
-    st_writers = ints_of "writers" j;
-    st_events =
-      List.map
-        (Causal.event_of_json ~unrender:Codec.value_of_json)
-        (list_field "events" j) }
-
 let of_json j =
   (match Json.member "version" j with
   | Some (Json.Int v) when v = version -> ()
@@ -815,7 +777,11 @@ let of_json j =
       st_nets = Codec.vec_of_json "nets" (field "nets" j);
       st_prev_nets = Codec.vec_of_json "prev_nets" (field "prev_nets" j) }
   in
-  let causal = Option.map causal_state_of_json (opt_field "causal" j) in
+  let causal =
+    Option.map
+      (Causal.of_json ~unrender:Codec.value_of_json)
+      (opt_field "causal" j)
+  in
   let recording =
     Option.map
       (recording_of_json
@@ -845,8 +811,7 @@ let of_json j =
     k_monitor = opt_field "monitor" j;
     k_causal = causal;
     k_machine = opt_field "machine" j;
-    k_recording = recording;
-    k_log = None }
+    k_recording = recording }
 
 (* ------------------------------ disk ------------------------------ *)
 

@@ -7,8 +7,9 @@
     inter-instant state (committed outputs, fault streaks, quarantine
     set, per-block health, retry counters, capped fault log), the fault
     injector's clock, the telemetry registry's counters, the monitor's
-    cumulatives, and the causal log's continuable state
-    ({!Telemetry.Causal.state}). Each section belongs to the one
+    cumulatives, and a frozen copy of the causal ring with its writer
+    registers ({!Telemetry.Causal.snapshot}), the log's one form in
+    memory and on disk. Each section belongs to the one
     component that owns the state: block health is the supervisor's
     alone, so a resumed run reports it whether or not the monitor was
     attached before. Reals ride as IEEE-754 bit patterns
@@ -43,7 +44,8 @@ val capture :
     (raises [Invalid_argument] mid-instant). Policy and escalation
     threshold come from the attached supervisor, the injection plan and
     clock from [injector]. [seed] and [system] are provenance metadata.
-    The snapshot is deep: the simulator may keep running afterwards. *)
+    The snapshot is deep: the simulator may keep running afterwards,
+    and neither that nor a query changes the artifact's bytes. *)
 
 (** {1 Recording} *)
 
@@ -110,8 +112,10 @@ val resume :
     non-default configuration; they are restored into. The caller
     drives the remaining instants and feeds the next {!Inject.tick}s to
     [r_injector]. Machine payloads are not applied here: read
-    {!machine} and restore through the owning layer. Raises
-    [Invalid_argument] on a graph fingerprint mismatch and on an
+    {!machine} and restore through the owning layer. The run records
+    into its own copy of the artifact's causal ring, so one artifact
+    resumes any number of times, each run as the uninterrupted one.
+    Raises [Invalid_argument] on a graph fingerprint mismatch and on an
     aborted recording. *)
 
 (** {1 Inspection} *)
@@ -163,12 +167,14 @@ val events : t -> Domain.t Telemetry.Causal.event list
 (** The causal section's retained events. *)
 
 val data_loss : t -> int * int
-(** [(ring overwrites, slices truncated so far)] of the causal log. *)
+(** [(ring overwrites, truncated slices)] of the causal log as
+    captured: queries of the artifact count none. *)
 
 (** {1 Why-provenance} *)
 
 val why : t -> net:int -> instant:int -> Domain.t Telemetry.Causal.slice
-(** Backward causal slice of [(net, instant)] over the causal log. *)
+(** Backward causal slice of [(net, instant)], read from the artifact's
+    causal ring in place. *)
 
 val slice_to_string : t -> Domain.t Telemetry.Causal.slice -> string
 (** Render a slice as an indented causal tree: the queried value, its
@@ -231,7 +237,10 @@ val to_json : t -> Telemetry.Json.t
 val of_json : Telemetry.Json.t -> t
 (** Raises [Invalid_argument] on malformed input or a version other
     than 3 (version 3 moved per-block health from the monitor section
-    to the supervisor section). *)
+    to the supervisor section). The causal section is decoded and
+    checked here ({!Telemetry.Causal.of_json}): a corrupt one fails
+    with a ["Causal.of_json: ..."] diagnostic before any resume or
+    query. *)
 
 val equal : t -> t -> bool
 (** Bit-exact artifact equality: the encoded payloads are equal. *)

@@ -2,9 +2,9 @@ let cell = function
   | Domain.Bottom -> "."
   | v -> Domain.to_string v
 
-let render_signals rows =
+(* [labels] heads the columns, one per instant. *)
+let table labels rows =
   let buf = Buffer.create 256 in
-  let n = List.fold_left (fun acc (_, vs) -> max acc (List.length vs)) 0 rows in
   let name_width =
     List.fold_left (fun acc (name, _) -> max acc (String.length name)) 7 rows
   in
@@ -17,10 +17,11 @@ let render_signals rows =
   let pad width s = s ^ String.make (max 0 (width - String.length s)) ' ' in
   Buffer.add_string buf (pad name_width "instant");
   Buffer.add_string buf " |";
-  for i = 0 to n - 1 do
-    Buffer.add_char buf ' ';
-    Buffer.add_string buf (pad col_width (string_of_int i))
-  done;
+  List.iter
+    (fun i ->
+      Buffer.add_char buf ' ';
+      Buffer.add_string buf (pad col_width (string_of_int i)))
+    labels;
   Buffer.add_char buf '\n';
   List.iter
     (fun (name, vs) ->
@@ -34,6 +35,10 @@ let render_signals rows =
       Buffer.add_char buf '\n')
     rows;
   Buffer.contents buf
+
+let render_signals rows =
+  let n = List.fold_left (fun acc (_, vs) -> max acc (List.length vs)) 0 rows in
+  table (List.init n Fun.id) rows
 
 (* Signal rows of a trace: inputs then outputs, by first appearance. *)
 let collect trace =
@@ -58,7 +63,8 @@ let collect trace =
       (name, List.map of_entry trace))
     !order
 
-let render trace = render_signals (collect trace)
+let render trace =
+  table (List.map (fun e -> e.Simulate.instant) trace) (collect trace)
 
 (* ------------------------------------------------------------------ *)
 (* VCD export                                                          *)

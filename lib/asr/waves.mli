@@ -10,11 +10,12 @@
     Absent (⊥) values render as [.]. *)
 
 val render : Simulate.trace_entry list -> string
-(** Columns per instant; one row per input and output signal, inputs
-    first, in first-appearance order. *)
+(** One column per entry, headed by the entry's [instant] (a resumed
+    run's columns start at its first instant, not 0); one row per input
+    and output signal, inputs first, in first-appearance order. *)
 
 val render_signals : (string * Domain.t list) list -> string
-(** Lower-level: explicit rows. *)
+(** Lower-level: explicit rows, columns numbered from 0. *)
 
 val to_vcd : Simulate.trace_entry list -> string
 (** Standard VCD dump of the same signals (one VCD timestep per

@@ -26,7 +26,8 @@ let kinds = [| Eval; Input; Delay; Folded |]
    nothing once the arenas are sized: a stride grows (re-laying every
    slot) only when an event exceeds it, and the value arena is created
    with the first recorded value, which also fills its unused entries.
-   Event records are built only when a query or the serializer asks.
+   Event records are built only when a query asks; the serializer
+   streams the slots.
    The open evaluation collects reads and writes in reused scratch and
    is copied into the ring on commit: a quiet evaluation pushes nothing
    and must not clobber the oldest retained event. *)
@@ -63,11 +64,10 @@ type 'v t = {
   mutable c_w_vals : 'v array;  (* [||] until the first write *)
   mutable c_n_writes : int;
   mutable c_truncated : int;
+  c_frozen : bool;  (* a snapshot: records nothing, counts no slices *)
 }
 
-let create ?(capacity = 65536) ~n_nets () =
-  if capacity < 1 then invalid_arg "Causal.create: capacity must be >= 1";
-  if n_nets < 0 then invalid_arg "Causal.create: negative net count";
+let make ~frozen ~capacity ~n_nets =
   let slots v = Array.make capacity v in
   { c_capacity = capacity;
     c_n_nets = n_nets;
@@ -97,7 +97,13 @@ let create ?(capacity = 65536) ~n_nets () =
     c_w_nets = [||];
     c_w_vals = [||];
     c_n_writes = 0;
-    c_truncated = 0 }
+    c_truncated = 0;
+    c_frozen = frozen }
+
+let create ?(capacity = 65536) ~n_nets () =
+  if capacity < 1 then invalid_arg "Causal.create: capacity must be >= 1";
+  if n_nets < 0 then invalid_arg "Causal.create: negative net count";
+  make ~frozen:false ~capacity ~n_nets
 
 let capacity t = t.c_capacity
 
@@ -109,6 +115,8 @@ let in_instant t = t.c_open
 
 let begin_instant t =
   if t.c_open then invalid_arg "Causal.begin_instant: instant open";
+  if t.c_frozen then
+    invalid_arg "Causal.begin_instant: a snapshot records nothing";
   t.c_open <- true;
   t.c_instant <- t.c_instant + 1;
   let prev = t.c_prev in
@@ -169,20 +177,6 @@ let set_slot t s ~uid ~instant ~kind ~block ~tag ~src ~n_reads ~n_writes =
   t.s_src.(s) <- src;
   t.s_n_reads.(s) <- n_reads;
   t.s_n_writes.(s) <- n_writes
-
-(* Store a whole event record in its slot (restoration). *)
-let store t ev =
-  let nr = Array.length ev.ev_reads and nw = Array.length ev.ev_write_nets in
-  reserve_reads t nr;
-  if nw > 0 then reserve_writes t nw ev.ev_write_values.(0);
-  let s = ev.ev_uid mod t.c_capacity in
-  set_slot t s ~uid:ev.ev_uid ~instant:ev.ev_instant ~kind:ev.ev_kind
-    ~block:ev.ev_block ~tag:ev.ev_tag ~src:ev.ev_src ~n_reads:nr ~n_writes:nw;
-  Array.blit ev.ev_reads 0 t.r_arena (s * t.r_stride) nr;
-  if nw > 0 then begin
-    Array.blit ev.ev_write_nets 0 t.w_nets (s * t.w_stride) nw;
-    Array.blit ev.ev_write_values 0 t.w_vals (s * t.w_stride) nw
-  end
 
 let event_at t s =
   let nw = t.s_n_writes.(s) in
@@ -299,8 +293,6 @@ let eval_commit t =
 (* -------------------------- loss accounting ----------------------- *)
 
 let pushed t = t.c_pushed
-
-let retained t = min t.c_pushed t.c_capacity
 
 let overwrites t = max 0 (t.c_pushed - t.c_capacity)
 
@@ -424,7 +416,7 @@ let slice t ~net ~instant =
     |> List.sort (fun a b -> compare a.ev_uid b.ev_uid)
   in
   let truncated = !missing <> [] in
-  if truncated then t.c_truncated <- t.c_truncated + 1;
+  if truncated && not t.c_frozen then t.c_truncated <- t.c_truncated + 1;
   { sl_net = net;
     sl_instant = instant;
     sl_value = value;
@@ -434,108 +426,51 @@ let slice t ~net ~instant =
     sl_missing = List.rev !missing;
     sl_truncated = truncated }
 
-(* ---------------------- restoration / serialization --------------- *)
+(* ------------------------------ copies ---------------------------- *)
 
-(* A [state] carries the per-net writer registers explicitly, which is
-   what makes a checkpointed log *continuable*: the live registers may
-   reference evicted events the ring no longer holds, and the resumed
-   recording must produce uids and read edges bit-identical to the
-   uninterrupted run's. *)
+(* A copy owns its arrays: further recording into [t] or a query of
+   the copy leaves the other untouched. A log cut short mid-instant
+   copies its committed events only; its open evaluation's scratch is
+   dropped and its writer registers, which may already name events of
+   the unfinished instant, become unknown. *)
+let duplicate ~frozen t =
+  { t with
+    s_uid = Array.copy t.s_uid;
+    s_instant = Array.copy t.s_instant;
+    s_kind = Array.copy t.s_kind;
+    s_block = Array.copy t.s_block;
+    s_tag = Array.copy t.s_tag;
+    s_src = Array.copy t.s_src;
+    s_n_reads = Array.copy t.s_n_reads;
+    s_n_writes = Array.copy t.s_n_writes;
+    r_arena = Array.copy t.r_arena;
+    w_nets = Array.copy t.w_nets;
+    w_vals = Array.copy t.w_vals;
+    c_open = false;
+    c_cur =
+      (if t.c_open then Array.make t.c_n_nets (-1) else Array.copy t.c_cur);
+    c_prev = Array.make t.c_n_nets (-1);
+    c_ev_open = false;
+    c_ev_block = -1;
+    c_ev_tag = no_tag;
+    c_reads = Array.make 16 0;
+    c_n_reads = 0;
+    c_w_nets = [||];
+    c_w_vals = [||];
+    c_n_writes = 0;
+    c_frozen = frozen }
 
-type 'v state = {
-  st_capacity : int;
-  st_pushed : int;
-  st_instant : int;
-  st_truncated : int;
-  st_writers : int array;
-  st_events : 'v event list;
-}
+let snapshot t = duplicate ~frozen:true t
 
-let export_state t =
-  if t.c_open then invalid_arg "Causal.export_state: instant open";
-  { st_capacity = t.c_capacity;
-    st_pushed = t.c_pushed;
-    st_instant = t.c_instant;
-    st_truncated = t.c_truncated;
-    st_writers = Array.copy t.c_cur;
-    st_events = events t }
-
-(* A state comes from disk: every register and event is checked against
-   the log's own invariants before anything is stored, so a corrupt
-   checkpoint fails with a named error instead of an out-of-bounds
-   access (or, worse, a ring that answers queries wrongly). *)
-let validate st =
-  let bad fmt =
-    Printf.ksprintf (fun m -> invalid_arg ("Causal.of_state: " ^ m)) fmt
-  in
-  if st.st_capacity < 1 then bad "capacity must be >= 1";
-  if st.st_pushed < 0 then bad "negative push count %d" st.st_pushed;
-  if st.st_instant < -1 then bad "instant %d out of range" st.st_instant;
-  if st.st_truncated < 0 then bad "negative truncated-slice count";
-  let n_nets = Array.length st.st_writers in
-  let lo = max 0 (st.st_pushed - st.st_capacity) in
-  Array.iteri
-    (fun net uid ->
-      if uid < -1 || uid >= st.st_pushed then
-        bad "writer of net %d is uid %d, never pushed" net uid)
-    st.st_writers;
-  let net_ok n = n >= 0 && n < n_nets in
-  ignore
-    (List.fold_left
-       (fun prev ev ->
-         let u = ev.ev_uid in
-         if u < lo || u >= st.st_pushed then
-           bad "event uid %d outside the retention window [%d, %d)" u lo
-             st.st_pushed;
-         if u <= prev then bad "event uid %d out of push order" u;
-         if ev.ev_instant < 0 || ev.ev_instant > st.st_instant then
-           bad "event %d: instant %d out of range" u ev.ev_instant;
-         if ev.ev_block < -1 then bad "event %d: block %d" u ev.ev_block;
-         if ev.ev_src <> -1 && not (net_ok ev.ev_src) then
-           bad "event %d: source net %d out of range" u ev.ev_src;
-         let reads = ev.ev_reads in
-         if Array.length reads mod 2 <> 0 then
-           bad "event %d: odd-length reads" u;
-         for p = 0 to (Array.length reads / 2) - 1 do
-           if not (net_ok reads.(2 * p)) then
-             bad "event %d: read net %d out of range" u reads.(2 * p);
-           let ru = reads.((2 * p) + 1) in
-           if ru < -1 || ru >= u then
-             bad "event %d: read producer uid %d is not an earlier event" u ru
-         done;
-         if Array.length ev.ev_write_values <> Array.length ev.ev_write_nets
-         then bad "event %d: write nets and values differ in length" u;
-         Array.iter
-           (fun n ->
-             if not (net_ok n) then
-               bad "event %d: write net %d out of range" u n)
-           ev.ev_write_nets;
-         u)
-       (lo - 1) st.st_events)
-
-let of_state st =
-  validate st;
-  let n_nets = Array.length st.st_writers in
-  let t = create ~capacity:st.st_capacity ~n_nets () in
-  List.iter (store t) st.st_events;
-  t.c_pushed <- st.st_pushed;
-  t.c_instant <- st.st_instant;
-  t.c_truncated <- st.st_truncated;
-  Array.blit st.st_writers 0 t.c_cur 0 n_nets;
-  t
+let copy t =
+  if t.c_open then invalid_arg "Causal.copy: instant open";
+  duplicate ~frozen:false t
 
 let kind_name = function
   | Eval -> "eval"
   | Input -> "input"
   | Delay -> "delay"
   | Folded -> "folded"
-
-let kind_of_name = function
-  | "eval" -> Eval
-  | "input" -> Input
-  | "delay" -> Delay
-  | "folded" -> Folded
-  | s -> invalid_arg ("Causal.kind_of_name: " ^ s)
 
 let event_json ~render ev =
   let reads =
@@ -559,110 +494,181 @@ let event_json ~render ev =
     @ (if ev.ev_src < 0 then [] else [ ("src", Json.Int ev.ev_src) ])
     @ [ ("reads", Json.List reads); ("writes", Json.List writes) ])
 
-(* [event_json]'s bytes, streamed: the checkpoint writes every retained
-   event of a full ring, so nothing here may allocate per event beyond
-   what [render] does. *)
-let write_event ~render buf ev =
+(* [event_json]'s bytes for the event in slot [s], streamed: a save
+   writes every retained event of a full ring, so nothing here may
+   allocate per event beyond what [render] does. *)
+let write_slot ~render buf t s =
   Buffer.add_string buf {|{"uid":|};
-  Json.write_int buf ev.ev_uid;
+  Json.write_int buf t.s_uid.(s);
   Buffer.add_string buf {|,"instant":|};
-  Json.write_int buf ev.ev_instant;
+  Json.write_int buf t.s_instant.(s);
   Buffer.add_string buf {|,"kind":"|};
-  Buffer.add_string buf (kind_name ev.ev_kind);
+  Buffer.add_string buf (kind_name kinds.(t.s_kind.(s)));
   Buffer.add_string buf {|","block":|};
-  Json.write_int buf ev.ev_block;
-  if ev.ev_tag <> "" then begin
+  Json.write_int buf t.s_block.(s);
+  let tag = t.s_tag.(s) in
+  if tag <> no_tag then begin
     Buffer.add_string buf {|,"tag":|};
-    Json.write_str buf ev.ev_tag
+    Json.write_str buf tag
   end;
-  if ev.ev_src >= 0 then begin
+  if t.s_src.(s) >= 0 then begin
     Buffer.add_string buf {|,"src":|};
-    Json.write_int buf ev.ev_src
+    Json.write_int buf t.s_src.(s)
   end;
   Buffer.add_string buf {|,"reads":[|};
-  for p = 0 to (Array.length ev.ev_reads / 2) - 1 do
+  let rb = s * t.r_stride in
+  for p = 0 to (t.s_n_reads.(s) / 2) - 1 do
     if p > 0 then Buffer.add_char buf ',';
     Buffer.add_char buf '[';
-    Json.write_int buf ev.ev_reads.(2 * p);
+    Json.write_int buf t.r_arena.(rb + (2 * p));
     Buffer.add_char buf ',';
-    Json.write_int buf ev.ev_reads.((2 * p) + 1);
+    Json.write_int buf t.r_arena.(rb + (2 * p) + 1);
     Buffer.add_char buf ']'
   done;
   Buffer.add_string buf {|],"writes":[|};
-  for i = 0 to Array.length ev.ev_write_nets - 1 do
+  let wb = s * t.w_stride in
+  for i = 0 to t.s_n_writes.(s) - 1 do
     if i > 0 then Buffer.add_char buf ',';
     Buffer.add_char buf '[';
-    Json.write_int buf ev.ev_write_nets.(i);
+    Json.write_int buf t.w_nets.(wb + i);
     Buffer.add_char buf ',';
-    render buf ev.ev_write_values.(i);
+    render buf t.w_vals.(wb + i);
     Buffer.add_char buf ']'
   done;
   Buffer.add_string buf "]}"
 
-let event_of_json ~unrender j =
-  let get k =
-    match Json.member k j with
-    | Some v -> v
-    | None -> invalid_arg ("Causal.event_of_json: missing " ^ k)
-  in
-  let int k =
-    match get k with
-    | Json.Int n -> n
-    | _ -> invalid_arg ("Causal.event_of_json: " ^ k)
-  in
-  let opt_int k d = match Json.member k j with Some (Json.Int n) -> n | _ -> d in
-  let reads =
-    match get "reads" with
-    | Json.List pairs ->
-        let a = Array.make (2 * List.length pairs) 0 in
-        List.iteri
-          (fun p pair ->
-            match pair with
-            | Json.List [ Json.Int net; Json.Int uid ] ->
-                a.(2 * p) <- net;
-                a.((2 * p) + 1) <- uid
-            | _ -> invalid_arg "Causal.event_of_json: bad read")
-          pairs;
-        a
-    | _ -> invalid_arg "Causal.event_of_json: reads"
-  in
-  let wnets, wvals =
-    match get "writes" with
-    | Json.List ws ->
-        let n = List.length ws in
-        let nets = Array.make n 0 in
-        let vals =
-          Array.init n (fun i ->
-              match List.nth ws i with
-              | Json.List [ Json.Int net; v ] ->
-                  nets.(i) <- net;
-                  unrender v
-              | _ -> invalid_arg "Causal.event_of_json: bad write")
-        in
-        (nets, vals)
-    | _ -> invalid_arg "Causal.event_of_json: writes"
-  in
-  { ev_uid = int "uid";
-    ev_instant = int "instant";
-    ev_kind =
-      (match get "kind" with
-      | Json.Str s -> kind_of_name s
-      | _ -> invalid_arg "Causal.event_of_json: kind");
-    ev_block = int "block";
-    ev_tag =
-      (match Json.member "tag" j with Some (Json.Str s) -> s | _ -> "");
-    ev_src = opt_int "src" (-1);
-    ev_reads = reads;
-    ev_write_nets = wnets;
-    ev_write_values = wvals }
+let write_json ~render buf t =
+  if t.c_open then invalid_arg "Causal.write_json: instant open";
+  Buffer.add_string buf {|{"capacity":|};
+  Json.write_int buf t.c_capacity;
+  Buffer.add_string buf {|,"pushed":|};
+  Json.write_int buf t.c_pushed;
+  Buffer.add_string buf {|,"instant":|};
+  Json.write_int buf t.c_instant;
+  Buffer.add_string buf {|,"truncated":|};
+  Json.write_int buf t.c_truncated;
+  Buffer.add_string buf {|,"writers":[|};
+  for net = 0 to t.c_n_nets - 1 do
+    if net > 0 then Buffer.add_char buf ',';
+    Json.write_int buf t.c_cur.(net)
+  done;
+  Buffer.add_string buf {|],"events":[|};
+  let first = ref true in
+  for uid = first_retained t to t.c_pushed - 1 do
+    let s = uid mod t.c_capacity in
+    if t.s_uid.(s) = uid then begin
+      if not !first then Buffer.add_char buf ',';
+      first := false;
+      write_slot ~render buf t s
+    end
+  done;
+  Buffer.add_string buf "]}"
 
-let events_json ~render t =
-  Json.Obj
-    [ ("capacity", Json.Int t.c_capacity);
-      ("pushed", Json.Int t.c_pushed);
-      ("overwrites", Json.Int (overwrites t));
-      ("truncated_slices", Json.Int t.c_truncated);
-      ("events", Json.List (List.map (event_json ~render) (events t))) ]
+(* The section comes from disk: every register and event is checked
+   against the log's own invariants as it is stored, so a corrupt
+   section fails with a named error instead of an out-of-bounds access
+   (or, worse, a ring that answers queries wrongly). Reads and writes
+   are pairs, so their arenas stay even and parallel by construction. *)
+let of_json ~unrender j =
+  let bad fmt =
+    Printf.ksprintf (fun m -> invalid_arg ("Causal.of_json: " ^ m)) fmt
+  in
+  let get k j =
+    match Json.member k j with Some v -> v | None -> bad "missing %s" k
+  in
+  let int k j =
+    match get k j with Json.Int n -> n | _ -> bad "malformed %s" k
+  in
+  let list k j =
+    match get k j with Json.List l -> l | _ -> bad "malformed %s" k
+  in
+  let capacity = int "capacity" j and pushed = int "pushed" j in
+  let instant = int "instant" j and truncated = int "truncated" j in
+  let writers =
+    Array.of_list
+      (List.map
+         (function Json.Int n -> n | _ -> bad "malformed writers")
+         (list "writers" j))
+  in
+  if capacity < 1 then bad "capacity must be >= 1";
+  if pushed < 0 then bad "negative push count %d" pushed;
+  if instant < -1 then bad "instant %d out of range" instant;
+  if truncated < 0 then bad "negative truncated-slice count";
+  Array.iteri
+    (fun net uid ->
+      if uid < -1 || uid >= pushed then
+        bad "writer of net %d is uid %d, never pushed" net uid)
+    writers;
+  let n_nets = Array.length writers in
+  let net_ok n = n >= 0 && n < n_nets in
+  let t = make ~frozen:true ~capacity ~n_nets in
+  let lo = max 0 (pushed - capacity) in
+  let store prev ev =
+    let u = int "uid" ev in
+    if u < lo || u >= pushed then
+      bad "event uid %d outside the retention window [%d, %d)" u lo pushed;
+    if u <= prev then bad "event uid %d out of push order" u;
+    let inst = int "instant" ev in
+    if inst < 0 || inst > instant then
+      bad "event %d: instant %d out of range" u inst;
+    let kind =
+      match get "kind" ev with
+      | Json.Str "eval" -> Eval
+      | Json.Str "input" -> Input
+      | Json.Str "delay" -> Delay
+      | Json.Str "folded" -> Folded
+      | _ -> bad "event %d: malformed kind" u
+    in
+    let block = int "block" ev in
+    if block < -1 then bad "event %d: block %d" u block;
+    let tag =
+      match Json.member "tag" ev with Some (Json.Str s) -> s | _ -> no_tag
+    in
+    let src =
+      match Json.member "src" ev with Some (Json.Int n) -> n | _ -> -1
+    in
+    if src <> -1 && not (net_ok src) then
+      bad "event %d: source net %d out of range" u src;
+    let s = u mod capacity in
+    let reads = list "reads" ev in
+    let n_reads = 2 * List.length reads in
+    reserve_reads t n_reads;
+    let rb = s * t.r_stride in
+    List.iteri
+      (fun p -> function
+        | Json.List [ Json.Int net; Json.Int ru ] ->
+            if not (net_ok net) then
+              bad "event %d: read net %d out of range" u net;
+            if ru < -1 || ru >= u then
+              bad "event %d: read producer uid %d is not an earlier event" u
+                ru;
+            t.r_arena.(rb + (2 * p)) <- net;
+            t.r_arena.(rb + (2 * p) + 1) <- ru
+        | _ -> bad "event %d: malformed read" u)
+      reads;
+    let writes = list "writes" ev in
+    let n_writes = List.length writes in
+    List.iteri
+      (fun i -> function
+        | Json.List [ Json.Int net; v ] ->
+            if not (net_ok net) then
+              bad "event %d: write net %d out of range" u net;
+            let v = unrender v in
+            if i = 0 then reserve_writes t n_writes v;
+            t.w_nets.((s * t.w_stride) + i) <- net;
+            t.w_vals.((s * t.w_stride) + i) <- v
+        | _ -> bad "event %d: malformed write" u)
+      writes;
+    set_slot t s ~uid:u ~instant:inst ~kind ~block ~tag ~src ~n_reads
+      ~n_writes;
+    u
+  in
+  ignore (List.fold_left store (lo - 1) (list "events" j));
+  t.c_pushed <- pushed;
+  t.c_instant <- instant;
+  t.c_truncated <- truncated;
+  Array.blit writers 0 t.c_cur 0 n_nets;
+  t
 
 let slice_json ~render sl =
   let pair (net, inst) =

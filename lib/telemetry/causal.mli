@@ -24,7 +24,10 @@
     instant, kind, block, tag and source, plus fixed-stride read and
     write arenas whose stride grows only when an event exceeds it — so
     recording allocates nothing per event. {!event} records are built
-    on demand, by queries and serialization. *)
+    on demand by queries; serialization streams the slots. The ring is
+    also the log's only saved form: a checkpoint keeps a {!snapshot}
+    of it, {!write_json} streams that, {!of_json} decodes it back into
+    a ring, and a resumed run records into its own {!copy}. *)
 
 type kind =
   | Eval  (** a block evaluation *)
@@ -74,7 +77,8 @@ val begin_instant : 'v t -> unit
 (** Opens the next instant: the current net-writer registers become the
     previous instant's (so delay bindings can resolve their source) and
     every net starts the new instant unwritten. Raises
-    [Invalid_argument] when an instant is already open. *)
+    [Invalid_argument] when an instant is already open or [t] is a
+    {!snapshot}. *)
 
 val end_instant : 'v t -> unit
 
@@ -117,14 +121,13 @@ val eval_commit : 'v t -> unit
 val pushed : 'v t -> int
 (** Events pushed since creation (monotone; not reset by eviction). *)
 
-val retained : 'v t -> int
-
 val overwrites : 'v t -> int
 (** Events lost to ring eviction: [max 0 (pushed - capacity)]. *)
 
 val truncated_slices : 'v t -> int
 (** Slices computed so far whose dependency chase crossed the retention
-    horizon. *)
+    horizon. A {!snapshot} keeps the count it was taken with: slices of
+    it count nothing. *)
 
 val data_loss : 'v t -> int * int
 (** [(overwrites, truncated_slices)] — the pair surfaced in
@@ -164,49 +167,44 @@ val slice : 'v t -> net:int -> instant:int -> 'v slice
     evaluation reads within the instant and delay crossings into
     earlier instants. *)
 
-(** {1 Restoration and serialization} *)
+(** {1 Copies and serialization}
 
-(** A continuable snapshot of the log: it carries the per-net writer
-    registers (which may reference evicted events the ring no longer
-    holds) so a log rebuilt with {!of_state} keeps recording with uids
-    and read edges bit-identical to the uninterrupted run's; queries
-    over the rebuilt log answer as the live one did. *)
-type 'v state = {
-  st_capacity : int;
-  st_pushed : int;
-  st_instant : int;  (** last opened instant; -1 before the first *)
-  st_truncated : int;
-  st_writers : int array;
-      (** establishing uid per net for the last recorded instant *)
-  st_events : 'v event list;  (** retained events, push order *)
-}
+    A copy carries the per-net writer registers, which may reference
+    evicted events the ring no longer holds, so a log continued from a
+    copy records uids and read edges bit-identical to the uninterrupted
+    run's, and queries over it answer as the original did. *)
 
-val export_state : 'v t -> 'v state
-(** Raises [Invalid_argument] when an instant is open. *)
+val snapshot : 'v t -> 'v t
+(** A frozen deep copy (array blits, no event records): it answers
+    queries, but {!begin_instant} on it raises and its slices count
+    nothing, so its {!write_json} bytes never change. Of a log cut
+    short mid-instant, the snapshot holds the committed events and
+    unknown (-1) writer registers: it answers queries about completed
+    instants, and a run continued from it would not be faithful. *)
 
-val of_state : 'v state -> 'v t
-(** Rebuild a continuable log. The state is validated first — capacity
-    and counters, writer registers inside the pushed range, and every
-    event: uid inside the retention window and in push order, instant
-    within [st_instant], source, read and write nets within the net
-    count ([Array.length st_writers]), even-length reads whose producer
-    uids precede the event, one value per written net. A violation
-    raises [Invalid_argument "Causal.of_state: ..."]. *)
+val copy : 'v t -> 'v t
+(** A deep copy that keeps recording where [t] stopped; [t] may be a
+    {!snapshot}. Raises [Invalid_argument] when an instant is open. *)
 
 val event_json : render:('v -> Json.t) -> 'v event -> Json.t
 
-val write_event :
-  render:(Buffer.t -> 'v -> unit) -> Buffer.t -> 'v event -> unit
-(** Appends the bytes [Json.to_string (event_json ~render:r ev)], given
-    a [render] that appends [Json.to_string (r v)]; allocates nothing
-    per event beyond what [render] does. *)
+val write_json : render:(Buffer.t -> 'v -> unit) -> Buffer.t -> 'v t -> unit
+(** Appends the log as one JSON object: [capacity], [pushed], the last
+    opened [instant] (-1 before the first), [truncated] slices, the
+    per-net [writers] and the retained [events] in push order, each as
+    the bytes of {!event_json}, given a [render] that appends
+    [Json.to_string (r v)]. Allocates nothing per event beyond what
+    [render] does. Raises [Invalid_argument] when an instant is open. *)
 
-val event_of_json : unrender:(Json.t -> 'v) -> Json.t -> 'v event
-(** Inverse of {!event_json}. Raises [Invalid_argument] or
-    [Json.Parse_error] on malformed input. *)
-
-val events_json : render:('v -> Json.t) -> 'v t -> Json.t
-(** Object with [capacity], [pushed], [overwrites], [truncated_slices]
-    and the retained [events]. *)
+val of_json : unrender:(Json.t -> 'v) -> Json.t -> 'v t
+(** Inverse of {!write_json}: a {!snapshot} holding the section. It is
+    validated as it is stored — capacity and counters, writer
+    registers inside the pushed range, and every event: uid inside the
+    retention window and in push order, instant within the log's,
+    source, read and write nets within the net count (the length of
+    [writers]), reads and writes as pairs, read producer uids preceding
+    the event. A violation raises
+    [Invalid_argument "Causal.of_json: ..."]; so does a malformed
+    field, unless [unrender] raises first. *)
 
 val slice_json : render:('v -> Json.t) -> 'v slice -> Json.t

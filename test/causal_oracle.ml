@@ -1,7 +1,8 @@
 (* Reference model of the causal log for differential tests: a ring of
    whole event records, the straightforward layout the flat
    struct-of-arrays ring in [Telemetry.Causal] must agree with exactly
-   (events, lookups, slices, state snapshots and JSON). Types are
+   (events, lookups, slices, and the continuable state, which the
+   ring's streamed section must encode). Event and slice types are
    shared with [Telemetry.Causal] so results compare with [=]. *)
 
 module C = Telemetry.Causal
@@ -201,8 +202,6 @@ let eval_commit t =
 
 let pushed t = t.c_pushed
 
-let retained t = min t.c_pushed t.c_capacity
-
 let overwrites t = max 0 (t.c_pushed - t.c_capacity)
 
 let truncated_slices t = t.c_truncated
@@ -338,7 +337,7 @@ let slice t ~net ~instant =
 (* A [state] carries the per-net writer registers, so a log rebuilt
    from it keeps recording like the uninterrupted one. *)
 
-type 'v state = 'v C.state = {
+type 'v state = {
   st_capacity : int;
   st_pushed : int;
   st_instant : int;
@@ -369,13 +368,3 @@ let of_state st =
   t.c_truncated <- st.st_truncated;
   Array.blit st.st_writers 0 t.c_cur 0 n_nets;
   t
-
-
-let events_json ~render t =
-  Telemetry.Json.Obj
-    [ ("capacity", Telemetry.Json.Int t.c_capacity);
-      ("pushed", Telemetry.Json.Int t.c_pushed);
-      ("overwrites", Telemetry.Json.Int (overwrites t));
-      ("truncated_slices", Telemetry.Json.Int t.c_truncated);
-      ( "events",
-        Telemetry.Json.List (List.map (C.event_json ~render) (events t)) ) ]

@@ -72,3 +72,7 @@ echo "[exit $?]"
 echo "flight.json:"
 cat flight.json
 echo
+
+# The same checkpoint resumed without a monitor: the trace table's
+# columns are headed by the resumed instants, 4 and 5.
+case_ simulate fir.mj FirFilter -n 6 --resume ck/checkpoint-4.json

@@ -196,10 +196,8 @@ let corruptions ~pushed ~n_nets =
     ("non-positive capacity", fun _ d ->
         map_member "capacity" (fun _ -> J.Int (-d))) ]
 
-(* Resume [ck] (through a JSON round-trip) against clean [g] and drive
-   the remaining instants. *)
-let resume_and_run ck g stream =
-  let ck = K.of_json (K.to_json ck) in
+(* Resume [ck] against clean [g] and drive the remaining instants. *)
+let resume_run ck g stream =
   let r = K.resume ck g in
   let start = K.instant ck in
   let routs, rfatal = run_to_end r.K.r_sim r.K.r_injector (drop start stream) in
@@ -212,6 +210,9 @@ let resume_and_run ck g stream =
              r.K.r_sim)
   in
   (r, start, routs, final, rfatal)
+
+(* The same, through a JSON round-trip of [ck]. *)
+let resume_and_run ck g stream = resume_run (K.of_json (K.to_json ck)) g stream
 
 (* A resumed run converged: identical suffix outputs and a final
    checkpoint byte-identical to the oracle's (or, on aborted runs, the
@@ -463,29 +464,64 @@ let opaque_tree =
                     (pair awkward_string (self (n - 1))))
              ])
 
-let random_event =
+(* A causal section over [n_nets] nets that passes [Causal.of_json]'s
+   checks: a random subset of the retention window's uids in push
+   order, nets inside the graph, reads of earlier events (or ⊥),
+   instants within the log's; tags, blocks and values are awkward. *)
+let causal_section n_nets =
   let open QCheck.Gen in
-  let* uid = any_int and* instant = any_int and* block = any_int in
-  let* kind = oneofl [ C.Eval; C.Input; C.Delay; C.Folded ] in
-  let* tag = oneof [ return ""; awkward_string ] in
-  let* src = oneof [ return (-1); small_nat ] in
-  let* reads = list_size (int_range 0 3) (pair small_nat any_int) in
-  let* writes = list_size (int_range 0 3) (pair small_nat awkward_value) in
+  let net = if n_nets = 0 then return 0 else int_range 0 (n_nets - 1) in
+  let nets_or_none g = if n_nets = 0 then return [] else g in
+  let ints a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a)) in
+  let* capacity = int_range 1 8 and* pushed = int_range 0 12 in
+  let lo = max 0 (pushed - capacity) in
+  let* kept = list_repeat (pushed - lo) bool in
+  let uids =
+    List.filter_map Fun.id
+      (List.mapi (fun k keep -> if keep then Some (lo + k) else None) kept)
+  in
+  let* instant = int_range (if uids = [] then -1 else 0) 4
+  and* truncated = small_nat
+  and* writers = array_repeat n_nets (int_range (-1) (pushed - 1)) in
+  let event uid =
+    let* instant = int_range 0 (max 0 instant)
+    and* kind = oneofl [ C.Eval; C.Input; C.Delay; C.Folded ]
+    and* block = oneof [ return (-1); small_nat; return max_int ]
+    and* tag = oneof [ return ""; awkward_string ]
+    and* src = if n_nets = 0 then return (-1) else oneof [ return (-1); net ]
+    and* reads =
+      nets_or_none
+        (list_size (int_range 0 3) (pair net (int_range (-1) (uid - 1))))
+    and* writes =
+      nets_or_none (list_size (int_range 0 3) (pair net awkward_value))
+    in
+    return
+      { C.ev_uid = uid;
+        ev_instant = instant;
+        ev_kind = kind;
+        ev_block = block;
+        ev_tag = tag;
+        ev_src = src;
+        ev_reads =
+          Array.of_list (List.concat_map (fun (n, u) -> [ n; u ]) reads);
+        ev_write_nets = Array.of_list (List.map fst writes);
+        ev_write_values = Array.of_list (List.map snd writes) }
+  in
+  let* events = flatten_l (List.map event uids) in
   return
-    { C.ev_uid = uid;
-      ev_instant = instant;
-      ev_kind = kind;
-      ev_block = block;
-      ev_tag = tag;
-      ev_src = src;
-      ev_reads = Array.of_list (List.concat_map (fun (n, u) -> [ n; u ]) reads);
-      ev_write_nets = Array.of_list (List.map fst writes);
-      ev_write_values = Array.of_list (List.map snd writes) }
+    (J.Obj
+       [ ("capacity", J.Int capacity);
+         ("pushed", J.Int pushed);
+         ("instant", J.Int instant);
+         ("truncated", J.Int truncated);
+         ("writers", ints writers);
+         ( "events",
+           J.List (List.map (C.event_json ~render:Cd.value_json) events) ) ])
 
 (* A random artifact as the tree the format describes, assembled from
    the tree codecs ([Causal.event_json], [Codec.value_json]); shapes
    are consistent where [of_json] checks them (the recording's instant
-   and net counts, producers and ports). *)
+   and net counts, producers and ports, and the causal section). *)
 let artifact_tree =
   let open QCheck.Gen in
   let ints a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a)) in
@@ -566,22 +602,7 @@ let artifact_tree =
                 ("outputs", pairs ports) ]))
   in
   let* causal =
-    let section =
-      let* capacity = any_int and* pushed = any_int and* instant = any_int
-      and* truncated = any_int
-      and* writers = array_repeat n_nets any_int
-      and* events = list_size (int_range 0 6) random_event in
-      return
-        (J.Obj
-           [ ("capacity", J.Int capacity);
-             ("pushed", J.Int pushed);
-             ("instant", J.Int instant);
-             ("truncated", J.Int truncated);
-             ("writers", ints writers);
-             ( "events",
-               J.List (List.map (C.event_json ~render:Cd.value_json) events) )
-           ])
-    in
+    let section = causal_section n_nets in
     (* a recording needs its causal section *)
     if recording <> None then map Option.some section else opt section
   in
@@ -766,20 +787,41 @@ let suite =
         Alcotest.(check string) "state identical" (J.to_string st)
           (J.to_string (M.state_json m'));
         Alcotest.(check int) "instants" (M.instants m) (M.instants m'));
-    case "causal state export/of_state preserves the continuable log"
+    case "a causal snapshot and its copy keep the continuable log"
       (fun () ->
         let g = chain_graph () in
         let cz = C.create ~n_nets:(G.compile g).G.n_nets () in
         let sim = Sim.create ~causal:cz g in
         List.iter (fun i -> ignore (Sim.step sim i)) (chain_stream 4);
-        let st = C.export_state cz in
-        let cz' = C.of_state st in
-        Alcotest.(check int) "pushed" (C.pushed cz) (C.pushed cz');
+        let snap = C.snapshot cz in
+        let cz' = C.copy snap in
         let render = C.event_json ~render:Cd.value_json in
-        Alcotest.(check (list string))
-          "events identical"
-          (List.map (fun e -> J.to_string (render e)) (C.events cz))
-          (List.map (fun e -> J.to_string (render e)) (C.events cz')));
+        let events c =
+          List.map (fun e -> J.to_string (render e)) (C.events c)
+        in
+        List.iter
+          (fun (what, c) ->
+            Alcotest.(check int) (what ^ " pushed") (C.pushed cz) (C.pushed c);
+            Alcotest.(check (list string)) (what ^ " events") (events cz)
+              (events c))
+          [ ("snapshot", snap); ("copy", cz') ];
+        Alcotest.check_raises "a snapshot records nothing"
+          (Invalid_argument "Causal.begin_instant: a snapshot records nothing")
+          (fun () -> C.begin_instant snap);
+        C.begin_instant cz';
+        Alcotest.check_raises "no copy mid-instant"
+          (Invalid_argument "Causal.copy: instant open") (fun () ->
+            ignore (C.copy cz'));
+        let mid = C.snapshot cz' in
+        Alcotest.(check int) "a mid-instant snapshot keeps the events"
+          (C.pushed cz) (C.pushed mid);
+        let buf = Buffer.create 256 in
+        C.write_json ~render:Cd.write_value buf mid;
+        match J.member "writers" (J.parse (Buffer.contents buf)) with
+        | Some (J.List (_ :: _ as ws)) ->
+            Alcotest.(check bool) "and forgets the writer registers" true
+              (List.for_all (( = ) (J.Int (-1))) ws)
+        | _ -> Alcotest.fail "no writer registers in the section");
 
     (* ---- checkpoint round-trip differentials ---- *)
     case "resume from a mid-run checkpoint is bit-identical" (fun () ->
@@ -932,30 +974,84 @@ let suite =
         let cases = corruptions ~pushed:(C.pushed cz) ~n_nets in
         let name, corrupt = List.nth cases (which mod List.length cases) in
         let bad = map_member "causal" (corrupt i d) j in
-        let named m =
-          List.exists
-            (fun p -> String.length m > String.length p
-                      && String.sub m 0 (String.length p) = p)
-            [ "Causal.of_state: "; "Causal.event_of_json: " ]
+        let rejected what f =
+          match f () with
+          | _ -> QCheck.Test.fail_reportf "%s: %s" name what
+          | exception Invalid_argument m ->
+              String.starts_with ~prefix:"Causal.of_json: " m
+              || QCheck.Test.fail_reportf "%s: unnamed error %S" name m
         in
-        match K.resume (K.of_json bad) g with
-        | _ -> QCheck.Test.fail_reportf "%s: resumed" name
-        | exception Invalid_argument m ->
-            named m || QCheck.Test.fail_reportf "%s: unnamed error %S" name m);
-    case "of_state rejects odd-length reads" (fun () ->
-        let ev =
-          { C.ev_uid = 0; ev_instant = 0; ev_kind = C.Eval; ev_block = 0;
-            ev_tag = ""; ev_src = -1; ev_reads = [| 1 |];
-            ev_write_nets = [| 0 |]; ev_write_values = [| 7 |] }
+        (* the decoder itself rejects the section, so no resume or
+           query ever meets it *)
+        rejected "loaded" (fun () -> K.of_json bad)
+        && rejected "resumed" (fun () -> K.resume (K.of_json bad) g));
+    case "of_json rejects a read that is not a pair" (fun () ->
+        let section =
+          J.parse
+            ({|{"capacity":4,"pushed":1,"instant":0,"truncated":0,|}
+            ^ {|"writers":[0,-1],"events":[{"uid":0,"instant":0,|}
+            ^ {|"kind":"eval","block":0,"reads":[[1]],"writes":[[0,7]]}]}|})
         in
         Alcotest.check_raises "odd reads"
-          (Invalid_argument "Causal.of_state: event 0: odd-length reads")
+          (Invalid_argument "Causal.of_json: event 0: malformed read")
           (fun () ->
             ignore
-              (C.of_state
-                 { C.st_capacity = 4; st_pushed = 1; st_instant = 0;
-                   st_truncated = 0; st_writers = [| 0; -1 |];
-                   st_events = [ ev ] })));
+              (C.of_json
+                 ~unrender:(function J.Int n -> n | _ -> 0)
+                 section)));
+    case "a capture is a snapshot: later steps and queries leave its bytes"
+      (fun () ->
+        (* a ring of 8 events holds under two chain instants *)
+        let g = chain_graph () in
+        let n_nets = (G.compile g).G.n_nets in
+        let cz = C.create ~capacity:8 ~n_nets () in
+        let sim = Sim.create ~strategy:Fx.Worklist ~causal:cz g in
+        let stream = chain_stream 12 in
+        List.iter
+          (fun i -> ignore (Sim.step sim i))
+          (List.filteri (fun k _ -> k < 6) stream);
+        let ck = K.capture ~system:"test" sim in
+        let at_capture = saved ck and pushed = C.pushed cz in
+        List.iter (fun i -> ignore (Sim.step sim i)) (drop 6 stream);
+        Alcotest.(check bool) "the live ring moved past the capture" true
+          (C.pushed cz > pushed + C.capacity cz);
+        let truncated =
+          List.concat_map
+            (fun net ->
+              List.filter_map
+                (fun instant ->
+                  let sl = K.why ck ~net ~instant in
+                  if sl.C.sl_truncated then Some (net, instant) else None)
+                (List.init 6 Fun.id))
+            (List.init n_nets Fun.id)
+        in
+        Alcotest.(check bool) "some slice is truncated" true (truncated <> []);
+        Alcotest.(check int) "queries count nothing into the artifact" 0
+          (snd (K.data_loss ck));
+        Alcotest.(check string) "saved bytes unchanged" at_capture (saved ck));
+    case "one loaded artifact resumes twice, each run as the uninterrupted one"
+      (fun () ->
+        let g = chain_graph () in
+        let stream = chain_stream 10 in
+        let ck, outs, final, fatal =
+          run_capturing ~policy:(S.Retry 2)
+            ~inject:[ persistent_trap ~block:1 ~instant:3 ]
+            ~causal:true ~strategy:Fx.Worklist ~at:5 g stream
+        in
+        let path = Filename.temp_file "ck-twice" ".json" in
+        K.save ck path;
+        let loaded = K.load path in
+        Sys.remove path;
+        let bytes = K.to_json loaded |> J.to_string in
+        List.iter
+          (fun run ->
+            let _, start, routs, rfinal, rfatal = resume_run loaded g stream in
+            Alcotest.(check bool) (run ^ " resume converged") true
+              (converged ~oracle_outs:outs ~oracle_final:final
+                 ~oracle_fatal:fatal ~start ~routs ~final:rfinal ~rfatal))
+          [ "first"; "second" ];
+        Alcotest.(check string) "the artifact is unchanged" bytes
+          (J.to_string (K.to_json loaded)));
     qcase ~count:40
       "random systems: resumed campaigns converge under every policy"
       Test_random_graphs.arbitrary_spec
