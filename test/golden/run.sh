@@ -76,3 +76,47 @@ echo
 # The same checkpoint resumed without a monitor: the trace table's
 # columns are headed by the resumed instants, 4 and 5.
 case_ simulate fir.mj FirFilter -n 6 --resume ck/checkpoint-4.json
+
+# The policy checks and the reaction bound on every bundled design: the
+# ASR policy and the SDF policy on each, and the bound of each of the
+# nine ASR classes they hold.
+for design in fir traffic elevator fig8 fig8-blocks uart jpeg-unrestricted jpeg-restricted; do
+  "$cli" demo $design > $design.mj
+  case_ check $design.mj
+  case_ check $design.mj --policy sdf
+done
+for design in "fir.mj FirFilter" "traffic.mj TrafficLight" "elevator.mj Elevator" \
+    "fig8-blocks.mj IncrementA" "fig8-blocks.mj IncrementB" \
+    "uart.mj UartTx" "uart.mj UartRx" \
+    "jpeg-unrestricted.mj JpegCodec" "jpeg-restricted.mj JpegCodec"; do
+  set -- $design
+  case_ bound "$1" "$2"
+done
+
+# An inherited design: Derived declares only a constructor, so its run
+# method, its port signature and its state are all Base's.
+cat > inh.mj <<'MJ'
+class Base extends ASR {
+  private int count;
+
+  Base() {
+    declarePorts(1, 1);
+    count = 0;
+  }
+
+  public void run() {
+    count = count + 1;
+    writePort(0, readPort(0) + count);
+  }
+}
+
+class Derived extends Base {
+  Derived() {
+    super();
+  }
+}
+MJ
+case_ check inh.mj
+case_ check inh.mj --policy sdf
+case_ bound inh.mj Base
+case_ bound inh.mj Derived
