@@ -4,7 +4,15 @@
    arithmetic result is wrapped exactly as the VM wraps it
    (Int32 round-trip), so a folded constant always equals the value the
    program would compute. Division and modulo by a constant zero yield
-   [None] — the analysis never raises; the runtime trap is preserved. *)
+   [None] — the analysis never raises; the runtime trap is preserved.
+
+   Understands integer literals, arithmetic on constants, casts between
+   numeric constants, [static final] int fields with constant
+   initializers, and [f.length] where [f] is a field that every
+   constructor of its class assigns a [new T\[c\]] of constant size
+   (and that is never assigned elsewhere). Used by the loop-bound
+   analysis, the reaction-time bound, the bytecode compiler's elision
+   planner and the refinement checker. *)
 
 open Mj.Ast
 
@@ -54,6 +62,9 @@ let rec const_int checked e =
   | Cast _ | Cond _ ->
       None
 
+(* Statically known length of the array held by instance field
+   [cls.field], when it is allocated with a constant size in every
+   constructor (or its field initializer) and never reassigned. *)
 and field_array_length checked ~cls ~field =
   match find_class (Mj.Symtab.program checked.Mj.Typecheck.symtab) cls with
   | None -> None

@@ -2,7 +2,8 @@
 
    The static counterpart of the paper's Fig. 8 demonstration: instead
    of exhibiting one bad interleaving with seeded schedules, walk the
-   call graph from every thread's [run] entry point and report each
+   call graph ({!Call_graph}) from every thread's [run] entry point —
+   the [run] an instance of that class enters — and report each
    static field that is reachable from more than one concurrent root
    with at least one write. Programs without [Thread] subclasses (the
    ASR style the policy of use enforces) trivially have no races —
@@ -31,102 +32,6 @@ type race = {
   r_reads : (string * Mj.Loc.t) list;
   r_loc : Mj.Loc.t;  (* representative source span (first write) *)
 }
-
-let thread_classes checked =
-  let tab = checked.Mj.Typecheck.symtab in
-  List.filter_map
-    (fun cls ->
-      if
-        (not (String.equal cls.cl_name "Thread"))
-        && Mj.Symtab.is_subclass tab ~sub:cls.cl_name ~super:"Thread"
-      then Some cls.cl_name
-      else None)
-    checked.Mj.Typecheck.program.classes
-
-(* Bodies reachable from one root method, across resolved calls,
-   dynamic-dispatch overrides, and constructor invocations (superclass
-   constructors included). *)
-let reachable_bodies checked ~cls ~mname =
-  let tab = checked.Mj.Typecheck.symtab in
-  let program = Mj.Symtab.program tab in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let override_bodies defining mname =
-    List.filter_map
-      (fun c ->
-        if
-          (not (String.equal c.cl_name defining))
-          && Mj.Symtab.is_subclass tab ~sub:c.cl_name ~super:defining
-        then
-          Option.bind (find_method c mname) (fun m ->
-              Option.map (fun b -> (c.cl_name, mname, b)) m.m_body)
-        else None)
-      program.classes
-  in
-  let rec visit_method cls mname =
-    let key = ("m", cls, mname) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      match Mj.Symtab.lookup_method tab cls mname with
-      | None -> ()
-      | Some (defining, m) ->
-          (match m.m_body with
-          | Some body -> take (Printf.sprintf "%s.%s" defining mname) body
-          | None -> ());
-          List.iter
-            (fun (owner, mn, body) ->
-              let key = ("m", owner, mn) in
-              if not (Hashtbl.mem seen key) then begin
-                Hashtbl.replace seen key ();
-                take (Printf.sprintf "%s.%s" owner mn) body
-              end)
-            (override_bodies defining mname)
-    end
-  and visit_ctor cls arity =
-    let key = ("c", cls, string_of_int arity) in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.replace seen key ();
-      (match find_class program cls with
-      | Some decl ->
-          List.iter
-            (fun f ->
-              match f.f_init with
-              | Some e when not f.f_mods.is_static ->
-                  take
-                    (Printf.sprintf "%s.%s=" cls f.f_name)
-                    [ { stmt = Expr e; sloc = e.eloc } ]
-              | _ -> ())
-            decl.cl_fields
-      | None -> ());
-      (* The superclass constructor runs too: the one an explicit
-         [super(...)] names, else the implicit no-argument one (an
-         implicit default constructor has field inits only). *)
-      let super_arity =
-        match Mj.Symtab.lookup_ctor tab cls arity with
-        | Some ctor -> (
-            take (Printf.sprintf "%s.<init>" cls) ctor.c_body;
-            match ctor.c_body with
-            | { stmt = Super_call args; _ } :: _ -> List.length args
-            | _ -> 0)
-        | None -> 0
-      in
-      match Mj.Symtab.superclass tab cls with
-      | Some super -> visit_ctor super super_arity
-      | None -> ()
-    end
-  and take name stmts =
-    out := (name, stmts) :: !out;
-    Mj.Visit.iter_exprs
-      (fun e ->
-        match e.expr with
-        | Call { resolved = Some r; mname; _ } when not r.rc_native ->
-            visit_method r.rc_class mname
-        | New_object (ncls, args) -> visit_ctor ncls (List.length args)
-        | _ -> ())
-      stmts
-  in
-  visit_method cls mname;
-  !out
 
 (* Canonical owner of a possibly-inherited static field. *)
 let owner_of checked cls fname =
@@ -267,12 +172,17 @@ let detect checked =
       cell := { a_root = root; a_loc = loc; a_write = write } :: !cell
     end
   in
+  let graph = Call_graph.build checked in
   List.iter
     (fun root ->
       List.iter
-        (fun (_, stmts) -> note_accesses note root stmts)
-        (reachable_bodies checked ~cls:root ~mname:"run"))
-    (thread_classes checked);
+        (fun node ->
+          List.iter
+            (fun b -> note_accesses note root b.Mj.Visit.b_stmts)
+            (Call_graph.bodies graph node))
+        (Call_graph.reachable graph
+           ~roots:(Option.to_list (Call_graph.method_node graph root "run"))))
+    (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "Thread");
   note_main_accesses checked note;
   let races = ref [] in
   Hashtbl.iter

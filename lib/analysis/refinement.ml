@@ -668,38 +668,6 @@ let check_hoist_alloc before_checked after_checked =
 (* VC: privatize-fields                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The before program never touches [cls.field] from outside the
-   declaring class (same reachability the policy's R6 fix uses). *)
-let field_accessed_externally checked ~cls ~field =
-  let program = Mj.Symtab.program checked.Mj.Typecheck.symtab in
-  List.exists
-    (fun c ->
-      (not (String.equal c.cl_name cls))
-      && List.exists
-           (fun body ->
-             Mj.Visit.exists_expr
-               (fun e ->
-                 let hits o fname =
-                   String.equal fname field
-                   &&
-                   match o.ety with
-                   | Some (TClass c2) ->
-                       Mj.Symtab.is_subclass checked.Mj.Typecheck.symtab
-                         ~sub:c2 ~super:cls
-                   | _ -> false
-                 in
-                 match e.expr with
-                 | Field_access (o, fname) -> hits o fname
-                 | Assign (Lfield (o, fname), _)
-                 | Op_assign (_, Lfield (o, fname), _)
-                 | Pre_incr (_, Lfield (o, fname))
-                 | Post_incr (_, Lfield (o, fname)) ->
-                     hits o fname
-                 | _ -> false)
-               body.Mj.Visit.b_stmts)
-           (Mj.Visit.bodies c))
-    program.classes
-
 let check_privatize before_checked after_checked =
   let transform = "privatize-fields" in
   let before = before_checked.Mj.Typecheck.program in
@@ -741,7 +709,7 @@ let check_privatize before_checked after_checked =
                     else if bf.f_mods.is_static then
                       Some (mk false "static fields are not privatized")
                     else if
-                      field_accessed_externally before_checked ~cls
+                      Escape.field_accessed_externally before_checked ~cls
                         ~field:bf.f_name
                     then
                       Some

@@ -45,29 +45,24 @@ let ops_of_engine ~elide ?profile ?lines engine checked =
 
 (* Purity of the reaction: no field or static stores reachable from run. *)
 let writes_state (checked : Mj.Typecheck.checked) ~cls =
-  let graph = Policy.Call_graph.build checked in
-  let reachable =
-    Policy.Call_graph.reachable graph
-      ~roots:[ Policy.Call_graph.method_node cls "run" ]
+  let graph = Analysis.Call_graph.build checked in
+  let stores =
+    Mj.Visit.exists_expr (fun e ->
+        match e.Mj.Ast.expr with
+        | Mj.Ast.Assign ((Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _), _)
+        | Mj.Ast.Op_assign (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _), _)
+        | Mj.Ast.Pre_incr (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _))
+        | Mj.Ast.Post_incr (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _)) ->
+            true
+        | _ -> false)
   in
   List.exists
     (fun node ->
-      match Policy.Phases.body_of_node checked node with
-      | None -> false
-      | Some body ->
-          Mj.Visit.exists_expr
-            (fun e ->
-              match e.Mj.Ast.expr with
-              | Mj.Ast.Assign ((Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _), _)
-              | Mj.Ast.Op_assign
-                  (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _), _)
-              | Mj.Ast.Pre_incr (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _))
-              | Mj.Ast.Post_incr (_, (Mj.Ast.Lfield _ | Mj.Ast.Lstatic_field _))
-                ->
-                  true
-              | _ -> false)
-            body.Mj.Visit.b_stmts)
-    reachable
+      List.exists
+        (fun body -> stores body.Mj.Visit.b_stmts)
+        (Analysis.Call_graph.bodies graph node))
+    (Analysis.Call_graph.reachable graph
+       ~roots:(Option.to_list (Analysis.Call_graph.method_node graph cls "run")))
 
 let data_to_value m = function
   | Asr.Data.Int n -> Value.Int n
@@ -95,7 +90,7 @@ let elaborate ?(engine = Engine_vm) ?(enforce_policy = true)
          "elaborate: program violates the ASR policy of use (class %s); \
           refine it first or pass ~enforce_policy:false"
          cls);
-  if not (List.mem cls (Policy.Phases.asr_classes checked)) then
+  if not (List.mem cls (Mj.Symtab.subclasses checked.symtab "ASR")) then
     invalid_arg (Printf.sprintf "elaborate: class %s does not extend ASR" cls);
   let ops =
     ops_of_engine ~elide:elide_bounds_checks ?profile ?lines:cost_lines engine

@@ -18,12 +18,12 @@ let mk_stmt ?(loc = Mj.Loc.dummy) stmt = { stmt; sloc = loc }
 let init_of checked index s =
   match s.stmt with
   | Var_decl (TInt, name, (Some start as init)) when String.equal name index ->
-      if Policy.Const_eval.const_int checked start <> None then
+      if Analysis.Const_eval.const_int checked start <> None then
         Some (For_var (TInt, name, init))
       else None
   | Expr ({ expr = Assign ((Lname n | Llocal n), start); _ } as assign)
     when String.equal n index ->
-      if Policy.Const_eval.const_int checked start <> None then Some (For_expr assign)
+      if Analysis.Const_eval.const_int checked start <> None then Some (For_expr assign)
       else None
   | _ -> None
 
@@ -42,7 +42,7 @@ let loop_rewrites ~do_while checked =
       let start =
         match init with
         | For_var (_, _, Some e) | For_expr { expr = Assign (_, e); _ } ->
-            Policy.Const_eval.const_int checked e
+            Analysis.Const_eval.const_int checked e
         | For_var (_, _, None) | For_expr _ -> None
       in
       match (start, Policy.Loop_bounds.exit_test checked ~index cond) with
@@ -151,7 +151,7 @@ let hoist_alloc_apply (checked : Mj.Typecheck.checked) =
           pick 0
         in
         let zero_fill_stmt field elem size loc =
-          let zero = Option.get (Policy.Escape.hoistable_zero elem) in
+          let zero = Option.get (Analysis.Escape.hoistable_zero elem) in
           let fill_index = "_zi" in
           mk_stmt ~loc
             (For
@@ -182,10 +182,10 @@ let hoist_alloc_apply (checked : Mj.Typecheck.checked) =
                           x,
                           Some { expr = New_array (elem2, [ dim ]); eloc; _ } )
                       when equal_ty elem elem2
-                           && Policy.Const_eval.const_int checked dim <> None
-                           && Policy.Escape.hoistable_zero elem <> None
-                           && not (Policy.Escape.local_escapes x body) ->
-                        let size = Option.get (Policy.Const_eval.const_int checked dim) in
+                           && Analysis.Const_eval.const_int checked dim <> None
+                           && Analysis.Escape.hoistable_zero elem <> None
+                           && not (Analysis.Escape.local_escapes x body) ->
+                        let size = Option.get (Analysis.Const_eval.const_int checked dim) in
                         let field = fresh_field x in
                         incr count;
                         hoisted :=
@@ -244,35 +244,6 @@ let hoist_alloc =
 (* privatize-fields                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let field_accessed_externally (checked : Mj.Typecheck.checked) ~cls ~field =
-  let program = Mj.Symtab.program checked.symtab in
-  List.exists
-    (fun c ->
-      (not (String.equal c.cl_name cls))
-      && List.exists
-           (fun body ->
-             Mj.Visit.exists_expr
-               (fun e ->
-                 let hits o fname =
-                   String.equal fname field
-                   &&
-                   match o.ety with
-                   | Some (TClass c2) ->
-                       Mj.Symtab.is_subclass checked.symtab ~sub:c2 ~super:cls
-                   | _ -> false
-                 in
-                 match e.expr with
-                 | Field_access (o, fname) -> hits o fname
-                 | Assign (Lfield (o, fname), _)
-                 | Op_assign (_, Lfield (o, fname), _)
-                 | Pre_incr (_, Lfield (o, fname))
-                 | Post_incr (_, Lfield (o, fname)) ->
-                     hits o fname
-                 | _ -> false)
-               body.Mj.Visit.b_stmts)
-           (Mj.Visit.bodies c))
-    program.classes
-
 let privatize_apply (checked : Mj.Typecheck.checked) =
   let count = ref 0 in
   let classes =
@@ -286,8 +257,8 @@ let privatize_apply (checked : Mj.Typecheck.checked) =
                   (not f.f_mods.is_static)
                   && f.f_mods.visibility <> Private
                   && not
-                       (field_accessed_externally checked ~cls:cls.cl_name
-                          ~field:f.f_name)
+                       (Analysis.Escape.field_accessed_externally checked
+                          ~cls:cls.cl_name ~field:f.f_name)
                 then begin
                   incr count;
                   { f with f_mods = { f.f_mods with visibility = Private } }

@@ -132,13 +132,9 @@ let ramp t i = (t + 1) * (i + 2) mod 17
    scope and will surface as a runtime error). *)
 let input_kinds checked ~cls ~n_in =
   let arrays = Hashtbl.create 4 in
-  (match
-     List.find_opt
-       (fun c -> String.equal c.Mj.Ast.cl_name cls)
-       checked.Mj.Typecheck.program.Mj.Ast.classes
-   with
-  | None -> ()
-  | Some c ->
+  let graph = Analysis.Call_graph.build checked in
+  List.iter
+    (fun node ->
       List.iter
         (fun b ->
           Mj.Visit.iter_exprs
@@ -150,7 +146,9 @@ let input_kinds checked ~cls ~n_in =
                   | None -> ())
               | _ -> ())
             b.Mj.Visit.b_stmts)
-        (Mj.Visit.bodies c));
+        (Analysis.Call_graph.bodies graph node))
+    (Analysis.Call_graph.reachable graph
+       ~roots:(Option.to_list (Analysis.Call_graph.method_node graph cls "run")));
   Array.init n_in (Hashtbl.mem arrays)
 
 (* Deterministic array payload for an array-carrying port: element k of

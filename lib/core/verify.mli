@@ -63,7 +63,7 @@ val ramp : int -> int -> int
 val input_kinds :
   Mj.Typecheck.checked -> cls:string -> n_in:int -> bool array
 (** Which input ports carry arrays ([readPortArray] sites with constant
-    port indices in the class's own bodies). *)
+    port indices in the code the class's [run] can reach). *)
 
 val make_inputs :
   kinds:bool array -> array_size:int -> int -> int -> Asr.Domain.t

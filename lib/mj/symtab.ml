@@ -82,6 +82,14 @@ let program t = { classes = t.all }
 
 let user_classes t = t.users
 
+let subclasses t super =
+  List.filter_map
+    (fun c ->
+      if (not (String.equal c.cl_name super)) && is_subclass t ~sub:c.cl_name ~super
+      then Some c.cl_name
+      else None)
+    t.all
+
 let check_no_duplicates kind names loc =
   let sorted = List.sort String.compare names in
   let rec loop = function

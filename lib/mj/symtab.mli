@@ -27,6 +27,9 @@ val superclass : t -> string -> string option
 val is_subclass : t -> sub:string -> super:string -> bool
 (** Reflexive-transitive subclass test. *)
 
+val subclasses : t -> string -> string list
+(** Proper (transitive) subclasses of a class, in declaration order. *)
+
 val lookup_method : t -> string -> string -> (string * Ast.method_decl) option
 (** [lookup_method t cls name] walks the hierarchy upward from [cls];
     returns the defining class and declaration. *)

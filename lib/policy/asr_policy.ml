@@ -13,7 +13,7 @@ let rec rule_no_threads =
     check = check_no_threads }
 
 and check_no_threads checked =
-  let tab = checked.Mj.Typecheck.symtab in
+  let threads = Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "Thread" in
   let violations = ref [] in
   let manual =
     Rule.Manual
@@ -22,10 +22,7 @@ and check_no_threads checked =
   in
   List.iter
     (fun cls ->
-      if
-        (not (String.equal cls.cl_name "Thread"))
-        && Mj.Symtab.is_subclass tab ~sub:cls.cl_name ~super:"Thread"
-      then
+      if List.mem cls.cl_name threads then
         violations :=
           Rule.make_violation ~rule:rule_no_threads ~loc:cls.cl_loc
             ~subject:cls.cl_name ~fixes:[ manual ]
@@ -53,6 +50,25 @@ and check_no_threads checked =
 (* R2: allocation only during initialization                           *)
 (* ------------------------------------------------------------------ *)
 
+(* Phase split of a specification (paper §4): loading, linking and
+   initialization describe the system's structure; the code [run] can
+   reach is its reactive behaviour. The reactive roots are the [run]
+   each ASR subclass enters; a program with none is analyzed relative
+   to its static [main] methods (design-phase programs). *)
+let reactive_roots (checked : Mj.Typecheck.checked) graph =
+  match Mj.Symtab.subclasses checked.symtab "ASR" with
+  | [] ->
+      List.filter_map
+        (fun cls ->
+          match find_method cls "main" with
+          | Some m when m.m_mods.is_static -> Some (cls.cl_name, "main")
+          | Some _ | None -> None)
+        checked.program.classes
+  | classes ->
+      List.filter_map
+        (fun cls -> Analysis.Call_graph.method_node graph cls "run")
+        classes
+
 let rec rule_no_reactive_alloc =
   { Rule.id = "R2-no-reactive-allocation";
     title = "objects may be instantiated only during initialization";
@@ -62,8 +78,14 @@ let rec rule_no_reactive_alloc =
     check = check_no_reactive_alloc }
 
 and check_no_reactive_alloc checked =
-  let graph = Call_graph.build checked in
+  let graph = Analysis.Call_graph.build checked in
   let violations = ref [] in
+  let reactive_bodies =
+    List.concat_map
+      (fun node ->
+        List.map (fun body -> (node, body)) (Analysis.Call_graph.bodies graph node))
+      (Analysis.Call_graph.reachable graph ~roots:(reactive_roots checked graph))
+  in
   List.iter
     (fun (node, body) ->
       (* Only reactive-phase *methods* matter; constructors reached from
@@ -76,7 +98,9 @@ and check_no_reactive_alloc checked =
           Mj.Visit.iter_stmts body.Mj.Visit.b_stmts
             ~expr:(fun _ -> ())
             ~stmt:(fun s ->
-              if Escape.hoistable_decl checked ~method_body:body.Mj.Visit.b_stmts s
+              if
+                Analysis.Escape.hoistable_decl checked
+                  ~method_body:body.Mj.Visit.b_stmts s
               then
                 match s.stmt with
                 | Var_decl (_, _, Some init) -> Hashtbl.replace hoistable init.eloc ()
@@ -97,13 +121,13 @@ and check_no_reactive_alloc checked =
                   in
                   violations :=
                     Rule.make_violation ~rule:rule_no_reactive_alloc ~loc:e.eloc
-                      ~subject:(Call_graph.node_name node) ~fixes
+                      ~subject:(Analysis.Call_graph.node_name node) ~fixes
                       "array allocated in the reactive phase"
                     :: !violations
               | New_object (cls, _) ->
                   violations :=
                     Rule.make_violation ~rule:rule_no_reactive_alloc ~loc:e.eloc
-                      ~subject:(Call_graph.node_name node)
+                      ~subject:(Analysis.Call_graph.node_name node)
                       ~fixes:
                         [ Rule.Manual
                             (Printf.sprintf
@@ -115,7 +139,7 @@ and check_no_reactive_alloc checked =
                     :: !violations
               | _ -> ())
             body.Mj.Visit.b_stmts)
-    (Phases.reactive_bodies checked graph);
+    reactive_bodies;
   List.rev !violations
 
 (* ------------------------------------------------------------------ *)
@@ -225,7 +249,7 @@ let rec rule_no_recursion =
     check = check_no_recursion }
 
 and check_no_recursion checked =
-  let graph = Call_graph.build checked in
+  let graph = Analysis.Call_graph.build checked in
   let user_classes =
     List.map (fun c -> c.cl_name) checked.Mj.Typecheck.program.classes
   in
@@ -234,49 +258,19 @@ and check_no_recursion checked =
       if List.mem cls user_classes then
         Some
           (Rule.make_violation ~rule:rule_no_recursion
-             ~loc:(Call_graph.node_loc graph node)
-             ~subject:(Call_graph.node_name node)
+             ~loc:(Analysis.Call_graph.node_loc graph node)
+             ~subject:(Analysis.Call_graph.node_name node)
              ~fixes:
                [ Rule.Manual
                    "convert the recursion into an iteration with an explicit \
                     statically-sized stack" ]
              "method participates in a call cycle")
       else None)
-    (Call_graph.recursive_nodes graph)
+    (Analysis.Call_graph.recursive_nodes graph)
 
 (* ------------------------------------------------------------------ *)
 (* R6: private state                                                   *)
 (* ------------------------------------------------------------------ *)
-
-let field_accessed_externally checked ~cls ~field =
-  let program = Mj.Symtab.program checked.Mj.Typecheck.symtab in
-  List.exists
-    (fun c ->
-      (not (String.equal c.cl_name cls))
-      && List.exists
-           (fun body ->
-             Mj.Visit.exists_expr
-               (fun e ->
-                 let hits o fname =
-                   String.equal fname field
-                   &&
-                   match o.ety with
-                   | Some (TClass c2) ->
-                       Mj.Symtab.is_subclass checked.Mj.Typecheck.symtab
-                         ~sub:c2 ~super:cls
-                   | _ -> false
-                 in
-                 match e.expr with
-                 | Field_access (o, fname) -> hits o fname
-                 | Assign (Lfield (o, fname), _)
-                 | Op_assign (_, Lfield (o, fname), _)
-                 | Pre_incr (_, Lfield (o, fname))
-                 | Post_incr (_, Lfield (o, fname)) ->
-                     hits o fname
-                 | _ -> false)
-               body.Mj.Visit.b_stmts)
-           (Mj.Visit.bodies c))
-    program.classes
 
 let rec rule_private_state =
   { Rule.id = "R6-private-state";
@@ -296,7 +290,7 @@ and check_private_state checked =
           if (not f.f_mods.is_static) && f.f_mods.visibility <> Private then begin
             let fixes =
               if
-                field_accessed_externally checked ~cls:cls.cl_name
+                Analysis.Escape.field_accessed_externally checked ~cls:cls.cl_name
                   ~field:f.f_name
               then
                 [ Rule.Manual
@@ -433,7 +427,7 @@ and check_bounded_reaction checked =
                  [ Rule.Manual
                      "remove the unbounded construct (see R3/R4/R5 findings)" ]
                (Printf.sprintf "no worst-case reaction bound: %s" why)))
-    (Phases.asr_classes checked)
+    (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "ASR")
 
 (* ------------------------------------------------------------------ *)
 (* R10: no shared-field races                                          *)

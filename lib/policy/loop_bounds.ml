@@ -30,21 +30,21 @@ let step_of checked name update =
       | Some n when String.equal n name -> Some d
       | _ -> None)
   | Op_assign (Add, lv, rhs) -> (
-      match (local_name lv, Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
       | Some n, Some c when String.equal n name -> Some c
       | _ -> None)
   | Op_assign (Sub, lv, rhs) -> (
-      match (local_name lv, Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
       | Some n, Some c when String.equal n name -> Some (-c)
       | _ -> None)
   | Assign (lv, { expr = Binary (Add, { expr = Local n2 | Name n2; _ }, rhs); _ })
     -> (
-      match (local_name lv, Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
       | Some n, Some c when String.equal n name && String.equal n2 name -> Some c
       | _ -> None)
   | Assign (lv, { expr = Binary (Sub, { expr = Local n2 | Name n2; _ }, rhs); _ })
     -> (
-      match (local_name lv, Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
       | Some n, Some c when String.equal n name && String.equal n2 name ->
           Some (-c)
       | _ -> None)
@@ -52,7 +52,7 @@ let step_of checked name update =
 
 (* Exit test [i REL limit] (or mirrored) with a constant limit. *)
 let test_of checked name cond =
-  let limit_of e = Const_eval.const_int checked e in
+  let limit_of e = Analysis.Const_eval.const_int checked e in
   match cond.expr with
   | Binary (((Lt | Le | Gt | Ge) as op), { expr = Local n | Name n; _ }, limit)
     when String.equal n name -> (
@@ -106,9 +106,9 @@ let syntactic_for_bound checked s =
       let index =
         match init with
         | Some (For_var (TInt, name, Some start)) ->
-            Option.map (fun n -> (name, n)) (Const_eval.const_int checked start)
+            Option.map (fun n -> (name, n)) (Analysis.Const_eval.const_int checked start)
         | Some (For_expr { expr = Assign (lv, start); _ }) -> (
-            match (local_name lv, Const_eval.const_int checked start) with
+            match (local_name lv, Analysis.Const_eval.const_int checked start) with
             | Some name, Some n -> Some (name, n)
             | _ -> None)
         | Some (For_var _) | Some (For_expr _) | None -> None

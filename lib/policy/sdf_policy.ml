@@ -1,28 +1,30 @@
 open Mj.Ast
 
 (* Port signature of an ASR class: constant arguments of the
-   declarePorts call in its constructors. *)
-let port_signature checked cls_name =
-  match find_class checked.Mj.Typecheck.program cls_name with
-  | None -> None
-  | Some decl ->
-      let found = ref None in
+   declarePorts call made along the constructor chain that instantiates
+   it with no arguments. Superclass constructors run first, so the call
+   nearest the class itself wins. *)
+let port_signature checked graph cls_name =
+  let found = ref None in
+  List.iter
+    (fun node ->
       List.iter
-        (fun ctor ->
+        (fun body ->
           Mj.Visit.iter_exprs
             (fun e ->
               match e.expr with
               | Call { mname = "declarePorts"; args = [ a; b ]; _ } -> (
                   match
-                    ( Const_eval.const_int checked a,
-                      Const_eval.const_int checked b )
+                    ( Analysis.Const_eval.const_int checked a,
+                      Analysis.Const_eval.const_int checked b )
                   with
                   | Some n_in, Some n_out -> found := Some (Some (n_in, n_out))
                   | _ -> found := Some None)
               | _ -> ())
-            ctor.c_body)
-        decl.cl_ctors;
-      !found
+            body.Mj.Visit.b_stmts)
+        (Analysis.Call_graph.bodies graph node))
+    (List.rev (Analysis.Call_graph.constructors graph cls_name 0));
+  !found
 
 (* Occurrences of port operations in the reactive code of [cls]:
    (port number option, conditional?, in-loop?, location). *)
@@ -33,26 +35,17 @@ type port_access = {
   pa_subject : string;
 }
 
-let port_accesses checked cls_name ~methods_of_interest =
-  let graph = Call_graph.build checked in
-  let reachable =
-    Call_graph.reachable graph ~roots:[ Call_graph.method_node cls_name "run" ]
-  in
+let port_accesses checked graph cls_name ~methods_of_interest =
+  let run = Analysis.Call_graph.method_node graph cls_name "run" in
   let accesses = ref [] in
   List.iter
     (fun node ->
-      match Phases.body_of_node checked node with
-      | None -> ()
-      | Some body ->
-          (* A call found in any method other than run itself counts as
-             conditional: we cannot cheaply prove the call site fires
-             exactly once. *)
-          let in_run =
-            match body.Mj.Visit.b_kind with
-            | Mj.Visit.Method m ->
-                String.equal m.m_name "run" && String.equal (fst node) cls_name
-            | Mj.Visit.Ctor _ | Mj.Visit.Field_init _ -> false
-          in
+      (* A call found in any method other than run itself counts as
+         conditional: we cannot cheaply prove the call site fires
+         exactly once. *)
+      let in_run = run = Some node in
+      List.iter
+        (fun body ->
           let rec walk ~conditional stmts =
             List.iter (walk_stmt ~conditional) stmts
           and walk_stmt ~conditional s =
@@ -90,21 +83,22 @@ let port_accesses checked cls_name ~methods_of_interest =
                 | Call { mname; args = port_arg :: _; _ }
                   when List.mem mname methods_of_interest ->
                     accesses :=
-                      { pa_port = Const_eval.const_int checked port_arg;
+                      { pa_port = Analysis.Const_eval.const_int checked port_arg;
                         pa_conditional = conditional || not in_run;
                         pa_loc = e.eloc;
-                        pa_subject = Call_graph.node_name node }
+                        pa_subject = Analysis.Call_graph.node_name node }
                       :: !accesses
                 | Call { mname; args = []; _ }
                   when List.mem mname methods_of_interest ->
                     accesses :=
                       { pa_port = None; pa_conditional = true; pa_loc = e.eloc;
-                        pa_subject = Call_graph.node_name node }
+                        pa_subject = Analysis.Call_graph.node_name node }
                       :: !accesses
                 | _ -> ())
           in
           walk ~conditional:false body.Mj.Visit.b_stmts)
-    reachable;
+        (Analysis.Call_graph.bodies graph node))
+    (Analysis.Call_graph.reachable graph ~roots:(Option.to_list run));
   List.rev !accesses
 
 let rec rule_static_ports =
@@ -114,9 +108,10 @@ let rec rule_static_ports =
     check = check_static_ports }
 
 and check_static_ports checked =
+  let graph = Analysis.Call_graph.build checked in
   List.filter_map
     (fun cls ->
-      match port_signature checked cls with
+      match port_signature checked graph cls with
       | Some (Some _) -> None
       | Some None | None ->
           let decl = find_class checked.Mj.Typecheck.program cls in
@@ -129,15 +124,18 @@ and check_static_ports checked =
                      "call declarePorts with integer constants in the \
                       constructor" ]
                "port signature is not statically known"))
-    (Phases.asr_classes checked)
+    (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "ASR")
 
 let single_rate ~rule ~direction ~count_of ~methods checked =
+  let graph = Analysis.Call_graph.build checked in
   List.concat_map
     (fun cls ->
-      match port_signature checked cls with
+      match port_signature checked graph cls with
       | Some (Some signature) ->
           let n_ports = count_of signature in
-          let accesses = port_accesses checked cls ~methods_of_interest:methods in
+          let accesses =
+            port_accesses checked graph cls ~methods_of_interest:methods
+          in
           let violations = ref [] in
           List.iter
             (fun access ->
@@ -201,7 +199,7 @@ let single_rate ~rule ~direction ~count_of ~methods checked =
           done;
           List.rev !violations
       | Some None | None -> [])
-    (Phases.asr_classes checked)
+    (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "ASR")
 
 let rec rule_single_reads =
   { Rule.id = "D1-single-rate-reads";

@@ -9,8 +9,9 @@ let tariff = Cost.interpreter_tariff
 
 type ctx = {
   checked : Mj.Typecheck.checked;
-  memo : (string * string, int) Hashtbl.t;
-  in_progress : (string * string, unit) Hashtbl.t;
+  graph : Analysis.Call_graph.t;
+  memo : (Analysis.Call_graph.node, int) Hashtbl.t;
+  in_progress : (Analysis.Call_graph.node, unit) Hashtbl.t;
   (* The statements of the body currently being costed, so loop-bound
      queries can hand the interval analysis its enclosing context. *)
   mutable enclosing : stmt list;
@@ -35,9 +36,14 @@ let rec expr_cost ctx e =
   | Index (a, i) -> t.Cost.array + expr_cost ctx a + expr_cost ctx i
   | Call call -> call_cost ctx call
   | New_object (cls, args) ->
+      let ctors = Analysis.Call_graph.constructors ctx.graph cls (List.length args) in
+      if ctors = [] then
+        raise
+          (Unbounded_exc
+             (Printf.sprintf "no constructor %s/%d" cls (List.length args)));
       t.Cost.alloc_base
       + List.fold_left (fun acc a -> acc + expr_cost ctx a) 0 args
-      + ctor_cost ctx cls (List.length args)
+      + List.fold_left (fun acc node -> acc + node_cost ctx node) 0 ctors
   | New_array (_, dims) ->
       (* Allocation cost grows with the (statically known) size; use the
          constant when available, else charge the base only — the memory
@@ -47,7 +53,7 @@ let rec expr_cost ctx e =
           (fun acc d ->
             acc + expr_cost ctx d
             + t.Cost.alloc_word
-              * Option.value ~default:0 (Const_eval.const_int ctx.checked d))
+              * Option.value ~default:0 (Analysis.Const_eval.const_int ctx.checked d))
           0 dims
   | Unary (_, x) -> t.Cost.arith + expr_cost ctx x
   | Binary (_, x, y) -> t.Cost.arith + expr_cost ctx x + expr_cost ctx y
@@ -79,78 +85,37 @@ and call_cost ctx call =
     | None -> raise (Unbounded_exc "unresolved call")
     | Some r ->
         if r.rc_native then t.Cost.native
-        else named_method_cost ctx r.rc_class call.mname
+        else dispatch_cost ctx (Analysis.Call_graph.call_targets ctx.graph call)
   in
   t.Cost.call + args + recv + target
 
-and ctor_cost ctx cls arity =
-  body_cost ctx (cls, Printf.sprintf "<init>/%d" arity) (fun () ->
-      match Mj.Symtab.lookup_ctor ctx.checked.Mj.Typecheck.symtab cls arity with
-      | None -> raise (Unbounded_exc (Printf.sprintf "no constructor %s/%d" cls arity))
-      | Some ctor ->
-          let fields_cost =
-            match find_class (Mj.Symtab.program ctx.checked.Mj.Typecheck.symtab) cls with
-            | None -> 0
-            | Some decl ->
-                List.fold_left
-                  (fun acc f ->
-                    match f.f_init with
-                    | Some e when not f.f_mods.is_static ->
-                        acc + expr_cost ctx e + tariff.Cost.field
-                    | Some _ | None -> 0 + acc)
-                  0 decl.cl_fields
-          in
-          let super_cost =
-            match
-              (ctor.c_body, Mj.Symtab.superclass ctx.checked.Mj.Typecheck.symtab cls)
-            with
-            | { stmt = Super_call args; _ } :: _, Some super ->
-                ctor_cost ctx super (List.length args)
-            | _, Some super -> ctor_cost ctx super 0
-            | _, None -> 0
-          in
-          let body =
-            match ctor.c_body with
-            | { stmt = Super_call _; _ } :: rest -> rest
-            | body -> body
-          in
-          super_cost + fields_cost
-          + with_enclosing ctx body (fun () -> stmts_cost ctx body))
+(* Dynamic dispatch: bound by the worst target. *)
+and dispatch_cost ctx targets =
+  List.fold_left (fun acc node -> max acc (node_cost ctx node)) 0 targets
 
-and named_method_cost ctx cls mname =
-  match Mj.Symtab.lookup_method ctx.checked.Mj.Typecheck.symtab cls mname with
-  | None -> raise (Unbounded_exc (Printf.sprintf "no method %s.%s" cls mname))
-  | Some (defining, m) -> (
-      match m.m_body with
-      | None -> tariff.Cost.native
-      | Some body ->
-          (* Dynamic dispatch: bound by the worst over all overrides. *)
-          let overrides =
-            List.filter_map
-              (fun c ->
-                if
-                  (not (String.equal c.cl_name defining))
-                  && Mj.Symtab.is_subclass ctx.checked.Mj.Typecheck.symtab
-                       ~sub:c.cl_name ~super:defining
-                then
-                  Option.map
-                    (fun m' -> (c.cl_name, m'))
-                    (find_method c mname)
-                else None)
-              (Mj.Symtab.program ctx.checked.Mj.Typecheck.symtab).classes
-          in
-          let cost_of (owner, (m : method_decl)) =
-            match m.m_body with
-            | None -> tariff.Cost.native
-            | Some body ->
-                body_cost ctx (owner, mname) (fun () ->
-                    with_enclosing ctx body (fun () -> stmts_cost ctx body))
-          in
+(* The code a node runs itself: a method's body, or a constructor's
+   field initializers and body (its superclass constructor is costed as
+   the next link of the chain, so its [super(...)] statement is
+   skipped); a native method has no body. *)
+and node_cost ctx node =
+  match Analysis.Call_graph.bodies ctx.graph node with
+  | [] -> tariff.Cost.native
+  | bodies ->
+      body_cost ctx node (fun () ->
           List.fold_left
-            (fun acc target -> max acc (cost_of target))
-            (body_cost ctx (defining, mname) (fun () ->
-                 with_enclosing ctx body (fun () -> stmts_cost ctx body)))
-            overrides)
+            (fun acc body ->
+              acc
+              +
+              match body.Mj.Visit.b_kind with
+              | Mj.Visit.Field_init { f_init = Some e; _ } ->
+                  expr_cost ctx e + tariff.Cost.field
+              | Mj.Visit.Field_init { f_init = None; _ } -> 0
+              | Mj.Visit.Ctor { c_body = { stmt = Super_call _; _ } :: stmts; _ }
+              | Mj.Visit.Ctor { c_body = stmts; _ }
+              | Mj.Visit.Method { m_body = Some stmts; _ } ->
+                  with_enclosing ctx stmts (fun () -> stmts_cost ctx stmts)
+              | Mj.Visit.Method { m_body = None; _ } -> 0)
+            0 bodies)
 
 and body_cost ctx key compute =
   match Hashtbl.find_opt ctx.memo key with
@@ -210,12 +175,16 @@ and stmt_cost ctx s =
   | Super_call args ->
       List.fold_left (fun acc a -> acc + expr_cost ctx a) 0 args
 
-let method_bound checked ~cls ~mname =
+(* The bound of a virtual call of [cls.run]: the worst of the [run] the
+   class enters and every override below it. *)
+let reaction_bound checked ~cls =
+  let graph = Analysis.Call_graph.build checked in
   let ctx =
-    { checked; memo = Hashtbl.create 32;
+    { checked; graph; memo = Hashtbl.create 32;
       in_progress = Hashtbl.create 8; enclosing = [] }
   in
-  try Cycles (named_method_cost ctx cls mname)
-  with Unbounded_exc why -> Unbounded why
-
-let reaction_bound checked ~cls = method_bound checked ~cls ~mname:"run"
+  match Analysis.Call_graph.method_node graph cls "run" with
+  | None -> Unbounded (Printf.sprintf "no method %s.run" cls)
+  | Some run -> (
+      try Cycles (dispatch_cost ctx (Analysis.Call_graph.dispatch graph run))
+      with Unbounded_exc why -> Unbounded why)

@@ -263,6 +263,130 @@ let super_ctor_race =
         [ "Child() { super(); }"; "Child() {}"; "" ])
 
 (* ------------------------------------------------------------------ *)
+(* Call graph against execution                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Labels of the methods the reference interpreter enters during four
+   ramp reactions of [cls] (not during its construction). *)
+let entered_by_reactions checked ~cls =
+  let module E = Javatime.Elaborate in
+  let module V = Javatime.Verify in
+  let profile = Telemetry.Profile.create () in
+  let elab =
+    E.elaborate ~engine:E.Engine_interp ~enforce_policy:false
+      ~bounded_memory:false ~profile checked ~cls
+  in
+  let n_in, _ = E.ports elab in
+  let kinds = V.input_kinds checked ~cls ~n_in in
+  let array_size =
+    if Array.exists Fun.id kinds then
+      V.calibrate_array_size ~engine:E.Engine_interp ~kinds checked ~cls
+    else 1
+  in
+  let calls () =
+    List.map
+      (fun r -> (r.Telemetry.Profile.r_label, r.Telemetry.Profile.r_calls))
+      (Telemetry.Profile.rows profile)
+  in
+  let before = calls () in
+  for t = 0 to 3 do
+    ignore (E.react elab (Array.init n_in (V.make_inputs ~kinds ~array_size t)))
+  done;
+  List.filter_map
+    (fun (label, n) ->
+      if n > Option.value ~default:0 (List.assoc_opt label before) then
+        Some label
+      else None)
+    (calls ())
+
+(* Is the profile label ["Cls.member"] a node of [nodes]? A constructor
+   is labelled ["Cls.<init>"], whatever its arity. *)
+let covers nodes label =
+  match String.index_opt label '.' with
+  | None -> false
+  | Some i -> (
+      let cls = String.sub label 0 i in
+      match String.sub label (i + 1) (String.length label - i - 1) with
+      | "<init>" ->
+          List.exists
+            (fun (c, m) -> String.equal c cls && String.starts_with ~prefix:"<init>/" m)
+            nodes
+      | member -> List.mem (cls, member) nodes)
+
+let call_graph_suite =
+  [ case "every method a reaction enters is reachable from run" (fun () ->
+        List.iter
+          (fun (design, src) ->
+            let checked = check_src src in
+            let graph = Analysis.Call_graph.build checked in
+            List.iter
+              (fun cls ->
+                let reachable =
+                  Analysis.Call_graph.reachable graph
+                    ~roots:
+                      (Option.to_list
+                         (Analysis.Call_graph.method_node graph cls "run"))
+                in
+                let entered = entered_by_reactions checked ~cls in
+                if entered = [] then Alcotest.failf "%s.%s: no method entered" design cls;
+                List.iter
+                  (fun label ->
+                    if not (covers reachable label) then
+                      Alcotest.failf "%s: %s.run entered %s, which the call \
+                                      graph does not reach"
+                        design cls label)
+                  entered)
+              (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "ASR"))
+          [ ("fir", Workloads.Fir_mj.unrestricted_source);
+            ("traffic", Workloads.Traffic_mj.source);
+            ("elevator", Workloads.Elevator_mj.source);
+            ("fig8-blocks", Workloads.Fig8_mj.refined_blocks_source);
+            ("uart", Workloads.Uart_mj.source);
+            (* The bundled JPEG codecs are 48x40; the classes are the
+               same at 16x8, whose reactions the interpreter runs in a
+               fraction of the time. *)
+            ("jpeg-unrestricted",
+             Workloads.Jpeg_mj.unrestricted_source ~width:16 ~height:8 ());
+            ("jpeg-restricted",
+             Workloads.Jpeg_mj.restricted_source ~width:16 ~height:8 ());
+            ("inherited", inherited_src) ]);
+    case "an inherited member resolves to the class that defines it" (fun () ->
+        let checked = check_src inherited_src in
+        let graph = Analysis.Call_graph.build checked in
+        Alcotest.(check (option (pair string string))) "run" (Some ("Base", "run"))
+          (Analysis.Call_graph.method_node graph "Derived" "run");
+        Alcotest.(check (list (pair string string))) "constructor chain"
+          [ ("Derived", "<init>/0"); ("Base", "<init>/0"); ("ASR", "<init>/0") ]
+          (Analysis.Call_graph.constructors graph "Derived" 0));
+    case "an inherited run's array ports are found in its superclass" (fun () ->
+        let checked =
+          check_src
+            {|class Base extends ASR {
+                Base() { declarePorts(2, 1); }
+                public void run() {
+                  int[] a = readPortArray(0);
+                  writePort(0, a[0] + readPort(1));
+                }
+              }
+              class Derived extends Base { Derived() { super(); } }|}
+        in
+        Alcotest.(check (array bool)) "port 0 carries arrays" [| true; false |]
+          (Javatime.Verify.input_kinds checked ~cls:"Derived" ~n_in:2));
+    case "a constructor runs its field initializers" (fun () ->
+        let checked =
+          check_src
+            {|class Helper { Helper() {} int one() { return 1; } }
+              class A { private int x = new Helper().one(); A() {} }|}
+        in
+        let graph = Analysis.Call_graph.build checked in
+        let ctor = ("A", "<init>/0") in
+        Alcotest.(check int) "field initializer and body" 2
+          (List.length (Analysis.Call_graph.bodies graph ctor));
+        Alcotest.(check bool) "initializer's call reached" true
+          (List.mem ("Helper", "one")
+             (Analysis.Call_graph.reachable graph ~roots:[ ctor ]))) ]
+
+(* ------------------------------------------------------------------ *)
 (* Const_eval edge cases                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -272,7 +396,7 @@ let const_of decls =
   let checked = check_src src in
   let cls = List.hd checked.Mj.Typecheck.program.Mj.Ast.classes in
   let f = List.find (fun f -> f.Mj.Ast.f_name = "r") cls.Mj.Ast.cl_fields in
-  Policy.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)
+  Analysis.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)
 
 let const_suite =
   [ case "addition wraps to 32 bits like the VM" (fun () ->
@@ -306,7 +430,7 @@ let escapes methods =
   let checked = check_src src in
   let cls = List.hd checked.Mj.Typecheck.program.Mj.Ast.classes in
   let m = Option.get (Mj.Ast.find_method cls "f") in
-  Policy.Escape.local_escapes "x" (Option.get m.Mj.Ast.m_body)
+  Analysis.Escape.local_escapes "x" (Option.get m.Mj.Ast.m_body)
 
 let escape_suite =
   [ case "indexing, length and rebinding do not escape" (fun () ->
@@ -496,4 +620,4 @@ let elision_suite =
 
 let suite =
   interval_suite @ race_suite @ const_suite @ escape_suite @ elision_suite
-  @ [ super_ctor_race ]
+  @ [ super_ctor_race ] @ call_graph_suite

@@ -169,6 +169,16 @@ let suite =
              ignore (E.to_block elab);
              false
            with Invalid_argument _ -> true));
+    case "to_block refuses a design that inherits a stateful run" (fun () ->
+        let checked = check_src inherited_src in
+        Alcotest.(check bool) "Derived writes Base's state" true
+          (E.writes_state checked ~cls:"Derived");
+        let elab = E.elaborate checked ~cls:"Derived" in
+        Alcotest.(check bool) "raises" true
+          (try
+             ignore (E.to_block elab);
+             false
+           with Invalid_argument _ -> true));
     case "int arrays cross ports" (fun () ->
         let src =
           {|class Rev extends ASR {

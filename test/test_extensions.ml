@@ -243,6 +243,27 @@ let suite =
               }|}
           in
           Alcotest.(check bool) "D0" true (List.mem "D0-static-ports" (sdf_ids src)));
+      case "sdf: an inherited design is read through its superclass" (fun () ->
+          (* Derived's port signature comes from Base's constructor and
+             its firing is Base's run. *)
+          Alcotest.(check (list string)) "compliant" [] (sdf_ids inherited_src);
+          let src =
+            {|class Base extends ASR {
+                Base() { declarePorts(2, 1); }
+                public void run() { writePort(0, readPort(0)); }
+              }
+              class Derived extends Base { Derived() { super(); } }|}
+          in
+          let unread =
+            List.filter_map
+              (fun v ->
+                if String.equal v.Policy.Rule.rule_id "D1-single-rate-reads"
+                then Some v.Policy.Rule.subject
+                else None)
+              (Policy.Sdf_policy.check (check_src src))
+          in
+          Alcotest.(check (list string)) "port 1 unread in both"
+            [ "Base.run"; "Derived.run" ] (List.sort compare unread));
       (* GC model *)
       case "gc: disabled by default" (fun () ->
           let heap = Mj_runtime.Heap.create () in

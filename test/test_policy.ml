@@ -253,11 +253,11 @@ let suite =
         let cls = List.hd checked.Mj.Typecheck.program.Mj.Ast.classes in
         let f = Option.get (Mj.Ast.find_field cls "P") in
         Alcotest.(check (option int)) "16" (Some 16)
-          (Policy.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)));
+          (Analysis.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)));
     case "const: field array length from ctor" (fun () ->
         let src = "class A { private int[] buf; A() { buf = new int[32]; } }" in
         Alcotest.(check (option int)) "32" (Some 32)
-          (Policy.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
+          (Analysis.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
     case "const: reassigned array length unknown" (fun () ->
         let src =
           {|class A {
@@ -267,7 +267,7 @@ let suite =
             }|}
         in
         Alcotest.(check (option int)) "unknown" None
-          (Policy.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
+          (Analysis.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
     clean "R4: field-length bound accepted"
       "class X extends ASR { private int[] buf; X() { declarePorts(1, 1); buf \
        = new int[16]; } public void run() { for (int i = 0; i < buf.length; \
@@ -282,10 +282,10 @@ let suite =
             }|}
         in
         let checked = check_src src in
-        let graph = Policy.Call_graph.build checked in
+        let graph = Analysis.Call_graph.build checked in
         let reachable =
-          Policy.Call_graph.reachable graph
-            ~roots:[ Policy.Call_graph.method_node "A" "a" ]
+          Analysis.Call_graph.reachable graph
+            ~roots:(Option.to_list (Analysis.Call_graph.method_node graph "A" "a"))
         in
         Alcotest.(check bool) "b reachable" true
           (List.mem ("A", "b") reachable);
@@ -298,10 +298,10 @@ let suite =
             class A { void f(B b) { b.m(); } }|}
         in
         let checked = check_src src in
-        let graph = Policy.Call_graph.build checked in
+        let graph = Analysis.Call_graph.build checked in
         let reachable =
-          Policy.Call_graph.reachable graph
-            ~roots:[ Policy.Call_graph.method_node "A" "f" ]
+          Analysis.Call_graph.reachable graph
+            ~roots:(Option.to_list (Analysis.Call_graph.method_node graph "A" "f"))
         in
         Alcotest.(check bool) "override helper reachable" true
           (List.mem ("C", "helper") reachable));

@@ -79,3 +79,19 @@ let react_int elab x =
   match Javatime.Elaborate.react elab [| Asr.Domain.int x |] with
   | [| v |] -> Option.get (Asr.Domain.to_int v)
   | outs -> Alcotest.failf "expected 1 output, got %d" (Array.length outs)
+
+(* A design whose ASR class only inherits its reaction: Derived declares
+   a constructor and nothing else, so its run method, its port
+   signature and its state are all Base's. *)
+let inherited_src =
+  {|class Base extends ASR {
+      private int count;
+      Base() { declarePorts(1, 1); count = 0; }
+      public void run() {
+        count = count + 1;
+        writePort(0, readPort(0) + count);
+      }
+    }
+    class Derived extends Base {
+      Derived() { super(); }
+    }|}
