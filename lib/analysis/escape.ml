@@ -76,7 +76,8 @@ let field_accessed_externally checked ~cls ~field =
                    String.equal fname field
                    &&
                    match o.ety with
-                   | Some (TClass c2) -> Mj.Symtab.is_subclass tab ~sub:c2 ~super:cls
+                   | Some (TClass c2) ->
+                       Mj.Symtab.is_subclass tab ~sub:c2 ~super:cls
                    | _ -> false
                  in
                  match e.expr with

@@ -85,7 +85,9 @@ let user_classes t = t.users
 let subclasses t super =
   List.filter_map
     (fun c ->
-      if (not (String.equal c.cl_name super)) && is_subclass t ~sub:c.cl_name ~super
+      if
+        (not (String.equal c.cl_name super))
+        && is_subclass t ~sub:c.cl_name ~super
       then Some c.cl_name
       else None)
     t.all

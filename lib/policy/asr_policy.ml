@@ -83,7 +83,9 @@ and check_no_reactive_alloc checked =
   let reactive_bodies =
     List.concat_map
       (fun node ->
-        List.map (fun body -> (node, body)) (Analysis.Call_graph.bodies graph node))
+        List.map
+          (fun body -> (node, body))
+          (Analysis.Call_graph.bodies graph node))
       (Analysis.Call_graph.reachable graph ~roots:(reactive_roots checked graph))
   in
   List.iter
