@@ -37,14 +37,12 @@ let bodies t node = find t.bodies node
 let node_loc t node =
   Option.value ~default:Mj.Loc.dummy (Hashtbl.find_opt t.locs node)
 
-let dispatch t node = node :: find t.overrides node
-
 let call_targets t call =
   match call.resolved with
   | None -> []
   | Some r ->
       let node = (r.rc_class, call.mname) in
-      if r.rc_static then [ node ] else dispatch t node
+      if r.rc_static then [ node ] else node :: find t.overrides node
 
 let rec constructors_from t node =
   node

@@ -2,8 +2,8 @@
     method or a constructor is entered. Every analysis that asks that
     question — the policy rules on the reactive phase and on recursion,
     the SDF port rules, the reaction-time bound, the shared-field race
-    detector and the purity check behind [Elaborate.to_block] — asks it
-    here.
+    detector, the purity check behind [Elaborate.to_block] and the
+    array-port probe of [Verify.input_kinds] — asks it here.
 
     Nodes are methods ("Class", "name") and constructors
     ("Class", "<init>/arity"), builtins included, each with the bodies it
@@ -19,7 +19,11 @@
       a subclass (dynamic dispatch). Static calls have no overrides.
     - A [new C(...)] names [C]'s constructor of that arity.
     - A constructor names its superclass constructor: the one an explicit
-      [super(...)] selects, else the implicit no-argument one. *)
+      [super(...)] selects, else the implicit no-argument one.
+
+    Roots are the nodes an instance enters ({!method_node},
+    {!constructors}): the reaction of a class is the [run] it defines or
+    inherits, without its subclasses' overrides. *)
 
 type node = string * string
 
@@ -28,10 +32,10 @@ type t
 val build : Mj.Typecheck.checked -> t
 
 val method_node : t -> string -> string -> node option
-(** [method_node t cls name] is the node a call of [name] on a [cls]
-    receiver enters: a member that [cls] only inherits resolves to the
-    class that defines it ({!Mj.Symtab.lookup_method}). [None] when no
-    class on the chain defines it. *)
+(** [method_node t cls name] is the method [name] an instance of [cls]
+    runs: a member that [cls] only inherits resolves to the class that
+    defines it ({!Mj.Symtab.lookup_method}). [None] when no class on the
+    chain defines it. *)
 
 val constructors : t -> string -> int -> node list
 (** The constructors [new cls(...)] with that many arguments runs: the
@@ -44,10 +48,6 @@ val bodies : t -> node -> Mj.Visit.body list
 val call_targets : t -> Mj.Ast.call -> node list
 (** The methods a call can enter: [[]] when the call is unresolved, else
     the resolved method, then its overrides unless the call is static. *)
-
-val dispatch : t -> node -> node list
-(** [node], then every override of it in a subclass: what a virtual call
-    that resolves to [node] can enter. *)
 
 val reachable : t -> roots:node list -> node list
 (** Declared nodes reachable from the roots, roots included, in

@@ -172,17 +172,21 @@ let detect checked =
       cell := { a_root = root; a_loc = loc; a_write = write } :: !cell
     end
   in
-  let graph = Call_graph.build checked in
-  List.iter
-    (fun root ->
+  (match Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "Thread" with
+  | [] -> ()
+  | threads ->
+      let graph = Call_graph.build checked in
       List.iter
-        (fun node ->
+        (fun root ->
           List.iter
-            (fun b -> note_accesses note root b.Mj.Visit.b_stmts)
-            (Call_graph.bodies graph node))
-        (Call_graph.reachable graph
-           ~roots:(Option.to_list (Call_graph.method_node graph root "run"))))
-    (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "Thread");
+            (fun node ->
+              List.iter
+                (fun b -> note_accesses note root b.Mj.Visit.b_stmts)
+                (Call_graph.bodies graph node))
+            (Call_graph.reachable graph
+               ~roots:
+                 (Option.to_list (Call_graph.method_node graph root "run"))))
+        threads);
   note_main_accesses checked note;
   let races = ref [] in
   Hashtbl.iter

@@ -175,8 +175,6 @@ and stmt_cost ctx s =
   | Super_call args ->
       List.fold_left (fun acc a -> acc + expr_cost ctx a) 0 args
 
-(* The bound of a virtual call of [cls.run]: the worst of the [run] the
-   class enters and every override below it. *)
 let reaction_bound checked ~cls =
   let graph = Analysis.Call_graph.build checked in
   let ctx =
@@ -186,5 +184,5 @@ let reaction_bound checked ~cls =
   match Analysis.Call_graph.method_node graph cls "run" with
   | None -> Unbounded (Printf.sprintf "no method %s.run" cls)
   | Some run -> (
-      try Cycles (dispatch_cost ctx (Analysis.Call_graph.dispatch graph run))
+      try Cycles (node_cost ctx run)
       with Unbounded_exc why -> Unbounded why)

@@ -13,4 +13,6 @@ type bound =
   | Unbounded of string  (** why: recursion, while loop, unknown bound… *)
 
 val reaction_bound : Mj.Typecheck.checked -> cls:string -> bound
-(** Bound of the class's [run] method. *)
+(** Bound of the [run] method an instance of the class enters: its own,
+    or the one it inherits. Overrides in subclasses do not count; each
+    subclass has its own bound. *)

@@ -196,6 +196,33 @@ let suite =
             (* must account for C.f's 50-iteration loop, not just B.f *)
             Alcotest.(check bool) "covers override" true (n > 1000)
         | Policy.Time_bound.Unbounded why -> Alcotest.failf "unbounded: %s" why);
+    case "R9: a class is bounded by the run it enters, not its subclasses'"
+      (fun () ->
+        let checked =
+          check_src
+            {|class Base extends ASR {
+                Base() { declarePorts(1, 1); }
+                public void run() { writePort(0, readPort(0)); }
+              }
+              class Loops extends Base {
+                Loops() { super(); }
+                public void run() {
+                  int x = readPort(0);
+                  while (x > 0) { x = x - 1; }
+                  writePort(0, x);
+                }
+              }
+              class Inherits extends Base { Inherits() { super(); } }|}
+        in
+        let bound cls = Policy.Time_bound.reaction_bound checked ~cls in
+        (match (bound "Base", bound "Inherits") with
+        | Policy.Time_bound.Cycles b, Policy.Time_bound.Cycles i ->
+            Alcotest.(check int) "Inherits runs Base.run" b i
+        | _ -> Alcotest.fail "Base and Inherits are bounded");
+        match bound "Loops" with
+        | Policy.Time_bound.Cycles _ -> Alcotest.fail "Loops is unbounded"
+        | Policy.Time_bound.Unbounded why ->
+            Alcotest.(check string) "why" "while loop" why);
     (* loop bound analysis details *)
     case "bound: simple upward loop" (fun () ->
         match for_bound_of () "for (int i = 0; i < 10; i++) { }" with
