@@ -85,13 +85,14 @@ and call_cost ctx call =
     | None -> raise (Unbounded_exc "unresolved call")
     | Some r ->
         if r.rc_native then t.Cost.native
-        else dispatch_cost ctx (Analysis.Call_graph.call_targets ctx.graph call)
+        else
+          (* Dynamic dispatch: bound by the worst target. *)
+          List.fold_left
+            (fun acc node -> max acc (node_cost ctx node))
+            0
+            (Analysis.Call_graph.call_targets ctx.graph call)
   in
   t.Cost.call + args + recv + target
-
-(* Dynamic dispatch: bound by the worst target. *)
-and dispatch_cost ctx targets =
-  List.fold_left (fun acc node -> max acc (node_cost ctx node)) 0 targets
 
 (* The code a node runs itself: a method's body, or a constructor's
    field initializers and body (its superclass constructor is costed as
