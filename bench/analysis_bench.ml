@@ -22,6 +22,7 @@ let interval_only_source =
 (* (loops the syntactic recognizer bounds, loops the full analysis
    bounds, syntactically bounded loops the fallback loses) *)
 let loop_counts checked =
+  let facts = Analysis.Facts.of_checked checked in
   let bounded = function Policy.Loop_bounds.Bounded _ -> true | _ -> false in
   let syntactic = ref 0 and interval = ref 0 and regressed = ref 0 in
   List.iter
@@ -33,12 +34,12 @@ let loop_counts checked =
               match s.Mj.Ast.stmt with
               | Mj.Ast.For _ ->
                   let syn =
-                    bounded (Policy.Loop_bounds.syntactic_for_bound checked s)
+                    bounded (Policy.Loop_bounds.syntactic_for_bound facts s)
                   in
                   let full =
                     bounded
                       (Policy.Loop_bounds.for_bound
-                         ~enclosing:body.Mj.Visit.b_stmts checked s)
+                         ~enclosing:body.Mj.Visit.b_stmts facts s)
                   in
                   if syn then incr syntactic;
                   if full then incr interval

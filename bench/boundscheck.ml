@@ -11,7 +11,9 @@ module E = Javatime.Elaborate
 
 let workload_rows (w : F.mj) =
   let checked = Mj.Typecheck.check_source ~file:(w.name ^ ".mj") w.source in
-  let elided = Hashtbl.length (Analysis.Elide.plan checked) in
+  let elided =
+    Hashtbl.length (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
+  in
   let reaction_cycles ~engine ~elide =
     let elab, outputs = F.drive ~engine ~elide w in
     (E.total_cycles elab - E.init_cycles elab, outputs)

@@ -12,7 +12,11 @@
    constructor of its class assigns a [new T\[c\]] of constant size
    (and that is never assigned elsewhere). Used by the loop-bound
    analysis, the reaction-time bound, the bytecode compiler's elision
-   planner and the refinement checker. *)
+   planner and the refinement checker.
+
+   Both functions take the program's {!Facts} context: a field's length
+   needs a scan of the whole program, which the context runs at most
+   once per (class, field) however often the interval analysis asks. *)
 
 open Mj.Ast
 
@@ -20,13 +24,13 @@ open Mj.Ast
    because this library sits below the runtime. *)
 let wrap32 n = Int32.to_int (Int32.of_int n)
 
-let rec const_int checked e =
+let rec const_int facts e =
   match e.expr with
   | Int_lit n -> Some n
-  | Unary (Neg, x) -> Option.map (fun n -> wrap32 (-n)) (const_int checked x)
-  | Cast (TInt, x) -> const_int checked x
+  | Unary (Neg, x) -> Option.map (fun n -> wrap32 (-n)) (const_int facts x)
+  | Cast (TInt, x) -> const_int facts x
   | Binary (op, x, y) -> (
-      match (const_int checked x, const_int checked y) with
+      match (const_int facts x, const_int facts y) with
       | Some a, Some b -> (
           match op with
           | Add -> Some (wrap32 (a + b))
@@ -42,10 +46,13 @@ let rec const_int checked e =
           | Eq | Neq | Lt | Gt | Le | Ge | And | Or -> None)
       | _, _ -> None)
   | Static_field (cls, fname) -> (
-      match Mj.Symtab.lookup_field checked.Mj.Typecheck.symtab cls fname with
+      match
+        Mj.Symtab.lookup_field (Facts.checked facts).Mj.Typecheck.symtab cls
+          fname
+      with
       | Some (_, f) when f.f_mods.is_final && equal_ty f.f_ty TInt -> (
           match f.f_init with
-          | Some init -> const_int checked init
+          | Some init -> const_int facts init
           | None -> None)
       | Some _ | None -> None)
   | Array_length inner -> (
@@ -53,7 +60,7 @@ let rec const_int checked e =
       match inner.expr with
       | Field_access (o, fname) -> (
           match o.ety with
-          | Some (TClass cls) -> field_array_length checked ~cls ~field:fname
+          | Some (TClass cls) -> field_array_length facts ~cls ~field:fname
           | _ -> None)
       | _ -> None)
   | Double_lit _ | Bool_lit _ | String_lit _ | Null_lit | This | Name _
@@ -65,78 +72,79 @@ let rec const_int checked e =
 (* Statically known length of the array held by instance field
    [cls.field], when it is allocated with a constant size in every
    constructor (or its field initializer) and never reassigned. *)
-and field_array_length checked ~cls ~field =
-  match find_class (Mj.Symtab.program checked.Mj.Typecheck.symtab) cls with
-  | None -> None
-  | Some decl -> (
-      match find_field decl field with
-      | None -> (
-          (* Inherited field: look in the superclass. *)
-          match decl.cl_super with
-          | Some super -> field_array_length checked ~cls:super ~field
-          | None -> None)
-      | Some f when f.f_mods.is_static -> None
-      | Some f -> (
-          (* Collect every assignment to the field anywhere in the
-             program; the length is known when all are constant-size
-             allocations in this class's constructors or initializer,
-             and they agree. *)
-          let sizes = ref [] in
-          let foreign_write = ref false in
-          let record_assign in_ctor_of_cls rhs =
-            match rhs.expr with
-            | New_array (_, [ dim ]) when in_ctor_of_cls -> (
-                match const_int checked dim with
-                | Some n -> sizes := n :: !sizes
-                | None -> foreign_write := true)
-            | _ -> foreign_write := true
+and field_array_length facts ~cls ~field =
+  Facts.memo_length facts (cls, field) (fun () ->
+      let tab = (Facts.checked facts).Mj.Typecheck.symtab in
+      match find_class (Mj.Symtab.program tab) cls with
+      | None -> None
+      | Some decl -> (
+          match find_field decl field with
+          | None -> (
+              (* Inherited field: look in the superclass. *)
+              match decl.cl_super with
+              | Some super -> field_array_length facts ~cls:super ~field
+              | None -> None)
+          | Some f when f.f_mods.is_static -> None
+          | Some f -> declared_array_length facts ~cls ~field f))
+
+(* One scan of the program for the writes to [cls.field], declared as
+   [f] in [cls]. *)
+and declared_array_length facts ~cls ~field f =
+  let tab = (Facts.checked facts).Mj.Typecheck.symtab in
+  (* Collect every assignment to the field anywhere in the program; the
+     length is known when all are constant-size allocations in this
+     class's constructors or initializer, and they agree. *)
+  let sizes = ref [] in
+  let foreign_write = ref false in
+  let record_assign in_ctor_of_cls rhs =
+    match rhs.expr with
+    | New_array (_, [ dim ]) when in_ctor_of_cls -> (
+        match const_int facts dim with
+        | Some n -> sizes := n :: !sizes
+        | None -> foreign_write := true)
+    | _ -> foreign_write := true
+  in
+  List.iter
+    (fun c ->
+      List.iter
+        (fun body ->
+          let in_ctor_of_cls =
+            String.equal c.cl_name cls
+            &&
+            match body.Mj.Visit.b_kind with
+            | Mj.Visit.Ctor _ | Mj.Visit.Field_init _ -> true
+            | Mj.Visit.Method _ -> false
           in
-          let program = Mj.Symtab.program checked.Mj.Typecheck.symtab in
-          List.iter
-            (fun c ->
-              List.iter
-                (fun body ->
-                  let in_ctor_of_cls =
-                    String.equal c.cl_name cls
-                    &&
-                    match body.Mj.Visit.b_kind with
-                    | Mj.Visit.Ctor _ | Mj.Visit.Field_init _ -> true
-                    | Mj.Visit.Method _ -> false
-                  in
-                  Mj.Visit.iter_exprs
-                    (fun e ->
-                      match e.expr with
-                      | Assign (Lfield (o, fname), rhs)
-                        when String.equal fname field -> (
-                          match o.ety with
-                          | Some (TClass c2)
-                            when Mj.Symtab.is_subclass
-                                   checked.Mj.Typecheck.symtab ~sub:c2
-                                   ~super:cls
-                                 || Mj.Symtab.is_subclass
-                                      checked.Mj.Typecheck.symtab ~sub:cls
-                                      ~super:c2 ->
-                              record_assign in_ctor_of_cls rhs
-                          | _ -> ())
-                      | Op_assign (_, Lfield (_, fname), _)
-                        when String.equal fname field ->
-                          foreign_write := true
-                      | _ -> ())
-                    body.Mj.Visit.b_stmts)
-                (Mj.Visit.bodies c))
-            program.classes;
-          (* A field initializer with a constant allocation also counts. *)
-          (match f.f_init with
-          | Some init -> (
-              match init.expr with
-              | New_array (_, [ dim ]) -> (
-                  match const_int checked dim with
-                  | Some n -> sizes := n :: !sizes
-                  | None -> foreign_write := true)
-              | Null_lit -> ()
-              | _ -> foreign_write := true)
-          | None -> ());
-          match (!foreign_write, !sizes) with
-          | true, _ | _, [] -> None
-          | false, n :: rest ->
-              if List.for_all (fun m -> m = n) rest then Some n else None))
+          Mj.Visit.iter_exprs
+            (fun e ->
+              match e.expr with
+              | Assign (Lfield (o, fname), rhs) when String.equal fname field
+                -> (
+                  match o.ety with
+                  | Some (TClass c2)
+                    when Mj.Symtab.is_subclass tab ~sub:c2 ~super:cls
+                         || Mj.Symtab.is_subclass tab ~sub:cls ~super:c2 ->
+                      record_assign in_ctor_of_cls rhs
+                  | _ -> ())
+              | Op_assign (_, Lfield (_, fname), _)
+                when String.equal fname field ->
+                  foreign_write := true
+              | _ -> ())
+            body.Mj.Visit.b_stmts)
+        (Mj.Visit.bodies c))
+    (Mj.Symtab.program tab).classes;
+  (* A field initializer with a constant allocation also counts. *)
+  (match f.f_init with
+  | Some init -> (
+      match init.expr with
+      | New_array (_, [ dim ]) -> (
+          match const_int facts dim with
+          | Some n -> sizes := n :: !sizes
+          | None -> foreign_write := true)
+      | Null_lit -> ()
+      | _ -> foreign_write := true)
+  | None -> ());
+  match (!foreign_write, !sizes) with
+  | true, _ | _, [] -> None
+  | false, n :: rest ->
+      if List.for_all (fun m -> m = n) rest then Some n else None

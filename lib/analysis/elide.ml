@@ -11,18 +11,18 @@
    fields, statically-sized allocations, and branch guards — never from
    assumptions about callers. *)
 
-let plan checked =
+let plan facts =
   let safe : (Mj.Loc.t, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun cls ->
       List.iter
         (fun body ->
-          let summary = Interval.analyze checked body.Mj.Visit.b_stmts in
+          let summary = Interval.analyze facts body.Mj.Visit.b_stmts in
           Hashtbl.iter
             (fun loc () -> Hashtbl.replace safe loc ())
             (Interval.safe_sites summary))
         (Mj.Visit.bodies cls))
-    checked.Mj.Typecheck.program.Mj.Ast.classes;
+    (Facts.checked facts).Mj.Typecheck.program.Mj.Ast.classes;
   safe
 
 (* Every array-access site in the program (for coverage reporting). *)

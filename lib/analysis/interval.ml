@@ -17,155 +17,7 @@
    - reachability (implicitly): dead branches refine to bottom. *)
 
 open Mj.Ast
-
-let min32 = -0x8000_0000
-let max32 = 0x7fff_ffff
-
-type itv = { lo : int; hi : int }
-
-let top = { lo = min32; hi = max32 }
-
-let is_top i = i.lo = min32 && i.hi = max32
-
-(* Exact when the true range fits in int32; top otherwise (the concrete
-   machine wraps, so a clamped interval would be unsound). *)
-let norm lo hi = if lo < min32 || hi > max32 then top else { lo; hi }
-
-let const n = norm n n
-
-let join_itv a b = { lo = min a.lo b.lo; hi = max a.hi b.hi }
-
-let widen_itv old next =
-  { lo = (if next.lo < old.lo then min32 else old.lo);
-    hi = (if next.hi > old.hi then max32 else old.hi) }
-
-let meet_itv a b =
-  let lo = max a.lo b.lo and hi = min a.hi b.hi in
-  if lo > hi then None else Some { lo; hi }
-
-let add_itv a b = norm (a.lo + b.lo) (a.hi + b.hi)
-let sub_itv a b = norm (a.lo - b.hi) (a.hi - b.lo)
-let neg_itv a = norm (-a.hi) (-a.lo)
-
-let mul_itv a b =
-  (* Products of int32 bounds can reach 2^62; go through Int64. *)
-  let p x y = Int64.mul (Int64.of_int x) (Int64.of_int y) in
-  let c1 = p a.lo b.lo and c2 = p a.lo b.hi in
-  let c3 = p a.hi b.lo and c4 = p a.hi b.hi in
-  let lo = List.fold_left min c1 [ c2; c3; c4 ] in
-  let hi = List.fold_left max c1 [ c2; c3; c4 ] in
-  if
-    Int64.compare lo (Int64.of_int min32) < 0
-    || Int64.compare hi (Int64.of_int max32) > 0
-  then top
-  else { lo = Int64.to_int lo; hi = Int64.to_int hi }
-
-let div_itv a b =
-  (* Only when the divisor cannot be zero; truncation towards zero
-     matches both OCaml and Java. *)
-  if b.lo <= 0 && b.hi >= 0 then top
-  else
-    let c1 = a.lo / b.lo and c2 = a.lo / b.hi in
-    let c3 = a.hi / b.lo and c4 = a.hi / b.hi in
-    let lo = List.fold_left min c1 [ c2; c3; c4 ] in
-    let hi = List.fold_left max c1 [ c2; c3; c4 ] in
-    norm lo hi
-
-let mod_itv a b =
-  if b.lo <= 0 && b.hi >= 0 then top
-  else
-    (* Java remainder takes the dividend's sign; |r| < max |divisor|. *)
-    let m = max (abs b.lo) (abs b.hi) - 1 in
-    if a.lo >= 0 then { lo = 0; hi = min a.hi m }
-    else if a.hi <= 0 then { lo = max a.lo (-m); hi = 0 }
-    else { lo = max a.lo (-m); hi = min a.hi m }
-
-let shl_itv a b =
-  match b with
-  | { lo; hi } when lo = hi && lo >= 0 && lo <= 31 ->
-      let s x = Int64.shift_left (Int64.of_int x) lo in
-      let l = s a.lo and h = s a.hi in
-      if
-        Int64.compare l (Int64.of_int min32) < 0
-        || Int64.compare h (Int64.of_int max32) > 0
-      then top
-      else { lo = Int64.to_int l; hi = Int64.to_int h }
-  | _ -> top
-
-let shr_itv a b =
-  match b with
-  | { lo; hi } when lo = hi && lo >= 0 && lo <= 31 ->
-      { lo = a.lo asr lo; hi = a.hi asr lo }
-  | _ -> top
-
-let band_itv a b =
-  (* x & mask with a non-negative constant mask lands in [0, mask]. *)
-  if b.lo = b.hi && b.lo >= 0 then { lo = 0; hi = b.lo }
-  else if a.lo = a.hi && a.lo >= 0 then { lo = 0; hi = a.lo }
-  else top
-
-(* ------------------------------------------------------------------ *)
-(* Environments                                                        *)
-(* ------------------------------------------------------------------ *)
-
-module SMap = Map.Make (String)
-
-type vstate =
-  | Vint of itv
-  | Varr of int option  (* statically-known array length *)
-
-type env = vstate SMap.t
-
-(* [None] is unreachable (bottom). A variable absent from the map is
-   unknown — entry parameters, non-scalar types, or joins of
-   incompatible states all stay absent, which reads back as top. *)
-type state = env option
-
-let equal_vstate a b =
-  match (a, b) with
-  | Vint x, Vint y -> x.lo = y.lo && x.hi = y.hi
-  | Varr x, Varr y -> x = y
-  | Vint _, Varr _ | Varr _, Vint _ -> false
-
-let join_env a b =
-  SMap.merge
-    (fun _ x y ->
-      match (x, y) with
-      | Some (Vint i), Some (Vint j) -> Some (Vint (join_itv i j))
-      | Some (Varr m), Some (Varr n) -> if m = n then Some (Varr m) else None
-      | _ -> None)
-    a b
-
-let widen_env old next =
-  SMap.merge
-    (fun _ x y ->
-      match (x, y) with
-      | Some (Vint i), Some (Vint j) -> Some (Vint (widen_itv i j))
-      | Some (Varr m), Some (Varr n) -> if m = n then Some (Varr m) else None
-      | _ -> None)
-    old next
-
-module State = struct
-  type t = state
-
-  let bottom = None
-
-  let equal a b =
-    match (a, b) with
-    | None, None -> true
-    | Some x, Some y -> SMap.equal equal_vstate x y
-    | None, Some _ | Some _, None -> false
-
-  let join a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some x, Some y -> Some (join_env x y)
-
-  let widen a b =
-    match (a, b) with
-    | None, x | x, None -> x
-    | Some x, Some y -> Some (widen_env x y)
-end
+open Itv
 
 (* ------------------------------------------------------------------ *)
 (* Abstract evaluation                                                 *)
@@ -174,14 +26,14 @@ end
 type aval = Aint of itv | Aarr of int option | Aother
 
 type ctx = {
-  checked : Mj.Typecheck.checked;
+  facts : Facts.t;
   mutable record : bool;  (* true during the post-fixpoint reporting pass *)
   sites : (Mj.Loc.t, bool) Hashtbl.t;  (* index-expr span -> always safe *)
   loop_envs : (Mj.Loc.t, env) Hashtbl.t;  (* for-stmt span -> entry env *)
 }
 
-let make_ctx checked =
-  { checked; record = false; sites = Hashtbl.create 32;
+let make_ctx facts =
+  { facts; record = false; sites = Hashtbl.create 32;
     loop_envs = Hashtbl.create 8 }
 
 let lookup env name ety =
@@ -225,7 +77,7 @@ let rec eval ctx env e : env * aval =
           let len =
             match o.ety with
             | Some (TClass cls) ->
-                Const_eval.field_array_length ctx.checked ~cls ~field:fname
+                Const_eval.field_array_length ctx.facts ~cls ~field:fname
             | _ -> None
           in
           (env, Aarr len)
@@ -233,7 +85,7 @@ let rec eval ctx env e : env * aval =
   | Static_field _ -> (
       match e.ety with
       | Some TInt -> (
-          match Const_eval.const_int ctx.checked e with
+          match Const_eval.const_int ctx.facts e with
           | Some n -> (env, Aint (const n))
           | None -> (env, Aint top))
       | Some (TArray _) -> (env, Aarr None)
@@ -243,7 +95,7 @@ let rec eval ctx env e : env * aval =
       match ov with
       | Aarr (Some n) -> (env, Aint (const n))
       | _ -> (
-          match Const_eval.const_int ctx.checked e with
+          match Const_eval.const_int ctx.facts e with
           | Some n -> (env, Aint (const n))
           | None -> (env, Aint { lo = 0; hi = max32 })))
   | Index (a, i) ->
@@ -551,17 +403,13 @@ let transfer ctx cmd (st : state) : state =
           end;
           Some env)
 
-type summary = {
-  s_checked : Mj.Typecheck.checked;
-  s_safe_sites : (Mj.Loc.t, unit) Hashtbl.t;
-  s_loop_envs : (Mj.Loc.t, env) Hashtbl.t;
-}
+type summary = Facts.summary
 
 module Solver = Dataflow.Make (State)
 
-let analyze_uncached checked stmts =
+let analyze_body facts stmts =
   let cfg = Cfg.build stmts in
-  let ctx = make_ctx checked in
+  let ctx = make_ctx facts in
   let in_states =
     Solver.solve ~transfer:(transfer ctx) cfg ~init:(Some SMap.empty)
   in
@@ -580,32 +428,14 @@ let analyze_uncached checked stmts =
     cfg.Cfg.blocks;
   let safe = Hashtbl.create 32 in
   Hashtbl.iter (fun loc ok -> if ok then Hashtbl.replace safe loc ()) ctx.sites;
-  { s_checked = checked; s_safe_sites = safe; s_loop_envs = ctx.loop_envs }
+  { Facts.safe_sites = safe; loop_envs = ctx.loop_envs }
 
-(* Memoized on the physical identity of the statement list: policy
-   passes ask about every loop of the same body in turn. Weak keys
-   (ephemerons) so a long-lived process analyzing many programs does
-   not pin every checked program it has ever seen. *)
-module Cache = Ephemeron.K1.Make (struct
-  type t = stmt list
+(* Policy passes ask about every loop of the same body in turn, so the
+   summary is memoized in the program's context. *)
+let analyze facts stmts =
+  Facts.memo_summary facts stmts (fun () -> analyze_body facts stmts)
 
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let cache : summary Cache.t = Cache.create 64
-
-let analyze checked stmts =
-  match Cache.find_opt cache stmts with
-  | Some s when s.s_checked == checked -> s
-  | _ ->
-      let s = analyze_uncached checked stmts in
-      Cache.replace cache stmts s;
-      s
-
-let safe_sites summary = summary.s_safe_sites
-
-let is_safe_site summary loc = Hashtbl.mem summary.s_safe_sites loc
+let safe_sites (summary : summary) = summary.Facts.safe_sites
 
 (* ------------------------------------------------------------------ *)
 (* Loop bounds from the fixpoint                                       *)
@@ -693,13 +523,13 @@ let step_of ctx env name update =
   | Some c0, Some c1 when c1 = c0 + 1 && c0 <> 0 -> Some c0
   | _ -> None
 
-let for_bound checked summary s =
+let for_bound facts (summary : summary) s =
   match s.stmt with
   | For (init, Some cond, Some update, body) -> (
-      match Hashtbl.find_opt summary.s_loop_envs s.sloc with
+      match Hashtbl.find_opt summary.Facts.loop_envs s.sloc with
       | None -> None
       | Some env0 -> (
-          let ctx = make_ctx checked in
+          let ctx = make_ctx facts in
           let index =
             match init with
             | Some (For_var (TInt, name, Some e)) -> Some (name, e)

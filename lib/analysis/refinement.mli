@@ -28,14 +28,13 @@ type vc = {
 }
 
 val check_transform :
-  transform:string ->
-  before:Mj.Typecheck.checked ->
-  after:Mj.Typecheck.checked ->
-  vc list
+  transform:string -> before:Facts.t -> after:Facts.t -> vc list
 (** Verification conditions for one recorded engine iteration: one VC
     per recognized rewrite site, plus failing VCs for any difference
     between the two programs that the transform cannot have produced. A
-    transform id with no catalogued VC yields a single failing VC. *)
+    transform id with no catalogued VC yields a single failing VC.
+    [before] and [after] are the two programs' analysis contexts, shared
+    by every site of the step. *)
 
 val races_clean : Mj.Typecheck.checked -> vc
 (** The VC justifying thread elimination / sequentialization of the

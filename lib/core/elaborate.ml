@@ -25,7 +25,10 @@ type t = {
 let ops_of_engine ~elide ?profile ?lines engine checked =
   (* The elision plan only affects the bytecode engines; the interpreter
      walks the AST and always performs the modelled bounds check. *)
-  let plan () = if elide then Some (Analysis.Elide.plan checked) else None in
+  let plan () =
+    if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
+    else None
+  in
   match engine with
   | Engine_interp ->
       let s = Mj_runtime.Interp.create ?profile ?lines checked in

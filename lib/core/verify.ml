@@ -55,7 +55,10 @@ let check_program ?catalogue program =
         | Some transform, Some before, Some after ->
             let vcs =
               match (Mj.Typecheck.check before, Mj.Typecheck.check after) with
-              | cb, ca -> R.check_transform ~transform ~before:cb ~after:ca
+              | cb, ca ->
+                  R.check_transform ~transform
+                    ~before:(Analysis.Facts.of_checked cb)
+                    ~after:(Analysis.Facts.of_checked ca)
               | exception Mj.Diag.Compile_error d ->
                   [ { R.vc_transform = transform; vc_class = "<program>";
                       vc_site = "typecheck"; vc_before = Mj.Loc.dummy;
@@ -133,6 +136,7 @@ let ramp t i = (t + 1) * (i + 2) mod 17
 let input_kinds checked ~cls ~n_in =
   let arrays = Hashtbl.create 4 in
   let graph = Analysis.Call_graph.build checked in
+  let facts = Analysis.Facts.of_checked checked in
   List.iter
     (fun node ->
       List.iter
@@ -141,7 +145,7 @@ let input_kinds checked ~cls ~n_in =
             (fun e ->
               match e.Mj.Ast.expr with
               | Mj.Ast.Call { mname = "readPortArray"; args = [ a ]; _ } -> (
-                  match Analysis.Const_eval.const_int checked a with
+                  match Analysis.Const_eval.const_int facts a with
                   | Some i -> Hashtbl.replace arrays i ()
                   | None -> ())
               | _ -> ())

@@ -23,36 +23,36 @@ let modifies_local name stmts =
     stmts
 
 (* Constant step applied to index [name] by the update expression. *)
-let step_of checked name update =
+let step_of facts name update =
   match update.expr with
   | Pre_incr (d, lv) | Post_incr (d, lv) -> (
       match local_name lv with
       | Some n when String.equal n name -> Some d
       | _ -> None)
   | Op_assign (Add, lv, rhs) -> (
-      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int facts rhs) with
       | Some n, Some c when String.equal n name -> Some c
       | _ -> None)
   | Op_assign (Sub, lv, rhs) -> (
-      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int facts rhs) with
       | Some n, Some c when String.equal n name -> Some (-c)
       | _ -> None)
   | Assign (lv, { expr = Binary (Add, { expr = Local n2 | Name n2; _ }, rhs); _ })
     -> (
-      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int facts rhs) with
       | Some n, Some c when String.equal n name && String.equal n2 name -> Some c
       | _ -> None)
   | Assign (lv, { expr = Binary (Sub, { expr = Local n2 | Name n2; _ }, rhs); _ })
     -> (
-      match (local_name lv, Analysis.Const_eval.const_int checked rhs) with
+      match (local_name lv, Analysis.Const_eval.const_int facts rhs) with
       | Some n, Some c when String.equal n name && String.equal n2 name ->
           Some (-c)
       | _ -> None)
   | _ -> None
 
 (* Exit test [i REL limit] (or mirrored) with a constant limit. *)
-let test_of checked name cond =
-  let limit_of e = Analysis.Const_eval.const_int checked e in
+let test_of facts name cond =
+  let limit_of e = Analysis.Const_eval.const_int facts e in
   match cond.expr with
   | Binary (((Lt | Le | Gt | Ge) as op), { expr = Local n | Name n; _ }, limit)
     when String.equal n name -> (
@@ -100,15 +100,15 @@ let iterations ~start ~limit ~step ~op =
 (* The original syntactic recognizer: [int i = <const>; i REL <const>;
    i += <const>]. Kept as the fast path; the interval fallback below
    subsumes it for everything it accepts. *)
-let syntactic_for_bound checked s =
+let syntactic_for_bound facts s =
   match s.stmt with
   | For (init, cond, update, body) -> (
       let index =
         match init with
         | Some (For_var (TInt, name, Some start)) ->
-            Option.map (fun n -> (name, n)) (Analysis.Const_eval.const_int checked start)
+            Option.map (fun n -> (name, n)) (Analysis.Const_eval.const_int facts start)
         | Some (For_expr { expr = Assign (lv, start); _ }) -> (
-            match (local_name lv, Analysis.Const_eval.const_int checked start) with
+            match (local_name lv, Analysis.Const_eval.const_int facts start) with
             | Some name, Some n -> Some (name, n)
             | _ -> None)
         | Some (For_var _) | Some (For_expr _) | None -> None
@@ -119,7 +119,7 @@ let syntactic_for_bound checked s =
           match cond with
           | None -> Unrecognized "missing exit test"
           | Some cond -> (
-              match test_of checked name cond with
+              match test_of facts name cond with
               | None ->
                   Unrecognized
                     "exit test is not '<index> REL <compile-time constant>'"
@@ -127,7 +127,7 @@ let syntactic_for_bound checked s =
                   match update with
                   | None -> Unrecognized "missing update"
                   | Some update -> (
-                      match step_of checked name update with
+                      match step_of facts name update with
                       | None ->
                           Unrecognized "update is not a constant step of the index"
                       | Some step ->
@@ -150,13 +150,13 @@ let syntactic_for_bound checked s =
    abstract environment at the loop head pins down. Entry parameters
    and call results are top there, so loops governed by runtime inputs
    stay Unrecognized. *)
-let for_bound ?enclosing checked s =
-  match syntactic_for_bound checked s with
+let for_bound ?enclosing facts s =
+  match syntactic_for_bound facts s with
   | (Bounded _ | Index_modified _) as r -> r
   | Unrecognized _ as r -> (
       let enclosing = match enclosing with Some ss -> ss | None -> [ s ] in
-      let summary = Analysis.Interval.analyze checked enclosing in
-      match Analysis.Interval.for_bound checked summary s with
+      let summary = Analysis.Interval.analyze facts enclosing in
+      match Analysis.Interval.for_bound facts summary s with
       | Some n -> Bounded n
       | None -> r)
 
@@ -164,7 +164,7 @@ let for_bound ?enclosing checked s =
    otherwise touch i, and limit/step are compile-time constants. A
    [break]/[continue] in the body would change meaning under the
    conversion (the step moves into the for header), so those disqualify. *)
-let loop_parts checked cond body =
+let loop_parts facts cond body =
   let stmts = match body.stmt with Block b -> b | _ -> [ body ] in
   let has_jump =
     Mj.Visit.exists_stmt
@@ -186,7 +186,7 @@ let loop_parts checked cond body =
         match index with
         | None -> None
         | Some name -> (
-            match (test_of checked name cond, step_of checked name update) with
+            match (test_of facts name cond, step_of facts name update) with
             | Some _, Some step
               when step <> 0 && not (modifies_local name (List.rev rev_prefix))
               ->
@@ -194,18 +194,18 @@ let loop_parts checked cond body =
             | _ -> None))
     | _ -> None
 
-let while_parts checked s =
+let while_parts facts s =
   match s.stmt with
-  | While (cond, body) | Do_while (body, cond) -> loop_parts checked cond body
+  | While (cond, body) | Do_while (body, cond) -> loop_parts facts cond body
   | Block _ | Var_decl _ | Expr _ | If _ | For _ | Return _ | Break
   | Continue | Super_call _ | Empty ->
       None
 
-let while_convertible checked s =
+let while_convertible facts s =
   match s.stmt with
-  | While _ -> while_parts checked s <> None
+  | While _ -> while_parts facts s <> None
   | Block _ | Var_decl _ | Expr _ | If _ | Do_while _ | For _ | Return _
   | Break | Continue | Super_call _ | Empty ->
       false
 
-let exit_test checked ~index cond = test_of checked index cond
+let exit_test facts ~index cond = test_of facts index cond

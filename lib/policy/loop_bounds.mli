@@ -13,7 +13,7 @@ type bound_result =
 
 val for_bound :
   ?enclosing:Mj.Ast.stmt list ->
-  Mj.Typecheck.checked ->
+  Analysis.Facts.t ->
   Mj.Ast.stmt ->
   bound_result
 (** Analyze a [For] statement ([Invalid_argument] on other kinds). The
@@ -21,18 +21,19 @@ val for_bound :
     analysis over [enclosing] (the surrounding method body, defaulting
     to the loop alone) gets a chance to bound the loop — it sees
     constants flowing through locals and affine limit arithmetic the
-    syntactic shape misses. *)
+    syntactic shape misses. The summary of [enclosing] is memoized in
+    the program's context, so the loops of one body share it. *)
 
-val syntactic_for_bound : Mj.Typecheck.checked -> Mj.Ast.stmt -> bound_result
+val syntactic_for_bound : Analysis.Facts.t -> Mj.Ast.stmt -> bound_result
 (** The purely syntactic recognizer alone (no interval fallback). *)
 
-val while_convertible : Mj.Typecheck.checked -> Mj.Ast.stmt -> bool
+val while_convertible : Analysis.Facts.t -> Mj.Ast.stmt -> bool
 (** True when the SFR catalogue's while-to-for transformation applies:
     [while (i REL limit) { ...; i += c; }] with the step as the last
     statement and [i] otherwise unmodified. *)
 
 val while_parts :
-  Mj.Typecheck.checked ->
+  Analysis.Facts.t ->
   Mj.Ast.stmt ->
   (string * Mj.Ast.expr * Mj.Ast.expr * Mj.Ast.stmt list) option
 (** (index, condition, update expression, body prefix) when
@@ -40,7 +41,7 @@ val while_parts :
     shape (the entry check is the caller's business). *)
 
 val exit_test :
-  Mj.Typecheck.checked ->
+  Analysis.Facts.t ->
   index:string ->
   Mj.Ast.expr ->
   (Mj.Ast.binop * int) option

@@ -4,7 +4,7 @@ open Mj.Ast
    declarePorts call made along the constructor chain that instantiates
    it with no arguments. Superclass constructors run first, so the call
    nearest the class itself wins. *)
-let port_signature checked graph cls_name =
+let port_signature facts graph cls_name =
   let found = ref None in
   List.iter
     (fun node ->
@@ -15,8 +15,8 @@ let port_signature checked graph cls_name =
               match e.expr with
               | Call { mname = "declarePorts"; args = [ a; b ]; _ } -> (
                   match
-                    ( Analysis.Const_eval.const_int checked a,
-                      Analysis.Const_eval.const_int checked b )
+                    ( Analysis.Const_eval.const_int facts a,
+                      Analysis.Const_eval.const_int facts b )
                   with
                   | Some n_in, Some n_out -> found := Some (Some (n_in, n_out))
                   | _ -> found := Some None)
@@ -35,7 +35,7 @@ type port_access = {
   pa_subject : string;
 }
 
-let port_accesses checked graph cls_name ~methods_of_interest =
+let port_accesses facts graph cls_name ~methods_of_interest =
   let run = Analysis.Call_graph.method_node graph cls_name "run" in
   let accesses = ref [] in
   List.iter
@@ -83,7 +83,7 @@ let port_accesses checked graph cls_name ~methods_of_interest =
                 | Call { mname; args = port_arg :: _; _ }
                   when List.mem mname methods_of_interest ->
                     accesses :=
-                      { pa_port = Analysis.Const_eval.const_int checked port_arg;
+                      { pa_port = Analysis.Const_eval.const_int facts port_arg;
                         pa_conditional = conditional || not in_run;
                         pa_loc = e.eloc;
                         pa_subject = Analysis.Call_graph.node_name node }
@@ -109,9 +109,10 @@ let rec rule_static_ports =
 
 and check_static_ports checked =
   let graph = Analysis.Call_graph.build checked in
+  let facts = Analysis.Facts.of_checked checked in
   List.filter_map
     (fun cls ->
-      match port_signature checked graph cls with
+      match port_signature facts graph cls with
       | Some (Some _) -> None
       | Some None | None ->
           let decl = find_class checked.Mj.Typecheck.program cls in
@@ -128,13 +129,14 @@ and check_static_ports checked =
 
 let single_rate ~rule ~direction ~count_of ~methods checked =
   let graph = Analysis.Call_graph.build checked in
+  let facts = Analysis.Facts.of_checked checked in
   List.concat_map
     (fun cls ->
-      match port_signature checked graph cls with
+      match port_signature facts graph cls with
       | Some (Some signature) ->
           let n_ports = count_of signature in
           let accesses =
-            port_accesses checked graph cls ~methods_of_interest:methods
+            port_accesses facts graph cls ~methods_of_interest:methods
           in
           let violations = ref [] in
           List.iter

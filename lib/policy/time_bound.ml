@@ -8,7 +8,7 @@ exception Unbounded_exc of string
 let tariff = Cost.interpreter_tariff
 
 type ctx = {
-  checked : Mj.Typecheck.checked;
+  facts : Analysis.Facts.t;
   graph : Analysis.Call_graph.t;
   memo : (Analysis.Call_graph.node, int) Hashtbl.t;
   in_progress : (Analysis.Call_graph.node, unit) Hashtbl.t;
@@ -53,7 +53,8 @@ let rec expr_cost ctx e =
           (fun acc d ->
             acc + expr_cost ctx d
             + t.Cost.alloc_word
-              * Option.value ~default:0 (Analysis.Const_eval.const_int ctx.checked d))
+              * Option.value ~default:0
+                  (Analysis.Const_eval.const_int ctx.facts d))
           0 dims
   | Unary (_, x) -> t.Cost.arith + expr_cost ctx x
   | Binary (_, x, y) -> t.Cost.arith + expr_cost ctx x + expr_cost ctx y
@@ -153,7 +154,7 @@ and stmt_cost ctx s =
   | While _ -> raise (Unbounded_exc "while loop")
   | Do_while _ -> raise (Unbounded_exc "do-while loop")
   | For (init, cond, update, body) -> (
-      match Loop_bounds.for_bound ~enclosing:ctx.enclosing ctx.checked s with
+      match Loop_bounds.for_bound ~enclosing:ctx.enclosing ctx.facts s with
       | Loop_bounds.Bounded n ->
           let header =
             (match init with
@@ -179,8 +180,9 @@ and stmt_cost ctx s =
 let reaction_bound checked ~cls =
   let graph = Analysis.Call_graph.build checked in
   let ctx =
-    { checked; graph; memo = Hashtbl.create 32;
-      in_progress = Hashtbl.create 8; enclosing = [] }
+    { facts = Analysis.Facts.of_checked checked; graph;
+      memo = Hashtbl.create 32; in_progress = Hashtbl.create 8;
+      enclosing = [] }
   in
   match Analysis.Call_graph.method_node graph cls "run" with
   | None -> Unbounded (Printf.sprintf "no method %s.run" cls)

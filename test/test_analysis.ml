@@ -41,7 +41,8 @@ let method_for_bound body_src =
       (loops_of checked)
   with
   | Some (body, s) ->
-      Policy.Loop_bounds.for_bound ~enclosing:body.Mj.Visit.b_stmts checked s
+      Policy.Loop_bounds.for_bound ~enclosing:body.Mj.Visit.b_stmts
+        (Analysis.Facts.of_checked checked) s
   | None -> Alcotest.fail "no for loop found"
 
 let expect_bounded name body_src n =
@@ -77,13 +78,14 @@ let interval_suite =
         List.iter
           (fun (name, src) ->
             let checked = check_src src in
+            let facts = Analysis.Facts.of_checked checked in
             List.iter
               (fun (body, s) ->
-                match Policy.Loop_bounds.syntactic_for_bound checked s with
+                match Policy.Loop_bounds.syntactic_for_bound facts s with
                 | Policy.Loop_bounds.Bounded n -> (
                     match
                       Policy.Loop_bounds.for_bound
-                        ~enclosing:body.Mj.Visit.b_stmts checked s
+                        ~enclosing:body.Mj.Visit.b_stmts facts s
                     with
                     | Policy.Loop_bounds.Bounded m when m = n -> ()
                     | Policy.Loop_bounds.Bounded m ->
@@ -396,7 +398,8 @@ let const_of decls =
   let checked = check_src src in
   let cls = List.hd checked.Mj.Typecheck.program.Mj.Ast.classes in
   let f = List.find (fun f -> f.Mj.Ast.f_name = "r") cls.Mj.Ast.cl_fields in
-  Analysis.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)
+  Analysis.Const_eval.const_int (Analysis.Facts.of_checked checked)
+    (Option.get f.Mj.Ast.f_init)
 
 let const_suite =
   [ case "addition wraps to 32 bits like the VM" (fun () ->
@@ -469,7 +472,10 @@ let escape_suite =
 type outcome = Finished of string | Trapped of string
 
 let vm_run ~elide checked cls =
-  let plan = if elide then Some (Analysis.Elide.plan checked) else None in
+  let plan =
+    if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
+    else None
+  in
   let s = Mj_bytecode.Vm.create ?elide:plan checked in
   let result =
     try
@@ -481,7 +487,10 @@ let vm_run ~elide checked cls =
    Mj_runtime.Cost.cycles (Mj_bytecode.Vm.machine s).Mj_runtime.Machine.cost)
 
 let jit_run ~elide checked cls =
-  let plan = if elide then Some (Analysis.Elide.plan checked) else None in
+  let plan =
+    if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
+    else None
+  in
   let s = Mj_bytecode.Jit.create ?elide:plan checked in
   let result =
     try

@@ -48,7 +48,10 @@ let for_bound_of checked_src loop_body =
     ~stmt:(fun s ->
       match s.Mj.Ast.stmt with
       | Mj.Ast.For _ when !found = None ->
-          found := Some (Policy.Loop_bounds.for_bound checked s)
+          found :=
+            Some
+              (Policy.Loop_bounds.for_bound
+                 (Analysis.Facts.of_checked checked) s)
       | _ -> ());
   Option.get !found
 
@@ -266,7 +269,11 @@ let suite =
           ~expr:(fun _ -> ())
           ~stmt:(fun s ->
             match s.Mj.Ast.stmt with
-            | Mj.Ast.For _ -> result := Some (Policy.Loop_bounds.for_bound checked s)
+            | Mj.Ast.For _ ->
+                result :=
+                  Some
+                    (Policy.Loop_bounds.for_bound
+                       (Analysis.Facts.of_checked checked) s)
             | _ -> ());
         match Option.get !result with
         | Policy.Loop_bounds.Unrecognized _ -> ()
@@ -280,11 +287,14 @@ let suite =
         let cls = List.hd checked.Mj.Typecheck.program.Mj.Ast.classes in
         let f = Option.get (Mj.Ast.find_field cls "P") in
         Alcotest.(check (option int)) "16" (Some 16)
-          (Analysis.Const_eval.const_int checked (Option.get f.Mj.Ast.f_init)));
+          (Analysis.Const_eval.const_int (Analysis.Facts.of_checked checked)
+             (Option.get f.Mj.Ast.f_init)));
     case "const: field array length from ctor" (fun () ->
         let src = "class A { private int[] buf; A() { buf = new int[32]; } }" in
         Alcotest.(check (option int)) "32" (Some 32)
-          (Analysis.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
+          (Analysis.Const_eval.field_array_length
+             (Analysis.Facts.of_checked (check_src src))
+             ~cls:"A" ~field:"buf"));
     case "const: reassigned array length unknown" (fun () ->
         let src =
           {|class A {
@@ -294,7 +304,9 @@ let suite =
             }|}
         in
         Alcotest.(check (option int)) "unknown" None
-          (Analysis.Const_eval.field_array_length (check_src src) ~cls:"A" ~field:"buf"));
+          (Analysis.Const_eval.field_array_length
+             (Analysis.Facts.of_checked (check_src src))
+             ~cls:"A" ~field:"buf"));
     clean "R4: field-length bound accepted"
       "class X extends ASR { private int[] buf; X() { declarePorts(1, 1); buf \
        = new int[16]; } public void run() { for (int i = 0; i < buf.length; \
