@@ -2,38 +2,36 @@ let cell = function
   | Domain.Bottom -> "."
   | v -> Domain.to_string v
 
-(* [labels] heads the columns, one per instant. *)
+(* [labels] heads the columns, one per instant. Each column is as wide
+   as its own widest cell, heading included: one instant carrying a
+   wide array value does not widen every other column. *)
 let table labels rows =
   let buf = Buffer.create 256 in
   let name_width =
     List.fold_left (fun acc (name, _) -> max acc (String.length name)) 7 rows
   in
-  let col_width =
-    List.fold_left
-      (fun acc (_, vs) ->
-        List.fold_left (fun acc v -> max acc (String.length (cell v))) acc vs)
-      1 rows
-  in
-  let pad width s = s ^ String.make (max 0 (width - String.length s)) ' ' in
-  Buffer.add_string buf (pad name_width "instant");
-  Buffer.add_string buf " |";
+  let labels = Array.of_list (List.map string_of_int labels) in
+  let rows = List.map (fun (name, vs) -> (name, List.map cell vs)) rows in
+  let widths = Array.map String.length labels in
   List.iter
-    (fun i ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf (pad col_width (string_of_int i)))
-    labels;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun (name, vs) ->
-      Buffer.add_string buf (pad name_width name);
-      Buffer.add_string buf " |";
-      List.iter
-        (fun v ->
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf (pad col_width (cell v)))
-        vs;
-      Buffer.add_char buf '\n')
+    (fun (_, cells) ->
+      List.iteri
+        (fun j c -> widths.(j) <- max widths.(j) (String.length c))
+        cells)
     rows;
+  let pad width s = s ^ String.make (max 0 (width - String.length s)) ' ' in
+  let line name cells =
+    Buffer.add_string buf (pad name_width name);
+    Buffer.add_string buf " |";
+    List.iteri
+      (fun j c ->
+        Buffer.add_char buf ' ';
+        Buffer.add_string buf (pad widths.(j) c))
+      cells;
+    Buffer.add_char buf '\n'
+  in
+  line "instant" (Array.to_list labels);
+  List.iter (fun (name, cells) -> line name cells) rows;
   Buffer.contents buf
 
 let render_signals rows =

@@ -111,6 +111,14 @@ let suite =
         in
         Alcotest.(check bool) "columns" true
           (contains ~substring:"x" text && contains ~substring:"." text));
+    case "waves pads each column to its own widest cell" (fun () ->
+        let d = Asr.Domain.int in
+        Alcotest.(check string) "table"
+          "instant | 0 1     2\nx       | 3 12345 .\nlonger  | 1 2     \
+           3\n"
+          (Asr.Waves.render_signals
+             [ ("x", [ d 3; d 12345; Asr.Domain.Bottom ]);
+               ("longer", [ d 1; d 2; d 3 ]) ]));
     case "waves renders a simulation trace" (fun () ->
         let g = Asr.Cells.counter () in
         let sim = Asr.Simulate.create g in
