@@ -1,6 +1,7 @@
 (* Refinement checking: VC discharge over the FIR and JPEG refinement
    chains, trace correspondence under seeded schedules, and the
-   mutation gate. Gates: every transform the engine applied discharges
+   mutation gate. The wall time of each of the two layers is reported
+   per workload. Gates: every transform the engine applied discharges
    its VCs, every covered schedule's abstracted trace refines the
    deterministic instant stream, the thread-free FIR and JPEG reactions
    are covered exhaustively by a single executed schedule, a
@@ -11,8 +12,11 @@ module V = Javatime.Verify
 
 let workload_rows ~smoke (w, source, cls, schedules, instants) =
   let program = Mj.Parser.parse_program ~file:(w ^ ".mj") source in
-  let report, _ = V.check_program program in
-  let corr = V.trace_correspondence ~schedules ~instants program ~cls in
+  let (report, _), vc_s = Fixtures.wall (fun () -> V.check_program program) in
+  let corr, correspondence_s =
+    Fixtures.wall (fun () ->
+        V.trace_correspondence ~schedules ~instants program ~cls)
+  in
   let steps = List.length report.V.v_steps in
   let coverage = V.coverage corr in
   Row.
@@ -29,6 +33,8 @@ let workload_rows ~smoke (w, source, cls, schedules, instants) =
       count ~w "instants" corr.V.c_instants;
       str ~w "strategies" (String.concat " " corr.V.c_strategies);
       count ~w "correspondences_checked" corr.V.c_checked;
+      wall ~w "vc_s" vc_s;
+      wall ~w "correspondence_s" correspondence_s;
       gate ~w "transform_applied" (steps > 0);
       gate ~w "vc_discharged" (report.V.v_discharged > 0);
       gate ~w "vc_ok" (report.V.v_failed = 0);
