@@ -11,6 +11,58 @@ let run_seeded src cls seed =
   in
   (Mj_runtime.Interp.output session, trace)
 
+let render_trace trace =
+  List.map
+    (fun e -> Printf.sprintf "%d %s" e.T.thread e.T.description)
+    trace
+
+(* Three instants of an ASR class's reaction on the input ramp, each
+   under the seeded scheduler: the instants' outputs and traces, and
+   whether any instant's scheduler had a choice. *)
+let reactions src ~cls seed =
+  let elab =
+    Javatime.Elaborate.elaborate ~enforce_policy:false ~bounded_memory:false
+      (check_src src) ~cls
+  in
+  let n_in, _ = Javatime.Elaborate.ports elab in
+  let branched = ref false in
+  let lines =
+    List.concat
+      (List.init 3 (fun t ->
+           let outs = ref [||] in
+           let trace =
+             T.run ~policy:(T.Seeded seed) (fun () ->
+                 outs :=
+                   Javatime.Elaborate.react elab
+                     (Array.init n_in (fun i ->
+                          Asr.Domain.int (Javatime.Verify.ramp t i))))
+           in
+           if T.last_run_branched () then branched := true;
+           Printf.sprintf "instant %d: %s" t
+             (String.concat " " (Array.to_list (Array.map Asr.Domain.to_string !outs)))
+           :: render_trace trace))
+  in
+  (lines, !branched)
+
+(* One line per seed 1-20: the choice flag and the MD5 of the run's
+   rendering. The pins were recorded before [maybe_yield] learned to skip
+   the effect when no other thread is runnable; that shortcut must draw
+   the scheduler's random stream exactly as the effect did. *)
+let pin_schedules ~what ~md5 run =
+  let rendered =
+    List.init 20 (fun k ->
+        let seed = k + 1 in
+        let lines, branched = run seed in
+        Printf.sprintf "seed %d branched %b %s" seed branched
+          (Digest.to_hex (Digest.string (String.concat "\n" lines))))
+  in
+  let text = String.concat "\n" rendered in
+  let got = Digest.to_hex (Digest.string text) in
+  if not (String.equal got md5) then begin
+    prerr_endline text;
+    Alcotest.failf "%s schedules moved: md5 %s (pinned: %s)" what got md5
+  end
+
 let suite =
   [ case "same seed gives the same outcome" (fun () ->
         let a, _ = run_seeded racer_src "Fig8" 7 in
@@ -215,4 +267,13 @@ let suite =
                  System.out.println(s);
                } }|}
              "Main" 0);
-        Alcotest.(check bool) "sequential" false (T.last_run_branched ())) ]
+        Alcotest.(check bool) "sequential" false (T.last_run_branched ()));
+    case "seeded schedules are pinned: traces and choice flags, seeds 1-20"
+      (fun () ->
+        pin_schedules ~what:"fig8" ~md5:"4840bbcdcff1bc93aa7508dd07a2ebf0" (fun seed ->
+            let output, trace = run_seeded racer_src "Fig8" seed in
+            (output :: render_trace trace, T.last_run_branched ()));
+        pin_schedules ~what:"pipe" ~md5:"e5b0f4c5bf512398bce31c9ccdec80f7"
+          (reactions Test_refinement.pipe_source ~cls:"Pipe");
+        pin_schedules ~what:"race" ~md5:"d3e8c679a9f0ef196d8e637eeaa92368"
+          (reactions Test_refinement.racy_source ~cls:"Race")) ]
