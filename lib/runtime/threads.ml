@@ -40,7 +40,15 @@ let note description =
       s.trace <- { thread = s.current; description } :: s.trace
   | Some _ | None -> ()
 
-let maybe_yield () = if active () then Effect.perform Yield
+(* With nothing else runnable, a yield would enqueue the continuation
+   and pick it straight back: the pick is taken in place, drawing the
+   policy's random stream exactly as [pick] would, without the effect. *)
+let maybe_yield () =
+  match !state with
+  | None -> ()
+  | Some { runnable = []; rng; _ } -> (
+      match rng with Some r -> ignore (Random.State.int r 1) | None -> ())
+  | Some _ -> Effect.perform Yield
 
 let push s tid thunk = s.runnable <- s.runnable @ [ (tid, thunk) ]
 
