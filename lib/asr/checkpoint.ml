@@ -779,7 +779,10 @@ let of_json j =
   in
   let causal =
     Option.map
-      (Causal.of_json ~unrender:Codec.value_of_json)
+      (fun j ->
+        let cz = Causal.of_json ~unrender:Codec.value_of_json j in
+        Causal.use_int_lane cz ~to_int:Domain.int_lane ~of_int:Domain.int;
+        cz)
       (opt_field "causal" j)
   in
   let recording =

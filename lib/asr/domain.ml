@@ -41,6 +41,8 @@ let int_array a = Def (Data.Int_array a)
 
 let to_int = function Def (Data.Int n) -> Some n | _ -> None
 
+let int_lane = function Def (Data.Int n) -> n | _ -> min_int
+
 let to_bool = function Def (Data.Bool b) -> Some b | _ -> None
 
 let pp ppf = function

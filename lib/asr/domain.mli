@@ -33,6 +33,11 @@ val int_array : int array -> t
 val to_int : t -> int option
 (** Projection helpers used by block definitions. *)
 
+val int_lane : t -> int
+(** [n] for [Def (Int n)], [min_int] for any other value: the int view
+    under which observers store values unboxed ([Int min_int] itself
+    stays boxed), rebuilt by {!int}. *)
+
 val to_bool : t -> bool option
 
 val pp : Format.formatter -> t -> unit

@@ -97,9 +97,14 @@ let counter counts =
     enter = (fun bi -> counts.(bi) <- counts.(bi) + 1) }
 
 let causal ?containment cz =
+  Causal.use_int_lane cz ~to_int:Domain.int_lane ~of_int:Domain.int;
   let blocks = ref [||] and opened = ref false in
+  (* the application entered last, and whether a merged write opened
+     its evaluation *)
+  let entered = ref (-1) and writing = ref false in
   let instant_begin (c : Graph.compiled) ~plan ~inputs ~delay_values =
     blocks := c.Graph.c_blocks;
+    writing := false;
     opened := not (Causal.in_instant cz);
     if !opened then Causal.begin_instant cz;
     (match plan with
@@ -121,44 +126,51 @@ let causal ?containment cz =
           delay_values.(i))
       c.Graph.c_delays
   in
+  (* An evaluation is opened only when it records something: reads
+     resolve to the same uids at its first write or at [leave] as at
+     [enter], since registers move only when an event is pushed. *)
+  let write net v =
+    if not !writing then begin
+      writing := true;
+      let _, ins, _ = !blocks.(!entered) in
+      Causal.eval_begin cz ~block:!entered ~reads:ins
+    end;
+    Causal.eval_write cz ~net v
+  in
   let leave bi nets outcome =
-    (match outcome with
-    | Retracted -> Causal.set_tag cz "contained:retraction"
-    | Stored | Merged -> (
-        match containment with
-        | None -> ()
-        | Some tag_of -> (
-            match tag_of bi with
-            | Some tag -> Causal.set_tag cz tag
-            | None -> ())));
-    let _, _, outs = !blocks.(bi) in
-    let tagged = String.length (Causal.pending_tag cz) > 0 in
-    (match outcome with
-    | Stored ->
+    let tag =
+      match (outcome, containment) with
+      | Retracted, _ -> Some "contained:retraction"
+      | (Stored | Merged), Some tag_of -> tag_of bi
+      | (Stored | Merged), None -> None
+    in
+    let _, ins, outs = !blocks.(bi) in
+    (match (outcome, tag) with
+    | Stored, None ->
         (* single producer + topological order make the direct store
-           the establishing write; a tagged substitution records its ⊥
-           ports too *)
-        for p = 0 to Array.length outs - 1 do
-          let v = nets.(outs.(p)) in
-          if tagged || Domain.is_def v then Causal.eval_write cz ~net:outs.(p) v
-        done
-    | Merged | Retracted ->
-        (* a substitution that established nothing still links the
-           block's nets to the tagged event *)
-        if tagged && Causal.pending_writes cz = 0 then
-          Array.iter (fun net -> Causal.eval_write cz ~net nets.(net)) outs);
-    Causal.eval_commit cz
+           the establishing write *)
+        Causal.record_eval cz ~block:bi ~reads:ins ~writes:outs
+          ~keep:Domain.is_def nets
+    | (Merged | Retracted), None -> if !writing then Causal.eval_commit cz
+    | _, Some tag ->
+        (* a substitution that established nothing, and a stored one
+           with its ⊥ ports, still links the block's nets to the tagged
+           event *)
+        if not !writing then begin
+          Causal.eval_begin cz ~block:bi ~reads:ins;
+          Array.iter (fun net -> Causal.eval_write cz ~net nets.(net)) outs
+        end;
+        Causal.set_tag cz tag;
+        Causal.eval_commit cz);
+    writing := false
   in
   { none with
     instant_begin;
     instant_end =
       (fun ~nets:_ ~iterations:_ ~block_evaluations:_ ->
         if !opened then Causal.end_instant cz);
-    enter =
-      (fun bi ->
-        let _, ins, _ = !blocks.(bi) in
-        Causal.eval_begin cz ~block:bi ~reads:ins);
-    write = (fun net v -> Causal.eval_write cz ~net v);
+    enter = (fun bi -> entered := bi);
+    write;
     leave }
 
 (* ------------------------- instant probes ------------------------- *)

@@ -41,8 +41,16 @@ type t = {
   mutable n_blocks : int; (* -1 until attached *)
   mutable names : string array;
   mutable out_arity : int array;
-  mutable committed : Domain.t array array; (* last good outputs, prev instants *)
-  mutable staged : Domain.t array array; (* last good outputs, this instant *)
+  (* Last good outputs of previous instants ([committed]) and of this
+     one ([staged]), per block and port, in two lanes: the [_ints] lane
+     holds a [Def (Int n)] output as [n] and every other output as
+     [min_int], which means "the value is in the boxed lane". Staging
+     runs on every supervised application, so an int output is stored
+     without a pointer and no minor collection promotes it. *)
+  mutable committed : Domain.t array array;
+  mutable committed_ints : int array array;
+  mutable staged : Domain.t array array;
+  mutable staged_ints : int array array;
   mutable staged_valid : bool array;
   mutable apps : int array; (* applications this instant *)
   mutable latched : bool array; (* contained this instant: substitute, don't run *)
@@ -151,7 +159,9 @@ let create ?(policy = Hold_last) ?(escalate_after = 3) ?step_budget ?classify
     names = [||];
     out_arity = [||];
     committed = [||];
+    committed_ints = [||];
     staged = [||];
+    staged_ints = [||];
     staged_valid = [||];
     apps = [||];
     latched = [||];
@@ -178,10 +188,11 @@ let attach t (c : Graph.compiled) =
     t.n_blocks <- n;
     t.names <- Array.map (fun (b, _, _) -> b.Block.name) c.Graph.c_blocks;
     t.out_arity <- Array.map (fun (b, _, _) -> b.Block.n_out) c.Graph.c_blocks;
-    t.committed <-
-      Array.init n (fun bi -> Array.make t.out_arity.(bi) Domain.Bottom);
-    t.staged <-
-      Array.init n (fun bi -> Array.make t.out_arity.(bi) Domain.Bottom);
+    let ports v = Array.init n (fun bi -> Array.make t.out_arity.(bi) v) in
+    t.committed <- ports Domain.Bottom;
+    t.committed_ints <- ports min_int;
+    t.staged <- ports Domain.Bottom;
+    t.staged_ints <- ports min_int;
     t.staged_valid <- Array.make n false;
     t.apps <- Array.make n 0;
     t.latched <- Array.make n false;
@@ -232,9 +243,11 @@ let end_instant t =
     (* an element loop: a one-port [Array.blit] costs more in the
        runtime call than the copy *)
     if t.staged_valid.(bi) then begin
-      let src = t.staged.(bi) and dst = t.committed.(bi) in
+      let src = t.staged_ints.(bi) and dst = t.committed_ints.(bi) in
       for p = 0 to Array.length src - 1 do
-        dst.(p) <- src.(p)
+        let n = src.(p) in
+        dst.(p) <- n;
+        if n = min_int then t.committed.(bi).(p) <- t.staged.(bi).(p)
       done
     end;
     if t.faulty_instant.(bi) then begin
@@ -270,22 +283,30 @@ let end_instant t =
    last committed outputs, [Absent] substitutes ⊥. An application's
    outputs live at [dst.(slots.(p))]: the net slots of a fused store,
    or a result buffer the fixpoint then merges. *)
+let lane ints vals p =
+  let n = ints.(p) in
+  if n = min_int then vals.(p) else Domain.int n
+
 let substitute t bi dst slots =
   let value p =
-    if t.staged_valid.(bi) then t.staged.(bi).(p)
+    if t.staged_valid.(bi) then lane t.staged_ints.(bi) t.staged.(bi) p
     else
       match t.policy with
       | Absent -> Domain.Bottom
-      | Fail_fast | Hold_last | Retry _ -> t.committed.(bi).(p)
+      | Fail_fast | Hold_last | Retry _ ->
+          lane t.committed_ints.(bi) t.committed.(bi) p
   in
   for p = 0 to t.out_arity.(bi) - 1 do
     dst.(slots.(p)) <- value p
   done
 
 let stage t bi dst slots =
-  let staged = t.staged.(bi) in
+  let ints = t.staged_ints.(bi) in
   for p = 0 to t.out_arity.(bi) - 1 do
-    staged.(p) <- dst.(slots.(p))
+    let v = dst.(slots.(p)) in
+    let n = Domain.int_lane v in
+    ints.(p) <- n;
+    if n = min_int then t.staged.(bi).(p) <- v
   done;
   t.staged_valid.(bi) <- true
 
@@ -571,7 +592,11 @@ let clear_health t =
 let state_json t =
   if t.in_instant then
     invalid_arg "Supervisor.state_json: instant open";
-  let vec a = Json.List (Array.to_list (Array.map Codec.value_json a)) in
+  let vec bi =
+    Json.List
+      (List.init t.out_arity.(bi) (fun p ->
+           Codec.value_json (lane t.committed_ints.(bi) t.committed.(bi) p)))
+  in
   let ints a = Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)) in
   let bools a =
     Json.List (Array.to_list (Array.map (fun b -> Json.Bool b) a))
@@ -581,7 +606,7 @@ let state_json t =
       ("escalate_after", Json.Int t.escalate_after);
       ("instant", Json.Int t.instant);
       ( "committed",
-        Json.List (Array.to_list (Array.map vec t.committed)) );
+        Json.List (List.init (max 0 t.n_blocks) vec) );
       ("consec", ints t.consec);
       ("quarantined", bools t.quarantined);
       (* the other health registers, of the blocks that ever faulted *)
@@ -626,7 +651,11 @@ let restore_state t j =
     (fun bi v ->
       if Array.length v <> Array.length t.committed.(bi) then
         state_malformed "committed (arity)";
-      Array.blit v 0 t.committed.(bi) 0 (Array.length v))
+      Array.iteri
+        (fun p v ->
+          t.committed.(bi).(p) <- v;
+          t.committed_ints.(bi).(p) <- Domain.int_lane v)
+        v)
     committed;
   let fill_ints name dst =
     match Json.member name j with
@@ -707,8 +736,11 @@ let reset t =
   clear_health t;
   if t.n_blocks > 0 then begin
     for bi = 0 to t.n_blocks - 1 do
-      Array.fill t.committed.(bi) 0 (Array.length t.committed.(bi)) Domain.Bottom;
-      Array.fill t.staged.(bi) 0 (Array.length t.staged.(bi)) Domain.Bottom
+      let arity = t.out_arity.(bi) in
+      Array.fill t.committed.(bi) 0 arity Domain.Bottom;
+      Array.fill t.committed_ints.(bi) 0 arity min_int;
+      Array.fill t.staged.(bi) 0 arity Domain.Bottom;
+      Array.fill t.staged_ints.(bi) 0 arity min_int
     done;
     Array.fill t.staged_valid 0 t.n_blocks false;
     Array.fill t.apps 0 t.n_blocks 0;

@@ -22,8 +22,10 @@
 
     The ring is preallocated as a struct of arrays — per-slot uid,
     instant, kind, block, tag and source, plus fixed-stride read and
-    write arenas whose stride grows only when an event exceeds it — so
-    recording allocates nothing per event. {!event} records are built
+    write arenas whose stride grows to the widest event seen, only when
+    an event exceeds it — so recording allocates nothing per event.
+    With an int view installed ({!use_int_lane}), int values are stored
+    unboxed and only other values are kept as ['v]. {!event} records are built
     on demand by queries; serialization streams the slots. The ring is
     also the log's only saved form: a checkpoint keeps a {!snapshot}
     of it, {!write_json} streams that, {!of_json} decodes it back into
@@ -61,6 +63,16 @@ val create : ?capacity:int -> n_nets:int -> unit -> 'v t
 (** Ring of at most [capacity] (default 65536) events over a graph of
     [n_nets] nets. Raises [Invalid_argument] on a non-positive
     capacity or a negative net count. *)
+
+val use_int_lane : 'v t -> to_int:('v -> int) -> of_int:(int -> 'v) -> unit
+(** Install the int view: [to_int v] is [v]'s int payload, or [min_int]
+    when [v] is not an int (an int equal to [min_int] is then kept as a
+    value), and [of_int] rebuilds the value. Writes recorded from now
+    on keep int payloads in an unboxed lane, so recording stores no
+    pointer to them; values already recorded move there too. Queries
+    rebuild the values with [of_int]; {!write_json} writes an int
+    payload as [Json.write_int] does, which must be the bytes [render]
+    writes for [of_int n]. Copies and snapshots keep the view. *)
 
 val capacity : 'v t -> int
 
@@ -105,16 +117,28 @@ val eval_write : 'v t -> net:int -> 'v -> unit
 val set_tag : 'v t -> string -> unit
 (** Tag the open evaluation with containment provenance. *)
 
-val pending_writes : 'v t -> int
-(** Writes recorded on the open evaluation so far. *)
-
-val pending_tag : 'v t -> string
-
 val eval_commit : 'v t -> unit
 (** Close the open evaluation. The event is pushed only when it
     established at least one net or carries a tag; quiet re-evaluations
     (chaotic sweeps that change nothing) leave no trace and no ring
     pressure. *)
+
+val record_eval :
+  'v t ->
+  block:int ->
+  reads:int array ->
+  writes:int array ->
+  keep:('v -> bool) ->
+  'v array ->
+  unit
+(** [record_eval t ~block ~reads ~writes ~keep nets]: an untagged
+    evaluation of [block] that has already run, recorded in one call —
+    the same event as {!eval_begin} before it ran, {!eval_write} of each
+    net of [writes] whose value in [nets] satisfies [keep], and
+    {!eval_commit}. The reads resolve to the same uids as they would
+    have before the evaluation, because establishing registers move
+    only when an event is pushed. Raises [Invalid_argument] when no
+    instant is open or an evaluation is. *)
 
 (** {1 Loss accounting} *)
 

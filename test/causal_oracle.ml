@@ -160,10 +160,6 @@ let set_tag t tag =
   if not t.c_ev_open then invalid_arg "Causal.set_tag: no evaluation open";
   t.c_ev_tag <- tag
 
-let pending_writes t = t.c_n_writes
-
-let pending_tag t = t.c_ev_tag
-
 let eval_commit t =
   if not t.c_ev_open then invalid_arg "Causal.eval_commit: no evaluation open";
   t.c_ev_open <- false;

@@ -231,6 +231,37 @@ let minor_words_per_instant sim stream =
   step ();
   (Gc.minor_words () -. before) /. float_of_int (List.length stream)
 
+(* Words promoted to the major heap per instant of a Fused evaluation of
+   [g] under [probe] over [stream], after a warm-up run. A value
+   written into a long-lived array (a ring arena, a supervisor
+   register, the net slots) is promoted if it is still reachable there
+   at the next minor collection. The minor heap is sized to the net as
+   the default one is to the 10^4-block net of netgen-observed (about
+   eight times the words of one instant's net values), so collections
+   fall every few instants here as they fall within instants there; at
+   the default size a small net collects once in hundreds of instants
+   and the counter-only run reads near zero. *)
+let promoted_per_instant probe g stream =
+  let c = G.compile g in
+  let plan = Fx.prepare Fx.Fused c in
+  let delays = Array.map (fun (_, _, init) -> init) c.G.c_delays in
+  let run () =
+    List.iter
+      (fun inputs ->
+        let r = Fx.eval plan ~inputs ~delay_values:delays ~probe () in
+        Fx.delay_next_into c r delays)
+      stream
+  in
+  let gc = Gc.get () in
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  Gc.set { gc with Gc.minor_heap_size = 2048 };
+  run ();
+  Gc.minor ();
+  let _, before, _ = Gc.counters () in
+  run ();
+  let _, after, _ = Gc.counters () in
+  (after -. before) /. float_of_int (List.length stream)
+
 (* ---- suite ------------------------------------------------------- *)
 
 let suite =
@@ -520,6 +551,37 @@ let suite =
             "probed run allocates %.0f minor words per instant, more than \
              1.5x the fast lane's %.0f"
             probed bare);
+    case "promotion gate: supervisor + causal ring promote like a counter"
+      (fun () ->
+        (* the netgen-observed net at its smoke size *)
+        let g =
+          Workloads.Netgen.generate ~inputs:4 ~delays:4 ~cyclic_ratio:0.04
+            ~seed:10_271 ~depth:6 ~width:8 ()
+        in
+        let stream = Workloads.Netgen.stimulus g ~instants:2000 in
+        let c = G.compile g in
+        (* before the int lanes, every value the ring and the supervisor
+           stored was promoted: ~9.6x; now ~1.2x, the rest being the
+           parity blocks' booleans, which the ring keeps as values *)
+        let counted =
+          promoted_per_instant
+            (Asr.Probe.counter (Array.make (Array.length c.G.c_blocks) 0))
+            g stream
+        in
+        let observed =
+          promoted_per_instant
+            (Option.get
+               (Asr.Probe.compose
+                  [ S.probe (S.create ~policy:S.Hold_last ());
+                    Asr.Probe.causal
+                      (Telemetry.Causal.create ~n_nets:c.G.n_nets ()) ]))
+            g stream
+        in
+        if observed > 2. *. counted then
+          Alcotest.failf
+            "supervised + causal run promotes %.1f words per instant, more \
+             than 2x the counter-only run's %.1f"
+            observed counted);
     case "instant-only attachments keep the fast lane" (fun () ->
         (* Wrap every op of both lanes of a simulator's plan with a tally;
            which lane ran is then visible without timing. *)
