@@ -120,3 +120,39 @@ case_ check inh.mj
 case_ check inh.mj --policy sdf
 case_ bound inh.mj Base
 case_ bound inh.mj Derived
+
+# The refinement checker: verification conditions and trace
+# correspondence on FIR (one run covers every seed), as text and as
+# JSON, and on a reaction that spawns and joins a worker thread, whose
+# scheduler picks between runnable threads, so every seed runs.
+case_ verify-refinement fir.mj FirFilter
+case_ verify-refinement fir.mj FirFilter --json
+cat > pipe.mj <<'MJ'
+class Worker extends Thread {
+  public int acc;
+  Worker() {}
+  public void run() {
+    int i = 0;
+    while (i < 8) {
+      acc = acc + i;
+      Thread.yield();
+      i = i + 1;
+    }
+  }
+}
+
+class Pipe extends ASR {
+  Pipe() {
+    declarePorts(1, 1);
+  }
+  public void run() {
+    int x = readPort(0);
+    Worker w = new Worker();
+    w.start();
+    w.join();
+    writePort(0, x + w.acc);
+  }
+}
+MJ
+case_ verify-refinement pipe.mj Pipe --schedules 5 --instants 3
+case_ verify-refinement pipe.mj Pipe --schedules 5 --instants 3 --json
