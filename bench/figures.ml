@@ -341,7 +341,7 @@ let fig6 () =
       List.iter
         (fun e ->
           Printf.printf "    [thread %d] %s\n" e.Mj_runtime.Threads.thread
-            e.Mj_runtime.Threads.description)
+            (Mj_runtime.Threads.description e))
         trace;
       print_newline ())
     [ 0; 1; 3 ];

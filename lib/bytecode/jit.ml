@@ -1235,10 +1235,10 @@ and value_node ctx pc n : frame -> Value.t =
         x
   | Get_static (cls, f) ->
       let cell = Machine.static_cell m cls f in
-      let note = Printf.sprintf "read %s.%s" cls f in
+      let read = Threads.Read_static { cls; field = f } in
       fun _ ->
         Cost.charge_at cost loc kfield;
-        if Threads.active () then Threads.note note;
+        if Threads.active () then Threads.note read;
         (match cell with Some c -> !c | None -> Machine.static_get m cls f)
   | Put_static (cls, f, v) ->
       let cell = Machine.static_cell m cls f and v = cv ctx v in
@@ -1246,8 +1246,7 @@ and value_node ctx pc n : frame -> Value.t =
         let x = v fr in
         Cost.charge_at cost loc kfield;
         if Threads.active () then
-          Threads.note
-            (Printf.sprintf "write %s.%s = %s" cls f (Value.to_display x));
+          Threads.note (Threads.Write_static { cls; field = f; value = x });
         (match cell with
         | Some c -> c := x
         | None -> Machine.static_set m cls f x);

@@ -36,7 +36,7 @@ type op =
   | Store_v of int
   | Get_field of Heap.field_site
   | Put_field of Heap.field_site * ty
-  | Get_cell of string * Value.t ref  (* "read C.f" for the thread trace *)
+  | Get_cell of Threads.access * Value.t ref  (* the thread trace's read *)
   | Put_cell of string * string * Value.t ref * ty
   | Get_static of string * string  (* no cell at load *)
   | Put_static of string * string * ty
@@ -185,7 +185,7 @@ let decode m v size pc (instr : Instr.t) : op =
   | Instr.Put_field f -> Put_field (Heap.field_site f, top 0)
   | Instr.Get_static (c, f) -> (
       match Machine.static_cell m c f with
-      | Some r -> Get_cell (Printf.sprintf "read %s.%s" c f, r)
+      | Some r -> Get_cell (Threads.Read_static { cls = c; field = f }, r)
       | None -> Get_static (c, f))
   | Instr.Put_static (c, f) -> (
       match Machine.static_cell m c f with
@@ -587,32 +587,30 @@ and step t c locs ir dr vr pc sp =
       Heap.set_field_at t.heap r site v;
       setv vr (sp - 2) v;
       step t c locs ir dr vr (pc + 1) (sp - 1)
-  | Get_cell (note, cell) ->
+  | Get_cell (read, cell) ->
       if seen then Cost.field cost;
-      if Threads.active () then Threads.note note;
+      if Threads.active () then Threads.note read;
       setv vr sp !cell;
       step t c locs ir dr vr (pc + 1) (sp + 1)
   | Put_cell (cls, fname, cell, ty) ->
       if seen then Cost.field cost;
       let v = box ty ir dr vr (sp - 1) in
       if Threads.active () then
-        Threads.note
-          (Printf.sprintf "write %s.%s = %s" cls fname (Value.to_display v));
+        Threads.note (Threads.Write_static { cls; field = fname; value = v });
       cell := v;
       setv vr (sp - 1) v;
       step t c locs ir dr vr (pc + 1) sp
   | Get_static (cls, fname) ->
       if seen then Cost.field cost;
       if Threads.active () then
-        Threads.note (Printf.sprintf "read %s.%s" cls fname);
+        Threads.note (Threads.Read_static { cls; field = fname });
       setv vr sp (Machine.static_get t.m cls fname);
       step t c locs ir dr vr (pc + 1) (sp + 1)
   | Put_static (cls, fname, ty) ->
       if seen then Cost.field cost;
       let v = box ty ir dr vr (sp - 1) in
       if Threads.active () then
-        Threads.note
-          (Printf.sprintf "write %s.%s = %s" cls fname (Value.to_display v));
+        Threads.note (Threads.Write_static { cls; field = fname; value = v });
       Machine.static_set t.m cls fname v;
       setv vr (sp - 1) v;
       step t c locs ir dr vr (pc + 1) sp

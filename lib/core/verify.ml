@@ -192,55 +192,39 @@ let calibrate_array_size ?(engine = Elaborate.Engine_vm) ~kinds checked ~cls =
 (* The abstraction function α maps a low-level schedule trace to the
    instant's ASR outputs: of all port-write events in the trace, the
    last write to each port defines that port's value for the instant;
-   unwritten ports are ⊥. Array payloads were snapshotted at write time
-   by the machine, so later in-place mutations do not leak in. *)
-let parse_write desc =
-  let value_of s =
-    let s = String.trim s in
-    let n = String.length s in
-    if n >= 2 && s.[0] = '[' && s.[n - 1] = ']' then
-      let inner = String.sub s 1 (n - 2) in
-      let parts =
-        if String.equal inner "" then []
-        else String.split_on_char ';' inner
-      in
-      let ints = List.map int_of_string_opt parts in
-      if List.for_all Option.is_some ints then
-        Some (Asr.Data.Int_array (Array.of_list (List.map Option.get ints)))
-      else None
-    else
-      match int_of_string_opt s with
-      | Some n -> Some (Asr.Data.Int n)
-      | None -> None
-  in
-  let payload prefix =
-    let np = String.length prefix and nd = String.length desc in
-    if nd > np + 1 && String.equal (String.sub desc 0 np) prefix then
-      match String.index_opt desc ',' with
-      | Some comma when String.length desc > comma + 1 ->
-          let port = String.sub desc np (comma - np) in
-          let v = String.sub desc (comma + 1) (nd - comma - 2) in
-          Option.bind (int_of_string_opt port) (fun p ->
-              Option.map (fun d -> (p, d)) (value_of v))
-      | _ -> None
-    else None
-  in
-  match payload "writePortArray(" with
-  | Some r -> Some r
-  | None -> payload "writePort("
+   unwritten ports are ⊥, and so is a port whose last write was [null].
+   Array payloads were copied at write time by the machine, so later
+   in-place mutations do not leak in. MJ ports carry [int] and [int[]]
+   only; any other value on a port is a fault, not a silent drop. *)
+let port_data = function
+  | Mj_runtime.Threads.Scalar Mj_runtime.Value.Null -> D.Bottom
+  | Mj_runtime.Threads.Scalar (Mj_runtime.Value.Int n) -> D.int n
+  | Mj_runtime.Threads.Elements a ->
+      D.int_array
+        (Array.map
+           (function
+             | Mj_runtime.Value.Int n -> n
+             | v ->
+                 invalid_arg
+                   ("abstract_outputs: array element "
+                   ^ Mj_runtime.Value.to_display v ^ " is not an int"))
+           a)
+  | Mj_runtime.Threads.Scalar v ->
+      invalid_arg
+        ("abstract_outputs: port value " ^ Mj_runtime.Value.to_display v
+       ^ " is not an int")
 
 let abstract_outputs ~n_out (events : Mj_runtime.Threads.event list) =
-  let writes = Hashtbl.create 8 in
+  let outs = Array.make n_out D.Bottom in
   List.iter
     (fun (e : Mj_runtime.Threads.event) ->
-      match parse_write e.Mj_runtime.Threads.description with
-      | Some (port, data) -> Hashtbl.replace writes port data
-      | None -> ())
+      match e.access with
+      | Port { native = "writePort" | "writePortArray"; port; value }
+        when 0 <= port && port < n_out ->
+          outs.(port) <- port_data value
+      | Port _ | Read_static _ | Write_static _ -> ())
     events;
-  Array.init n_out (fun j ->
-      match Hashtbl.find_opt writes j with
-      | Some d -> D.Def d
-      | None -> D.Bottom)
+  outs
 
 (* The deterministic instant stream of the refined program: the
    elaborated reaction as a one-block ASR system, driven on the input
@@ -294,7 +278,6 @@ let low_schedule ~branched ~inputs ~seed ~instants checked ~cls =
           (fun () ->
             Mj_runtime.Threads.run
               ~policy:(Mj_runtime.Threads.Seeded seed)
-              ~trace:true
               (fun () -> ignore (Elaborate.react elab inputs)))
       in
       abstract_outputs ~n_out events)

@@ -79,7 +79,7 @@ let rec eval_expr (t : t) frame e =
   | Static_field (cls, fname) ->
       Cost.field t.Machine.cost;
       if Threads.active () then
-        Threads.note (Printf.sprintf "read %s.%s" cls fname);
+        Threads.note (Threads.Read_static { cls; field = fname });
       Machine.static_get t cls fname
   | Array_length o ->
       Cost.field t.Machine.cost;
@@ -212,8 +212,7 @@ and write_slot (t : t) frame slot v =
   | `Static (cls, fname) ->
       Cost.field t.Machine.cost;
       if Threads.active () then
-        Threads.note
-          (Printf.sprintf "write %s.%s = %s" cls fname (Value.to_display v));
+        Threads.note (Threads.Write_static { cls; field = fname; value = v });
       let v =
         match Mj.Symtab.lookup_field t.Machine.tab cls fname with
         | Some (_, field) -> coerce field.f_ty v

@@ -227,32 +227,24 @@ let ports_state t recv =
       p
 
 (* Schedule-seeded trace capture: port accesses performed while the
-   thread scheduler is tracing are recorded as events, in schedule
-   order. The refinement checker's abstraction function rebuilds an
-   instant's outputs from these events (last write per port), so array
-   contents are snapshotted at access time — a later in-place update of
-   the array must not retroactively change the recorded event. *)
-let render_port_value t v =
+   thread scheduler runs are recorded as events, in schedule order. The
+   refinement checker's abstraction function rebuilds an instant's
+   outputs from these events (last write per port), so array contents
+   are copied at access time — a later in-place update of the array
+   must not retroactively change the recorded event. *)
+let port_value t v =
   match v with
   | Value.Ref _ -> (
       try
         let r = Heap.deref t.heap v in
-        let n = Heap.array_length t.heap r in
-        let b = Buffer.create ((n * 4) + 2) in
-        Buffer.add_char b '[';
-        for i = 0 to n - 1 do
-          if i > 0 then Buffer.add_char b ';';
-          Buffer.add_string b (Value.to_display (Heap.array_get t.heap r i))
-        done;
-        Buffer.add_char b ']';
-        Buffer.contents b
-      with Heap.Runtime_error _ -> Value.to_display v)
-  | v -> Value.to_display v
+        Threads.Elements
+          (Array.init (Heap.array_length t.heap r) (Heap.array_get t.heap r))
+      with Heap.Runtime_error _ -> Threads.Scalar v)
+  | v -> Threads.Scalar v
 
-let note_port t fmt_name port v =
-  if Threads.tracing () then
-    Threads.note
-      (Printf.sprintf "%s(%d, %s)" fmt_name port (render_port_value t v))
+let note_port t native port v =
+  if Threads.active () then
+    Threads.note (Threads.Port { native; port; value = port_value t v })
 
 type native = Value.t -> Value.t list -> Value.t
 

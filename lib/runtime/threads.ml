@@ -1,6 +1,29 @@
 type policy = Round_robin | Seeded of int
 
-type event = { thread : int; description : string }
+type port_value = Scalar of Value.t | Elements of Value.t array
+
+type access =
+  | Read_static of { cls : string; field : string }
+  | Write_static of { cls : string; field : string; value : Value.t }
+  | Port of { native : string; port : int; value : port_value }
+
+type event = { thread : int; access : access }
+
+let description e =
+  match e.access with
+  | Read_static { cls; field } -> Printf.sprintf "read %s.%s" cls field
+  | Write_static { cls; field; value } ->
+      Printf.sprintf "write %s.%s = %s" cls field (Value.to_display value)
+  | Port { native; port; value } ->
+      let value =
+        match value with
+        | Scalar v -> Value.to_display v
+        | Elements a ->
+            "["
+            ^ String.concat ";" (Array.to_list (Array.map Value.to_display a))
+            ^ "]"
+      in
+      Printf.sprintf "%s(%d, %s)" native port value
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -17,7 +40,6 @@ type scheduler = {
   mutable current : int;
   mutable live : int;
   mutable trace : event list;
-  tracing : bool;
 }
 
 let state : scheduler option ref = ref None
@@ -32,13 +54,10 @@ let active () = Option.is_some !state
 
 let current () = match !state with Some s -> s.current | None -> -1
 
-let tracing () = match !state with Some s -> s.tracing | None -> false
-
-let note description =
+let note access =
   match !state with
-  | Some s when s.tracing ->
-      s.trace <- { thread = s.current; description } :: s.trace
-  | Some _ | None -> ()
+  | Some s -> s.trace <- { thread = s.current; access } :: s.trace
+  | None -> ()
 
 (* With nothing else runnable, a yield would enqueue the continuation
    and pick it straight back: the pick is taken in place, drawing the
@@ -122,7 +141,7 @@ let rec run_fiber s tid body =
           | _ -> None);
     }
 
-let run ~policy ?(trace = true) main =
+let run ~policy main =
   if active () then invalid_arg "Threads.run is not reentrant";
   let rng =
     match policy with
@@ -131,7 +150,7 @@ let run ~policy ?(trace = true) main =
   in
   let s =
     { runnable = []; finished = Hashtbl.create 8; waiters = Hashtbl.create 8;
-      rng; current = -1; live = 1; trace = []; tracing = trace }
+      rng; current = -1; live = 1; trace = [] }
   in
   state := Some s;
   branched := false;

@@ -12,9 +12,27 @@ type policy =
   | Round_robin
   | Seeded of int  (** pseudo-random runnable pick, reproducible per seed *)
 
-type event = { thread : int; description : string }
+type port_value =
+  | Scalar of Value.t  (** an int, [null], or a reference to a non-array *)
+  | Elements of Value.t array
+      (** an array's contents, copied at the access: a later in-place
+          update of the array does not change the recorded event *)
+
+type access =
+  | Read_static of { cls : string; field : string }
+  | Write_static of { cls : string; field : string; value : Value.t }
+  | Port of { native : string; port : int; value : port_value }
+      (** a port native ([readPort], [writePortArray], ...) on a port
+          index, with the value read or written *)
+
+type event = { thread : int; access : access }
 (** A trace entry; [thread] is the heap reference of the Thread object
-    (or [-1] for the main thread). *)
+    (or [-1] for the main thread). Instance-field accesses are not
+    recorded. *)
+
+val description : event -> string
+(** The event as text: ["read C.f"], ["write C.f = 3"],
+    ["writePortArray(0, [3;4])"]. *)
 
 type _ Effect.t +=
   | Yield : unit Effect.t
@@ -31,19 +49,15 @@ val active : unit -> bool
 val current : unit -> int
 (** Id of the currently running thread; [-1] outside {!run}. *)
 
-val tracing : unit -> bool
-(** True while {!run} is executing with tracing on. Callers building
-    expensive event descriptions should guard on this so the disabled
-    path stays free. *)
-
-val note : string -> unit
-(** Append a trace event for the current thread (no-op when inactive or
-    tracing is off). *)
+val note : access -> unit
+(** Append a trace event for the current thread (no-op when inactive).
+    Callers building an access guard on {!active}, so the path outside
+    {!run} allocates nothing. *)
 
 val maybe_yield : unit -> unit
 (** Preemption point: yields to the scheduler when active. *)
 
-val run : policy:policy -> ?trace:bool -> (unit -> unit) -> event list
+val run : policy:policy -> (unit -> unit) -> event list
 (** Run [main] as the initial thread under the given policy until all
     spawned threads finish; returns the recorded trace. Not reentrant. *)
 

@@ -58,8 +58,7 @@ let threaded_record engine =
       let trace = ref [] in
       let within run =
         trace :=
-          Mj_runtime.Threads.run ~policy:(Mj_runtime.Threads.Seeded seed)
-            ~trace:true run
+          Mj_runtime.Threads.run ~policy:(Mj_runtime.Threads.Seeded seed) run
       in
       let r =
         run_attributed ~within engine ~file:"fig8.mj"
@@ -67,7 +66,7 @@ let threaded_record engine =
       in
       !trace
       |> List.map (fun (e : Mj_runtime.Threads.event) ->
-             Printf.sprintf "%d %s" e.thread e.description)
+             Printf.sprintf "%d %s" e.thread (Mj_runtime.Threads.description e))
       |> String.concat "\n" |> hex
       |> Printf.sprintf "%s %s" r)
   |> String.concat "|" |> hex

@@ -6,6 +6,7 @@
 
 open Util
 module V = Javatime.Verify
+module T = Mj_runtime.Threads
 module R = Analysis.Refinement
 module Rule = Policy.Rule
 
@@ -197,12 +198,15 @@ let correspondence_tests =
         Alcotest.(check int) "schedules" 25 corr.V.c_schedules);
     case "the abstraction function takes the last write per port"
       (fun () ->
+        let port thread native port value =
+          { T.thread; access = T.Port { native; port; value } }
+        in
         let events =
-          [ { Mj_runtime.Threads.thread = -1;
-              description = "writePort(0, 1)" };
-            { thread = -1; description = "readPort(0, 7)" };
-            { thread = -1; description = "writePort(0, 5)" };
-            { thread = 2; description = "writePort(2, [3;4])" } ]
+          [ port (-1) "writePort" 0 (T.Scalar (Mj_runtime.Value.Int 1));
+            port (-1) "readPort" 0 (T.Scalar (Mj_runtime.Value.Int 7));
+            port (-1) "writePort" 0 (T.Scalar (Mj_runtime.Value.Int 5));
+            port 2 "writePortArray" 2
+              (T.Elements Mj_runtime.Value.[| Int 3; Int 4 |]) ]
         in
         let outs = V.abstract_outputs ~n_out:3 events in
         Alcotest.(check bool) "port 0 holds the last write" true
@@ -211,6 +215,50 @@ let correspondence_tests =
           (Asr.Domain.equal outs.(1) Asr.Domain.Bottom);
         Alcotest.(check bool) "array write snapshots the payload" true
           (Asr.Domain.equal outs.(2) (Asr.Domain.int_array [| 3; 4 |])));
+    case "a null array write leaves its port bottom" (fun () ->
+        (* Port 1's last write is null: alpha reads it as bottom rather
+           than keeping the earlier array. Elaborate.react rejects the
+           same reaction, so its outputs are not compared here. *)
+        let checked =
+          check_src
+            {|class Nul extends ASR {
+                Nul() { declarePorts(1, 2); }
+                public void run() {
+                  int[] a = new int[2];
+                  a[0] = readPort(0);
+                  writePortArray(0, a);
+                  a[0] = 9;
+                  writePortArray(1, a);
+                  writePortArray(1, null);
+                }
+              }|}
+        in
+        let elab =
+          Javatime.Elaborate.elaborate ~enforce_policy:false
+            ~bounded_memory:false checked ~cls:"Nul"
+        in
+        let react_raised = ref false in
+        let events =
+          T.run ~policy:(T.Seeded 1) (fun () ->
+              match Javatime.Elaborate.react elab [| Asr.Domain.int 4 |] with
+              | _ -> ()
+              | exception Invalid_argument _ -> react_raised := true)
+        in
+        Alcotest.(check bool) "react rejects null on a port" true !react_raised;
+        Alcotest.(check (list string)) "port events"
+          [ "readPort(0, 4)"; "writePortArray(0, [4;0])";
+            "writePortArray(1, [9;0])"; "writePortArray(1, null)" ]
+          (List.filter_map
+             (fun e ->
+               match e.T.access with
+               | T.Port _ -> Some (T.description e)
+               | _ -> None)
+             events);
+        let outs = V.abstract_outputs ~n_out:2 events in
+        Alcotest.(check bool) "port 0 keeps the copy taken at the write" true
+          (Asr.Domain.equal outs.(0) (Asr.Domain.int_array [| 4; 0 |]));
+        Alcotest.(check bool) "port 1 is bottom" true
+          (Asr.Domain.equal outs.(1) Asr.Domain.Bottom));
     (let spec = lazy (
        let outcome = Javatime.Engine.refine (fir_program ()) in
        V.spec_stream ~strategy:Asr.Fixpoint.Scheduled ~instants:4
@@ -230,6 +278,78 @@ let correspondence_tests =
          List.for_all2
            (fun s l -> Array.for_all2 Asr.Domain.equal s l)
            spec low)) ]
+
+(* The abstraction function against the elaborated reaction: on every
+   bundled ASR class and every engine, alpha of a traced reaction's
+   events is the outputs [Elaborate.react] returns for it. *)
+let alpha_tests =
+  let module E = Javatime.Elaborate in
+  let designs =
+    [ ("fir", Workloads.Fir_mj.unrestricted_source);
+      ("traffic", Workloads.Traffic_mj.source);
+      ("elevator", Workloads.Elevator_mj.source);
+      ("fig8-blocks", Workloads.Fig8_mj.refined_blocks_source);
+      ("uart", Workloads.Uart_mj.source);
+      (* the bundled codecs are 48x40; the classes are the same at 16x8 *)
+      ("jpeg-unrestricted",
+       Workloads.Jpeg_mj.unrestricted_source ~width:16 ~height:8 ());
+      ("jpeg-restricted",
+       Workloads.Jpeg_mj.restricted_source ~width:16 ~height:8 ()) ]
+  in
+  let engines =
+    [ ("interp", E.Engine_interp); ("vm", E.Engine_vm); ("jit", E.Engine_jit) ]
+  in
+  [ case "alpha of each traced ramp reaction equals react's outputs"
+      (fun () ->
+        List.iter
+          (fun (design, src) ->
+            let checked = check_src src in
+            List.iter
+              (fun cls ->
+                let n_in =
+                  fst
+                    (E.ports
+                       (E.elaborate ~enforce_policy:false ~bounded_memory:false
+                          checked ~cls))
+                in
+                let kinds = V.input_kinds checked ~cls ~n_in in
+                let array_size =
+                  if Array.exists Fun.id kinds then
+                    V.calibrate_array_size ~kinds checked ~cls
+                  else 1
+                in
+                List.iter
+                  (fun (engine_name, engine) ->
+                    let elab =
+                      E.elaborate ~engine ~enforce_policy:false
+                        ~bounded_memory:false checked ~cls
+                    in
+                    let n_out = snd (E.ports elab) in
+                    let defined = ref 0 in
+                    for t = 0 to 3 do
+                      let inputs =
+                        Array.init n_in (V.make_inputs ~kinds ~array_size t)
+                      in
+                      let outs = ref [||] in
+                      let events =
+                        T.run ~policy:(T.Seeded 1) (fun () ->
+                            outs := E.react elab inputs)
+                      in
+                      let alpha = V.abstract_outputs ~n_out events in
+                      Array.iteri
+                        (fun j o ->
+                          if Asr.Domain.is_def o then incr defined;
+                          if not (Asr.Domain.equal o alpha.(j)) then
+                            Alcotest.failf "%s %s on %s: instant %d port %d" design
+                              cls engine_name t j)
+                        !outs
+                    done;
+                    if !defined = 0 then
+                      Alcotest.failf "%s %s on %s: no output defined" design cls
+                        engine_name)
+                  engines)
+              (Mj.Symtab.subclasses checked.Mj.Typecheck.symtab "ASR"))
+          designs) ]
 
 (* ------------------------------------------------------------------ *)
 (* Trace correspondence against a per-seed reference                   *)
@@ -550,4 +670,4 @@ let fused_audit_tests =
           scheduled fused) ]
 
 let suite =
-  vc_tests @ correspondence_tests @ differential_tests @ ordering_tests @ fused_audit_tests
+  vc_tests @ correspondence_tests @ alpha_tests @ differential_tests @ ordering_tests @ fused_audit_tests

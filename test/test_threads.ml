@@ -13,7 +13,7 @@ let run_seeded src cls seed =
 
 let render_trace trace =
   List.map
-    (fun e -> Printf.sprintf "%d %s" e.T.thread e.T.description)
+    (fun e -> Printf.sprintf "%d %s" e.T.thread (T.description e))
     trace
 
 (* Three instants of an ASR class's reaction on the input ramp, each
@@ -107,12 +107,17 @@ let suite =
         let _, trace = run_seeded racer_src "Fig8" 0 in
         let reads =
           List.filter
-            (fun e -> contains ~substring:"read SharedX.x" e.Mj_runtime.Threads.description)
+            (fun e ->
+              e.T.access = T.Read_static { cls = "SharedX"; field = "x" })
             trace
         in
         let writes =
           List.filter
-            (fun e -> contains ~substring:"write SharedX.x" e.Mj_runtime.Threads.description)
+            (function
+              | { T.access = T.Write_static { cls = "SharedX"; field = "x"; _ }; _ }
+                ->
+                  true
+              | _ -> false)
             trace
         in
         Alcotest.(check bool) "has reads" true (List.length reads >= 2);
@@ -129,19 +134,20 @@ let suite =
                   (Hashtbl.find_opt by_thread e.Mj_runtime.Threads.thread)
               in
               Hashtbl.replace by_thread e.Mj_runtime.Threads.thread
-                (existing @ [ e.Mj_runtime.Threads.description ]))
+                (existing @ [ e.Mj_runtime.Threads.access ]))
             trace;
           Hashtbl.iter
             (fun _ events ->
               let rec check_order seen_write = function
                 | [] -> ()
-                | d :: rest ->
-                    if contains ~substring:"read SharedX.x" d && seen_write then
-                      Alcotest.fail "writer read after its own write"
-                    else
-                      check_order
-                        (seen_write || contains ~substring:"write SharedX.x" d)
-                        rest
+                | a :: rest -> (
+                    match a with
+                    | T.Read_static { cls = "SharedX"; field = "x" }
+                      when seen_write ->
+                        Alcotest.fail "writer read after its own write"
+                    | T.Write_static { cls = "SharedX"; field = "x"; _ } ->
+                        check_order true rest
+                    | _ -> check_order seen_write rest)
               in
               check_order false events)
             by_thread
