@@ -670,7 +670,11 @@ let simulate_cmd =
         | Some path -> write_file path (Asr.Waves.to_vcd trace)
         | None -> ());
         match (trace_out, reg) with
-        | Some path, Some r -> write_file path (Telemetry.Export.chrome_trace r)
+        | Some path, Some r ->
+            let causal_loss =
+              Option.map Telemetry.Causal.data_loss (Asr.Simulate.causal sim)
+            in
+            write_file path (Telemetry.Export.chrome_trace ?causal_loss r)
         | _ -> ())
   in
   let instants_arg =

@@ -156,3 +156,21 @@ class Pipe extends ASR {
 MJ
 case_ verify-refinement pipe.mj Pipe --schedules 5 --instants 3
 case_ verify-refinement pipe.mj Pipe --schedules 5 --instants 3 --json
+
+# The Chrome trace of a run with a small causal ring reports the ring's
+# loss, as the flight dump does; a run resumed from the recording
+# carries the ring on, so its trace counts every overwrite. Both runs
+# print the monitor's wall-clock latencies, so only their exit codes and
+# the two causal fields of each file are printed.
+echo "\$ javatime simulate fir.mj FirFilter -n 8 --causal-trace c.json --causal-capacity 4 --trace-out t.json --monitor --flight-out fl.json"
+"$cli" simulate fir.mj FirFilter -n 8 --causal-trace c.json --causal-capacity 4 --trace-out t.json --monitor --flight-out fl.json > /dev/null 2>&1
+echo "[exit $?]"
+echo "t.json:"
+grep -o '"causal_[a-z]*":[0-9]*' t.json
+echo "fl.json:"
+grep -o '"causal_[a-z]*":[0-9]*' fl.json
+echo "\$ javatime simulate fir.mj FirFilter -n 12 --resume c.json --trace-out t12.json"
+"$cli" simulate fir.mj FirFilter -n 12 --resume c.json --trace-out t12.json > /dev/null 2>&1
+echo "[exit $?]"
+echo "t12.json:"
+grep -o '"causal_[a-z]*":[0-9]*' t12.json
