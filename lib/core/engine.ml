@@ -85,7 +85,7 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
           let last =
             { Provenance.it_index = iteration; it_violations = violations;
               it_transform = None; it_description = ""; it_sites = 0;
-              it_changes = []; it_before = None; it_after = None }
+              it_changes = []; it_checked = checked }
           in
           Some
             { Provenance.p_iterations = List.rev (last :: prov);
@@ -141,10 +141,7 @@ let refine ?(max_iterations = 20) ?(policy = Policy.Asr_policy.rules)
                      what the next iteration parses *)
                   Provenance.diff_program
                     ~before:checked.Mj.Typecheck.program ~after:rewritten;
-                (* full before/after ASTs, so the refinement checker can
-                   discharge this iteration's verification conditions *)
-                it_before = Some checked.Mj.Typecheck.program;
-                it_after = Some rewritten }
+                it_checked = checked }
               :: prov
           in
           loop (iteration + 1) rewritten (step :: steps) prov

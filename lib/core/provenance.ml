@@ -16,8 +16,7 @@ type iteration = {
   it_description : string;
   it_sites : int;
   it_changes : change list;
-  it_before : Mj.Ast.program option;
-  it_after : Mj.Ast.program option;
+  it_checked : Mj.Typecheck.checked;
 }
 
 type t = {

@@ -27,12 +27,11 @@ type iteration = {
   it_description : string;
   it_sites : int;
   it_changes : change list;
-  it_before : Mj.Ast.program option;
-      (** the resolved program this iteration analyzed, recorded only
-          when a transform fired — the input to the refinement checker's
-          per-transform verification conditions ({!Verify}) *)
-  it_after : Mj.Ast.program option;
-      (** the transform's output (what the next iteration parses) *)
+  it_checked : Mj.Typecheck.checked;
+      (** the program this iteration analyzed. A transform's input is
+          its own iteration's [it_checked], its output the next
+          iteration's — the pairs the refinement checker discharges
+          verification conditions on ({!Verify}) *)
 }
 
 type t = {

@@ -44,34 +44,29 @@ let check_program ?catalogue program =
     | Some p -> p.Provenance.p_iterations
     | None -> []
   in
+  (* A transform's output is what the next iteration analyzed; the last
+     iteration's successor is the refined program itself. *)
+  let afters =
+    match iterations with
+    | [] -> []
+    | _ :: rest ->
+        List.map (fun it -> it.Provenance.it_checked) rest
+        @ [ outcome.Engine.checked ]
+  in
   let steps =
-    List.filter_map
-      (fun it ->
-        match
-          ( it.Provenance.it_transform,
-            it.Provenance.it_before,
-            it.Provenance.it_after )
-        with
-        | Some transform, Some before, Some after ->
-            let vcs =
-              match (Mj.Typecheck.check before, Mj.Typecheck.check after) with
-              | cb, ca ->
-                  R.check_transform ~transform
-                    ~before:(Analysis.Facts.of_checked cb)
-                    ~after:(Analysis.Facts.of_checked ca)
-              | exception Mj.Diag.Compile_error d ->
-                  [ { R.vc_transform = transform; vc_class = "<program>";
-                      vc_site = "typecheck"; vc_before = Mj.Loc.dummy;
-                      vc_after = Mj.Loc.dummy; vc_ok = false;
-                      vc_detail =
-                        "recorded program no longer typechecks: "
-                        ^ d.Mj.Diag.message } ]
-            in
-            Some
-              { s_iteration = it.Provenance.it_index; s_transform = transform;
-                s_vcs = vcs }
-        | _ -> None)
-      iterations
+    List.concat
+      (List.map2
+         (fun it after ->
+           match it.Provenance.it_transform with
+           | Some transform ->
+               [ { s_iteration = it.Provenance.it_index;
+                   s_transform = transform;
+                   s_vcs =
+                     R.check_transform ~transform
+                       ~before:(Analysis.Facts.of_checked it.Provenance.it_checked)
+                       ~after:(Analysis.Facts.of_checked after) } ]
+           | None -> [])
+         iterations afters)
   in
   let report0 =
     { v_steps = steps; v_races = R.races_clean outcome.Engine.checked;

@@ -2,8 +2,9 @@
     preserve the design's meaning).
 
     Two cooperating layers. Layer 1 discharges static {e verification
-    conditions}: for every transform the engine applied, the recorded
-    before/after ASTs from the {!Provenance} chain are checked for a
+    conditions}: for every transform the engine applied, the checked
+    programs before and after it, recorded in the {!Provenance} chain,
+    are checked for a
     simulation relation by {!Analysis.Refinement}, and the final
     program's thread elimination is justified by a race-free report.
     Layer 2 checks {e trace correspondence}: an abstraction function
