@@ -226,11 +226,17 @@ let run_main_with ?profile ?lines engine checked cls =
       Mj_runtime.Interp.run_main s cls;
       (Mj_runtime.Interp.output s, Mj_runtime.Interp.cycles s)
   | "vm" ->
-      let s = Mj_bytecode.Vm.create ?profile ?lines checked in
+      let s =
+        Mj_bytecode.Vm.create ?profile ?lines
+          (Mj_bytecode.Compile.compile checked)
+      in
       Mj_bytecode.Vm.run_main s cls;
       (Mj_bytecode.Vm.output s, Mj_bytecode.Vm.cycles s)
   | "jit" ->
-      let s = Mj_bytecode.Jit.create ?profile ?lines checked in
+      let s =
+        Mj_bytecode.Jit.create ?profile ?lines
+          (Mj_bytecode.Compile.compile checked)
+      in
       Mj_bytecode.Jit.run_main s cls;
       (Mj_bytecode.Jit.output s, Mj_bytecode.Jit.cycles s)
   | other ->

@@ -1492,7 +1492,7 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let start ?profile ?lines image =
+let create ?profile ?lines image =
   let m =
     Machine.create ~tariff:Cost.jit_tariff ?profile ?lines image.Compile.im_tab
   in
@@ -1503,7 +1503,3 @@ let start ?profile ?lines image =
   ignore (enter t clinit no_conversion (new_frame t clinit));
   t
 
-let of_image ?profile image = start ?profile image
-
-let create ?profile ?lines ?elide checked =
-  start ?profile ?lines (Compile.compile ?elide checked)

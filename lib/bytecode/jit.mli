@@ -17,16 +17,12 @@ type t
 val create :
   ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
-  ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
-  Mj.Typecheck.checked ->
+  Compile.image ->
   t
-(** Charges {!Mj_runtime.Cost.jit_tariff}. [profile]
+(** Like {!Vm.create}, charging {!Mj_runtime.Cost.jit_tariff}. [profile]
     observes every cycle from creation on; [lines] receives per-source-line
     attribution from positions fixed at translate time (one branch per
     charging node when no table is attached). *)
-
-val of_image : ?profile:Telemetry.Profile.t -> Compile.image -> t
-(** Same, reusing a precompiled image. *)
 
 val machine : t -> Mj_runtime.Machine.t
 

@@ -956,7 +956,7 @@ let new_instance t cls args =
 
 let run_main t cls = ignore (call_static t cls "main" [])
 
-let start ?profile ?lines image =
+let create ?profile ?lines image =
   let m = Machine.create ?profile ?lines image.Compile.im_tab in
   let t =
     { image; m; cost = m.Machine.cost; heap = m.Machine.heap;
@@ -969,7 +969,3 @@ let start ?profile ?lines image =
        false Value.Null no_ints no_doubles no_values 0 [||]);
   t
 
-let of_image ?profile image = start ?profile image
-
-let create ?profile ?lines ?elide checked =
-  start ?profile ?lines (Compile.compile ?elide checked)

@@ -12,17 +12,14 @@ type t
 val create :
   ?profile:Telemetry.Profile.t ->
   ?lines:Telemetry.Lines.t ->
-  ?elide:(Mj.Loc.t, unit) Hashtbl.t ->
-  Mj.Typecheck.checked ->
+  Compile.image ->
   t
-(** Compile the program, allocate machine state, run the static
-    initializer, charging {!Mj_runtime.Cost.interpreter_tariff}.
-    [profile] observes every cycle from creation on; [lines] likewise
-    receives per-source-line attribution, driven by the compiled line
-    tables ({!Instr.line_at}). *)
-
-val of_image : ?profile:Telemetry.Profile.t -> Compile.image -> t
-(** Same, reusing a precompiled image (compile once, run many). *)
+(** Allocate machine state for a compiled image and run its static
+    initializer, charging {!Mj_runtime.Cost.interpreter_tariff}. One
+    image may back many sessions (compile once, run many). [profile]
+    observes every cycle from creation on; [lines] likewise receives
+    per-source-line attribution, driven by the compiled line tables
+    ({!Instr.line_at}). *)
 
 val machine : t -> Mj_runtime.Machine.t
 

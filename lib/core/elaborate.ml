@@ -25,9 +25,13 @@ type t = {
 let ops_of_engine ~elide ?profile ?lines engine checked =
   (* The elision plan only affects the bytecode engines; the interpreter
      walks the AST and always performs the modelled bounds check. *)
-  let plan () =
-    if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
-    else None
+  let image () =
+    Mj_bytecode.Compile.compile
+      ?elide:
+        (if elide then
+           Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
+         else None)
+      checked
   in
   match engine with
   | Engine_interp ->
@@ -36,12 +40,12 @@ let ops_of_engine ~elide ?profile ?lines engine checked =
         o_new = Mj_runtime.Interp.new_instance s;
         o_call = Mj_runtime.Interp.call s }
   | Engine_vm ->
-      let s = Mj_bytecode.Vm.create ?profile ?lines ?elide:(plan ()) checked in
+      let s = Mj_bytecode.Vm.create ?profile ?lines (image ()) in
       { o_machine = Mj_bytecode.Vm.machine s;
         o_new = Mj_bytecode.Vm.new_instance s;
         o_call = Mj_bytecode.Vm.call s }
   | Engine_jit ->
-      let s = Mj_bytecode.Jit.create ?profile ?lines ?elide:(plan ()) checked in
+      let s = Mj_bytecode.Jit.create ?profile ?lines (image ()) in
       { o_machine = Mj_bytecode.Jit.machine s;
         o_new = Mj_bytecode.Jit.new_instance s;
         o_call = Mj_bytecode.Jit.call s }

@@ -476,7 +476,10 @@ let vm_run ~elide checked cls =
     if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
     else None
   in
-  let s = Mj_bytecode.Vm.create ?elide:plan checked in
+  let s =
+    Mj_bytecode.Vm.create
+      (Mj_bytecode.Compile.compile ?elide:plan checked)
+  in
   let result =
     try
       Mj_bytecode.Vm.run_main s cls;
@@ -491,7 +494,10 @@ let jit_run ~elide checked cls =
     if elide then Some (Analysis.Elide.plan (Analysis.Facts.of_checked checked))
     else None
   in
-  let s = Mj_bytecode.Jit.create ?elide:plan checked in
+  let s =
+    Mj_bytecode.Jit.create
+      (Mj_bytecode.Compile.compile ?elide:plan checked)
+  in
   let result =
     try
       Mj_bytecode.Jit.run_main s cls;

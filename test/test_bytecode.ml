@@ -324,12 +324,18 @@ let run_failing engine src =
           (fun () -> Mj_runtime.Interp.cycles s),
           fun () -> Mj_runtime.Interp.run_main s "Main" )
     | `Vm ->
-        let s = Mj_bytecode.Vm.create ~profile:p ~lines:lt checked in
+        let s =
+          Mj_bytecode.Vm.create ~profile:p ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         ( Mj_bytecode.Vm.machine s,
           (fun () -> Mj_bytecode.Vm.cycles s),
           fun () -> Mj_bytecode.Vm.run_main s "Main" )
     | `Jit ->
-        let s = Mj_bytecode.Jit.create ~profile:p ~lines:lt checked in
+        let s =
+          Mj_bytecode.Jit.create ~profile:p ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         ( Mj_bytecode.Jit.machine s,
           (fun () -> Mj_bytecode.Jit.cycles s),
           fun () -> Mj_bytecode.Jit.run_main s "Main" )
@@ -462,8 +468,8 @@ let load_time_rejection engine () =
       let image = patched ~nlocals "f" code in
       let run () =
         match engine with
-        | `Vm -> Mj_bytecode.Vm.run_main (Mj_bytecode.Vm.of_image image) "Main"
-        | `Jit -> Mj_bytecode.Jit.run_main (Mj_bytecode.Jit.of_image image) "Main"
+        | `Vm -> Mj_bytecode.Vm.run_main (Mj_bytecode.Vm.create image) "Main"
+        | `Jit -> Mj_bytecode.Jit.run_main (Mj_bytecode.Jit.create image) "Main"
       in
       match run () with
       | () -> Alcotest.failf "%s: accepted" name
@@ -487,11 +493,11 @@ let arity_in_callee_bracket () =
         match engine with
         | `Vm ->
             Mj_bytecode.Vm.run_main
-              (Mj_bytecode.Vm.of_image ~profile:p image)
+              (Mj_bytecode.Vm.create ~profile:p image)
               "Main"
         | `Jit ->
             Mj_bytecode.Jit.run_main
-              (Mj_bytecode.Jit.of_image ~profile:p image)
+              (Mj_bytecode.Jit.create ~profile:p image)
               "Main"
       in
       expect_runtime_error ~substring:"arity mismatch calling Main.f" run;
@@ -541,7 +547,10 @@ let nested_yields_fiber_safe () =
   let expected = interp_output nested_yield_src "Main" in
   let branched = ref false in
   for seed = 0 to 5 do
-    let vm = Mj_bytecode.Vm.create (check_src nested_yield_src) in
+    let vm =
+      Mj_bytecode.Vm.create
+        (Mj_bytecode.Compile.compile (check_src nested_yield_src))
+    in
     ignore
       (Mj_runtime.Threads.run ~policy:(Mj_runtime.Threads.Seeded seed)
          (fun () -> Mj_bytecode.Vm.run_main vm "Main"));
@@ -676,13 +685,13 @@ let run_metered engine image =
   let machine, output, run, budget =
     match engine with
     | `Vm ->
-        let s = Mj_bytecode.Vm.of_image image in
+        let s = Mj_bytecode.Vm.create image in
         ( Mj_bytecode.Vm.machine s,
           (fun () -> Mj_bytecode.Vm.output s),
           (fun () -> Mj_bytecode.Vm.run_main s "Main"),
           1_000_000 )
     | `Jit ->
-        let s = Mj_bytecode.Jit.of_image image in
+        let s = Mj_bytecode.Jit.create image in
         ( Mj_bytecode.Jit.machine s,
           (fun () -> Mj_bytecode.Jit.output s),
           (fun () -> Mj_bytecode.Jit.run_main s "Main"),
@@ -807,9 +816,9 @@ let suite =
               let image =
                 Mj_bytecode.Optimize.image (Mj_bytecode.Compile.compile checked)
               in
-              let vm = Mj_bytecode.Vm.of_image image in
+              let vm = Mj_bytecode.Vm.create image in
               Mj_bytecode.Vm.run_main vm "Main";
-              let jit = Mj_bytecode.Jit.of_image image in
+              let jit = Mj_bytecode.Jit.create image in
               Mj_bytecode.Jit.run_main jit "Main";
               Alcotest.(check string) name (interp_output src "Main")
                 (Mj_bytecode.Jit.output jit);
@@ -830,13 +839,22 @@ let suite =
             "class Main { public static void main() { int s = 0; for (int i \
              = 0; i < 500; i++) s += i * i; System.out.println(s); } }"
           in
-          let vm1 = Mj_bytecode.Vm.create (check_src src) in
+          let vm1 =
+            Mj_bytecode.Vm.create
+              (Mj_bytecode.Compile.compile (check_src src))
+          in
           Mj_bytecode.Vm.run_main vm1 "Main";
-          let vm2 = Mj_bytecode.Vm.create (check_src src) in
+          let vm2 =
+            Mj_bytecode.Vm.create
+              (Mj_bytecode.Compile.compile (check_src src))
+          in
           Mj_bytecode.Vm.run_main vm2 "Main";
           Alcotest.(check int) "vm deterministic" (Mj_bytecode.Vm.cycles vm1)
             (Mj_bytecode.Vm.cycles vm2);
-          let jit = Mj_bytecode.Jit.create (check_src src) in
+          let jit =
+            Mj_bytecode.Jit.create
+              (Mj_bytecode.Compile.compile (check_src src))
+          in
           Mj_bytecode.Jit.run_main jit "Main";
           Alcotest.(check bool) "jit tariff is cheaper" true
             (Mj_bytecode.Jit.cycles jit * 2 < Mj_bytecode.Vm.cycles vm1));
@@ -859,8 +877,8 @@ let suite =
       case "vm reuses a precompiled image" (fun () ->
           let src = "class Main { public static void main() { System.out.println(11); } }" in
           let image = Mj_bytecode.Compile.compile (check_src src) in
-          let s1 = Mj_bytecode.Vm.of_image image in
-          let s2 = Mj_bytecode.Vm.of_image image in
+          let s1 = Mj_bytecode.Vm.create image in
+          let s2 = Mj_bytecode.Vm.create image in
           Mj_bytecode.Vm.run_main s1 "Main";
           Mj_bytecode.Vm.run_main s2 "Main";
           Alcotest.(check string) "same" (Mj_bytecode.Vm.output s1)
@@ -902,7 +920,7 @@ let suite =
           let decoded =
             Mj_bytecode.Classfile.decode_image checked.Mj.Typecheck.symtab blob
           in
-          let session = Mj_bytecode.Vm.of_image decoded in
+          let session = Mj_bytecode.Vm.create decoded in
           Mj_bytecode.Vm.run_main session "Main";
           Alcotest.(check string) "42" "42\n" (Mj_bytecode.Vm.output session));
       case "decoded jpeg image reproduces outputs" (fun () ->
@@ -915,7 +933,7 @@ let suite =
           in
           let data = Workloads.Images.synthetic ~width:16 ~height:8 in
           let react img =
-            let session = Mj_bytecode.Vm.of_image img in
+            let session = Mj_bytecode.Vm.create img in
             let m = Mj_bytecode.Vm.machine session in
             let obj = Mj_bytecode.Vm.new_instance session "JpegCodec" [] in
             Mj_runtime.Machine.set_input m obj 0
@@ -933,7 +951,10 @@ let suite =
                 public static void main() { used(); }
               }|}
           in
-          let session = Mj_bytecode.Jit.create (check_src src) in
+          let session =
+            Mj_bytecode.Jit.create
+              (Mj_bytecode.Compile.compile (check_src src))
+          in
           Mj_bytecode.Jit.run_main session "Main";
           (* main + used, but never unused *)
           Alcotest.(check bool) "compiled few" true

@@ -6,7 +6,7 @@ let run_optimized src cls =
   let image =
     Mj_bytecode.Optimize.image (Mj_bytecode.Compile.compile (check_src src))
   in
-  let session = Mj_bytecode.Vm.of_image image in
+  let session = Mj_bytecode.Vm.create image in
   Mj_bytecode.Vm.run_main session cls;
   Mj_bytecode.Vm.output session
 
@@ -102,7 +102,7 @@ let suite =
           let src = Workloads.Jpeg_mj.restricted_source ~width:16 ~height:8 () in
           let image_data = Workloads.Images.synthetic ~width:16 ~height:8 in
           let react image =
-            let session = Mj_bytecode.Vm.of_image image in
+            let session = Mj_bytecode.Vm.create image in
             let m = Mj_bytecode.Vm.machine session in
             Mj_runtime.Heap.set_phase m.Mj_runtime.Machine.heap
               Mj_runtime.Heap.Init;

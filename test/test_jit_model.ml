@@ -39,11 +39,17 @@ let run_attributed ?(within = fun run -> run ()) engine ~file src cls =
   let cycles, out =
     match engine with
     | `Vm ->
-        let s = Mj_bytecode.Vm.create ~profile:p ~lines:lt checked in
+        let s =
+          Mj_bytecode.Vm.create ~profile:p ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         within (fun () -> Mj_bytecode.Vm.run_main s cls);
         (Mj_bytecode.Vm.cycles s, Mj_bytecode.Vm.output s)
     | `Jit ->
-        let s = Mj_bytecode.Jit.create ~profile:p ~lines:lt checked in
+        let s =
+          Mj_bytecode.Jit.create ~profile:p ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         within (fun () -> Mj_bytecode.Jit.run_main s cls);
         (Mj_bytecode.Jit.cycles s, Mj_bytecode.Jit.output s)
   in
@@ -311,8 +317,9 @@ let fused_like_observed () =
   let run ~observed src =
     let vm =
       if observed then
-        Mj_bytecode.Vm.create ~profile:(Profile.create ()) (check_src src)
-      else Mj_bytecode.Vm.create (check_src src)
+        Mj_bytecode.Vm.create ~profile:(Profile.create ())
+          (Mj_bytecode.Compile.compile (check_src src))
+      else Mj_bytecode.Vm.create (Mj_bytecode.Compile.compile (check_src src))
     in
     let error =
       match Mj_bytecode.Vm.run_main vm "Main" with

@@ -220,11 +220,17 @@ let run_with_lines engine src =
         Mj_runtime.Interp.run_main s "Main";
         Mj_runtime.Interp.cycles s
     | `Vm ->
-        let s = Mj_bytecode.Vm.create ~lines:lt checked in
+        let s =
+          Mj_bytecode.Vm.create ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         Mj_bytecode.Vm.run_main s "Main";
         Mj_bytecode.Vm.cycles s
     | `Jit ->
-        let s = Mj_bytecode.Jit.create ~lines:lt checked in
+        let s =
+          Mj_bytecode.Jit.create ~lines:lt
+            (Mj_bytecode.Compile.compile checked)
+        in
         Mj_bytecode.Jit.run_main s "Main";
         Mj_bytecode.Jit.cycles s
   in
@@ -263,11 +269,17 @@ let reconcile_tests =
                     Mj_runtime.Interp.run_main s "Main";
                     Mj_runtime.Interp.cycles s
                 | `Vm ->
-                    let s = Mj_bytecode.Vm.create checked in
+                    let s =
+                      Mj_bytecode.Vm.create
+                        (Mj_bytecode.Compile.compile checked)
+                    in
                     Mj_bytecode.Vm.run_main s "Main";
                     Mj_bytecode.Vm.cycles s
                 | `Jit ->
-                    let s = Mj_bytecode.Jit.create checked in
+                    let s =
+                      Mj_bytecode.Jit.create
+                        (Mj_bytecode.Compile.compile checked)
+                    in
                     Mj_bytecode.Jit.run_main s "Main";
                     Mj_bytecode.Jit.cycles s
               in
@@ -295,7 +307,10 @@ let reconcile_tests =
                       false
                     with Mj_runtime.Heap.Runtime_error _ -> true)
                 | `Vm -> (
-                    let s = Mj_bytecode.Vm.create ~lines:lt checked in
+                    let s =
+                      Mj_bytecode.Vm.create ~lines:lt
+                        (Mj_bytecode.Compile.compile checked)
+                    in
                     try
                       Mj_bytecode.Vm.run_main s "Main";
                       false
@@ -354,7 +369,7 @@ let flame_tests =
         let reg = R.create () in
         let profile = P.create ~spans:reg () in
         let s =
-          Mj_bytecode.Vm.create ~profile checked
+          Mj_bytecode.Vm.create ~profile (Mj_bytecode.Compile.compile checked)
         in
         Mj_bytecode.Vm.run_main s "Main";
         let rows = F.collapse reg in

@@ -207,7 +207,10 @@ let suite =
     case "vm engine interleaves threads too" (fun () ->
         let outcomes = Hashtbl.create 8 in
         for seed = 0 to 19 do
-          let session = Mj_bytecode.Vm.create (check_src racer_src) in
+          let session =
+            Mj_bytecode.Vm.create
+              (Mj_bytecode.Compile.compile (check_src racer_src))
+          in
           ignore
             (Mj_runtime.Threads.run ~policy:(Mj_runtime.Threads.Seeded seed)
                (fun () -> Mj_bytecode.Vm.run_main session "Fig8"));

@@ -18,12 +18,18 @@ let interp_output src cls =
   Mj_runtime.Interp.output session
 
 let vm_output src cls =
-  let session = Mj_bytecode.Vm.create (check_src src) in
+  let session =
+    Mj_bytecode.Vm.create
+      (Mj_bytecode.Compile.compile (check_src src))
+  in
   Mj_bytecode.Vm.run_main session cls;
   Mj_bytecode.Vm.output session
 
 let jit_output src cls =
-  let session = Mj_bytecode.Jit.create (check_src src) in
+  let session =
+    Mj_bytecode.Jit.create
+      (Mj_bytecode.Compile.compile (check_src src))
+  in
   Mj_bytecode.Jit.run_main session cls;
   Mj_bytecode.Jit.output session
 
