@@ -17,6 +17,7 @@
 
 module R = Analysis.Refinement
 module D = Asr.Domain
+module T = Mj_runtime.Threads
 
 (* ------------------------------------------------------------------ *)
 (* Layer 1: per-transform verification conditions                      *)
@@ -50,20 +51,19 @@ let check_program ?catalogue program =
     match iterations with
     | [] -> []
     | _ :: rest ->
-        List.map (fun it -> it.Provenance.it_checked) rest
+        List.map (fun (it : Provenance.iteration) -> it.it_checked) rest
         @ [ outcome.Engine.checked ]
   in
   let steps =
     List.concat
       (List.map2
-         (fun it after ->
-           match it.Provenance.it_transform with
+         (fun (it : Provenance.iteration) after ->
+           match it.it_transform with
            | Some transform ->
-               [ { s_iteration = it.Provenance.it_index;
-                   s_transform = transform;
+               [ { s_iteration = it.it_index; s_transform = transform;
                    s_vcs =
                      R.check_transform ~transform
-                       ~before:(Analysis.Facts.of_checked it.Provenance.it_checked)
+                       ~before:(Analysis.Facts.of_checked it.it_checked)
                        ~after:(Analysis.Facts.of_checked after) } ]
            | None -> [])
          iterations afters)
@@ -191,28 +191,23 @@ let calibrate_array_size ?(engine = Elaborate.Engine_vm) ~kinds checked ~cls =
    Array payloads were copied at write time by the machine, so later
    in-place mutations do not leak in. MJ ports carry [int] and [int[]]
    only; any other value on a port is a fault, not a silent drop. *)
-let port_data = function
-  | Mj_runtime.Threads.Scalar Mj_runtime.Value.Null -> D.Bottom
-  | Mj_runtime.Threads.Scalar (Mj_runtime.Value.Int n) -> D.int n
-  | Mj_runtime.Threads.Elements a ->
-      D.int_array
-        (Array.map
-           (function
-             | Mj_runtime.Value.Int n -> n
-             | v ->
-                 invalid_arg
-                   ("abstract_outputs: array element "
-                   ^ Mj_runtime.Value.to_display v ^ " is not an int"))
-           a)
-  | Mj_runtime.Threads.Scalar v ->
-      invalid_arg
-        ("abstract_outputs: port value " ^ Mj_runtime.Value.to_display v
-       ^ " is not an int")
+let port_data value =
+  let int_of = function
+    | Mj_runtime.Value.Int n -> n
+    | v ->
+        invalid_arg
+          ("abstract_outputs: " ^ Mj_runtime.Value.to_display v
+         ^ " on a port is not an int")
+  in
+  match value with
+  | T.Scalar Mj_runtime.Value.Null -> D.Bottom
+  | T.Scalar v -> D.int (int_of v)
+  | T.Elements a -> D.int_array (Array.map int_of a)
 
-let abstract_outputs ~n_out (events : Mj_runtime.Threads.event list) =
+let abstract_outputs ~n_out (events : T.event list) =
   let outs = Array.make n_out D.Bottom in
   List.iter
-    (fun (e : Mj_runtime.Threads.event) ->
+    (fun (e : T.event) ->
       match e.access with
       | Port { native = "writePort" | "writePortArray"; port; value }
         when 0 <= port && port < n_out ->
@@ -269,10 +264,9 @@ let low_schedule ~branched ~inputs ~seed ~instants checked ~cls =
       let events =
         Fun.protect
           ~finally:(fun () ->
-            if Mj_runtime.Threads.last_run_branched () then branched := true)
+            if T.last_run_branched () then branched := true)
           (fun () ->
-            Mj_runtime.Threads.run
-              ~policy:(Mj_runtime.Threads.Seeded seed)
+            T.run ~policy:(T.Seeded seed)
               (fun () -> ignore (Elaborate.react elab inputs)))
       in
       abstract_outputs ~n_out events)

@@ -226,12 +226,11 @@ let ports_state t recv =
       Hashtbl.replace t.asr_ports r p;
       p
 
-(* Schedule-seeded trace capture: port accesses performed while the
-   thread scheduler runs are recorded as events, in schedule order. The
-   refinement checker's abstraction function rebuilds an instant's
-   outputs from these events (last write per port), so array contents
-   are copied at access time — a later in-place update of the array
-   must not retroactively change the recorded event. *)
+(* Port accesses made while the thread scheduler runs are trace events.
+   The refinement checker's abstraction function rebuilds an instant's
+   outputs from them (last write per port), so array contents are
+   copied at the access: a later in-place update of the array must not
+   change the recorded event. *)
 let port_value t v =
   match v with
   | Value.Ref _ -> (
