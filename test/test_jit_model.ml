@@ -71,8 +71,9 @@ let threaded_record engine =
           Workloads.Fig8_mj.threaded_source "Fig8"
       in
       !trace
-      |> List.map (fun (e : Mj_runtime.Threads.event) ->
-             Printf.sprintf "%d %s" e.thread (Mj_runtime.Threads.description e))
+      |> List.map (fun e ->
+             Printf.sprintf "%d %s" e.Mj_runtime.Threads.thread
+               (Mj_runtime.Threads.description e))
       |> String.concat "\n" |> hex
       |> Printf.sprintf "%s %s" r)
   |> String.concat "|" |> hex

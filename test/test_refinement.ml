@@ -340,8 +340,8 @@ let alpha_tests =
                         (fun j o ->
                           if Asr.Domain.is_def o then incr defined;
                           if not (Asr.Domain.equal o alpha.(j)) then
-                            Alcotest.failf "%s %s on %s: instant %d port %d" design
-                              cls engine_name t j)
+                            Alcotest.failf "%s %s on %s: instant %d port %d"
+                              design cls engine_name t j)
                         !outs
                     done;
                     if !defined = 0 then
@@ -670,4 +670,5 @@ let fused_audit_tests =
           scheduled fused) ]
 
 let suite =
-  vc_tests @ correspondence_tests @ alpha_tests @ differential_tests @ ordering_tests @ fused_audit_tests
+  vc_tests @ correspondence_tests @ alpha_tests @ differential_tests
+  @ ordering_tests @ fused_audit_tests

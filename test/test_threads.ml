@@ -113,10 +113,9 @@ let suite =
         in
         let writes =
           List.filter
-            (function
-              | { T.access = T.Write_static { cls = "SharedX"; field = "x"; _ }; _ }
-                ->
-                  true
+            (fun e ->
+              match e.T.access with
+              | T.Write_static { cls = "SharedX"; field = "x"; _ } -> true
               | _ -> false)
             trace
         in
