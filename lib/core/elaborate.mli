@@ -50,7 +50,12 @@ val init_cycles : t -> int
 
 val react : t -> Asr.Domain.t array -> Asr.Domain.t array
 (** One instant: marshal inputs onto ports, invoke [run], collect
-    outputs. ⊥ inputs are absent ([portPresent] is false). *)
+    outputs. ⊥ inputs are absent ([portPresent] is false); an output
+    port left unwritten or last written [null] is ⊥. When the reaction
+    ends, normally or by an exception, the heap cells unreachable from
+    the statics, the port owners and their values, and the instance are
+    reclaimed ({!Mj_runtime.Machine.collect}; skipped inside
+    {!Mj_runtime.Threads.run}). *)
 
 val deadline : before:int -> budget:int -> int
 (** The meter reading at which a reaction started at [before] with

@@ -35,6 +35,12 @@ type t = {
   mutable gc_count : int;
   mutable on_gc : live_words:int -> unit;
   mutable on_trap : unit -> unit;
+  mutable live : int;  (* cells holding an object *)
+  (* The collector's sweep set: the live cells the last pass kept,
+     ascending, and [next] at that pass — cells from it on are new. *)
+  mutable survivors : int array;
+  mutable swept_to : int;
+  mutable marks : Bytes.t;  (* all zero between passes *)
   (* One layout per class, shared by all its instances: field access
      sites cache the layout they last saw and the slot it maps to. *)
   layouts : (string, layout) Hashtbl.t;
@@ -45,7 +51,8 @@ let create () =
     forbid_reactive = false; init_allocations = 0; reactive_allocations = 0;
     init_words = 0; reactive_words = 0; limit_words = None; gc_threshold = None;
     words_since_gc = 0; gc_count = 0; on_gc = (fun ~live_words:_ -> ());
-    on_trap = (fun () -> ()); layouts = Hashtbl.create 16 }
+    on_trap = (fun () -> ()); live = 0; survivors = [||]; swept_to = 0;
+    marks = Bytes.empty; layouts = Hashtbl.create 16 }
 
 let phase t = t.phase
 
@@ -57,7 +64,7 @@ let stats t =
   { init_allocations = t.init_allocations;
     reactive_allocations = t.reactive_allocations;
     init_words = t.init_words; reactive_words = t.reactive_words;
-    live_objects = t.next }
+    live_objects = t.live }
 
 let configure_gc t ~threshold_words =
   t.gc_threshold <- threshold_words;
@@ -82,7 +89,8 @@ let set_limit_words t limit =
 let limit_words t = t.limit_words
 
 (* The exhaustion check models a fixed-size heap: total words ever
-   allocated (the model has no reclamation of individual objects)
+   allocated (the model has no reclamation of individual objects, even
+   though the host representation reclaims cells: see [collect])
    against the configured capacity. It runs in both phases — an
    oversized initialization is as fatal on the target as a reactive
    alloc storm — and never touches [Cost], so arming a limit cannot
@@ -132,6 +140,7 @@ let store t data =
   let index = t.next in
   t.cells.(index) <- Some data;
   t.next <- index + 1;
+  t.live <- t.live + 1;
   Value.Ref index
 
 let make_layout ~cls names =
@@ -254,6 +263,69 @@ let[@inline] array_set t index i value =
 let array_get_unchecked t index i = (array_cells t index).(i)
 let array_set_unchecked t index i value = (array_cells t index).(i) <- value
 
+(* ----------------------------- collector -------------------------- *)
+
+(* Host-side reclamation. A pass marks every cell reachable from the
+   roots and sets the others to [None], so the host heap holds only live
+   objects; indices are never reused ([next] only grows), so no [Ref],
+   rendering or modeled counter changes. Only the previous pass's
+   survivors and the cells allocated since can be live, so the sweep
+   visits those alone. *)
+
+let occupied = function Some _ -> true | None -> false
+
+let holds_refs : Mj.Ast.ty -> bool = function
+  | Mj.Ast.TInt | Mj.Ast.TBool | Mj.Ast.TDouble | Mj.Ast.TString -> false
+  | Mj.Ast.TArray _ | Mj.Ast.TClass _ | Mj.Ast.TNull | Mj.Ast.TVoid -> true
+
+let collect t ~roots =
+  if Bytes.length t.marks < t.next then
+    t.marks <- Bytes.make (Array.length t.cells) '\000';
+  let marks = t.marks in
+  let stack = ref (Array.make 64 0) and depth = ref 0 in
+  let mark = function
+    | Value.Ref i
+      when i >= 0 && i < t.next
+           && Bytes.unsafe_get marks i = '\000'
+           && occupied t.cells.(i) ->
+        Bytes.unsafe_set marks i '\001';
+        if !depth = Array.length !stack then begin
+          let bigger = Array.make (2 * !depth) 0 in
+          Array.blit !stack 0 bigger 0 !depth;
+          stack := bigger
+        end;
+        !stack.(!depth) <- i;
+        incr depth
+    | _ -> ()
+  in
+  roots mark;
+  while !depth > 0 do
+    decr depth;
+    match t.cells.(!stack.(!depth)) with
+    | Some (Object { slots; _ }) -> Array.iter mark slots
+    | Some (Arr { elem; cells }) when holds_refs elem -> Array.iter mark cells
+    | Some (Arr _) | None -> ()
+  done;
+  let kept = Array.make (Array.length t.survivors + t.next - t.swept_to) 0 in
+  let n = ref 0 in
+  let sweep i =
+    if Bytes.unsafe_get marks i <> '\000' then begin
+      Bytes.unsafe_set marks i '\000';
+      kept.(!n) <- i;
+      incr n
+    end
+    else if occupied t.cells.(i) then begin
+      t.cells.(i) <- None;
+      t.live <- t.live - 1
+    end
+  in
+  Array.iter sweep t.survivors;
+  for i = t.swept_to to t.next - 1 do
+    sweep i
+  done;
+  t.survivors <- Array.sub kept 0 !n;
+  t.swept_to <- t.next
+
 (* ------------------------- snapshot / restore --------------------- *)
 
 type snapshot = {
@@ -325,10 +397,23 @@ let restore t s =
   let cap = max 1024 s.s_next in
   if Array.length t.cells < cap then t.cells <- Array.make cap None
   else Array.fill t.cells 0 (Array.length t.cells) None;
+  t.live <- 0;
   for i = 0 to s.s_next - 1 do
-    t.cells.(i) <- adopt t s.s_cells.(i)
+    t.cells.(i) <- adopt t s.s_cells.(i);
+    if occupied t.cells.(i) then t.live <- t.live + 1
   done;
   t.next <- s.s_next;
+  (* The restored cells are the collector's sweep set. *)
+  t.survivors <- Array.make t.live 0;
+  let n = ref 0 in
+  for i = 0 to s.s_next - 1 do
+    if occupied t.cells.(i) then begin
+      t.survivors.(!n) <- i;
+      incr n
+    end
+  done;
+  t.swept_to <- s.s_next;
+  t.marks <- Bytes.empty;
   t.phase <- s.s_phase;
   t.forbid_reactive <- s.s_forbid_reactive;
   t.init_allocations <- s.s_init_allocations;

@@ -4,7 +4,13 @@
     initialization; the heap distinguishes an [Init] phase from the
     [Reactive] phase, counts allocations per phase, and can be armed to
     reject reactive-phase allocation outright (bounded-memory
-    enforcement of elaborated blocks). *)
+    enforcement of elaborated blocks).
+
+    The model has no reclamation of individual objects: its counters,
+    its capacity limit and its collector model count every word ever
+    allocated. The host representation does reclaim: {!collect} drops
+    the cells unreachable from a set of roots, without touching any
+    modeled quantity or reusing an index. *)
 
 type phase = Init | Reactive
 
@@ -29,7 +35,7 @@ type stats = {
   reactive_allocations : int;
   init_words : int;
   reactive_words : int;
-  live_objects : int;
+  live_objects : int;  (** cells holding an object: not yet reclaimed *)
 }
 
 type t
@@ -132,6 +138,19 @@ val set_trap_hook : t -> (unit -> unit) -> unit
 
 val gc_count : t -> int
 
+(** {1 Host-side reclamation} *)
+
+val collect : t -> roots:((Value.t -> unit) -> unit) -> unit
+(** A mark–sweep pass: [roots mark] hands every root value to [mark];
+    every cell unreachable from them becomes empty, so a later access
+    through a reference to it raises ["dangling reference"]. Object
+    slots are scanned, and array cells only when the element type can
+    hold a reference. The sweep visits the previous pass's survivors
+    and the cells allocated since (O(live + new)). Indices are never
+    reused and no modeled counter moves: allocation counts and words,
+    the capacity limit, the collector model and {!Cost} read as if the
+    pass had not run. *)
+
 (** {1 Snapshot / restore}
 
     Deep copies of the complete heap state — cells (object field tables
@@ -140,7 +159,8 @@ val gc_count : t -> int
     re-application-safe reactions and durable checkpoints: restoring a
     snapshot makes the heap bit-identical to the moment of capture.
     The [on_gc]/[on_trap] hooks are wiring, not state, and are left
-    untouched by {!restore}. *)
+    untouched by {!restore}. A reclaimed cell is [None] in
+    [s_cells]. *)
 
 type snapshot = {
   s_cells : obj_data option array;
@@ -165,4 +185,5 @@ val restore : t -> snapshot -> unit
     times, and mutating the restored heap never corrupts the snapshot.
     Objects take the heap's registered layout of their class (re-slotted
     by field name when the snapshot carries another one), so inline
-    caches filled before the restore stay valid. *)
+    caches filled before the restore stay valid. The restored cells
+    become {!collect}'s sweep set. *)

@@ -420,6 +420,20 @@ let clear_io t recv =
 
 let instant_root t = t.root
 
+(* Unjoined threads run after the main fiber returns, holding
+   references no root shows, so no pass runs inside a scheduler. *)
+let collect t extra =
+  if not (Threads.active ()) then
+    Heap.collect t.heap ~roots:(fun mark ->
+        Hashtbl.iter (fun _ c -> mark !c) t.statics;
+        Hashtbl.iter
+          (fun owner p ->
+            mark (Value.Ref owner);
+            Array.iter (Option.iter mark) p.inputs;
+            Array.iter (Option.iter mark) p.outputs)
+          t.asr_ports;
+        List.iter mark extra)
+
 let int_array t v =
   let r = Heap.deref t.heap v in
   Array.init (Heap.array_length t.heap r) (fun i ->

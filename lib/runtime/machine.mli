@@ -123,5 +123,12 @@ val clear_io : t -> Value.t -> unit
 
 val instant_root : t -> instant
 
+val collect : t -> Value.t list -> unit
+(** Reclaim the heap cells unreachable from the static fields, every
+    ASR port owner and its port values, and the given extra roots
+    ({!Heap.collect}). A no-op while {!Threads.run} is active: threads
+    not yet joined may hold references no root shows. Call it only
+    between executions, when no engine frame holds a reference. *)
+
 val int_array : t -> Value.t -> int array
 val make_int_array : t -> int array -> Value.t

@@ -195,11 +195,26 @@ let phase_of_name = function
   | "reactive" -> Heap.Reactive
   | _ -> malformed "phase"
 
+(* A run of reclaimed cells encodes as one [{"free": n}], so the
+   encoding grows with the live cells, not with every index ever
+   allocated. *)
+let cells_json (h : Heap.snapshot) =
+  let cells = h.Heap.s_cells in
+  let rec go i acc =
+    if i < 0 then acc
+    else
+      match cells.(i) with
+      | Some _ as c -> go (i - 1) (cell_json c :: acc)
+      | None ->
+          let j = ref i in
+          while !j > 0 && Option.is_none cells.(!j - 1) do decr j done;
+          go (!j - 1) (Json.Obj [ ("free", Json.Int (i - !j + 1)) ] :: acc)
+  in
+  Json.List (go (h.Heap.s_next - 1) [])
+
 let heap_json (h : Heap.snapshot) =
   Json.Obj
-    [ ( "cells",
-        Json.List
-          (List.init h.Heap.s_next (fun i -> cell_json h.Heap.s_cells.(i))) );
+    [ ("cells", cells_json h);
       ("phase", Json.Str (phase_name h.Heap.s_phase));
       ("forbid_reactive", Json.Bool h.Heap.s_forbid_reactive);
       ("init_allocations", Json.Int h.Heap.s_init_allocations);
@@ -227,7 +242,15 @@ let heap_of_json j : Heap.snapshot =
   let cells =
     match Json.member "cells" j with
     | Some (Json.List l) ->
-        Array.of_list (List.map (cell_of_json (decoded_layouts ())) l)
+        let layouts = decoded_layouts () in
+        List.concat_map
+          (fun c ->
+            match Json.member "free" c with
+            | Some (Json.Int n) when n > 0 -> List.init n (fun _ -> None)
+            | Some _ -> malformed "free run"
+            | None -> [ cell_of_json layouts c ])
+          l
+        |> Array.of_list
     | _ -> malformed "cells"
   in
   { Heap.s_cells = cells;

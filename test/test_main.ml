@@ -32,4 +32,5 @@ let () =
       ("facts", Test_facts.suite);
       ("causal", Test_causal.suite);
       ("causal-ring", Test_causal_ring.suite);
-      ("checkpoint", Test_checkpoint.suite) ]
+      ("checkpoint", Test_checkpoint.suite);
+      ("collector", Test_collector.suite) ]
