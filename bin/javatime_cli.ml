@@ -1097,6 +1097,14 @@ let verify_refinement_cmd =
             (if races.Analysis.Refinement.vc_ok then "ok" else "FAIL")
             races.Analysis.Refinement.vc_detail;
           Printf.printf
+            "compliance: the refined program %s the policy of use, %d \
+             blocking violation(s) remain\n"
+            (if outcome.Javatime.Engine.compliant then "complies with"
+             else "does not comply with")
+            (List.length
+               (List.filter Policy.Rule.is_blocking
+                  outcome.Javatime.Engine.residual));
+          Printf.printf
             "verification conditions: %d discharged, %d failed\n"
             report.Javatime.Verify.v_discharged report.Javatime.Verify.v_failed;
           Printf.printf

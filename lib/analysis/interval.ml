@@ -411,7 +411,8 @@ let analyze_body facts stmts =
   let cfg = Cfg.build stmts in
   let ctx = make_ctx facts in
   let in_states =
-    Solver.solve ~transfer:(transfer ctx) cfg ~init:(Some SMap.empty)
+    Solver.solve ~transfer:(transfer ctx) (Dataflow.plan cfg)
+      ~init:(Some SMap.empty)
   in
   (* Reporting pass: walk every reachable block once under its converged
      in-state, collecting loop-entry environments and site safety. *)

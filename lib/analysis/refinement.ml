@@ -59,21 +59,22 @@ let vc ~transform ~cls ~site ~before ~after ok detail =
 let empty_env : Itv.state = Some Itv.SMap.empty
 
 (* The effect of [stmts] on the interval domain, as a function of the
-   entry state. The CFG is built once, so a loop body unrolled for many
-   iterations is re-solved on the same graph. *)
+   entry state. The CFG, its reverse postorder and its widening points
+   are computed once, so a loop body unrolled for many iterations is
+   re-solved on the same plan. *)
 let runner ctx stmts : Itv.state -> Itv.state =
   match stmts with
   | [] -> Fun.id
   | _ -> (
-      let cfg = Cfg.build stmts in
+      let plan = Dataflow.plan (Cfg.build stmts) in
       function
       | None -> None
       | Some _ as st ->
           let in_states =
-            Interval.Solver.solve ~transfer:(Interval.transfer ctx) cfg
+            Interval.Solver.solve ~transfer:(Interval.transfer ctx) plan
               ~init:st
           in
-          in_states.(cfg.Cfg.exit_id))
+          in_states.(plan.Dataflow.cfg.Cfg.exit_id))
 
 (* Decide a condition under an abstract environment: assuming the
    opposite truth value yields the unreachable state exactly when the
